@@ -34,9 +34,8 @@ that infer but fail verification).
 Options: ``--mode {none,object,field}``, ``--downcast {padding,first-region,
 reject}``, ``--entry NAME``, ``--args N [N ...]``, ``--recursion-limit N``,
 ``--quick``.  The batch entry points (``batch``, ``fig8``, ``fig9``) accept
-``--jobs N`` and ``--backend {thread,process,auto}`` — ``process`` runs the
-batch on a multi-core process pool, ``auto`` picks it whenever the machine
-has more than one core.  One CLI invocation owns one
+``--jobs N`` and ``--backend {thread,process}`` — ``process`` runs the
+batch on a multi-core process pool.  One CLI invocation owns one
 :class:`~repro.api.Session` and therefore one persistent worker pool: all
 the work a subcommand schedules shares the same workers (and their warm
 caches), and the pool is released when the command exits.
@@ -474,8 +473,7 @@ def cmd_serve(args: argparse.Namespace, session: Session) -> int:
         ServerConfig(
             host=args.host,
             port=args.port,
-            backend=args.backend or "auto",
-            min_workers=args.min_workers,
+            backend=args.backend,
             max_workers=args.jobs,
             max_concurrency=args.max_concurrency,
             max_pending=args.max_pending,
@@ -505,7 +503,7 @@ def cmd_loadgen(args: argparse.Namespace, session: Session) -> int:
         config,
         self_host=self_host,
         server_config=(
-            ServerConfig(backend=args.backend or "auto", max_workers=args.jobs)
+            ServerConfig(backend=args.backend, max_workers=args.jobs)
             if self_host
             else None
         ),
@@ -798,8 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--backend",
             choices=list(BACKENDS),
             default=None,
-            help="executor backend: thread (default), process (multi-core), "
-            "or auto (process when the machine has more than one core)",
+            help="executor backend: thread (default) or process (multi-core)",
         )
 
     def common(p: argparse.ArgumentParser, collect: bool = True) -> None:
@@ -940,13 +937,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8178, help="0 picks an ephemeral port"
     )
     p_serve.add_argument(
-        "--min-workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="workers kept warm when idle (process backend)",
-    )
-    p_serve.add_argument(
         "--max-concurrency",
         type=int,
         default=None,
@@ -975,7 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="shrink the pool back to --min-workers after this long idle",
+        help="tear the worker pool down after this long idle",
     )
     p_serve.add_argument(
         "--quiet", action="store_true", help="suppress per-request logging"

@@ -15,14 +15,14 @@ remain as thin shims over it):
   source span) replacing bare exception strings, with a ``collect`` mode
   that gathers multiple diagnostics instead of dying on the first.
 * :meth:`Session.infer_many` — batch inference over many programs on a
-  pluggable worker pool (``backend="thread" | "process" | "auto"``); the
-  process backend escapes the GIL for multi-core batches and is what the
-  Fig 8 / Fig 9 benchmark harness and the ``batch`` CLI subcommand fan
-  out on.
+  worker pool (``backend="thread" | "process"``); the process backend
+  escapes the GIL for multi-core batches and is what the Fig 8 / Fig 9
+  benchmark harness and the ``batch`` CLI subcommand fan out on.
 * :class:`WorkerPool` — the session-owned *persistent* process pool
-  behind every process-backend batch: spawned lazily once, reused across
-  calls (warm worker caches), respawn-and-retry on killed workers, and
-  released by ``Session.close()`` / the session context manager.
+  behind every process-backend batch: spawned lazily once at a fixed
+  width, reused across calls (warm worker caches), respawn-and-retry on
+  killed workers, and released by ``Session.close()`` / the session
+  context manager.
 
 See ``docs/api.md`` for the migration guide from the one-shot calls and
 the backend-selection / pickling contract.
@@ -36,24 +36,25 @@ from .diagnostics import (
     from_exception,
     render_diagnostics,
 )
-from .executor import (
-    BACKENDS,
-    ExecutionResult,
-    available_cpus,
-    default_workers,
-    map_ordered,
-    map_ordered_process,
-    resolve_backend,
-)
 from .pipeline import (
     STAGES,
+    ExecutionResult,
     Pipeline,
     StageFailure,
     StageResult,
     StageSummary,
     config_key,
 )
-from .pool import DEFAULT_WORKER_CACHE_ENTRIES, PoolTimeout, WorkerPool
+from .pool import (
+    BACKENDS,
+    DEFAULT_WORKER_CACHE_ENTRIES,
+    PoolTimeout,
+    WorkerPool,
+    available_cpus,
+    check_backend,
+    default_workers,
+    map_ordered,
+)
 from .session import Session, SessionStats
 
 __all__ = [
@@ -66,10 +67,9 @@ __all__ = [
     "BACKENDS",
     "ExecutionResult",
     "available_cpus",
+    "check_backend",
     "default_workers",
     "map_ordered",
-    "map_ordered_process",
-    "resolve_backend",
     "PoolTimeout",
     "STAGES",
     "Pipeline",

@@ -20,7 +20,7 @@ Stage values:
 ``annotate``          :class:`repro.core.AnnotatedProgram`
 ``infer``             :class:`repro.core.InferenceResult`
 ``verify``            :class:`repro.checking.CheckReport`
-``execute``           :class:`repro.api.executor.ExecutionResult`
+``execute``           :class:`ExecutionResult`
 ====================  =====================================================
 
 Pipelines created through a :class:`~repro.api.Session` share that
@@ -51,10 +51,10 @@ from ..runtime import DanglingAccessError, Interpreter, RuntimeError_
 from ..typing import NormalTypeError
 from ..typing.normal import NormalTypeChecker
 from .diagnostics import Diagnostic, DiagnosticCode, Severity, from_exception
-from .executor import ExecutionResult
 
 __all__ = [
     "STAGES",
+    "ExecutionResult",
     "StageFailure",
     "StageResult",
     "StageSummary",
@@ -85,7 +85,7 @@ class StageFailure(Exception):
     def __reduce__(self):
         # Exception's default reduce replays ``args`` (the formatted
         # message) into ``__init__``, which takes (stage, diagnostics) —
-        # unpicklable without this.  The process-pool executor ships these
+        # unpicklable without this.  The process backend ships these
         # across worker boundaries, so rebuild from the real fields.
         return (StageFailure, (self.stage, self.diagnostics))
 
@@ -177,6 +177,31 @@ class StageSummary:
             "elapsed": self.elapsed,
             "cause_stage": self.cause_stage,
             "diagnostics": [d.to_dict() for d in self.diagnostics],
+        }
+
+
+@dataclass
+class ExecutionResult:
+    """Outcome of running an inferred program on the region runtime."""
+
+    entry: str
+    args: Sequence[int]
+    value: Any  # a runtime Value
+    stats: Any  # a RegionStats snapshot
+
+    def to_dict(self) -> dict:
+        stats = self.stats
+        return {
+            "entry": self.entry,
+            "args": list(self.args),
+            "result": str(self.value),
+            "stats": {
+                "objects_allocated": stats.objects_allocated,
+                "total_allocated": stats.total_allocated,
+                "peak_live": stats.peak_live,
+                "regions_created": stats.regions_created,
+                "space_usage_ratio": stats.space_usage_ratio,
+            },
         }
 
 

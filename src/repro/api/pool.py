@@ -1,30 +1,46 @@
-"""Persistent process pools with crash recovery.
+"""Worker pools: the thread map and the persistent process pool.
 
-:class:`WorkerPool` is the session-owned arena behind every process-backend
-batch entry point (:meth:`repro.api.Session.infer_many`,
+Batch entry points (:meth:`repro.api.Session.infer_many`,
 :meth:`~repro.api.Session.run_many`, the fig8/fig9 harness, the ``batch``
-CLI subcommand).  Where :func:`repro.api.executor.map_ordered_process`
-spawns a fresh :class:`~concurrent.futures.ProcessPoolExecutor` per call —
-re-importing the toolchain in every worker and throwing the warm per-worker
-:class:`~repro.api.Session` caches away at return — a ``WorkerPool``
+CLI subcommand) schedule their work on one of two backends:
+
+* ``backend="thread"`` — :func:`map_ordered` on a
+  :class:`~concurrent.futures.ThreadPoolExecutor`.  Inference is pure
+  Python, so the GIL serialises the CPU work, but threads share the
+  session cache directly, need no pickling, and still overlap I/O.  This
+  is the default and the right choice on one core or for small batches.
+
+* ``backend="process"`` — a :class:`WorkerPool`.  Sources are shipped to
+  workers, each worker runs its own :class:`~repro.api.Session`, and
+  pickled artifacts travel back to the parent.  Every worker first moves
+  its region-uid counter into a private namespace
+  (:meth:`repro.regions.constraints.Region.namespace_uids`), so regions
+  minted by different workers can never collide when their results meet
+  again in the parent's cache.
+
+Both share one ordering and failure contract, documented on
+:func:`map_ordered`.
+
+A :class:`WorkerPool` is owned by a session (or shared by several, see
+below) and
 
 * **spawns lazily**: the executor comes up on the first batch that needs
   it (degenerate single-item/single-worker batches with no pool alive run
-  inline, exactly like the one-shot path);
+  inline);
+* **has a fixed width**: the width is set when the executor spawns — the
+  first batch's explicit ``max_workers``, else the pool's
+  ``max_workers``, else :func:`available_cpus` — and never changes after
+  that;
 * **persists**: every later batch reuses the same workers, so repeat
-  batches hit warm worker caches and pay pool spawn once per session, not
-  once per call (the region-arena amortisation the ROADMAP asks for);
+  batches hit warm worker caches and pay pool spawn once per session;
 * **recovers from crashes**: a killed worker breaks the whole
   :class:`~concurrent.futures.ProcessPoolExecutor`; the pool respawns it
-  and retries the affected items exactly once, so one OOM-killed worker
-  does not fail a service's whole batch.  A second break in the same
-  batch propagates the :class:`BrokenProcessPool` — crash loops are not
-  papered over;
-* **bounds worker memory**: worker sessions now outlive single calls, so
-  each is created with a bounded artifact cache (``max_cache_entries``
-  forwarded through the worker initializer;
-  :data:`DEFAULT_WORKER_CACHE_ENTRIES` when the owning session is
-  unbounded);
+  and retries the affected items exactly once.  A second break in the
+  same batch propagates the :class:`BrokenProcessPool` — crash loops are
+  not papered over;
+* **bounds worker memory**: each worker session is created with a bounded
+  artifact cache (``max_cache_entries``, forwarded through the worker
+  initializer; :data:`DEFAULT_WORKER_CACHE_ENTRIES` by default);
 * **is observable**: every lifecycle event is counted both on
   :attr:`WorkerPool.counters` and, when the pool belongs to a session,
   under the same kinds in ``Session.stats`` events —
@@ -35,13 +51,6 @@ re-importing the toolchain in every worker and throwing the warm per-worker
   ``pool.respawns``           crash recoveries (executor replaced after a
                               :class:`BrokenProcessPool`)
   ``pool.retried_items``      items re-run because their worker died
-  ``pool.resizes``            executor replaced to honour a larger
-                              ``max_workers`` request
-  ``pool.grows``              executor widened in place by
-                              :meth:`WorkerPool.scale_to` (queue-depth
-                              pressure)
-  ``pool.shrinks``            executor replaced by a ``min_workers``-sized
-                              one after an idle period
   ``pool.idle_teardowns``     executors reaped by the idle timeout
   ``pool.timeouts``           :meth:`WorkerPool.run_one` waits that hit
                               their deadline
@@ -52,60 +61,298 @@ Session(...) as s:``) shuts the workers down; for long-lived services an
 ``idle_timeout`` reaps the executor after a quiet period — the next batch
 simply respawns it, trading warm caches for memory.
 
-**Sharing.**  A pool is no longer bound to one session: the serving
-daemon (:mod:`repro.serve`) multiplexes many per-tenant
-:class:`~repro.api.Session`\\ s over one pool.  Ownership is refcounted —
-the creator holds one reference, :meth:`WorkerPool.acquire` takes
-another, and :meth:`WorkerPool.close` *releases* one; the workers shut
-down when the last reference is released.  Lifecycle events are
+**Sharing.**  The serving daemon (:mod:`repro.serve`) multiplexes many
+per-tenant :class:`~repro.api.Session`\\ s over one pool.  Ownership is
+refcounted — the creator holds one reference, :meth:`WorkerPool.acquire`
+takes another, and :meth:`WorkerPool.close` *releases* one; the workers
+shut down when the last reference is released.  Lifecycle events are
 attributed to the session whose batch caused them: the batch entry points
 accept a ``stats`` override, so a shared pool's ``pool.*`` counters land
 in the *calling* session's :class:`~repro.api.session.SessionStats` (and
 always in :attr:`WorkerPool.counters`, the pool-level total).
-
-**Elasticity.**  ``min_workers``/``max_workers`` bound an elastic width:
-:meth:`WorkerPool.scale_to` maps the caller's current queue depth to a
-width inside the band and widens the live executor *in place* (new worker
-processes materialise on demand — no future is ever cancelled by growth),
-and after ``idle_timeout`` of quiet the pool shrinks back to
-``min_workers`` warm workers instead of tearing down entirely
-(``min_workers=0``, the default, keeps the original teardown-to-nothing
-behaviour).
-
-The ordering and failure contract of :meth:`WorkerPool.map` is the one
-documented on :func:`repro.api.executor.map_ordered`: results in input
-order, cancel-on-first-failure, and the earliest-input-order exception
-among genuine task failures.  Pool breakage is *not* a task failure — it
-is retried, not raised (until the retry also breaks).
 """
 
 from __future__ import annotations
 
+import os
 import threading
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_EXCEPTION,
+    Executor,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from .executor import (
-    DEFAULT_WORKER_CACHE_ENTRIES,
-    _process_worker_init,
-    available_cpus,
-    default_workers,
-)
+from .pipeline import StageFailure
 
 _I = TypeVar("_I")
 _O = TypeVar("_O")
 
-__all__ = ["PoolTimeout", "WorkerPool", "DEFAULT_WORKER_CACHE_ENTRIES"]
+__all__ = [
+    "BACKENDS",
+    "DEFAULT_WORKER_CACHE_ENTRIES",
+    "PoolTimeout",
+    "WorkerPool",
+    "available_cpus",
+    "check_backend",
+    "default_workers",
+    "map_ordered",
+    "worker_session",
+]
+
+#: the recognised executor backends
+BACKENDS = ("thread", "process")
+
+#: artifact-cache bound applied to worker sessions unless the pool that
+#: spawned the worker configures one explicitly: worker sessions outlive
+#: single calls (persistent pools, the parent-side inline session), so the
+#: default is bounded, never unlimited
+DEFAULT_WORKER_CACHE_ENTRIES = 256
+
+#: thread pools are GIL-bound: past a handful of workers extra threads only
+#: add contention, so the thread backend caps itself regardless of core count
+_THREAD_WORKER_CAP = 8
+
+
+def available_cpus() -> int:
+    """The number of CPUs *this process* may actually run on.
+
+    ``os.cpu_count()`` reports the machine; in a cgroup/cpuset-limited
+    container (CI runners, serving deployments) the process is often
+    pinned to far fewer cores, and sizing pools by the machine
+    over-provisions — more workers than cores means pure contention.
+    ``os.sched_getaffinity(0)`` reports the real allowance where the
+    platform has it (Linux); elsewhere fall back to ``os.cpu_count()``.
+    """
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    if getaffinity is not None:
+        try:
+            return len(getaffinity(0)) or 1
+        except OSError:
+            pass
+    return os.cpu_count() or 1
+
+
+def default_workers(n_items: int, backend: str = "thread") -> int:
+    """A sensible pool size: bounded by the CPU allowance and the workload.
+
+    The bound is backend-aware: thread pools are GIL-bound, so more than
+    :data:`_THREAD_WORKER_CAP` threads only add contention; process pools
+    genuinely use every core, so on big machines they scale to the full
+    CPU allowance (:func:`available_cpus` — the scheduler affinity mask,
+    not the raw machine core count).
+    """
+    cpus = available_cpus()
+    cap = cpus if backend == "process" else _THREAD_WORKER_CAP
+    return max(1, min(n_items, cpus, cap))
+
+
+def check_backend(backend: Optional[str]) -> str:
+    """Validate a backend request; ``None`` means ``"thread"``."""
+    if backend is None:
+        return "thread"
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; expected one of {BACKENDS}"
+        )
+    return backend
+
+
+def _run_batch(
+    executor: Executor,
+    fn: Callable[[_I], _O],
+    indexed_items: List[Tuple[int, _I]],
+) -> Tuple[Dict[int, _O], List[int], Optional[BaseException]]:
+    """One submit/wait/collect attempt over ``indexed_items``.
+
+    Returns ``(ok, broken, failure)``: results by index, the indexes
+    whose futures died with a process pool, and the earliest-input-order
+    *genuine* task exception (pool breakage is never a task failure).
+    """
+    futures: List[Tuple[int, Any]] = []
+    broken: List[int] = []
+    for pos, (idx, item) in enumerate(indexed_items):
+        try:
+            futures.append((idx, executor.submit(fn, item)))
+        except (BrokenProcessPool, RuntimeError):
+            # the executor died — or was shut down under us by a
+            # concurrent close() (submit's generic RuntimeError) — before
+            # the batch was fully submitted; everything not yet submitted
+            # is retry material, and on a closed pool the retry surfaces
+            # the clear "WorkerPool is closed"
+            broken.extend(i for i, _ in indexed_items[pos:])
+            break
+    fs = [f for _, f in futures]
+    if fs:
+        done, _ = wait(fs, return_when=FIRST_EXCEPTION)
+        if any(
+            not f.cancelled()
+            and f.exception() is not None
+            and not isinstance(f.exception(), BrokenProcessPool)
+            for f in done
+        ):
+            # a genuine task failure: stop scheduling new work (running
+            # items drain)
+            for f in fs:
+                f.cancel()
+        wait(fs)
+    ok: Dict[int, _O] = {}
+    failure: Optional[BaseException] = None
+    for idx, future in futures:
+        if future.cancelled():
+            continue
+        err = future.exception()
+        if err is None:
+            ok[idx] = future.result()
+        elif isinstance(err, BrokenProcessPool):
+            broken.append(idx)
+        elif failure is None:
+            # futures are scanned in input order, so the first genuine
+            # failure seen is the earliest one — the map_ordered contract
+            failure = err
+    return ok, broken, failure
+
+
+def map_ordered(
+    fn: Callable[[_I], _O],
+    items: Sequence[_I],
+    *,
+    max_workers: Optional[int] = None,
+) -> List[_O]:
+    """Apply ``fn`` to every item on a thread pool, preserving input order.
+
+    Failure contract (shared with :meth:`WorkerPool.map`): when any
+    worker raises, items that have not started yet are cancelled, items
+    already running drain to completion, and the exception that propagates
+    is deterministically the one from the **earliest item in input order**
+    among the failures that occurred — not whichever failure happened to
+    be raised first chronologically.  Items after a failure may therefore
+    never run, mirroring the inline path (zero or one item, or
+    ``max_workers=1``), where the first failure stops the scan.
+    """
+    items = list(items)
+    workers = max_workers if max_workers is not None else default_workers(len(items))
+    if len(items) <= 1 or workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ok, _, failure = _run_batch(pool, fn, list(enumerate(items)))
+    if failure is not None:
+        raise failure
+    return [ok[i] for i in range(len(items))]
+
+
+# ---------------------------------------------------------------------------
+# The worker side of the process backend
+# ---------------------------------------------------------------------------
+
+#: each pool worker keeps one Session for its whole life, so duplicate
+#: sources across the tasks it serves are worker-side cache hits
+_WORKER_SESSION: Optional[Any] = None
+
+#: the cache bound of this process's worker session, installed by
+#: :func:`_process_worker_init`.  The module default is bounded so even a
+#: parent-side session created by an inline degenerate batch cannot grow
+#: without limit.
+_WORKER_CACHE_ENTRIES: Optional[int] = DEFAULT_WORKER_CACHE_ENTRIES
+
+
+def _process_worker_init(max_cache_entries: Optional[int]) -> None:
+    """Runs once in every pool worker, before any task.
+
+    Moving the region-uid counter into a per-worker namespace is what makes
+    the artifacts workers send back safe to mix in the parent: without it,
+    every worker would mint uids 1, 2, 3, ... and `Region` equality (which
+    is uid equality) would conflate regions from unrelated programs.
+
+    The worker session is also reset: under the ``fork`` start method the
+    child inherits the parent's module globals, including any session the
+    *parent* ran inline — its artifacts carry parent-namespace uids and
+    must not leak into this worker's cache.  ``max_cache_entries`` bounds
+    the worker session this process will lazily create
+    (:func:`worker_session`), so long-lived workers keep a *bounded*
+    artifact cache instead of growing without limit across batches.
+    """
+    global _WORKER_SESSION, _WORKER_CACHE_ENTRIES
+    from ..regions.constraints import Region
+
+    Region.namespace_uids()
+    _WORKER_SESSION = None
+    _WORKER_CACHE_ENTRIES = max_cache_entries
+
+
+def worker_session() -> Any:
+    """This process's long-lived worker :class:`~repro.api.Session`."""
+    global _WORKER_SESSION
+    if _WORKER_SESSION is None:
+        from .session import Session  # deferred: session imports pool
+
+        _WORKER_SESSION = Session(max_cache_entries=_WORKER_CACHE_ENTRIES)
+    return _WORKER_SESSION
+
+
+def _stats_delta(
+    before: Dict[str, Dict[str, int]], after: Dict[str, Dict[str, int]]
+) -> Dict[str, Dict[str, int]]:
+    """Per-bucket counter difference between two ``SessionStats.as_dict``s."""
+    delta: Dict[str, Dict[str, int]] = {}
+    for bucket, counts in after.items():
+        changed = {
+            kind: n - before.get(bucket, {}).get(kind, 0)
+            for kind, n in counts.items()
+            if n - before.get(bucket, {}).get(kind, 0)
+        }
+        if changed:
+            delta[bucket] = changed
+    return delta
+
+
+def _infer_task(payload: Tuple[str, Any]) -> Tuple[Any, Optional[Exception], Dict]:
+    """Process-pool task: infer one source on this worker's session.
+
+    Returns ``(result, failure, stats_delta)`` — failures travel back as
+    values (not raises) so one bad program cannot poison a batch, and the
+    stats delta lets the parent session account for worker-side cache
+    traffic.
+    """
+    source, config = payload
+    session = worker_session()
+    before = session.stats.as_dict()
+    result: Any = None
+    failure: Optional[Exception] = None
+    try:
+        result = session.infer(source, config)
+    except StageFailure as err:
+        failure = err
+    return result, failure, _stats_delta(before, session.stats.as_dict())
+
+
+def _run_task(payload: Tuple[str, Any, str]) -> Tuple[List[Any], Dict]:
+    """Process-pool task: run one source through the staged pipeline.
+
+    Returns ``(summaries, stats_delta)`` where ``summaries`` is the
+    reduced, picklable :class:`~repro.api.pipeline.StageSummary` projection
+    of the stage results — full :class:`StageResult`\\ s carry arbitrary
+    intermediate artifacts (ASTs, solvers, reports) that the pickling
+    contract does not cover, so only the projection crosses the process
+    boundary.  ``run`` never raises: per-program failures come back as
+    not-ok summaries, exactly like the thread path.
+    """
+    source, config, until = payload
+    session = worker_session()
+    before = session.stats.as_dict()
+    results = session.pipeline(source, config).run(until)
+    return (
+        [r.summary() for r in results],
+        _stats_delta(before, session.stats.as_dict()),
+    )
+
+
+# ---------------------------------------------------------------------------
+# The persistent process pool
+# ---------------------------------------------------------------------------
 
 
 class PoolTimeout(Exception):
@@ -125,46 +372,35 @@ class PoolTimeout(Exception):
 class WorkerPool:
     """A lazily-spawned, persistent, crash-recovering process pool.
 
-    ``max_workers`` fixes the executor size (``None``: sized per batch by
-    :func:`~repro.api.executor.default_workers`; a later batch asking for
-    *more* workers replaces the executor — counted as a resize — so prefer
-    pinning the size up front for steady-state services).
-    ``max_cache_entries`` bounds each worker session's artifact cache.
-    ``idle_timeout`` (seconds) reaps the executor after a quiet period.
-    ``stats`` is an optional :class:`~repro.api.session.SessionStats`;
-    lifecycle counters are mirrored into its events.
+    ``max_workers`` is the executor width (``None``: the first batch's
+    explicit ``max_workers``, else :func:`available_cpus`); the width is
+    fixed when the executor spawns.  ``max_cache_entries`` bounds each
+    worker session's artifact cache.  ``idle_timeout`` (seconds) reaps
+    the executor after a quiet period.  ``stats`` is an optional
+    :class:`~repro.api.session.SessionStats`; lifecycle counters are
+    mirrored into its events.
     """
 
     def __init__(
         self,
         *,
         max_workers: Optional[int] = None,
-        min_workers: int = 0,
         max_cache_entries: Optional[int] = DEFAULT_WORKER_CACHE_ENTRIES,
         idle_timeout: Optional[float] = None,
         stats: Optional[Any] = None,
     ):
         if idle_timeout is not None and idle_timeout <= 0:
             raise ValueError(f"idle_timeout must be positive, got {idle_timeout}")
-        if min_workers < 0:
-            raise ValueError(f"min_workers must be >= 0, got {min_workers}")
-        if max_workers is not None and min_workers > max_workers:
-            raise ValueError(
-                f"min_workers ({min_workers}) exceeds max_workers ({max_workers})"
-            )
         self._max_workers = max_workers
-        self._min_workers = min_workers
         self._max_cache_entries = max_cache_entries
         self._idle_timeout = idle_timeout
         self._stats = stats
         if stats is not None and idle_timeout is not None:
-            # idle-teardown/shrink events are recorded from the timer
-            # thread; pre-registering the keys means those writes only
-            # ever update an existing slot, so a concurrent stats reader
-            # iterating the events dict can never see it resize
-            # mid-iteration
+            # idle-teardown events are recorded from the timer thread;
+            # pre-registering the key means those writes only ever update
+            # an existing slot, so a concurrent stats reader iterating the
+            # events dict can never see it resize mid-iteration
             stats.record_event("pool.idle_teardowns", 0)
-            stats.record_event("pool.shrinks", 0)
         self.counters: Dict[str, int] = {}
         self._executor: Optional[ProcessPoolExecutor] = None
         self._size = 0
@@ -172,13 +408,10 @@ class WorkerPool:
         #: references held on this pool (creator = 1; each acquire() adds
         #: one, each close() releases one; workers die at zero)
         self._refs = 1
-        #: the most recent scale_to() recommendation; a fresh spawn starts
-        #: at this width instead of the machine default
-        self._target: Optional[int] = None
         self._idle_timer: Optional[threading.Timer] = None
-        #: batches currently inside :meth:`map` — concurrent batches run
-        #: in parallel on the shared executor; this count only gates the
-        #: idle-teardown timer
+        #: batches currently inside :meth:`map` or :meth:`run_one` —
+        #: concurrent batches run in parallel on the shared executor; this
+        #: count only gates the idle-teardown timer and close()
         self._active = 0
         #: guards executor spawn/teardown, the idle timer and the
         #: active-batch count
@@ -213,10 +446,6 @@ class WorkerPool:
         with self._lock:
             return self._refs
 
-    @property
-    def min_workers(self) -> int:
-        return self._min_workers
-
     def _record(self, kind: str, n: int = 1, stats: Optional[Any] = None) -> None:
         # concurrent batches (and the idle timer) all write these; the
         # read-modify-write must not lose increments.  ``stats`` is the
@@ -246,36 +475,26 @@ class WorkerPool:
             self._refs += 1
             return self
 
-    def _ensure(
-        self, desired: int, stats: Optional[Any] = None
-    ) -> ProcessPoolExecutor:
-        """The live executor, spawning (or growing) it to ``desired``."""
+    def _width(self, requested: Optional[int]) -> int:
+        """The width a spawn would use for a ``requested`` width."""
+        if requested is not None:
+            return requested
+        if self._max_workers is not None:
+            return self._max_workers
+        return available_cpus()
+
+    def _ensure(self, width: int, stats: Optional[Any] = None) -> ProcessPoolExecutor:
+        """The live executor, spawning one ``width`` workers wide if none is."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("WorkerPool is closed")
-            if (
-                self._executor is not None
-                and desired > self._size
-                # never resize under a concurrent batch: replacing the
-                # executor cancels its in-flight futures.  The caller is
-                # itself one active batch; anyone else means deferring —
-                # the width request is best-effort, the narrower live
-                # executor serves this batch too
-                and self._active <= 1
-            ):
-                self._shutdown_locked(wait_=False)
-                self._record("pool.resizes", stats=stats)
             if self._executor is None:
                 self._executor = ProcessPoolExecutor(
-                    max_workers=desired,
+                    max_workers=width,
                     initializer=_process_worker_init,
-                    initargs=(
-                        None,
-                        (),
-                        {"max_cache_entries": self._max_cache_entries},
-                    ),
+                    initargs=(self._max_cache_entries,),
                 )
-                self._size = desired
+                self._size = width
                 self._record("pool.spawns", stats=stats)
             return self._executor
 
@@ -303,13 +522,12 @@ class WorkerPool:
     def close(self) -> None:
         """Release one reference; shut the workers down on the last one.
 
-        An unshared pool (no :meth:`acquire` calls) closes immediately,
-        exactly as before sharing existed.  Closing is idempotent once
-        the pool is fully closed; until then each ``close()`` releases
-        one reference.  On the final release new batches are refused
-        immediately and batches already in flight are drained first —
-        tearing the executor down under them could abandon their futures
-        unresolved and hang them forever.
+        An unshared pool (no :meth:`acquire` calls) closes immediately.
+        Closing is idempotent once the pool is fully closed; until then
+        each ``close()`` releases one reference.  On the final release new
+        batches are refused immediately and batches already in flight are
+        drained first — tearing the executor down under them could abandon
+        their futures unresolved and hang them forever.
         """
         with self._lock:
             if self._closed:
@@ -329,7 +547,21 @@ class WorkerPool:
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
-    # -- idle teardown -----------------------------------------------------
+    # -- active batches and idle teardown ----------------------------------
+    def _enter_batch(self) -> None:
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("WorkerPool is closed")
+            self._active += 1
+            self._cancel_idle_timer_locked()
+
+    def _leave_batch(self) -> None:
+        with self._lock:
+            self._active -= 1
+            if self._active == 0:
+                self._idle_cv.notify_all()
+        self._arm_idle_timer()
+
     def _cancel_idle_timer_locked(self) -> None:
         if self._idle_timer is not None:
             self._idle_timer.cancel()
@@ -355,81 +587,12 @@ class WorkerPool:
         # an already-fired timer survives cancel(): if a batch started in
         # the meantime the active count is non-zero, and tearing the
         # executor down under it would cancel its in-flight futures —
-        # skip; the last batch out re-arms the timer.  With a min_workers
-        # floor the pool *shrinks* to that many warm workers instead of
-        # tearing down entirely — a long-lived service keeps its latency
-        # floor while a burst's extra workers (and their memory) go away
+        # skip; the last batch out re-arms the timer
         with self._lock:
             if self._closed or self._executor is None or self._active > 0:
                 return
-            if self._min_workers > 0:
-                if self._size <= self._min_workers:
-                    return
-                self._shutdown_locked(wait_=True)
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self._min_workers,
-                    initializer=_process_worker_init,
-                    initargs=(
-                        None,
-                        (),
-                        {"max_cache_entries": self._max_cache_entries},
-                    ),
-                )
-                self._size = self._min_workers
-                self._target = self._min_workers
-                event = "pool.shrinks"
-            else:
-                self._shutdown_locked(wait_=True)
-                event = "pool.idle_teardowns"
-        self._record(event)
-
-    # -- elastic width -----------------------------------------------------
-    def width_for(self, queue_depth: int) -> int:
-        """The width the ``min_workers``/``max_workers`` band maps
-        ``queue_depth`` pending-or-running requests to."""
-        cap = (
-            self._max_workers
-            if self._max_workers is not None
-            else default_workers(available_cpus(), backend="process")
-        )
-        return max(1, self._min_workers, min(max(queue_depth, 1), cap))
-
-    def scale_to(self, queue_depth: int, *, stats: Optional[Any] = None) -> int:
-        """Queue-depth-driven grow: widen the pool toward the depth.
-
-        Maps ``queue_depth`` to a width inside the
-        ``min_workers``/``max_workers`` band and, when the live executor
-        is narrower, widens it **in place**: the executor's worker cap is
-        raised and new worker processes materialise on demand as tasks
-        queue (CPython spawns pool processes lazily up to the cap), so no
-        in-flight future is ever cancelled by growth — unlike a
-        ``map(max_workers=...)`` resize, which replaces the executor and
-        therefore defers while other batches are in flight.  Shrinking is
-        never done here (it would discard warm caches mid-traffic); the
-        idle timer shrinks back to ``min_workers`` after a quiet period.
-        Returns the width the pool is now aimed at; with no executor
-        alive, the next spawn starts at that width.
-        """
-        desired = self.width_for(queue_depth)
-        grew = False
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("WorkerPool is closed")
-            self._target = desired
-            executor = self._executor
-            if executor is not None and desired > self._size:
-                # CPython detail, guarded: ProcessPoolExecutor sizes its
-                # on-demand process spawning off _max_workers; raising it
-                # on a live executor is a pure widen.  If the attribute
-                # ever vanishes, growth falls back to the replace-when-
-                # safe path in _ensure on the next batch.
-                if hasattr(executor, "_max_workers"):
-                    executor._max_workers = desired
-                    self._size = desired
-                    grew = True
-        if grew:
-            self._record("pool.grows", stats=stats)
-        return desired
+            self._shutdown_locked(wait_=True)
+        self._record("pool.idle_teardowns")
 
     # -- single-task dispatch (the serving path) ---------------------------
     def run_one(
@@ -444,31 +607,23 @@ class WorkerPool:
 
         Where :meth:`map` is the batch entry point, ``run_one`` is what a
         request/response service calls per request: it submits a single
-        task to the live executor (spawning one at the last
-        :meth:`scale_to` width if needed — serving always wants warm
-        workers, so there is no inline fallback), waits at most
-        ``timeout`` seconds, and raises :class:`PoolTimeout` when the
-        deadline passes (the worker finishes the task in the background;
-        its result is discarded).  A :class:`BrokenProcessPool` — a
-        killed worker — respawns the executor and retries the task once;
-        a second break propagates.  Lifecycle events are attributed to
-        ``stats`` (the calling session).
+        task to the live executor (spawning one at the pool's
+        ``max_workers``, else :func:`available_cpus`, if needed — serving
+        always wants warm workers, so there is no inline fallback), waits
+        at most ``timeout`` seconds, and raises :class:`PoolTimeout` when
+        the deadline passes (the worker finishes the task in the
+        background; its result is discarded).  A :class:`BrokenProcessPool`
+        — a killed worker — respawns the executor and retries the task
+        once; a second break propagates.  Lifecycle events are attributed
+        to ``stats`` (the calling session).
         """
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("WorkerPool is closed")
-            self._active += 1
-            self._cancel_idle_timer_locked()
+        self._enter_batch()
         try:
             return self._run_one_recovering(fn, item, timeout, stats)
         finally:
-            with self._lock:
-                self._active -= 1
-                if self._active == 0:
-                    self._idle_cv.notify_all()
-            self._arm_idle_timer()
+            self._leave_batch()
 
     def _run_one_recovering(
         self,
@@ -479,14 +634,10 @@ class WorkerPool:
     ) -> _O:
         retried = False
         while True:
-            with self._lock:
-                desired = self._target if self._target is not None else None
-            if desired is None:
-                desired = self.width_for(1)
-            executor = self._ensure(desired, stats)
+            executor = self._ensure(self._width(None), stats)
             try:
                 future = executor.submit(fn, item)
-            except (BrokenProcessPool, RuntimeError) as err:
+            except (BrokenProcessPool, RuntimeError):
                 # the executor died before the submit — or a concurrent
                 # close() shut it down (submit's generic RuntimeError);
                 # on a closed pool the retry's _ensure raises the clear
@@ -530,77 +681,54 @@ class WorkerPool:
         max_workers: Optional[int] = None,
         stats: Optional[Any] = None,
     ) -> List[_O]:
-        """The :func:`~repro.api.executor.map_ordered` contract, persistent.
+        """The :func:`map_ordered` contract, on persistent worker processes.
 
         ``fn`` must be a module-level callable and every item and result
-        must pickle (workers run with namespaced region uids, exactly as
-        on :func:`~repro.api.executor.map_ordered_process`).  With no pool
-        alive and a degenerate batch (one item, or one worker), runs
+        must pickle (workers run with namespaced region uids).  With no
+        pool alive and a degenerate batch (one item, or one worker), runs
         inline in this process.  A :class:`BrokenProcessPool` — a killed
         or crashed worker — respawns the executor and retries the broken
         items once; a second break propagates.
 
-        ``max_workers`` here is a *width request*, not a per-batch cap: a
-        request larger than the live executor replaces it (a resize); a
-        smaller one reuses the wider executor as-is — narrowing would
-        throw away exactly the warm worker caches the pool exists to
-        keep.  Unpinned pools spawn at the machine's process width
-        (workers materialise on demand), so ordinary growing batches
-        never force a cache-discarding resize.  ``stats`` attributes this
-        batch's lifecycle events to the calling session (shared pools).
+        ``max_workers`` sizes the executor only when this batch spawns it;
+        a live executor serves every batch at the width it was spawned
+        with, keeping the warm worker caches the pool exists to keep.
+        ``stats`` attributes this batch's lifecycle events to the calling
+        session (shared pools).
         """
         items = list(items)
         if not items:
             return []
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
-        desired = (
-            max_workers
-            if max_workers is not None
-            else (
-                self._max_workers
-                if self._max_workers is not None
-                # size persistent executors to the CPU allowance, not the
-                # batch: idle slots cost nothing until used, and a later,
-                # larger batch never tears warm caches down to grow
-                else default_workers(available_cpus(), backend="process")
-            )
-        )
-        if self._executor is None and (desired <= 1 or len(items) <= 1):
+        width = self._width(max_workers)
+        if self._executor is None and (width <= 1 or len(items) <= 1):
             # inline tasks that call worker_session() share the one
-            # parent-side session, which the executor module bounds at
+            # parent-side session, which this module bounds at
             # DEFAULT_WORKER_CACHE_ENTRIES — a pool-specific bound is
             # deliberately NOT installed here: the session is process-wide
             # and the first pool's bound would silently win for every
             # later one
             return [fn(item) for item in items]
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("WorkerPool is closed")
-            self._active += 1
-            self._cancel_idle_timer_locked()
+        self._enter_batch()
         try:
-            return self._map_recovering(fn, items, desired, stats)
+            return self._map_recovering(fn, items, width, stats)
         finally:
-            with self._lock:
-                self._active -= 1
-                if self._active == 0:
-                    self._idle_cv.notify_all()
-            self._arm_idle_timer()
+            self._leave_batch()
 
     def _map_recovering(
         self,
         fn: Callable[[_I], _O],
         items: List[_I],
-        desired: int,
+        width: int,
         stats: Optional[Any] = None,
     ) -> List[_O]:
         results: Dict[int, _O] = {}
         pending: List[Tuple[int, _I]] = list(enumerate(items))
         retried = False
         while pending:
-            executor = self._ensure(desired, stats)
-            ok, broken, failure = self._run_batch(executor, fn, pending)
+            executor = self._ensure(width, stats)
+            ok, broken, failure = _run_batch(executor, fn, pending)
             results.update(ok)
             if broken:
                 # always replace a broken executor, even when a genuine
@@ -635,57 +763,3 @@ class WorkerPool:
                 "WorkerPool was closed while a batch was in flight"
             )
         return [results[i] for i in range(len(items))]
-
-    @staticmethod
-    def _run_batch(
-        executor: ProcessPoolExecutor,
-        fn: Callable[[_I], _O],
-        indexed_items: List[Tuple[int, _I]],
-    ) -> Tuple[Dict[int, _O], List[int], Optional[BaseException]]:
-        """One submit/wait/collect attempt over ``indexed_items``.
-
-        Returns ``(ok, broken, failure)``: results by index, the indexes
-        whose futures died with the pool, and the earliest-input-order
-        *genuine* task exception (pool breakage is never a task failure).
-        """
-        futures: List[Tuple[int, Any]] = []
-        broken: List[int] = []
-        for pos, (idx, item) in enumerate(indexed_items):
-            try:
-                futures.append((idx, executor.submit(fn, item)))
-            except (BrokenProcessPool, RuntimeError):
-                # the executor died — or was shut down under us by a
-                # concurrent close() (submit's generic RuntimeError) —
-                # before the batch was fully submitted; everything not
-                # yet submitted is retry material, and on a closed pool
-                # the retry surfaces the clear "WorkerPool is closed"
-                broken.extend(i for i, _ in indexed_items[pos:])
-                break
-        fs = [f for _, f in futures]
-        if fs:
-            done, _ = wait(fs, return_when=FIRST_EXCEPTION)
-            if any(
-                not f.cancelled()
-                and f.exception() is not None
-                and not isinstance(f.exception(), BrokenProcessPool)
-                for f in done
-            ):
-                # a genuine task failure: stop scheduling new work
-                for f in fs:
-                    f.cancel()
-            wait(fs)
-        ok: Dict[int, _O] = {}
-        failure: Optional[BaseException] = None
-        for idx, future in futures:
-            if future.cancelled():
-                continue
-            err = future.exception()
-            if err is None:
-                ok[idx] = future.result()
-            elif isinstance(err, BrokenProcessPool):
-                broken.append(idx)
-            elif failure is None:
-                # futures are scanned in input order, so the first genuine
-                # failure seen is the earliest one — the map_ordered contract
-                failure = err
-        return ok, broken, failure

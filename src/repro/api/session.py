@@ -39,22 +39,23 @@ from typing import (
 
 from ..checking import CheckReport
 from ..core import InferenceConfig, InferenceResult
-from .executor import (
-    ExecutionResult,
-    _infer_task,
-    _run_task,
-    default_workers,
-    map_ordered,
-    resolve_backend,
-)
 from .pipeline import (
+    ExecutionResult,
     Pipeline,
     StageFailure,
     StageResult,
     StageSummary,
     config_key,
 )
-from .pool import DEFAULT_WORKER_CACHE_ENTRIES, WorkerPool
+from .pool import (
+    DEFAULT_WORKER_CACHE_ENTRIES,
+    WorkerPool,
+    _infer_task,
+    _run_task,
+    check_backend,
+    default_workers,
+    map_ordered,
+)
 
 __all__ = ["Session", "SessionStats"]
 
@@ -69,7 +70,7 @@ class SessionStats:
 
     ``events`` counts things that are not cache traffic — the session's
     worker-pool lifecycle (``pool.spawns``, ``pool.respawns``,
-    ``pool.retried_items``, ``pool.resizes``, ``pool.idle_teardowns``; see
+    ``pool.retried_items``, ``pool.idle_teardowns``; see
     :mod:`repro.api.pool`) — so pool reuse and crash recovery are
     observable through the same object as cache effectiveness.
     """
@@ -424,8 +425,8 @@ class Session:
     default) keeps every artifact.
 
     ``backend`` is the default executor backend for this session's batch
-    entry points (``"thread"``, ``"process"`` or ``"auto"``; see
-    :mod:`repro.api.executor`).  Every batch call accepts a per-call
+    entry points (``"thread"`` or ``"process"``; see
+    :mod:`repro.api.pool`).  Every batch call accepts a per-call
     override.
 
     Process-backend batches run on one **persistent**
@@ -834,23 +835,20 @@ class Session:
         back *as list entries* instead (every program runs), which is what
         the ``batch`` CLI subcommand reports from.
 
-        ``backend`` selects the executor (``"thread"``, ``"process"``,
-        ``"auto"``; default: the session's ``backend``, else thread).  On
-        the process backend each worker runs its own session and pickles
-        results back; successful results land in this session's cache, the
+        ``backend`` selects the pool (``"thread"`` or ``"process"``;
+        default: the session's ``backend``, else thread).  On the process
+        backend each worker runs its own session and pickles results
+        back; successful results land in this session's cache, the
         workers' cache traffic is merged into :attr:`Session.stats`, and
         worker-minted regions live in per-worker uid namespaces so results
         from different workers never collide.  Process batches share the
-        session's persistent pool, where ``max_workers`` is a *width
-        request*: it can grow the pool, but a smaller request reuses the
-        existing (wider) executor rather than discarding its warm caches
-        (see :meth:`WorkerPool.map <repro.api.pool.WorkerPool.map>`).
+        session's persistent pool, where ``max_workers`` sizes the
+        executor only when this batch spawns it (see :meth:`WorkerPool.map
+        <repro.api.pool.WorkerPool.map>`).
         """
         sources = list(sources)
         workers = max_workers if max_workers is not None else self.max_workers
-        resolved = resolve_backend(
-            backend if backend is not None else self.backend, len(sources)
-        )
+        resolved = check_backend(backend if backend is not None else self.backend)
         if resolved == "process":
             return self._infer_many_process(
                 sources,
@@ -919,7 +917,7 @@ class Session:
             )
         # pass the caller's explicit width through (None lets the pool
         # size itself to the machine): a batch-derived width here would
-        # grow per batch and churn the executor on every larger batch
+        # pin the fixed-width pool at the first batch's size
         outcomes = self.process_pool().map(
             _infer_task,
             [(src, cfg) for src in pending],
@@ -1024,9 +1022,7 @@ class Session:
         """
         sources = list(sources)
         workers = max_workers if max_workers is not None else self.max_workers
-        resolved = resolve_backend(
-            backend if backend is not None else self.backend, len(sources)
-        )
+        resolved = check_backend(backend if backend is not None else self.backend)
         if resolved == "process" and not summaries:
             if backend == "process":
                 raise ValueError(
@@ -1035,7 +1031,7 @@ class Session:
                     "artifacts; only the StageSummary projection crosses "
                     "process boundaries"
                 )
-            # session default or "auto": keep full results on threads
+            # session default: keep full results on threads
             resolved = "thread"
         if resolved == "process":
             return self._run_many_process(

@@ -579,7 +579,7 @@ def _replicated_olden(replicas: int) -> List[str]:
 
 
 def _batch_workers() -> int:
-    from ..api.executor import available_cpus
+    from ..api.pool import available_cpus
 
     return min(max(available_cpus(), 2), 8)
 
@@ -612,7 +612,7 @@ def measure_backends(
 
 def _backend_run(ctx: RunContext) -> List[Sample]:
     measured = measure_backends(replicas=2 if ctx.smoke else 3)
-    from ..api.executor import available_cpus
+    from ..api.pool import available_cpus
 
     meta = {
         "corpus": "olden-replicated",

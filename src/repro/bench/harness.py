@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..api import Session
-from ..api.executor import map_ordered, resolve_backend, worker_session
+from ..api.pool import check_backend, map_ordered, worker_session
 from ..core import InferenceConfig, SubtypingMode
 from ..lang.pretty import pretty_target
 from .olden import OLDEN_PROGRAMS, OldenProgram
@@ -242,9 +242,7 @@ def fig8_rows(
     # session-less callers get the same fresh-session default either way
     owned = session is None
     session = session or Session()
-    resolved = resolve_backend(
-        backend if backend is not None else session.backend, len(tasks)
-    )
+    resolved = check_backend(backend if backend is not None else session.backend)
     try:
         if resolved == "process":
             measured = session.process_pool().map(
@@ -328,9 +326,7 @@ def fig9_rows(
         if names is None or name in names
     ]
     sources = [program.source for _, program in selected]
-    resolved = resolve_backend(
-        backend if backend is not None else session.backend, len(sources)
-    )
+    resolved = check_backend(backend if backend is not None else session.backend)
     try:
         if resolved == "process":
             outcomes = session.process_pool().map(

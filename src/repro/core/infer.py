@@ -183,9 +183,8 @@ class InferenceResult:
     """The annotated program plus inference metadata.
 
     Results pickle by value — the target AST, class table, schemes and
-    config are all plain data — which is what lets the process-pool
-    executor (:mod:`repro.api.executor`) ship them between workers and the
-    parent.  The one global ingredient is the region-uid counter: a result
+    config are all plain data — which is what lets the process pool
+    (:mod:`repro.api.pool`) ship them between workers and the parent.  The one global ingredient is the region-uid counter: a result
     unpickled from another process carries that process's uids, so
     processes exchanging results must mint uids in disjoint namespaces
     (:meth:`repro.regions.constraints.Region.namespace_uids`); the

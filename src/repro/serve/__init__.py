@@ -3,10 +3,10 @@
 The daemon the batch engine grew into: an HTTP+JSON service (stdlib
 ``http.server``, no new dependencies) multiplexing per-tenant
 :class:`~repro.api.Session` caches over a single refcounted
-:class:`~repro.api.pool.WorkerPool`, with queue-depth-driven pool
-scaling, admission control (bounded concurrency + bounded queueing, 429
-with ``Retry-After`` beyond), per-request deadlines and graceful
-SIGTERM drain.  See ``docs/serving.md`` for the protocol and
+:class:`~repro.api.pool.WorkerPool` of fixed width, with admission
+control (bounded concurrency + bounded queueing, 429 with
+``Retry-After`` beyond), per-request deadlines and graceful SIGTERM
+drain.  See ``docs/serving.md`` for the protocol and
 operational story.
 
 Layering, bottom up:
@@ -16,7 +16,7 @@ Layering, bottom up:
 * :mod:`~repro.serve.tenancy` — per-tenant sessions + uid bands over the
   shared pool;
 * :mod:`~repro.serve.router` — endpoints, error mapping, the per-request
-  admission→scale→execute flow (tests drive this directly);
+  admission→execute flow (tests drive this directly);
 * :mod:`~repro.serve.server` — the ``ThreadingHTTPServer`` skin;
 * :mod:`~repro.serve.loadgen` — closed-loop concurrency sweeps emitting
   PKB-style samples (the ``BENCH_6.json`` artifact).

@@ -17,9 +17,7 @@ back instead of letting latency grow without bound).  The
   of hanging every client (the acceptance bar for the serve subsystem).
 
 The controller also tracks an exponentially-weighted moving average of
-request latency; ``depth`` (running + waiting) is the queue-depth signal
-the router feeds to :meth:`WorkerPool.scale_to
-<repro.api.pool.WorkerPool.scale_to>`.
+request latency, which seeds the ``Retry-After`` estimate.
 """
 
 from __future__ import annotations
@@ -132,7 +130,7 @@ class AdmissionController:
     # -- observability -----------------------------------------------------
     @property
     def depth(self) -> int:
-        """Requests running or waiting — the pool's queue-depth signal."""
+        """Requests running or waiting."""
         with self._cv:
             return self._running + self._waiting
 

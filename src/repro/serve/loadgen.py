@@ -335,7 +335,7 @@ def _server_workers(config: LoadgenConfig, server: Optional[Any]) -> int:
 
     An unset cap used to publish as the string ``"auto"``, which made the
     metadata type vary across families; resolve it to the CPU allowance
-    the pool actually scales toward.  ``0`` means unknown — an external
+    the pool actually spawns at.  ``0`` means unknown — an external
     daemon whose configuration the client cannot see.
     """
     if server is None:
@@ -343,6 +343,6 @@ def _server_workers(config: LoadgenConfig, server: Optional[Any]) -> int:
     cap = server.router.config.max_workers
     if cap is not None:
         return cap
-    from ..api.executor import available_cpus
+    from ..api.pool import available_cpus
 
     return available_cpus()

@@ -1,4 +1,4 @@
-"""Request routing: endpoints, admission, tenancy, pool scaling — no sockets.
+"""Request routing: endpoints, admission, tenancy — no sockets.
 
 :class:`Router` is the whole daemon minus HTTP: it owns the shared
 :class:`~repro.api.pool.WorkerPool`, the :class:`~repro.serve.tenancy.
@@ -10,7 +10,6 @@ adapter over :meth:`Router.handle`; tests drive the router directly.
 Request lifecycle for the POST endpoints::
 
     parse wire -> resolve tenant -> admission.acquire(deadline)
-        -> pool.scale_to(queue depth)          [process backend]
         -> execute on the tenant's session     (pool task or inline)
         -> admission.release(latency)
 
@@ -19,8 +18,8 @@ pool as a single task with a deadline (:meth:`Session.infer_one
 <repro.api.session.Session.infer_one>`); verification and execution run
 inline on the already-cached inference.  ``thread`` runs everything
 inline in the handler thread under the tenant's uid-band minting guard.
-``auto`` picks ``process`` exactly when the CPU allowance exceeds one
-core.
+Unless configured, the router picks ``process`` exactly when the CPU
+allowance exceeds one core.
 
 Status codes: ``400`` malformed request, ``404``/``405`` routing, ``422``
 the *program* failed (parse/type/inference error — carries structured
@@ -38,13 +37,13 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from ..api import (
+    DEFAULT_WORKER_CACHE_ENTRIES,
     PoolTimeout,
     StageFailure,
     WorkerPool,
     available_cpus,
-    resolve_backend,
+    check_backend,
 )
-from ..api.executor import DEFAULT_WORKER_CACHE_ENTRIES
 from ..core import InferenceResult
 from ..lang.pretty import pretty_target
 from .admission import AdmissionController, AdmissionRejected, AdmissionTimeout
@@ -71,11 +70,11 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 8178
-    #: ``thread`` | ``process`` | ``auto`` (process when >1 core allowed)
-    backend: str = "auto"
-    #: elastic pool band (process backend); the pool grows toward queue
-    #: depth and shrinks back to ``min_workers`` after ``pool_idle_timeout``
-    min_workers: int = 0
+    #: ``thread`` | ``process``; ``None`` picks ``process`` when more
+    #: than one core is allowed
+    backend: Optional[str] = None
+    #: pool width (process backend; default: the CPU allowance), fixed
+    #: when the pool spawns; ``pool_idle_timeout`` reaps idle workers
     max_workers: Optional[int] = None
     pool_idle_timeout: Optional[float] = None
     #: admission: slots that execute / requests that may wait in line
@@ -99,9 +98,9 @@ class ServerConfig:
     quiet: bool = False
 
     def resolved_backend(self) -> str:
-        # n_items=2: serving is a many-request workload by definition, so
-        # "auto" should key off the core allowance alone
-        return resolve_backend(self.backend, 2)
+        if self.backend is None:
+            return "process" if available_cpus() > 1 else "thread"
+        return check_backend(self.backend)
 
     def resolved_concurrency(self) -> int:
         if self.max_concurrency is not None:
@@ -117,7 +116,6 @@ class Router:
         self.backend = self.config.resolved_backend()
         self.pool = WorkerPool(
             max_workers=self.config.max_workers,
-            min_workers=self.config.min_workers,
             idle_timeout=self.config.pool_idle_timeout,
             max_cache_entries=(
                 self.config.max_cache_entries
@@ -293,10 +291,6 @@ class Router:
         try:
             with self._counter_lock:
                 tenant.requests += 1
-            if self.backend == "process":
-                self.pool.scale_to(
-                    self.admission.depth, stats=tenant.session.stats
-                )
             if path == "/v1/infer":
                 response = self._infer(tenant, request, deadline)
             elif path == "/v1/check":
@@ -450,7 +444,6 @@ class Router:
                 "alive": self.pool.alive,
                 "size": self.pool.size,
                 "refs": self.pool.refs,
-                "min_workers": self.pool.min_workers,
                 "counters": dict(self.pool.counters),
             },
             "tenants": tenants,

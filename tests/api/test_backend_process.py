@@ -1,4 +1,4 @@
-"""The process executor backend: differential equivalence, caching, stats.
+"""The process backend: differential equivalence, caching, stats.
 
 The process pool forces the whole artifact layer through pickle and runs
 inference under per-worker region-uid namespaces; these tests pin that the
@@ -10,7 +10,7 @@ actually spawns workers even on a single-core machine.
 
 import pytest
 
-from repro.api import Session, StageFailure, resolve_backend
+from repro.api import Session, StageFailure
 from repro.bench.olden import OLDEN_PROGRAMS
 from repro.checking import check_target
 from repro.lang.pretty import pretty_target
@@ -85,9 +85,9 @@ class TestParentCache(object):
         # four copies of one source leave a single pending unique: the
         # degenerate pool is skipped and the work runs on this session
         # directly (no hidden worker session left behind in the parent)
-        import repro.api.executor as executor
+        import repro.api.pool as pool
 
-        monkeypatch.setattr(executor, "_WORKER_SESSION", None)
+        monkeypatch.setattr(pool, "_WORKER_SESSION", None)
         session = Session()
         results = session.infer_many(
             [SMALL[0]] * 4, backend="process", max_workers=2
@@ -96,7 +96,7 @@ class TestParentCache(object):
         assert session.stats.miss_count("infer") == 1
         assert session.stats.hit_count("infer") == 3
         assert session.stats.miss_count("worker.infer") == 0
-        assert executor._WORKER_SESSION is None
+        assert pool._WORKER_SESSION is None
 
     def test_worker_stats_merge_under_worker_prefix(self):
         session = Session()
@@ -165,25 +165,6 @@ class TestBackendSelection(object):
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             Session().infer_many(SMALL, backend="fibers")
-
-    def test_auto_resolution_is_core_and_batch_aware(self, monkeypatch):
-        import repro.api.executor as executor
-
-        # the CPU allowance is the affinity mask where the platform has
-        # one (available_cpus), not the raw machine core count
-        monkeypatch.setattr(
-            executor.os,
-            "sched_getaffinity",
-            lambda pid: set(range(8)),
-            raising=False,
-        )
-        assert resolve_backend("auto", 10) == "process"
-        assert resolve_backend("auto", 1) == "thread"
-        monkeypatch.setattr(
-            executor.os, "sched_getaffinity", lambda pid: {0}, raising=False
-        )
-        assert resolve_backend("auto", 10) == "thread"
-        assert resolve_backend(None, 10) == "thread"
 
     def test_session_default_backend(self):
         session = Session(backend="process")

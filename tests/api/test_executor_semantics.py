@@ -1,6 +1,6 @@
 """The worker-pool contract: ordering, failure semantics, sizing.
 
-``map_ordered`` and ``map_ordered_process`` share one documented contract:
+``map_ordered`` and ``WorkerPool.map`` share one documented contract:
 results in input order; on failure, not-yet-started items are cancelled,
 running items drain, and the exception that propagates is the one from the
 earliest item in *input* order among the failures that occurred.
@@ -11,12 +11,7 @@ import time
 
 import pytest
 
-from repro.api.executor import (
-    default_workers,
-    map_ordered,
-    map_ordered_process,
-    resolve_backend,
-)
+from repro.api.pool import WorkerPool, check_backend, default_workers, map_ordered
 
 
 def _process_square(x):
@@ -26,6 +21,16 @@ def _process_square(x):
 def _process_fail_on_negative(x):
     if x < 0:
         raise ValueError(f"bad item {x}")
+    return x
+
+
+def _process_fail_slow_first(x):
+    """Item 0 fails late, item 1 fails at once, the rest succeed."""
+    if x == 0:
+        time.sleep(0.2)
+        raise ValueError("slow early failure")
+    if x == 1:
+        raise KeyError("fast late failure")
     return x
 
 
@@ -101,53 +106,58 @@ class TestMapOrdered(object):
 
 
 class TestMapOrderedProcess(object):
+    """The same contract on worker processes (:meth:`WorkerPool.map`)."""
+
     def test_preserves_input_order(self):
-        out = map_ordered_process(_process_square, range(10), max_workers=2)
+        with WorkerPool() as pool:
+            out = pool.map(_process_square, range(10), max_workers=2)
         assert out == [x * x for x in range(10)]
 
     def test_exception_crosses_the_process_boundary(self):
-        with pytest.raises(ValueError, match="bad item -1"):
-            map_ordered_process(
-                _process_fail_on_negative, [3, -1, 4], max_workers=2
-            )
+        with WorkerPool() as pool:
+            with pytest.raises(ValueError, match="bad item -1"):
+                pool.map(_process_fail_on_negative, [3, -1, 4], max_workers=2)
 
     def test_earliest_input_order_failure_wins(self):
-        with pytest.raises(ValueError, match="bad item -7"):
-            map_ordered_process(
-                _process_fail_on_negative, [-7, 1, -2, 3], max_workers=2
-            )
+        # item 0 fails after item 1 did: the exception that propagates is
+        # still item 0's, deterministically
+        with WorkerPool() as pool:
+            with pytest.raises(ValueError, match="slow early failure"):
+                pool.map(_process_fail_slow_first, range(4), max_workers=2)
 
     def test_inline_path_runs_in_this_process(self):
-        assert map_ordered_process(_process_square, [6], max_workers=2) == [36]
-        assert map_ordered_process(_process_square, [2, 3], max_workers=1) == [4, 9]
+        with WorkerPool() as pool:
+            assert pool.map(_process_square, [6], max_workers=2) == [36]
+            assert pool.map(_process_square, [2, 3], max_workers=1) == [4, 9]
+            assert not pool.alive
 
 
 class TestDefaultWorkers(object):
     def test_thread_cap_is_gil_bound(self, monkeypatch):
-        import repro.api.executor as executor
+        import repro.api.pool as pool
 
         monkeypatch.setattr(
-            executor.os, "sched_getaffinity", lambda pid: set(range(64)),
+            pool.os, "sched_getaffinity", lambda pid: set(range(64)),
             raising=False,
         )
         assert default_workers(100) == 8
         assert default_workers(100, backend="thread") == 8
 
     def test_process_cap_scales_with_cores(self, monkeypatch):
-        import repro.api.executor as executor
+        import repro.api.pool as pool
 
         monkeypatch.setattr(
-            executor.os, "sched_getaffinity", lambda pid: set(range(64)),
+            pool.os, "sched_getaffinity", lambda pid: set(range(64)),
             raising=False,
         )
         assert default_workers(100, backend="process") == 64
         assert default_workers(3, backend="process") == 3
 
     def test_bounded_by_the_workload_and_never_zero(self, monkeypatch):
-        import repro.api.executor as executor
+        import repro.api.pool as pool
 
         monkeypatch.setattr(
-            executor.os, "sched_getaffinity", lambda pid: set(range(4)),
+            pool.os, "sched_getaffinity", lambda pid: set(range(4)),
             raising=False,
         )
         assert default_workers(2) == 2
@@ -157,26 +167,17 @@ class TestDefaultWorkers(object):
 
 class TestResolveBackend(object):
     def test_explicit_backends_pass_through(self):
-        assert resolve_backend("thread", 100) == "thread"
-        assert resolve_backend("process", 1) == "process"
+        assert check_backend("thread") == "thread"
+        assert check_backend("process") == "process"
 
     def test_none_means_thread(self):
-        assert resolve_backend(None, 100) == "thread"
+        assert check_backend(None) == "thread"
 
-    def test_auto(self, monkeypatch):
-        import repro.api.executor as executor
-
-        monkeypatch.setattr(
-            executor.os, "sched_getaffinity", lambda pid: set(range(8)),
-            raising=False,
-        )
-        assert resolve_backend("auto", 2) == "process"
-        assert resolve_backend("auto", 1) == "thread"
-        monkeypatch.setattr(
-            executor.os, "sched_getaffinity", lambda pid: {0}, raising=False
-        )
-        assert resolve_backend("auto", 2) == "thread"
+    def test_auto(self):
+        # "auto" is not a backend
+        with pytest.raises(ValueError, match="unknown backend"):
+            check_backend("auto")
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("greenlets", 4)
+            check_backend("greenlets")

@@ -1,6 +1,6 @@
 """The pickling contract of the artifact layer.
 
-The process executor backend ships ``InferenceResult``s, ``Diagnostic``s
+The process backend ships ``InferenceResult``s, ``Diagnostic``s
 and ``StageFailure``s across process boundaries; these tests pin the
 contract piece by piece: value round trips, heap/null singleton identity,
 uid behaviour under namespacing, and the solver's cache-dropping

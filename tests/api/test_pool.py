@@ -65,7 +65,7 @@ def _kill_always(payload):
 
 
 def _worker_cache_bound(_):
-    from repro.api.executor import worker_session
+    from repro.api.pool import worker_session
 
     return worker_session().max_cache_entries
 
@@ -148,10 +148,10 @@ class TestWorkerPoolMap(object):
             assert pool.counters["pool.spawns"] == 1
 
     def test_unpinned_pools_size_to_the_machine_not_the_batch(self, monkeypatch):
-        import repro.api.executor as executor
+        import repro.api.pool as pool_module
 
         monkeypatch.setattr(
-            executor.os,
+            pool_module.os,
             "sched_getaffinity",
             lambda pid: set(range(4)),
             raising=False,
@@ -159,18 +159,17 @@ class TestWorkerPoolMap(object):
         with WorkerPool() as pool:
             assert pool.map(_double, [1, 2]) == [2, 4]
             assert pool.size == 4  # machine width, not batch width
-            # a larger batch therefore never forces a cache-discarding
-            # resize of an unpinned pool
+            # a larger batch reuses the same executor at the same width
             assert pool.map(_double, list(range(6))) == [0, 2, 4, 6, 8, 10]
             assert pool.counters["pool.spawns"] == 1
-            assert "pool.resizes" not in pool.counters
+            assert pool.size == 4
 
     def test_inline_degenerate_path_worker_session_is_bounded(
         self, monkeypatch
     ):
-        import repro.api.executor as executor
+        import repro.api.pool as pool_module
 
-        monkeypatch.setattr(executor, "_WORKER_SESSION", None)
+        monkeypatch.setattr(pool_module, "_WORKER_SESSION", None)
         with WorkerPool(max_cache_entries=5) as pool:
             # single item, no live executor: runs inline on the shared
             # parent-side worker session, which carries the module-default
@@ -181,36 +180,13 @@ class TestWorkerPoolMap(object):
             assert bound == [DEFAULT_WORKER_CACHE_ENTRIES]
             assert not pool.alive
 
-    def test_grow_replaces_the_executor(self):
-        with WorkerPool() as pool:
-            pool.map(_double, [1, 2], max_workers=2)
-            pool.map(_double, [1, 2, 3], max_workers=3)
-            assert pool.size == 3
-            assert pool.counters["pool.resizes"] == 1
-            # shrinking requests reuse the larger executor
-            pool.map(_double, [1], max_workers=2)
-            assert pool.size == 3
-
-    def test_grow_requests_defer_while_another_batch_is_active(self):
-        # replacing the executor cancels in-flight futures, so a grow
-        # request racing a running batch must reuse the narrower pool
-        import threading
-
+    def test_larger_width_request_reuses_the_live_executor(self):
+        # the width is fixed at spawn: a later, larger request neither
+        # resizes nor respawns the executor
         with WorkerPool() as pool:
             pool.map(_double, [0, 1], max_workers=2)
-            out = {}
-
-            def slow_batch():
-                out["a"] = pool.map(_slow_double, list(range(6)), max_workers=2)
-
-            t = threading.Thread(target=slow_batch)
-            t.start()
-            time.sleep(0.2)  # land mid-batch (each item sleeps 0.15s)
-            out["b"] = pool.map(_double, [5, 6, 7], max_workers=4)
-            t.join()
-            assert out["a"] == [0, 2, 4, 6, 8, 10]
-            assert out["b"] == [10, 12, 14]
-            assert "pool.resizes" not in pool.counters
+            assert pool.map(_double, [5, 6, 7], max_workers=4) == [10, 12, 14]
+            assert pool.counters["pool.spawns"] == 1
             assert pool.size == 2
 
 

@@ -1,10 +1,10 @@
-"""Shared pools: refcounting, single-item dispatch, elastic width.
+"""Shared pools: refcounting, single-item dispatch, event attribution.
 
 The serving daemon attaches many sessions to one ``WorkerPool``; these
 tests pin the contracts that makes safe — acquire/close refcounts, the
-``run_one`` single-task path with its deadline, queue-depth-driven
-``scale_to`` growth, and per-session attribution of ``pool.*`` events on
-a pool the session does not own.  ``max_workers=2`` is forced so the
+``run_one`` single-task path with its deadline and fixed width, and
+per-session attribution of ``pool.*`` events on a pool the session does
+not own.  ``max_workers=2`` is forced so the
 pool really spawns workers on a single-core machine.
 """
 
@@ -72,6 +72,8 @@ class TestRunOne(object):
         with WorkerPool(max_workers=2) as pool:
             assert pool.run_one(_double, 21) == 42
             assert pool.counters.get("pool.spawns", 0) == 1
+            # one task still spawns the pool at its full, fixed width
+            assert pool.size == 2
             # a second task reuses the live executor
             assert pool.run_one(_double, 4) == 8
             assert pool.counters.get("pool.spawns", 0) == 1
@@ -90,50 +92,6 @@ class TestRunOne(object):
                 pool.run_one(_slow_double, 2, timeout=0.05)
             # the pool still serves work afterwards
             assert pool.run_one(_double, 3) == 6
-
-
-class TestElasticWidth(object):
-    def test_width_for_respects_the_band(self):
-        pool = WorkerPool(max_workers=4, min_workers=2)
-        try:
-            assert pool.width_for(0) == 2
-            assert pool.width_for(1) == 2
-            assert pool.width_for(3) == 3
-            assert pool.width_for(99) == 4
-        finally:
-            pool.close()
-
-    def test_scale_to_widens_a_live_executor(self):
-        with WorkerPool(max_workers=4) as pool:
-            pool.run_one(_double, 1)
-            assert pool.size == 1
-            pool.scale_to(3)
-            assert pool.size == 3
-            assert pool.counters.get("pool.grows", 0) == 1
-            # scaling down is not done in place (the idle timer handles it)
-            pool.scale_to(1)
-            assert pool.size == 3
-
-    def test_min_workers_validation(self):
-        with pytest.raises(ValueError):
-            WorkerPool(min_workers=-1)
-        with pytest.raises(ValueError):
-            WorkerPool(max_workers=2, min_workers=3)
-
-    def test_idle_shrinks_to_min_workers_not_zero(self):
-        pool = WorkerPool(max_workers=3, min_workers=1, idle_timeout=0.1)
-        try:
-            pool.map(_double, [1, 2, 3], max_workers=3)
-            assert pool.size == 3
-            deadline = time.monotonic() + 5.0
-            while pool.size != 1 and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert pool.size == 1
-            assert pool.alive  # shrunk, not torn down
-            assert pool.counters.get("pool.shrinks", 0) >= 1
-            assert pool.map(_double, [5]) == [10]
-        finally:
-            pool.close()
 
 
 class TestAttribution(object):

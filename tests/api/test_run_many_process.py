@@ -146,18 +146,6 @@ class TestBackendSelection(object):
         with pytest.raises(ValueError, match="summaries=True"):
             Session().run_many(MIXED, backend="process", max_workers=2)
 
-    def test_auto_without_summaries_falls_back_to_threads(self, monkeypatch):
-        # "auto" means "pick what works": with full results requested the
-        # process path cannot work, so auto lands on threads even when a
-        # multi-core machine would otherwise pick process
-        import repro.api.executor as executor
-
-        monkeypatch.setattr(executor.os, "cpu_count", lambda: 8)
-        session = Session()
-        outcomes = session.run_many(MIXED, backend="auto", max_workers=2)
-        assert [o[-1].ok for o in outcomes] == [True, False, False, True]
-        assert session.stats.event_count("pool.spawns") == 0
-
     def test_session_default_process_falls_back_to_threads(self):
         # a process-default session still serves full StageResults: the
         # projection is opt-in, so backend resolution falls back rather

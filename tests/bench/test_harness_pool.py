@@ -57,4 +57,4 @@ class TestOnePoolAcrossTables(object):
                 names=["bisort", "treeadd"], session=session, max_workers=2
             )
             assert session.stats.event_count("pool.spawns") == 1
-            assert session.stats.event_count("pool.resizes") == 0
+            assert session.process_pool().size == 2

@@ -77,8 +77,7 @@ class TestServeParser(object):
         assert args.func.__name__ == "cmd_serve"
         assert args.port == 8178
         assert args.max_pending == 16
-        assert args.min_workers == 0
-        assert args.backend is None  # resolved to auto by cmd_serve
+        assert args.backend is None  # the router picks by CPU allowance
 
     def test_knobs_parse(self):
         args = build_parser().parse_args(
@@ -87,7 +86,6 @@ class TestServeParser(object):
                 "--port", "0",
                 "--backend", "process",
                 "--jobs", "4",
-                "--min-workers", "1",
                 "--max-concurrency", "8",
                 "--max-pending", "0",
                 "--request-timeout", "10",
@@ -96,9 +94,14 @@ class TestServeParser(object):
             ]
         )
         assert args.jobs == 4
-        assert args.min_workers == 1
         assert args.max_concurrency == 8
         assert args.max_pending == 0
         assert args.request_timeout == 10.0
         assert args.idle_timeout == 2.5
         assert args.quiet is True
+
+    def test_warm_floor_flag_is_refused(self):
+        # the pool has a fixed width; there is no warm floor to set
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--min-workers", "1"])
+        assert exc.value.code == 2

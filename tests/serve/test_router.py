@@ -1,6 +1,8 @@
 """The router: endpoints, error mapping, admission wiring — no sockets."""
 
 import json
+import multiprocessing
+import threading
 
 import pytest
 
@@ -44,7 +46,7 @@ class TestReadEndpoints(object):
         assert alice["requests"] == 1
         assert alice["cache_size"] > 0
         assert set(payload["pool"]) == {
-            "alive", "size", "refs", "min_workers", "counters",
+            "alive", "size", "refs", "counters",
         }
 
 
@@ -192,3 +194,44 @@ class TestBackpressure(object):
                 router, "/v1/infer", {"source": PAIR_SOURCE, "tenant": "b"}
             )
             assert status == 429
+
+
+class TestPoolBackend(object):
+    def test_default_backend_follows_the_cpu_allowance(self, monkeypatch):
+        import repro.serve.router as router_module
+
+        monkeypatch.setattr(router_module, "available_cpus", lambda: 1)
+        with Router(ServerConfig(quiet=True)) as router:
+            assert router.backend == "thread"
+        monkeypatch.setattr(router_module, "available_cpus", lambda: 2)
+        with Router(ServerConfig(quiet=True)) as router:
+            assert router.backend == "process"
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="counts worker processes the fork start method spawns eagerly",
+    )
+    def test_stats_pool_size_is_the_live_worker_count(self):
+        # pool.size must count worker processes that exist, not a width
+        # the pool was merely asked for
+        before = set(multiprocessing.active_children())
+        config = ServerConfig(backend="process", max_workers=2, quiet=True)
+        with Router(config) as router:
+            assert _post(router, "/v1/check", {"source": PAIR_SOURCE})[0] == 200
+            statuses = []
+
+            def check(source):
+                statuses.append(_post(router, "/v1/check", {"source": source})[0])
+
+            threads = [
+                threading.Thread(target=check, args=(program.source,))
+                for program in (TREEADD, OLDEN_PROGRAMS["bisort"])
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert statuses == [200, 200]
+            _, payload, _ = router.handle("GET", "/v1/stats")
+            workers = set(multiprocessing.active_children()) - before
+            assert payload["pool"]["size"] == len(workers) == 2

@@ -145,8 +145,11 @@ class TestBatch(object):
         assert "2/2 programs inferred" in capsys.readouterr().out
 
     def test_auto_backend(self, batch_files, capsys):
+        # "auto" is not a backend choice: argparse refuses it
         good1, good2, _ = batch_files
-        assert main(["batch", good1, good2, "--backend", "auto"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", good1, good2, "--backend", "auto"])
+        assert exc.value.code == 2
 
     def test_missing_file_is_a_per_file_failure(self, batch_files, tmp_path, capsys):
         # an unreadable file must not abort the rest of the batch
