@@ -25,7 +25,9 @@ Stage values:
 
 Pipelines created through a :class:`~repro.api.Session` share that
 session's artifact cache, so the parse/typecheck/annotate prefix is reused
-across configurations and repeated queries.
+across configurations and repeated queries, and a cached ``infer`` result
+answers :meth:`Pipeline.infer` (and the stages after it) without running
+its predecessors at all.
 """
 
 from __future__ import annotations
@@ -208,6 +210,9 @@ class ExecutionResult:
 class _InlineStore:
     """No-op artifact store used by pipelines without a session."""
 
+    def peek(self, kind: str, key: Hashable, *, record_hit: bool = False) -> None:
+        return None
+
     def get_or_build(self, kind: str, key: Hashable, builder: Callable[[], Any]):
         return builder(), False
 
@@ -344,9 +349,29 @@ class Pipeline:
         )
 
     def infer(self) -> StageResult:
-        """Annotated program + config -> :class:`~repro.core.InferenceResult`."""
+        """Annotated program + config -> :class:`~repro.core.InferenceResult`.
+
+        The session's cached ``infer`` entry is probed first: a hit answers
+        without running parse, typecheck or annotate, which the cached
+        result already embodies.  Collect mode never probes (its artifacts
+        stay out of the session cache).
+        """
         if "infer" in self._results:
             return self._results["infer"]
+        cache_key = (self._key, config_key(self.config))
+        if not self.collect:
+            start = time.perf_counter()
+            value = self._store.peek("infer", cache_key, record_hit=True)
+            if value is not None:
+                result = StageResult(
+                    stage="infer",
+                    ok=True,
+                    value=value,
+                    elapsed=time.perf_counter() - start,
+                    cached=True,
+                )
+                self._results["infer"] = result
+                return result
         prev = self.annotate()
         if not prev.ok:
             return self._skipped("infer", "infer", prev)
@@ -357,7 +382,7 @@ class Pipeline:
                 annotated.program, self.config, prepared=annotated
             ).infer(),
             errors=(InferenceError, NormalTypeError),
-            cache_key=(self._key, config_key(self.config)),
+            cache_key=cache_key,
         )
 
     def reinfer(

@@ -297,20 +297,30 @@ class _ArtifactStore:
         self._notify_evictions(evicted)
         return winner, False
 
-    def peek(self, kind: str, key: Hashable) -> Optional[Any]:
-        """The cached value, or ``None`` — no build, no hit/miss stats.
+    def peek(
+        self, kind: str, key: Hashable, *, record_hit: bool = False
+    ) -> Optional[Any]:
+        """The cached value, or ``None`` — no build, no miss recorded.
 
         A present entry has its LRU recency refreshed (a peek is a real
         use; the SCC tier answers incremental lookups through it).
         Callers that want traffic accounted record their own kind —
         ``peek`` serves several (``scc.lookup``, lineage anchors) and the
-        store cannot know which.
+        store cannot know which.  ``record_hit=True`` also counts a found
+        entry as one hit on ``kind``, under the same lock as the lookup:
+        the atomic probe behind :meth:`Pipeline.infer
+        <repro.api.pipeline.Pipeline.infer>`'s short-circuit and
+        :meth:`Session.infer_one`, with no window between a membership
+        test and the read for an eviction to fall into.  A ``None``
+        answer records nothing; the caller's build records the miss.
         """
         full_key = (kind, key)
         with self._lock:
             if full_key not in self._data:
                 return None
             self._data.move_to_end(full_key)
+            if record_hit:
+                self._stats.record(kind, hit=True)
             return self._data[full_key]
 
     def put(self, kind: str, key: Hashable, value: Any) -> None:
@@ -979,13 +989,9 @@ class Session:
         """
         cfg = config or self.config
         key = (_source_key(source), config_key(cfg))
-        if self._store.contains("infer", key):
-            # the builder only runs in the rare race where the LRU evicted
-            # the entry between the contains() probe and the lookup
-            value, _ = self._store.get_or_build(
-                "infer", key, lambda: self.pipeline(source, cfg).infer().unwrap()
-            )
-            return value
+        cached = self._store.peek("infer", key, record_hit=True)
+        if cached is not None:
+            return cached
         result, failure, delta = self.process_pool().run_one(
             _infer_task, (source, cfg), timeout=timeout, stats=self.stats
         )

@@ -120,7 +120,7 @@ class LoadgenConfig:
                     f"unknown corpus program {name!r}; "
                     f"expected one of {sorted(members)}"
                 )
-            corpus.append((name, members[name].read_text()))
+            corpus.append((name, members[name].read_text(encoding="utf-8")))
         return corpus
 
 
@@ -181,7 +181,8 @@ class _Worker(threading.Thread):
         source: str,
         tenant: str,
     ) -> None:
-        body = json.dumps({"source": source, "tenant": tenant})
+        # bytes, not str: http.client encodes a str body as Latin-1
+        body = json.dumps({"source": source, "tenant": tenant}).encode("utf-8")
         started = time.monotonic()
         try:
             conn.request(

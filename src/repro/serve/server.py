@@ -3,9 +3,10 @@
 A deliberately thin adapter: :class:`ReproServer` is a
 :class:`~http.server.ThreadingHTTPServer` whose handler reads the body,
 calls :meth:`Router.handle <repro.serve.router.Router.handle>`, and
-writes the JSON back.  Everything interesting (admission, tenancy, pool
-scaling, error mapping) lives in the router where it is testable without
-a socket.
+writes the JSON back: status line, headers and body in one write, on a
+socket with Nagle's algorithm off.  Everything interesting (admission,
+tenancy, pool scaling, error mapping) lives in the router where it is
+testable without a socket.
 
 **Graceful drain.**  ``daemon_threads`` is *off* and ``block_on_close``
 is *on*: when :meth:`ReproServer.shutdown` runs — from a SIGTERM/SIGINT
@@ -37,6 +38,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1.0"
+    # TCP_NODELAY on every accepted socket: with Nagle's algorithm on, a
+    # response that needs a second segment waits for the client's
+    # delayed ACK (40 ms on Linux) before it leaves
+    disable_nagle_algorithm = True
 
     # the server instance injects these
     router: Router
@@ -50,8 +55,14 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (extra or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        # one write for the whole response: end_headers() would send the
+        # header block on its own and leave the body to a second send
+        head = getattr(self, "_headers_buffer", [])
+        if self.request_version != "HTTP/0.9":
+            head.append(b"\r\n")
+        head.append(body)
+        self._headers_buffer = head
+        self.flush_headers()
 
     def _read_body(self) -> Optional[bytes]:
         """The request body, or ``None`` after a 413/400 was already sent."""

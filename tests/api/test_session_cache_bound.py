@@ -16,6 +16,10 @@ PROGRAM_C = """
 int main(int n) { n + 3 }
 """
 
+PROGRAM_D = """
+int main(int n) { n + 4 }
+"""
+
 #: cache entries one inference populates: parse, typecheck, annotate, infer
 ENTRIES_PER_PROGRAM = 4
 
@@ -40,16 +44,21 @@ class TestBoundedCache:
         assert session.stats.miss_count("infer") == 3
 
     def test_hits_refresh_recency(self):
-        session = Session(max_cache_entries=2 * ENTRIES_PER_PROGRAM)
+        # an infer hit answers from the infer entry alone: it refreshes
+        # that entry and leaves the program's front-half entries to age
+        session = Session(max_cache_entries=2 * ENTRIES_PER_PROGRAM + 1)
         session.infer(PROGRAM_A)
         session.infer(PROGRAM_B)
-        session.infer(PROGRAM_A)  # refresh A: B is now least-recently-used
-        session.infer(PROGRAM_C)  # evicts B's entries, not A's
+        session.infer(PROGRAM_A)  # refresh A: B's infer is now the older
+        session.infer(PROGRAM_C)  # evicts front-half entries only
+        assert session.stats.eviction_count("infer") == 0
+        session.infer(PROGRAM_D)  # evicts B's infer entry, not A's
+        assert session.stats.eviction_count("infer") == 1
         before = session.stats.miss_count()
         session.infer(PROGRAM_A)
         assert session.stats.miss_count() == before  # A fully cached
         session.infer(PROGRAM_B)
-        assert session.stats.miss_count() > before  # B was evicted
+        assert session.stats.miss_count("infer") == 5  # B was evicted
 
     def test_eviction_counters_are_per_stage(self):
         session = Session(max_cache_entries=ENTRIES_PER_PROGRAM)

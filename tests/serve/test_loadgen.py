@@ -1,11 +1,12 @@
 """The load generator: percentiles, sweeps, the PKB sample contract."""
 
 import json
+import threading
 
 import pytest
 
 from repro.serve import LoadgenConfig, ServerConfig, run_loadgen
-from repro.serve.loadgen import LevelReport, percentile
+from repro.serve.loadgen import LevelReport, _Worker, percentile
 
 EXPECTED_METRICS = {
     "latency_p50",
@@ -137,3 +138,49 @@ class TestSweep(object):
         assert summary["total_failed"] == 0
         assert summary["total_ok"] >= 1
         assert summary["total_ok"] + summary["total_rejected"] == 8
+
+
+#: a corpus program with a character outside Latin-1 in a comment
+ARROW_PROGRAM = """// counts up to n \u2192 returns n
+class Box extends Object { int v; }
+int main(int n) { Box b = new Box(n); b.v }
+"""
+
+
+class TestNonLatin1Corpus(object):
+    def test_corpus_with_non_latin1_characters_is_served(self, tmp_path):
+        (tmp_path / "arrow.cj").write_text(ARROW_PROGRAM, encoding="utf-8")
+        result = run_loadgen(
+            LoadgenConfig(
+                levels=(1,), requests_per_level=2, corpus_dir=str(tmp_path)
+            ),
+            self_host=True,
+            server_config=ServerConfig(backend="thread"),
+        )
+        summary = result["summary"]
+        assert summary["total_ok"] == 2
+        assert summary["total_failed"] == 0
+
+    def test_request_body_goes_out_as_utf8_bytes(self):
+        class RecordingConnection(object):
+            def request(self, method, url, body=None, headers=None):
+                self.body = body
+
+            def getresponse(self):
+                class Response(object):
+                    status = 200
+
+                    def read(self):
+                        return b"{}"
+
+                return Response()
+
+        conn = RecordingConnection()
+        report = LevelReport(concurrency=1)
+        worker = _Worker(
+            LoadgenConfig(), [], threading.Lock(), report, threading.Lock()
+        )
+        worker._one(conn, "arrow", ARROW_PROGRAM, "tenant-0")
+        assert isinstance(conn.body, bytes)
+        assert json.loads(conn.body.decode("utf-8"))["source"] == ARROW_PROGRAM
+        assert report.ok == 1

@@ -8,6 +8,7 @@ rest use the thread backend to stay fast on one core.
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -15,6 +16,7 @@ import pytest
 
 from repro.bench.olden import OLDEN_PROGRAMS
 from repro.serve import ServerConfig, make_server
+from repro.serve.server import _Handler
 from tests.conftest import PAIR_SOURCE
 
 TREEADD = OLDEN_PROGRAMS["treeadd"]
@@ -162,6 +164,105 @@ class TestBodyLimits(object):
         response = conn.getresponse()
         assert response.status == 400
         response.read()
+
+
+class _WriteLog(object):
+    """A handler's socket writer that logs every write made through it."""
+
+    def __init__(self, inner, writes):
+        self._inner = inner
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.fixture()
+def wire_log(monkeypatch):
+    """Every write the daemon's handlers make, and each accepted socket's
+    ``TCP_NODELAY`` setting."""
+    log = {"writes": [], "nodelay": []}
+    setup = _Handler.setup
+
+    def logged_setup(handler):
+        setup(handler)
+        log["nodelay"].append(
+            handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        )
+        handler.wfile = _WriteLog(handler.wfile, log["writes"])
+
+    monkeypatch.setattr(_Handler, "setup", logged_setup)
+    return log
+
+
+def _one_write(log, response, status):
+    """The single write that carried ``response``, checked end to end."""
+    body = response.read()
+    assert response.status == status
+    assert len(log["writes"]) == 1, [len(w) for w in log["writes"]]
+    (write,) = log["writes"]
+    head, _, sent_body = write.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 %d " % status)
+    assert sent_body == body
+    return body
+
+
+class TestResponsePath(object):
+    """A response leaves in one write on a socket with Nagle's algorithm
+    off: a header-only segment followed by a body segment would otherwise
+    wait for the client's delayed ACK."""
+
+    def test_accepted_connections_set_tcp_nodelay(self, daemon, wire_log):
+        _, conn = daemon
+        conn.request("GET", "/healthz")
+        conn.getresponse().read()
+        assert len(wire_log["nodelay"]) == 1
+        assert wire_log["nodelay"][0] != 0
+
+    def test_healthz_is_one_write(self, daemon, wire_log):
+        _, conn = daemon
+        conn.request("GET", "/healthz")
+        body = _one_write(wire_log, conn.getresponse(), 200)
+        assert json.loads(body)["status"] == "ok"
+
+    def test_read_body_rejections_are_one_write(self, daemon, wire_log):
+        server, conn = daemon
+        conn.putrequest("POST", "/v1/check")
+        conn.putheader("Content-Length", "banana")
+        conn.endheaders()
+        body = _one_write(wire_log, conn.getresponse(), 400)
+        assert json.loads(body)["error"]["code"] == "bad_request"
+
+        wire_log["writes"].clear()
+        limit = server.router.config.max_body_bytes
+        fresh = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        try:
+            # the daemon refuses on the declared length, before any body
+            fresh.putrequest("POST", "/v1/check")
+            fresh.putheader("Content-Length", str(limit + 1))
+            fresh.endheaders()
+            body = _one_write(wire_log, fresh.getresponse(), 413)
+        finally:
+            fresh.close()
+        assert json.loads(body)["error"]["code"] == "payload_too_large"
+
+    def test_a_target_over_64_kib_is_one_write(self, daemon, wire_log):
+        _, conn = daemon
+        name = "counter_" + "x" * 48
+        steps = "".join(f"  {name} = {name} + {i};\n" for i in range(700))
+        source = f"int main(int n) {{\n  int {name} = n;\n{steps}  {name}\n}}\n"
+        conn.request(
+            "POST",
+            "/v1/infer",
+            body=json.dumps({"source": source}),
+            headers={"Content-Type": "application/json"},
+        )
+        body = _one_write(wire_log, conn.getresponse(), 200)
+        assert len(json.loads(body)["target"]) > 64 * 1024
 
 
 class TestDrain(object):
