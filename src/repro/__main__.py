@@ -1027,7 +1027,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         default=None,
         metavar="PATH",
-        help="write the PKB-style sample report here (e.g. BENCH_6.json)",
+        help="publish the samples here as a one-family bench report "
+        "(the `repro bench publish` layout)",
     )
     pool(p_loadgen)
     output(p_loadgen)

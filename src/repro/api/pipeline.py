@@ -263,7 +263,12 @@ class Pipeline:
         cache_key: Optional[Hashable] = None,
         memo: Optional[Hashable] = None,
     ) -> StageResult:
-        """Build one stage value with timing, caching and error adaptation."""
+        """Build one stage value with timing, caching and error adaptation.
+
+        ``RecursionError`` is adapted for every stage: input nested deeper
+        than the recursive walkers' stack allows must come back as a
+        diagnostic, never as an uncaught exception.
+        """
         memo = memo if memo is not None else name
         start = time.perf_counter()
         try:
@@ -271,7 +276,7 @@ class Pipeline:
                 value, cached = self._store.get_or_build(name, cache_key, builder)
             else:
                 value, cached = builder(), False
-        except errors as err:
+        except (RecursionError, *errors) as err:
             result = StageResult(
                 stage=name,
                 ok=False,
@@ -297,7 +302,10 @@ class Pipeline:
             return self._results["parse"]
         if self.collect:
             start = time.perf_counter()
-            program, errs = parse_program_tolerant(self.source)
+            try:
+                program, errs = parse_program_tolerant(self.source)
+            except RecursionError as err:
+                program, errs = None, [err]
             result = StageResult(
                 stage="parse",
                 ok=not errs,

@@ -33,10 +33,9 @@ Three ideas keep the numbers honest:
                   "metadata": {...}}, ...],
      "families": {"solver_scaling": {"samples": 12, "elapsed_s": 1.9}}}
 
-Legacy single-family files (``BENCH_6.json`` / ``BENCH_7.json``: a top
-level ``"benchmark"`` name, no schema version) still load — the family
-name is back-filled from the ``benchmark`` field — so the trajectory
-reaches back before this subsystem existed.
+This is the only layout :func:`load_report` reads: :func:`publish` and
+``repro loadgen --output`` write it, and a file without a
+``schema_version`` 1 is rejected with a :class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -58,6 +57,8 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+from ..api.pool import available_cpus
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -156,13 +157,9 @@ def sample(
 
 def host_metadata() -> Dict[str, Any]:
     """Who measured: cpu count, scheduler affinity, python, platform."""
-    try:
-        affinity = len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        affinity = os.cpu_count() or 1
     return {
         "cpu_count": os.cpu_count() or 1,
-        "affinity": affinity,
+        "affinity": available_cpus(),
         "python": platform.python_version(),
         "platform": platform.platform(),
     }
@@ -207,21 +204,24 @@ def interleaved_best(
 class Threshold:
     """A floor/ceiling a family declares on one of its metrics.
 
-    Enforced when the family runs (``repro bench run|publish``) and
-    re-used verbatim by the pytest-benchmark wrappers, so the CLI and
-    the test suite can never disagree about the bar.  ``min_cores``
-    skips the check on machines where the claim is meaningless (pool
-    speedups drown in spawn noise below four cores).
+    Enforced whenever the family runs: by ``repro bench run|publish``
+    and by the tier-1 registry test, which both read
+    :attr:`FamilyRun.violations`, so the CLI and the test suite can
+    never disagree about the bar.  ``min_cores`` skips the check when
+    this process may use fewer CPUs than that (pool speedups drown in
+    spawn noise below four cores); ``full_only`` skips it in smoke runs,
+    for a metric only a full-size run emits.
     """
 
     metric: str
     floor: Optional[float] = None
     ceiling: Optional[float] = None
     min_cores: int = 1
+    full_only: bool = False
 
-    def applicable(self, cores: Optional[int] = None) -> bool:
-        cores = cores if cores is not None else (os.cpu_count() or 1)
-        return cores >= self.min_cores
+    def applicable(self, cores: Optional[int] = None, smoke: bool = False) -> bool:
+        cores = cores if cores is not None else available_cpus()
+        return cores >= self.min_cores and not (smoke and self.full_only)
 
     def violations(self, samples: Sequence[Sample]) -> List[str]:
         """Human-readable violations of this threshold over ``samples``."""
@@ -328,12 +328,24 @@ class BenchmarkSpec:
         return DEFAULT_UNIT_RULES.get(unit, MetricRule(direction="info"))
 
     def check_thresholds(
-        self, samples: Sequence[Sample], cores: Optional[int] = None
+        self,
+        samples: Sequence[Sample],
+        cores: Optional[int] = None,
+        smoke: bool = False,
     ) -> List[str]:
+        """Violations of every applicable threshold over ``samples``.
+
+        An applicable threshold whose metric has no sample is itself a
+        violation: a renamed or dropped metric must not turn its gate
+        into a silent pass.
+        """
         out: List[str] = []
         for t in self.thresholds:
-            if t.applicable(cores):
-                out.extend(t.violations(samples))
+            if not t.applicable(cores, smoke):
+                continue
+            if not any(s.metric == t.metric for s in samples):
+                out.append(f"{t.metric}: no sample to check the threshold on")
+            out.extend(t.violations(samples))
         return out
 
 
@@ -357,7 +369,7 @@ class FamilyRun:
 
     @property
     def violations(self) -> List[str]:
-        return self.spec.check_thresholds(self.samples)
+        return self.spec.check_thresholds(self.samples, smoke=self.smoke)
 
 
 class Runner:
@@ -464,34 +476,17 @@ def publish(
 
 
 def load_report(path: str) -> Dict[str, Any]:
-    """Load a published file, normalising legacy single-family layouts.
-
-    Pre-schema files (``BENCH_6.json``/``BENCH_7.json``) carry one
-    family under a top-level ``"benchmark"`` name and no host block;
-    they come back as schema-version-0 reports whose samples are
-    back-filled with that family, so :func:`compare` can reach across
-    the subsystem's introduction.
-    """
+    """Load a published file; reject anything but the schema-1 layout."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if "schema_version" in payload:
-        # standalone single-family reports (e.g. the loadgen's --output)
-        # are schema-versioned but name their family at the top level
-        default = payload.get("benchmark") or payload.get("suite", "unknown")
-        for entry in payload.get("samples", []):
-            entry.setdefault("family", default)
-        return payload
-    family = payload.get("benchmark", "unknown")
-    return {
-        "schema_version": 0,
-        "suite": family,
-        "host": {},
-        "smoke": False,
-        "samples": [
-            {"family": family, **dict(s)} for s in payload.get("samples", [])
-        ],
-        "families": {family: {"samples": len(payload.get("samples", []))}},
-    }
+    version = payload.get("schema_version") if isinstance(payload, dict) else None
+    if version != SCHEMA_VERSION:
+        raise ValueError(
+            f"{path}: not a schema_version {SCHEMA_VERSION} benchmark "
+            f"report (schema_version: {version!r}); re-publish it with "
+            "`repro bench publish`"
+        )
+    return payload
 
 
 # --------------------------------------------------------------- compare

@@ -19,7 +19,7 @@ Layering, bottom up:
   admission→execute flow (tests drive this directly);
 * :mod:`~repro.serve.server` — the ``ThreadingHTTPServer`` skin;
 * :mod:`~repro.serve.loadgen` — closed-loop concurrency sweeps emitting
-  PKB-style samples (the ``BENCH_6.json`` artifact).
+  PKB-style samples (the ``serve_loadgen`` benchmark family).
 """
 
 from .admission import AdmissionController, AdmissionRejected, AdmissionTimeout

@@ -23,9 +23,11 @@ Per level: ``latency_p50`` / ``latency_p99`` / ``latency_mean`` (ms),
 straight off these: ``requests_failed`` must be zero at every level —
 overload shows up as rejections, never as failures or hangs.
 
-The standalone report written by ``--output`` is schema-versioned with
-host metadata, and the sweep also runs under ``repro bench`` as the
-``serve_loadgen`` family (see :mod:`repro.bench.families`).
+The sweep also runs under ``repro bench`` as the ``serve_loadgen``
+family (see :mod:`repro.bench.families`), and the report written by
+``--output`` is that family's samples in the one published layout
+(:func:`repro.bench.pkb.publish`), so ``repro bench compare`` reads it
+like any ``BENCH_<n>.json``.
 
 ``--self-host`` (the default for ``repro loadgen`` without ``--host``)
 boots an in-process daemon on an ephemeral port first, which is what the
@@ -269,14 +271,15 @@ def run_loadgen(
     server_config: Optional[Any] = None,
     output: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Sweep the configured concurrency levels; return the PKB report.
+    """Sweep the configured concurrency levels; return samples and summary.
 
     With ``self_host=True`` an in-process daemon is booted on an ephemeral
     port first (``server_config`` customises it) and drained afterwards —
-    no external process needed.  ``output`` writes the report as JSON
-    (the ``BENCH_6.json`` artifact).
+    no external process needed.  ``output`` publishes the samples there
+    as a one-family ``serve_loadgen`` report.
     """
     config = config or LoadgenConfig()
+    started = time.monotonic()
     server = None
     server_thread = None
     if self_host:
@@ -310,12 +313,19 @@ def run_loadgen(
             server.shutdown()
             server_thread.join()
             server.close()
-    from ..bench.pkb import SCHEMA_VERSION, host_metadata
+    if output:
+        from ..bench.families import get_spec
+        from ..bench.pkb import FamilyRun, Sample, publish
 
-    result = {
-        "schema_version": SCHEMA_VERSION,
-        "benchmark": "serve_loadgen",
-        "host": host_metadata(),
+        run = FamilyRun(
+            spec=get_spec("serve_loadgen"),
+            samples=[Sample.from_dict(s) for s in samples],
+            stages=[],
+            elapsed=time.monotonic() - started,
+            smoke=False,
+        )
+        publish([run], output)
+    return {
         "samples": samples,
         "summary": {
             "levels": [r.concurrency for r in reports],
@@ -324,11 +334,6 @@ def run_loadgen(
             "total_failed": sum(r.failed for r in reports),
         },
     }
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
-    return result
 
 
 def _server_workers(config: LoadgenConfig, server: Optional[Any]) -> int:

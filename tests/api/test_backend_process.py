@@ -98,6 +98,12 @@ class TestParentCache(object):
         assert session.stats.miss_count("worker.infer") == 0
         assert pool._WORKER_SESSION is None
 
+    def test_olden_batch_infers_each_program_once(self):
+        session = Session()
+        results = session.infer_many(OLDEN_SOURCES, backend="process", max_workers=2)
+        assert len(results) == len(OLDEN_SOURCES)
+        assert session.stats.miss_count("infer") == len(OLDEN_SOURCES)
+
     def test_worker_stats_merge_under_worker_prefix(self):
         session = Session()
         session.infer_many(SMALL, backend="process", max_workers=2)

@@ -310,6 +310,24 @@ class TestSessionOwnedPool(object):
             assert pretty_target(a.target) == pretty_target(b.target)
             assert pretty_target(a.target) == pretty_target(c.target)
 
+    def test_repeat_batch_reuses_the_pool_and_matches_threads(self):
+        # the ``pool_reuse`` family's persistent side: two batches, one
+        # pool, no respawn, and the thread backend's answers
+        thread = Session().infer_many(OLDEN_SOURCES, max_workers=2)
+        with Session() as session:
+            first = session.infer_many(
+                OLDEN_SOURCES, backend="process", max_workers=2
+            )
+            session.clear_cache()
+            second = session.infer_many(
+                OLDEN_SOURCES, backend="process", max_workers=2
+            )
+            assert session.stats.event_count("pool.spawns") == 1
+            assert session.stats.event_count("pool.respawns") == 0
+        for f, s, t in zip(first, second, thread):
+            assert pretty_target(f.target) == pretty_target(s.target)
+            assert pretty_target(f.target) == pretty_target(t.target)
+
     def test_batch_survives_killed_workers_identically_to_threads(self):
         # kill every pool worker between two batches: the next batch must
         # respawn, retry, and return results identical to the thread

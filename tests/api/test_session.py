@@ -3,8 +3,10 @@
 import pytest
 
 from repro.api import Session
+from repro.bench import REGJAVA_PROGRAMS
 from repro.checking import check_target
-from repro.core import DowncastStrategy, InferenceConfig, SubtypingMode
+from repro.core import DowncastStrategy, InferenceConfig, SubtypingMode, infer_source
+from repro.lang.pretty import pretty_target
 
 PROGRAM = """
 class List extends Object {
@@ -66,6 +68,28 @@ class TestAblationSweep(object):
         names = [sorted(a.name for a in r.target.q) for r in results]
         assert names[0] == names[1] == names[2] == names[3]
         assert any(n.startswith("pre.") for n in names[0])
+
+
+    def test_cold_sweep_matches_session_sweep(self):
+        """The ``session_reuse`` family's baseline, one ``infer_source``
+        per config, renders the same targets as the cached sweep."""
+        source = REGJAVA_PROGRAMS["reynolds3"].source
+        cold = [infer_source(source, config) for config in SWEEP]
+        warm = Session().sweep(source, SWEEP)
+        assert len(cold) == len(warm) == len(SWEEP)
+        for c, w in zip(cold, warm):
+            assert pretty_target(c.target, renumber=True) == pretty_target(
+                w.target, renumber=True
+            )
+
+    def test_reynolds3_sweep_annotates_once(self):
+        """The ``session_reuse`` family's sweep: the front half runs once,
+        the three later configs are annotate hits."""
+        session = Session()
+        results = session.sweep(REGJAVA_PROGRAMS["reynolds3"].source, SWEEP)
+        assert len(results) == len(SWEEP)
+        assert session.stats.miss_count("annotate") == 1
+        assert session.stats.hit_count("annotate") == len(SWEEP) - 1
 
 
 class TestCacheKeys(object):

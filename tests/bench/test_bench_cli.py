@@ -91,10 +91,11 @@ class TestBenchRun:
     def test_real_family_smoke(self, capsys):
         """One genuine (cheap) family through the real registry.
 
-        fig9 declares no thresholds, so this can't flake on a loaded
-        machine the way a speedup floor (e.g. session_reuse's) can;
-        the threshold-violation exit path is covered by the toy
-        registry above.
+        fig9's only threshold is a 2 s per-program ceiling over
+        inferences that take tens of milliseconds, so this can't flake
+        on a loaded machine the way a speedup floor (e.g.
+        session_reuse's) can; the threshold-violation exit path is
+        covered by the toy registry above.
         """
         assert main(["bench", "run", "--smoke", "--families", "fig9"]) == 0
         out = capsys.readouterr().out
@@ -177,6 +178,14 @@ class TestBenchCompare:
         assert payload["ok"] is False
         assert payload["same_host"] is True
         assert payload["counts"]["regress"] == 1
+
+    def test_pre_schema_file_exits_2(self, tmp_path, monkeypatch, capsys):
+        base = self._publish(tmp_path, "a.json", 1.0, monkeypatch)
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps({"benchmark": "toy", "samples": []}))
+        capsys.readouterr()  # drain the publish output
+        assert main(["bench", "compare", str(legacy), base]) == 2
+        assert "schema_version" in capsys.readouterr().err
 
     def test_verbose_shows_passing_metrics(
         self, tmp_path, monkeypatch, capsys

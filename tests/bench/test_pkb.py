@@ -7,10 +7,13 @@ compare tolerance) in milliseconds.
 """
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
 from repro.bench import pkb
+from repro.bench.families import get_spec
 from repro.bench.pkb import (
     BenchmarkError,
     BenchmarkSpec,
@@ -66,6 +69,22 @@ def test_host_metadata_shape():
     assert isinstance(host["platform"], str)
 
 
+def test_cores_mean_this_process_allowance_not_the_machine(monkeypatch):
+    # a taskset/cpuset-limited process on a bigger machine: the
+    # four-core pool bars must skip, as the pool itself is sized to 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert host_metadata()["affinity"] == 2
+    assert host_metadata()["cpu_count"] == 8
+    for family, metric in (
+        ("backend_comparison", "backend_speedup"),
+        ("pool_reuse", "pool_reuse_speedup"),
+    ):
+        spec = get_spec(family)
+        assert not spec.threshold(metric).applicable()
+        assert spec.check_thresholds([sample(metric, 0.5, "x")]) == []
+
+
 def test_interleaved_best_returns_both_sides():
     base_s, cand_s = interleaved_best(lambda: None, lambda: None, rounds=2)
     assert base_s >= 0 and cand_s >= 0
@@ -103,6 +122,34 @@ class TestThreshold:
         samples = [sample("speedup", 1.0, "x")]
         assert spec.check_thresholds(samples, cores=2) == []
         assert spec.check_thresholds(samples, cores=64)
+
+    def test_unemitted_metric_is_a_violation(self):
+        spec = BenchmarkSpec(
+            name="toy",
+            description="",
+            run=lambda ctx: [],
+            thresholds=(Threshold("renamed_away", ceiling=1.0),),
+        )
+        (violation,) = spec.check_thresholds([sample("other", 0.5, "ms")])
+        assert "renamed_away" in violation and "no sample" in violation
+        # an inapplicable threshold needs no sample
+        gated = BenchmarkSpec(
+            name="toy",
+            description="",
+            run=lambda ctx: [],
+            thresholds=(Threshold("speedup", floor=1.5, min_cores=64),),
+        )
+        assert gated.check_thresholds([], cores=2) == []
+
+    def test_full_only_threshold_skips_smoke_runs(self):
+        spec = BenchmarkSpec(
+            name="toy",
+            description="",
+            run=lambda ctx: [],
+            thresholds=(Threshold("exponent", ceiling=1.35, full_only=True),),
+        )
+        assert spec.check_thresholds([], smoke=True) == []
+        assert spec.check_thresholds([])  # a full run must emit it
 
     def test_spec_threshold_lookup(self):
         spec = BenchmarkSpec(
@@ -268,7 +315,7 @@ def test_publish_load_round_trip(tmp_path):
     assert Sample.from_dict(entry) == run.samples[0]
 
 
-def test_load_report_normalises_legacy_files(tmp_path):
+def test_load_report_rejects_pre_schema_files(tmp_path):
     legacy = tmp_path / "BENCH_6.json"
     legacy.write_text(json.dumps({
         "benchmark": "serve_loadgen",
@@ -277,25 +324,19 @@ def test_load_report_normalises_legacy_files(tmp_path):
              "timestamp": 1.0, "metadata": {"concurrency": 2}},
         ],
     }))
-    loaded = load_report(str(legacy))
-    assert loaded["schema_version"] == 0
-    assert loaded["host"] == {}
-    assert loaded["samples"][0]["family"] == "serve_loadgen"
+    with pytest.raises(ValueError, match="schema_version"):
+        load_report(str(legacy))
 
 
-def test_load_report_backfills_standalone_single_family(tmp_path):
-    standalone = tmp_path / "report.json"
-    standalone.write_text(json.dumps({
-        "schema_version": 1,
-        "benchmark": "incremental_reinfer",
-        "host": host_metadata(),
-        "samples": [
-            {"metric": "speedup", "value": 8.0, "unit": "x",
-             "timestamp": 1.0, "metadata": {}},
-        ],
-    }))
-    loaded = load_report(str(standalone))
-    assert loaded["samples"][0]["family"] == "incremental_reinfer"
+@pytest.mark.parametrize(
+    "path",
+    sorted(Path(__file__).resolve().parents[2].glob("BENCH_[0-9]*.json")),
+    ids=lambda p: p.name,
+)
+def test_committed_reports_load(path):
+    report = load_report(str(path))
+    assert report["samples"]
+    assert all(entry["family"] for entry in report["samples"])
 
 
 # --------------------------------------------------------------- compare
@@ -467,7 +508,7 @@ class TestCompare:
         assert text.endswith("PASS")
         assert "toy.wall" in text  # verbose shows passing metrics too
 
-    def test_compare_reaches_legacy_baseline(self, tmp_path):
+    def test_compare_rejects_legacy_baseline(self, tmp_path):
         legacy = tmp_path / "BENCH_old.json"
         legacy.write_text(json.dumps({
             "benchmark": "toy",
@@ -476,11 +517,8 @@ class TestCompare:
         cand = _write_report(
             tmp_path / "cand.json", [_entry("speedup", 7.5, "x")]
         )
-        comparison = compare(str(legacy), cand, specs=TOY_SPECS)
-        # legacy files carry no host, so only portable metrics gate —
-        # and the speedup held, so the pair passes
-        assert not comparison.same_host
-        assert comparison.ok
+        with pytest.raises(ValueError, match="BENCH_old.json"):
+            compare(str(legacy), cand, specs=TOY_SPECS)
 
 
 def test_compare_default_specs_are_the_registered_families(tmp_path):

@@ -1,6 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
 import sys
+import time
 
 import pytest
 
@@ -74,4 +75,17 @@ def infer_and_check(source, mode=SubtypingMode.FIELD, **config_kwargs):
         result.target, mode=mode.value, downcast=config.downcast.value
     )
     assert report.ok, [str(i) for i in report.issues[:5]]
+    return result
+
+
+def infer_within(source, config, seconds=1.0):
+    """``infer_source`` that must finish within ``seconds`` of wall clock.
+
+    The ablation cost bound: the paper's prototype infers each benchmark
+    program well under a second, and so must every ablation config here.
+    """
+    start = time.perf_counter()
+    result = infer_source(source, config)
+    elapsed = time.perf_counter() - start
+    assert elapsed < seconds, f"inference took {elapsed:.2f}s (bound {seconds}s)"
     return result

@@ -18,6 +18,7 @@ from repro.bench.composite import (
     rename_local,
     tweak_method_body,
 )
+from repro.bench.families import REINFER_EDIT
 from repro.bench.olden import OLDEN_PROGRAMS
 from repro.core import InferenceConfig, SubtypingMode, infer_source
 from repro.core.infer import reinfer_program
@@ -168,6 +169,29 @@ class TestDifferentialSuite(object):
             assert rendered(result) == rendered(infer_source(edited)), (
                 f"{name}: {kind} {token!r} diverged from scratch"
             )
+
+
+class TestCompositeCorpus(object):
+    """The edit-one-method workload of the ``incremental_reinfer``
+    family: one body edit in the four-program composite corpus."""
+
+    @pytest.fixture(scope="class")
+    def prior(self):
+        return infer_source(composite_source())
+
+    @pytest.fixture(scope="class")
+    def edited(self):
+        return tweak_method_body(composite_source(), *REINFER_EDIT)
+
+    def test_full_inference_composite(self, prior):
+        assert len(prior.scc_keys) >= 30  # the corpus is genuinely multi-SCC
+
+    def test_incremental_reinfer_composite(self, prior, edited):
+        result = reinfer(prior, edited)
+        assert result.reused_sccs > result.reinferred_sccs >= 1
+
+    def test_incremental_is_byte_identical(self, prior, edited):
+        assert rendered(reinfer(prior, edited)) == rendered(infer_source(edited))
 
 
 class TestInterfaceRipple(object):

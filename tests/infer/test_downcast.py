@@ -7,8 +7,9 @@ from repro.core import DowncastStrategy, InferenceConfig, infer_source
 from repro.core.downcast import DowncastAnalysis
 from repro.frontend import parse_program
 from repro.lang import target as T
-from repro.regions import RegionSolver
+from repro.regions import RegionEq, RegionSolver
 from repro.typing import check_program
+from tests.conftest import infer_within
 
 FIG7 = """
 class A extends Object { Object fa; }
@@ -138,6 +139,37 @@ class TestFirstRegionTechnique(object):
             solver = RegionSolver(pre)
             for extra in cast.type.regions[k:]:
                 assert solver.same_region(extra, first) or extra == first
+
+
+def _equality_count(result):
+    """Forced region equalities across all preconditions (coarseness)."""
+    return sum(
+        isinstance(atom, RegionEq)
+        for abstraction in result.target.q
+        for atom in abstraction.body.atoms
+    )
+
+
+class TestPaddingVersusFirstRegion(object):
+    @pytest.mark.parametrize(
+        "strategy",
+        (DowncastStrategy.PADDING, DowncastStrategy.FIRST_REGION),
+        ids=lambda s: s.value,
+    )
+    def test_downcast_strategy_cost(self, strategy):
+        """Each technique infers Fig 7 in under a second and checks."""
+        result = infer_within(FIG7, InferenceConfig(downcast=strategy))
+        assert check_target(result.target, downcast=strategy.value).ok
+
+    def test_padding_beats_first_region_precision(self):
+        """Padding preserves upcast-lost regions only where a downcast can
+        reach them, so it never forces more region equalities than
+        first-region."""
+        padded = infer_source(FIG7, InferenceConfig(downcast=DowncastStrategy.PADDING))
+        first = infer_source(
+            FIG7, InferenceConfig(downcast=DowncastStrategy.FIRST_REGION)
+        )
+        assert _equality_count(padded) <= _equality_count(first)
 
 
 class TestRejectStrategy(object):

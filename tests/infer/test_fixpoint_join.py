@@ -11,7 +11,7 @@ import pytest
 from repro.core import InferenceConfig, SubtypingMode, infer_source
 from repro.lang import target as T
 from repro.regions import RegionSolver
-from tests.conftest import JOIN_SOURCE, infer_and_check
+from tests.conftest import JOIN_SOURCE, infer_and_check, infer_within
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +118,28 @@ class TestMonomorphicAblation(object):
             )
 
         assert merged_pairs(result) < merged_pairs(mono)
+
+    def test_polyrec_precision(self):
+        """The swapped recursive call collapses the two parameter lists'
+        regions without polymorphic recursion, and only without it."""
+
+        def equates_params(polymorphic):
+            config = InferenceConfig(
+                mode=SubtypingMode.OBJECT, polymorphic_recursion=polymorphic
+            )
+            result = infer_source(JOIN_SOURCE, config)
+            xs, ys, _ = _param_regions(result)
+            solver = RegionSolver(result.target.q["pre.join"].body)
+            return any(solver.same_region(a, b) for a, b in zip(xs, ys))
+
+        assert equates_params(polymorphic=False)
+        assert not equates_params(polymorphic=True)
+
+    @pytest.mark.parametrize("polymorphic", [True, False], ids=["poly", "mono"])
+    def test_inference_under_a_second(self, polymorphic):
+        infer_within(
+            JOIN_SOURCE,
+            InferenceConfig(
+                mode=SubtypingMode.OBJECT, polymorphic_recursion=polymorphic
+            ),
+        )

@@ -14,6 +14,10 @@ from repro.core import InferenceConfig, SubtypingMode, infer_source
 from repro.lang import target as T
 from repro.regions import NULL_REGION, Outlives, RegionEq, RegionSolver
 from repro.runtime import Interpreter
+from tests.conftest import infer_within
+
+#: the RegJava programs with the most null literals
+NULL_HEAVY = ("mergesort", "reynolds3", "naive-life")
 
 BRANCHY = """
 class Box extends Object { Object item; }
@@ -75,6 +79,31 @@ class TestPrecision(object):
             return len(result.target.q["pre.pick"].body)
 
         assert pre_size(ext) <= pre_size(base)
+
+    @pytest.mark.parametrize("enabled", [False, True], ids=["plain", "null-region"])
+    @pytest.mark.parametrize("name", NULL_HEAVY)
+    def test_nullregion_inference_cost(self, name, enabled):
+        """Both configs infer each null-heavy program in under a second
+        and check."""
+        result = infer_within(
+            REGJAVA_PROGRAMS[name].source,
+            InferenceConfig(null_fictitious_regions=enabled),
+        )
+        assert check_target(result.target).ok
+
+    def test_nullregion_never_increases_constraints(self):
+        """Total atoms over every precondition and invariant never grow
+        with the extension."""
+
+        def volume(source, config):
+            result = infer_source(source, config)
+            return sum(len(a.body) for a in result.target.q)
+
+        for name in NULL_HEAVY:
+            source = REGJAVA_PROGRAMS[name].source
+            plain = volume(source, InferenceConfig())
+            extended = volume(source, InferenceConfig(null_fictitious_regions=True))
+            assert extended <= plain, f"{name}: null regions added constraints"
 
 
 class TestSoundness(object):

@@ -2,6 +2,11 @@
 
 import pytest
 
+from repro.bench.families import (
+    ALTERNATING_REGIONS,
+    alternating_workload,
+    constraint_bundles,
+)
 from repro.regions import (
     Constraint,
     HEAP,
@@ -393,6 +398,36 @@ class TestIncrementalMaintenance:
         solver.add_outlives(HEAP, b)   # heap is top anyway
         assert solver.stats.incremental_hits == 0
         assert solver.stats.full_rebuilds == 1
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_alternating_add_query(self, n):
+        """Every add after the priming query is absorbed without a
+        rebuild, at either size."""
+        solver = RegionSolver()
+        answers = alternating_workload(solver, constraint_bundles(n))
+        assert solver.stats.full_rebuilds == 1
+        assert solver.stats.cycle_fallbacks == 0
+        assert solver.stats.incremental_edges > 0
+        assert any(answers) and not all(answers)
+
+    def test_alternating_workload_builds_the_cache_once(self):
+        """The letreg-shaped workload of the ``solver_scaling`` family:
+        one edge add then a query burst, round-robin over short chains.
+        Incremental maintenance builds the cache once and absorbs every
+        later add; the ``incremental=False`` baseline rebuilds per burst
+        and gives the same answers."""
+        n = ALTERNATING_REGIONS
+        bundles = constraint_bundles(n)
+        solver = RegionSolver()
+        answers = alternating_workload(solver, bundles)
+        rebuild = RegionSolver(incremental=False)
+        assert alternating_workload(rebuild, constraint_bundles(n)) == answers
+        assert any(answers) and not all(answers)
+        assert solver.stats.full_rebuilds == 1
+        assert solver.stats.cycle_fallbacks == 0
+        assert solver.stats.incremental_edges == n - len(bundles)
+        assert rebuild.stats.incremental_hits == 0
+        assert rebuild.stats.full_rebuilds > 100  # one per mutation burst
 
     def test_incremental_false_restores_rebuild_per_burst(self):
         a, b, c, d = Region.fresh_many(4)

@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.bench.pkb import load_report
 from tests.conftest import PAIR_SOURCE
 
 
@@ -46,7 +47,7 @@ class TestBatchStats(object):
 
 class TestLoadgenCommand(object):
     def test_self_hosted_sweep_writes_the_artifact(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_6.json"
+        out = tmp_path / "loadgen.json"
         code = main(
             [
                 "loadgen",
@@ -61,14 +62,19 @@ class TestLoadgenCommand(object):
         assert code == 0
         text = capsys.readouterr().out
         assert "0 failed" in text
-        report = json.loads(out.read_text())
-        assert report["benchmark"] == "serve_loadgen"
-        assert report["summary"]["total_failed"] == 0
+        report = load_report(str(out))
+        assert set(report["families"]) == {"serve_loadgen"}
         assert {s["metric"] for s in report["samples"]} >= {
             "latency_p50",
             "latency_p99",
             "throughput",
         }
+        failed = [
+            s["value"]
+            for s in report["samples"]
+            if s["metric"] == "requests_failed"
+        ]
+        assert failed == [0, 0]
 
 
 class TestServeParser(object):

@@ -82,24 +82,31 @@ class TestSweep(object):
             assert sample["metadata"]["corpus"] == "olden"
             assert sample["metadata"]["tenants"] == 2
         assert by_level == {1: EXPECTED_METRICS, 2: EXPECTED_METRICS}
-        # the artifact on disk is the same report
-        assert json.loads(out.read_text())["summary"] == summary
+        # the artifact on disk publishes the same samples
+        written = json.loads(out.read_text())["samples"]
+        assert [{k: v for k, v in entry.items() if k != "family"}
+                for entry in written] == result["samples"]
 
-    def test_report_is_schema_versioned_with_host_metadata(self):
-        from repro.bench.pkb import SCHEMA_VERSION
+    def test_report_is_schema_versioned_with_host_metadata(self, tmp_path):
+        from repro.bench.pkb import SCHEMA_VERSION, load_report
 
-        result = run_loadgen(
+        out = tmp_path / "loadgen.json"
+        run_loadgen(
             LoadgenConfig(
                 levels=(1,), requests_per_level=2, programs=("treeadd",)
             ),
             self_host=True,
             server_config=ServerConfig(backend="thread"),
+            output=str(out),
         )
-        assert result["schema_version"] == SCHEMA_VERSION
-        assert result["host"]["cpu_count"] >= 1
+        report = load_report(str(out))
+        assert report["schema_version"] == SCHEMA_VERSION
+        assert report["host"]["cpu_count"] >= 1
+        assert report["families"]["serve_loadgen"]["samples"] == 7
         # the worker count resolves to a real number, never the old
         # string "auto" the unset cap used to publish as
-        for sample in result["samples"]:
+        for sample in report["samples"]:
+            assert sample["family"] == "serve_loadgen"
             workers = sample["metadata"]["workers"]
             assert isinstance(workers, int) and workers >= 1
 
