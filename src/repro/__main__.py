@@ -784,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="output format (json carries structured diagnostics)",
         )
 
-    def pool(p: argparse.ArgumentParser) -> None:
+    def pool(p: argparse.ArgumentParser, daemon: bool = False) -> None:
         p.add_argument(
             "--jobs",
             type=int,
@@ -796,7 +796,13 @@ def build_parser() -> argparse.ArgumentParser:
             "--backend",
             choices=list(BACKENDS),
             default=None,
-            help="executor backend: thread (default) or process (multi-core)",
+            help=(
+                "executor backend: thread or process (default: process "
+                "when more than one CPU is allowed, else thread)"
+                if daemon
+                else "executor backend: thread (default) or process "
+                "(multi-core)"
+            ),
         )
 
     def common(p: argparse.ArgumentParser, collect: bool = True) -> None:
@@ -970,7 +976,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--quiet", action="store_true", help="suppress per-request logging"
     )
-    pool(p_serve)
+    pool(p_serve, daemon=True)
     p_serve.set_defaults(func=cmd_serve)
 
     p_loadgen = sub.add_parser(
@@ -1030,7 +1036,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="publish the samples here as a one-family bench report "
         "(the `repro bench publish` layout)",
     )
-    pool(p_loadgen)
+    pool(p_loadgen, daemon=True)
     output(p_loadgen)
     p_loadgen.set_defaults(func=cmd_loadgen)
 
@@ -1165,8 +1171,8 @@ def build_parser() -> argparse.ArgumentParser:
         "compare",
         help="diff two published sample files, gating on regressions",
         description="Per-metric diff with per-family tolerance: exit 1 "
-        "when any gated metric regresses beyond its tolerance.  Legacy "
-        "single-family BENCH files load too.",
+        "when any gated metric regresses beyond its tolerance.  Files in "
+        "a layout other than `repro bench publish` exit 2.",
     )
     b_compare.add_argument("baseline", help="the older published file")
     b_compare.add_argument("candidate", help="the newer published file")

@@ -44,7 +44,6 @@ from ..core import (
     InferenceError,
     InferenceResult,
     RegionInference,
-    SccSplice,
     reinfer_program,
 )
 from ..frontend.lexer import LexError
@@ -393,19 +392,13 @@ class Pipeline:
             cache_key=cache_key,
         )
 
-    def reinfer(
-        self,
-        prior: "InferenceResult",
-        *,
-        scc_lookup: Optional[Callable[[str], Optional["SccSplice"]]] = None,
-    ) -> StageResult:
+    def reinfer(self, prior: "InferenceResult") -> StageResult:
         """Incremental variant of :meth:`infer` against a prior result.
 
         Parses this pipeline's source, then re-infers it through
         :func:`repro.core.reinfer_program` — only the method SCCs dirtied
         relative to ``prior`` re-run their fixed points; everything else
-        is spliced from the prior result (or from ``scc_lookup``, the
-        session's content-addressed SCC cache).  The stage memoises and
+        is spliced from the prior result.  The stage memoises and
         caches under the same ``infer`` key as :meth:`infer`, so an
         unchanged resubmission is an ordinary file-level cache hit and
         downstream stages (:meth:`verify`, :meth:`execute`) consume the
@@ -419,9 +412,7 @@ class Pipeline:
         program = prev.value
         return self._run_stage(
             "infer",
-            lambda: reinfer_program(
-                program, prior, self.config, scc_lookup=scc_lookup
-            ),
+            lambda: reinfer_program(program, prior, self.config),
             errors=(InferenceError, NormalTypeError),
             cache_key=(self._key, config_key(self.config)),
         )

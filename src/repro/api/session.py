@@ -214,13 +214,6 @@ class _ArtifactStore:
     evicted by the byte bound (the caller is holding it), so a single
     oversized artifact degrades to cache-of-one rather than thrashing.
     Both bounds may be set; either alone works.  Unbounded by default.
-
-    ``on_evict`` (an attribute, settable after construction) is called as
-    ``on_evict(kind, key)`` for every LRU-evicted entry, outside the
-    store lock.  The session uses it to couple the tiers: evicting a
-    document's file-level ``infer`` anchor also drops the document's
-    SCC-level entries, which would otherwise be stranded (unreachable —
-    the lineage that keyed them is gone — yet still holding bytes).
     """
 
     def __init__(
@@ -240,26 +233,19 @@ class _ArtifactStore:
         self._stats = stats
         self._max_entries = max_entries
         self._max_bytes = max_bytes
-        self.on_evict: Optional[Callable[[str, Hashable], None]] = None
 
-    def _evict_lru_locked(self) -> Tuple[str, Hashable]:
+    def _evict_lru_locked(self) -> None:
         (evicted_kind, evicted_key), _ = self._data.popitem(last=False)
         self._bytes -= self._costs.pop((evicted_kind, evicted_key), 0)
         self._stats.record_eviction(evicted_kind)
-        return evicted_kind, evicted_key
 
-    def _shrink_locked(self, evicted: List[Tuple[str, Hashable]]) -> None:
+    def _shrink_locked(self) -> None:
         if self._max_entries is not None:
             while len(self._data) > self._max_entries:
-                evicted.append(self._evict_lru_locked())
+                self._evict_lru_locked()
         if self._max_bytes is not None:
             while self._bytes > self._max_bytes and len(self._data) > 1:
-                evicted.append(self._evict_lru_locked())
-
-    def _notify_evictions(self, evicted: List[Tuple[str, Hashable]]) -> None:
-        if self.on_evict is not None:
-            for kind, key in evicted:
-                self.on_evict(kind, key)
+                self._evict_lru_locked()
 
     def get_or_build(
         self, kind: str, key: Hashable, builder: Callable[[], Any]
@@ -283,7 +269,6 @@ class _ArtifactStore:
         cost = (
             _approx_artifact_bytes(value) if self._max_bytes is not None else 0
         )
-        evicted: List[Tuple[str, Hashable]] = []
         with self._lock:
             winner = self._data.setdefault(full_key, value)
             if winner is value and full_key not in self._costs:
@@ -293,8 +278,7 @@ class _ArtifactStore:
                 self._bytes += cost
             self._data.move_to_end(full_key)
             self._stats.record(kind, hit=False)
-            self._shrink_locked(evicted)
-        self._notify_evictions(evicted)
+            self._shrink_locked()
         return winner, False
 
     def peek(
@@ -303,10 +287,9 @@ class _ArtifactStore:
         """The cached value, or ``None`` — no build, no miss recorded.
 
         A present entry has its LRU recency refreshed (a peek is a real
-        use; the SCC tier answers incremental lookups through it).
-        Callers that want traffic accounted record their own kind —
-        ``peek`` serves several (``scc.lookup``, lineage anchors) and the
-        store cannot know which.  ``record_hit=True`` also counts a found
+        use; :meth:`Session.reinfer` reads document lineages and their
+        priors through it).  Callers that want traffic accounted record
+        their own kind.  ``record_hit=True`` also counts a found
         entry as one hit on ``kind``, under the same lock as the lookup:
         the atomic probe behind :meth:`Pipeline.infer
         <repro.api.pipeline.Pipeline.infer>`'s short-circuit and
@@ -324,51 +307,24 @@ class _ArtifactStore:
             return self._data[full_key]
 
     def put(self, kind: str, key: Hashable, value: Any) -> None:
-        """Insert (or refresh) an entry without hit/miss accounting.
+        """Insert or replace an entry without hit/miss accounting.
 
-        The SCC tier installs its splice entries through this: an insert
-        is not a cache *miss* (nothing was looked up and not found), so
-        routing it through :meth:`get_or_build` would overstate misses.
-        Eviction pressure and byte accounting behave exactly as for
-        built artifacts; re-putting an existing key refreshes recency
-        without re-charging its weight.
+        :meth:`Session.reinfer` records document lineages through this:
+        moving a document to its next version is not a cache *miss*
+        (nothing was looked up and not found).  A replaced entry is
+        re-charged at its new value's weight and refreshed to most
+        recent; eviction pressure applies exactly as for built artifacts.
         """
         full_key = (kind, key)
-        with self._lock:
-            if full_key in self._data:
-                self._data.move_to_end(full_key)
-                return
         cost = (
             _approx_artifact_bytes(value) if self._max_bytes is not None else 0
         )
-        evicted: List[Tuple[str, Hashable]] = []
         with self._lock:
-            winner = self._data.setdefault(full_key, value)
-            if winner is value and full_key not in self._costs:
-                self._costs[full_key] = cost
-                self._bytes += cost
+            self._bytes += cost - self._costs.get(full_key, 0)
+            self._costs[full_key] = cost
+            self._data[full_key] = value
             self._data.move_to_end(full_key)
-            self._shrink_locked(evicted)
-        self._notify_evictions(evicted)
-
-    def discard(
-        self, kind: str, key: Hashable, *, count_eviction: bool = False
-    ) -> bool:
-        """Drop one entry if present; returns whether it was there.
-
-        ``count_eviction=True`` records the drop in the per-kind eviction
-        counters — used by the tier coupling, where a cascaded discard is
-        an eviction in every sense the stats care about.
-        """
-        full_key = (kind, key)
-        with self._lock:
-            if full_key not in self._data:
-                return False
-            del self._data[full_key]
-            self._bytes -= self._costs.pop(full_key, 0)
-            if count_eviction:
-                self._stats.record_eviction(kind)
-            return True
+            self._shrink_locked()
 
     def contains(self, kind: str, key: Hashable) -> bool:
         """Membership test with no side effects (no stats, no LRU refresh).
@@ -395,26 +351,6 @@ class _ArtifactStore:
         """Approximate bytes held (0 unless a byte bound is configured)."""
         with self._lock:
             return self._bytes
-
-
-@dataclass
-class _DocumentLineage:
-    """Where a logical document's last accepted inference came from.
-
-    ``source_key`` anchors the prior :class:`~repro.core.InferenceResult`
-    in the file-level store (the result itself is *not* held here — it
-    stays evictable; a reinfer whose anchor was evicted simply falls back
-    to a full run).  ``token`` names the document's *annotation universe*:
-    SCC splice entries reference region uids minted by one full inference
-    run, so entries are only meaningful against priors that adopted the
-    same class annotations.  A full re-run (class structure change,
-    config change, evicted anchor) mints a new universe, orphaning —
-    and purging — the old token's entries.
-    """
-
-    source_key: str
-    token: int
-    scc_store_keys: set = field(default_factory=set)
 
 
 class Session:
@@ -491,15 +427,6 @@ class Session:
             pool.acquire() if pool is not None else None
         )
         self._pool_lock = threading.Lock()
-        # document lineages for incremental re-inference (Session.reinfer):
-        # (document, config key) -> _DocumentLineage, plus a reverse map
-        # from file-level anchor keys to the documents anchored on them so
-        # anchor eviction can cascade into the SCC tier
-        self._documents: Dict[Tuple[str, Hashable], _DocumentLineage] = {}
-        self._doc_anchors: Dict[Hashable, set] = {}
-        self._doc_lock = threading.RLock()
-        self._universe_seq = 0
-        self._store.on_evict = self._on_store_evict
 
     # -- the worker pool ---------------------------------------------------
     def process_pool(self) -> WorkerPool:
@@ -573,8 +500,6 @@ class Session:
             }
         )
 
-    _merge_worker_delta = merge_worker_delta
-
     # -- pipelines ---------------------------------------------------------
     def pipeline(
         self,
@@ -619,164 +544,62 @@ class Session:
         the dirty method SCCs (:func:`repro.core.reinfer_program`).  The
         output is byte-identical to a from-scratch inference.
 
-        Beside the file-level artifact store, the session keeps a
-        second-level **SCC cache**: each inference's per-SCC splices are
-        stored under their content-addressed fingerprints (plus the
-        document's annotation-universe token and config), so an SCC
-        dirtied relative to the *latest* prior can still be served from
-        an *earlier* version — reverting an edit re-infers nothing.
+        A document's lineage is the source key of its last accepted
+        version, held as an ordinary ``document`` entry in the session's
+        store: the cache bound covers it, and an evicted lineage (or an
+        evicted prior) simply means the next submission runs in full.
         Observable via ``scc.*`` stats kinds: ``scc.document`` (hit =
-        incremental path taken), ``scc.reuse`` (per-SCC spliced vs
-        re-inferred), ``scc.lookup`` (second-level probe outcomes).
+        incremental path taken) and ``scc.reuse`` (per-SCC spliced vs
+        re-inferred).
         """
         cfg = config or self.config
         ck = config_key(cfg)
-        doc_key = (document, ck)
         skey = _source_key(source)
-        with self._doc_lock:
-            lineage = self._documents.get(doc_key)
-            prior_skey = lineage.source_key if lineage is not None else None
-            token = lineage.token if lineage is not None else None
+        prior_skey = self._store.peek("document", (document, ck))
         prior: Optional[InferenceResult] = (
             self._store.peek("infer", (prior_skey, ck))
             if prior_skey is not None
             else None
         )
         if prior is None:
-            # first submission for this document, or its anchor was
-            # evicted: full (file-level cached) inference
+            # first submission for this document, or its lineage or prior
+            # was evicted: full (file-level cached) inference
             result = self.infer(source, cfg)
             self.stats.record("scc.document", hit=False)
-            self._adopt_lineage(doc_key, skey, result, prior=None)
-            return result
-        if prior_skey == skey:
+        elif prior_skey == skey:
             # unchanged resubmission: the prior answers outright
             self.stats.record("scc.document", hit=True)
-            if prior.scc_keys:
-                self.stats.merge({"hits": {"scc.reuse": len(prior.scc_keys)}})
-            return prior
-
-        def lookup(fingerprint: str):
-            entry = self._store.peek(
-                "scc", (document, token, fingerprint, ck)
+            self._record_scc_reuse(
+                prior.reused_sccs + prior.reinferred_sccs, 0
             )
-            self.stats.record("scc.lookup", hit=entry is not None)
-            return entry
-
-        pipe = self.pipeline(source, cfg)
-        stage = pipe.reinfer(prior, scc_lookup=lookup)
-        result = stage.unwrap()
-        incremental = result.annotations is prior.annotations
-        self.stats.record("scc.document", hit=incremental)
-        if stage.cached:
-            # this exact source was inferred before (e.g. toggling
-            # between two versions): everything is reused
-            if result.scc_keys:
-                self.stats.merge({"hits": {"scc.reuse": len(result.scc_keys)}})
+            return prior
         else:
-            delta: Dict[str, Dict[str, int]] = {}
-            if result.reused_sccs:
-                delta["hits"] = {"scc.reuse": result.reused_sccs}
-            if result.reinferred_sccs:
-                delta["misses"] = {"scc.reuse": result.reinferred_sccs}
-            if delta:
-                self.stats.merge(delta)
-        self._adopt_lineage(doc_key, skey, result, prior=prior)
+            stage = self.pipeline(source, cfg).reinfer(prior)
+            result = stage.unwrap()
+            self.stats.record(
+                "scc.document", hit=result.annotations is prior.annotations
+            )
+            if stage.cached:
+                # this exact source was inferred before (e.g. toggling
+                # between two versions): everything is reused
+                self._record_scc_reuse(
+                    result.reused_sccs + result.reinferred_sccs, 0
+                )
+            else:
+                self._record_scc_reuse(
+                    result.reused_sccs, result.reinferred_sccs
+                )
+        self._store.put("document", (document, ck), skey)
         return result
 
-    def _next_universe(self) -> int:
-        with self._doc_lock:
-            self._universe_seq += 1
-            return self._universe_seq
-
-    def _adopt_lineage(
-        self,
-        doc_key: Tuple[str, Hashable],
-        skey: str,
-        result: InferenceResult,
-        prior: Optional[InferenceResult],
-    ) -> None:
-        """Install ``result`` as a document's lineage + its SCC entries.
-
-        Same annotation universe as the prior (incremental result, or a
-        cached artifact from the same lineage): the token and existing
-        SCC entries carry over.  New universe (first submission, full
-        fallback, foreign cached artifact): mint a fresh token and purge
-        the old token's now-unreachable entries.
-        """
-        document, ck = doc_key
-        stale: set = set()
-        with self._doc_lock:
-            lineage = self._documents.get(doc_key)
-            same_universe = (
-                lineage is not None
-                and prior is not None
-                and result.annotations is prior.annotations
-            )
-            if same_universe:
-                token = lineage.token
-                keys = lineage.scc_store_keys
-            else:
-                token = self._next_universe()
-                keys = set()
-                if lineage is not None:
-                    stale = set(lineage.scc_store_keys)
-            new_lineage = _DocumentLineage(
-                source_key=skey, token=token, scc_store_keys=keys
-            )
-            self._documents[doc_key] = new_lineage
-            if lineage is not None:
-                old_anchor = (lineage.source_key, ck)
-                anchored = self._doc_anchors.get(old_anchor)
-                if anchored is not None:
-                    anchored.discard(doc_key)
-                    if not anchored:
-                        del self._doc_anchors[old_anchor]
-            self._doc_anchors.setdefault((skey, ck), set()).add(doc_key)
-            to_install = [
-                (methods, fp)
-                for methods, fp in result.scc_keys.items()
-                if (document, token, fp, ck) not in keys
-            ]
-        # store mutations happen outside _doc_lock: put() may cascade into
-        # _on_store_evict, which takes it
-        for key in stale:
-            self._store.discard("scc", key, count_eviction=True)
-        installed = []
-        for methods, fp in to_install:
-            splice = result.scc_splice(methods)
-            if splice is None:
-                continue
-            entry_key = (document, token, fp, ck)
-            self._store.put("scc", entry_key, splice)
-            installed.append(entry_key)
-        if installed:
-            with self._doc_lock:
-                current = self._documents.get(doc_key)
-                if current is new_lineage:
-                    current.scc_store_keys.update(installed)
-
-    def _on_store_evict(self, kind: str, key: Hashable) -> None:
-        """Tier coupling: a document's evicted anchor drops its SCC entries.
-
-        Without this, evicting a file-level ``infer`` artifact that some
-        document lineage anchors on would strand that document's SCC
-        entries — unreachable (the next ``reinfer`` falls back to a full
-        run under a fresh universe token) but still charged to the cache.
-        """
-        if kind != "infer":
-            return
-        stale: set = set()
-        with self._doc_lock:
-            doc_keys = self._doc_anchors.pop(key, None)
-            if not doc_keys:
-                return
-            for doc_key in doc_keys:
-                lineage = self._documents.pop(doc_key, None)
-                if lineage is not None:
-                    stale.update(lineage.scc_store_keys)
-        for entry_key in stale:
-            self._store.discard("scc", entry_key, count_eviction=True)
+    def _record_scc_reuse(self, reused: int, reinferred: int) -> None:
+        delta: Dict[str, Dict[str, int]] = {}
+        if reused:
+            delta["hits"] = {"scc.reuse": reused}
+        if reinferred:
+            delta["misses"] = {"scc.reuse": reinferred}
+        if delta:
+            self.stats.merge(delta)
 
     def check(
         self, source: str, config: Optional[InferenceConfig] = None
@@ -1098,18 +921,12 @@ class Session:
 
     # -- maintenance -------------------------------------------------------
     def clear_cache(self) -> None:
-        """Drop every cached artifact, both tiers (counters are preserved).
+        """Drop every cached artifact (counters are preserved).
 
-        The SCC-level splice entries live in the same store as the
-        file-level artifacts, so one clear covers both; the document
-        lineages that keyed the SCC tier are reset with it (their anchors
-        and universes are gone), so the next ``reinfer`` of any document
-        starts a fresh lineage with a full run.
+        Document lineages are store entries too, so the next ``reinfer``
+        of any document starts a fresh lineage with a full run.
         """
         self._store.clear()
-        with self._doc_lock:
-            self._documents.clear()
-            self._doc_anchors.clear()
 
     @property
     def cache_size(self) -> int:
@@ -1117,9 +934,5 @@ class Session:
 
     @property
     def cache_bytes(self) -> int:
-        """Approximate bytes cached (0 unless ``max_cache_bytes`` is set).
-
-        Covers both tiers: file-level stage artifacts and the SCC-level
-        splice entries share one byte-weighted store.
-        """
+        """Approximate bytes cached (0 unless ``max_cache_bytes`` is set)."""
         return self._store.bytes_used

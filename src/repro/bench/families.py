@@ -328,7 +328,7 @@ def _reinfer_run(ctx: RunContext) -> List[Sample]:
     meta = {
         "corpus": REINFER_CORPUS,
         "edit": REINFER_EDIT_LABEL,
-        "sccs_total": len(result.scc_keys),
+        "sccs_total": result.reused_sccs + result.reinferred_sccs,
         "sccs_reused": result.reused_sccs,
         "sccs_reinferred": result.reinferred_sccs,
         "rounds": rounds,
@@ -508,7 +508,7 @@ def _gen_run(ctx: RunContext) -> List[Sample]:
         "classes": classes,
         "seed": GEN_SCALING_SEED,
         "edit": "one body literal (edit_script)",
-        "sccs_total": len(result.scc_keys),
+        "sccs_total": result.reused_sccs + result.reinferred_sccs,
         "sccs_reused": result.reused_sccs,
         "rounds": rounds,
     }

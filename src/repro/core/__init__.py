@@ -16,7 +16,6 @@ from .infer import (
     InferenceConfig,
     InferenceResult,
     RegionInference,
-    SccSplice,
     infer_program,
     infer_source,
     plan_salts,
@@ -39,7 +38,6 @@ __all__ = [
     "InferenceConfig",
     "InferenceResult",
     "RegionInference",
-    "SccSplice",
     "infer_program",
     "infer_source",
     "plan_salts",

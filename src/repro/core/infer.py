@@ -32,7 +32,7 @@ import bisect
 import hashlib
 import time
 from dataclasses import dataclass, field as dc_field, replace as dc_replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..frontend.parser import parse_program
 from ..lang import ast as S
@@ -83,7 +83,6 @@ __all__ = [
     "RegionInference",
     "infer_program",
     "infer_source",
-    "SccSplice",
     "plan_salts",
     "reinfer_program",
     "scc_splice_keys",
@@ -219,56 +218,10 @@ class InferenceResult:
     reinferred_sccs: int = 0
     #: qualified names whose results were spliced rather than re-inferred
     reused_methods: Tuple[str, ...] = ()
-    #: splice-cache key per method SCC (see :func:`scc_splice_keys`) --
-    #: what a second-level session cache indexes :class:`SccSplice`
-    #: entries by
-    scc_keys: Dict[Tuple[str, ...], str] = dc_field(default_factory=dict)
 
     @property
     def total_localized(self) -> int:
         return sum(self.localized_regions.values())
-
-    def scc_splice(self, methods: Tuple[str, ...]) -> Optional["SccSplice"]:
-        """Extract one SCC's splice-able slice of this result.
-
-        Returns ``None`` when the result lacks replay state for any
-        member (pre-incremental results, or methods that failed to
-        produce a target body).  The returned entry aliases this
-        result's schemes and target bodies; both are immutable after
-        assembly, so sharing is safe.
-        """
-        tms: Dict[str, T.TMethodDecl] = {}
-        for c in self.target.classes:
-            for m in c.methods:
-                tms[f"{c.name}.{m.name}"] = m
-        for m in self.target.statics:
-            tms[m.name] = m
-        schemes: Dict[str, MethodScheme] = {}
-        raw: Dict[str, ConstraintAbstraction] = {}
-        mins: Dict[str, ConstraintAbstraction] = {}
-        tmethods: Dict[str, T.TMethodDecl] = {}
-        localized: Dict[str, int] = {}
-        for qn in methods:
-            scheme = self.schemes.get(qn)
-            if scheme is None or qn not in self.raw_pres or qn not in tms:
-                return None
-            schemes[qn] = scheme
-            raw[qn] = self.raw_pres[qn]
-            if scheme.pre in self.target.q:
-                mins[qn] = self.target.q[scheme.pre]
-            tmethods[qn] = tms[qn]
-            localized[qn] = self.localized_regions.get(qn, 0)
-        return SccSplice(
-            methods=tuple(methods),
-            schemes=schemes,
-            raw_pres=raw,
-            min_pres=mins,
-            tmethods=tmethods,
-            localized=localized,
-            fixpoint_iterations=self.fixpoint_iterations.get(
-                tuple(sorted(methods)), 0
-            ),
-        )
 
     def fingerprint(self) -> Dict[str, Tuple[int, int]]:
         """A structural identity, stable across runs and processes.
@@ -331,34 +284,16 @@ def plan_salts(program: S.Program, plan: PaddingPlan) -> Dict[str, str]:
     return salts
 
 
-@dataclass
-class SccSplice:
-    """One method SCC's splice-able inference output.
-
-    This is the value of the second-level (SCC-granular) session cache:
-    everything incremental re-inference needs to adopt an SCC's prior
-    result without re-running its fixed point.  Entries are only valid
-    within the *annotation universe* that produced them -- the class
-    annotations whose region uids the schemes reference -- so caches key
-    them by (universe token, splice key, config).
-    """
-
-    #: the SCC's qualified method names, sorted
-    methods: Tuple[str, ...]
-    schemes: Dict[str, MethodScheme]
-    #: pre abstractions before minimisation (the replay splice)
-    raw_pres: Dict[str, ConstraintAbstraction]
-    #: pre abstractions after minimisation (restored for clean methods)
-    min_pres: Dict[str, ConstraintAbstraction]
-    tmethods: Dict[str, T.TMethodDecl]
-    localized: Dict[str, int]
-    fixpoint_iterations: int = 0
-
-
 def scc_splice_keys(
     graph: DependencyGraph, salts: Optional[Dict[str, str]] = None
 ) -> Dict[Tuple[str, ...], str]:
-    """Content-addressed cache keys per method SCC.
+    """Content-addressed keys per method SCC.
+
+    Nothing in the inference pipeline calls this: incremental
+    re-inference splices only from the document's prior result, which
+    :func:`repro.core.depgraph.diff` scopes without per-SCC keys.  It is
+    kept as a public helper for tools that time or inspect the
+    dependency graph.
 
     The key hashes the SCC's transitive fingerprint together with the
     transitive fingerprints of the members' *owner* class-invariant
@@ -536,7 +471,6 @@ class RegionInference:
         result.pristine_q = self.q.snapshot_base()
         result.plan_salts = plan_salts(self.program, self.plan)
         graph = DependencyGraph(self.program, self.table)
-        result.scc_keys = scc_splice_keys(graph, result.plan_salts)
         if self.config.footprint_scope:
             self._footprints = SccFootprints(graph)
         for scc in graph.method_sccs():
@@ -1389,7 +1323,6 @@ class _IncrementalInference(RegionInference):
         plan: PaddingPlan,
         salts: Dict[str, str],
         dirty: DirtySet,
-        scc_lookup: Optional[Callable[[str], Optional["SccSplice"]]] = None,
     ):
         self.program = program
         self.config = config
@@ -1414,11 +1347,8 @@ class _IncrementalInference(RegionInference):
         self._prior_tms = prior_tms
 
         # splice whole SCCs or not at all: the nest is one fixed point
-        self._scc_keys = scc_splice_keys(graph, salts)
         self._splice_ok: Set[str] = set()
-        self._entry_splice: Dict[Tuple[str, ...], SccSplice] = {}
         for scc in graph.method_sccs():
-            key = tuple(sorted(scc))
             if all(
                 not dirty.is_dirty(qn)
                 and qn in prior.schemes
@@ -1427,38 +1357,15 @@ class _IncrementalInference(RegionInference):
                 for qn in scc
             ):
                 self._splice_ok.update(scc)
-            elif scc_lookup is not None and key in self._scc_keys:
-                # second-level cache: an SCC dirtied relative to *this*
-                # prior may match a result from an earlier edit (e.g. an
-                # undone change).  Entries are keyed by content, and the
-                # session guarantees they share our annotation universe.
-                entry = scc_lookup(self._scc_keys[key])
-                if entry is not None and entry.methods == key and all(
-                    qn in entry.schemes
-                    and qn in entry.raw_pres
-                    and qn in entry.tmethods
-                    for qn in scc
-                ):
-                    self._entry_splice[key] = entry
-        entry_by_method = {
-            qn: entry
-            for entry in self._entry_splice.values()
-            for qn in entry.methods
-        }
 
         self.schemes = {}
         for m in program.all_methods():
             qn = m.qualified_name
-            spliced = None
             if qn in self._splice_ok:
-                spliced = prior.schemes[qn]
-            elif qn in entry_by_method:
-                spliced = entry_by_method[qn].schemes[qn]
-            if spliced is not None:
                 # prior regions and padding, fresh decl (uids must match
                 # the spliced target bodies; the AST is structurally
                 # identical but a different parse)
-                self.schemes[qn] = dc_replace(spliced, decl=m)
+                self.schemes[qn] = dc_replace(prior.schemes[qn], decl=m)
             else:
                 scheme = self.annotator.method_scheme(m)
                 self._pad_scheme(scheme)
@@ -1485,7 +1392,6 @@ class _IncrementalInference(RegionInference):
         result.pristine_q = prior.pristine_q
         result.plan_salts = self._salts
         reused: List[str] = []
-        entry_min_pres: Dict[str, ConstraintAbstraction] = {}
         for scc in self._graph.method_sccs():
             key = tuple(sorted(scc))
             if all(qn in self._splice_ok for qn in scc):
@@ -1501,18 +1407,6 @@ class _IncrementalInference(RegionInference):
                 self._mark_done(scc)
                 result.reused_sccs += 1
                 reused.extend(scc)
-            elif key in self._entry_splice:
-                entry = self._entry_splice[key]
-                for qn in scc:
-                    self.q.define(entry.raw_pres[qn])
-                    self._tmethods[qn] = entry.tmethods[qn]
-                    result.localized_regions[qn] = entry.localized.get(qn, 0)
-                    if qn in entry.min_pres:
-                        entry_min_pres[qn] = entry.min_pres[qn]
-                result.fixpoint_iterations[key] = entry.fixpoint_iterations
-                self._mark_done(scc)
-                result.reused_sccs += 1
-                reused.extend(scc)
             else:
                 self._process_scc(scc, result)
                 result.reinferred_sccs += 1
@@ -1524,13 +1418,10 @@ class _IncrementalInference(RegionInference):
             for qn, scheme in self.schemes.items():
                 if qn in self._splice_ok and scheme.pre in prior.target.q:
                     self.q.define(prior.target.q[scheme.pre])
-                elif qn in entry_min_pres:
-                    self.q.define(entry_min_pres[qn])
                 else:
                     self._minimize_pre(qn)
         self._assemble(result.target)
         result.reused_methods = tuple(sorted(reused))
-        result.scc_keys = dict(self._scc_keys)
         result.elapsed = time.perf_counter() - start
         self.result = result
         return result
@@ -1540,8 +1431,6 @@ def reinfer_program(
     program: S.Program,
     prior: InferenceResult,
     config: Optional[InferenceConfig] = None,
-    *,
-    scc_lookup: Optional[Callable[[str], Optional[SccSplice]]] = None,
 ) -> InferenceResult:
     """Incrementally re-infer ``program`` against a prior result.
 
@@ -1574,8 +1463,7 @@ def reinfer_program(
     if dirty.full:
         return RegionInference(program, config).infer()
     return _IncrementalInference(
-        program, config, prior, table, new_graph, plan, salts, dirty,
-        scc_lookup=scc_lookup,
+        program, config, prior, table, new_graph, plan, salts, dirty
     ).infer()
 
 

@@ -24,11 +24,13 @@ The protocol (see ``docs/serving.md`` for the full reference):
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core import DowncastStrategy, InferenceConfig, SubtypingMode
+from ..runtime.interp import DEFAULT_RECURSION_LIMIT
 
 __all__ = [
     "DEFAULT_TENANT",
@@ -180,8 +182,11 @@ def _parse_timeout(payload: Dict[str, Any], cap: float) -> float:
         return cap
     if not isinstance(timeout, (int, float)) or isinstance(timeout, bool):
         raise WireError("timeout must be a number of seconds", field="timeout")
-    if timeout <= 0:
-        raise WireError("timeout must be positive", field="timeout")
+    # json.loads accepts NaN and Infinity; neither is a deadline
+    if not math.isfinite(timeout) or timeout <= 0:
+        raise WireError(
+            "timeout must be a positive finite number", field="timeout"
+        )
     return min(float(timeout), cap)
 
 
@@ -247,10 +252,13 @@ class RunRequest:
             raise WireError("args must be a list of integers", field="args")
         limit = payload.get("recursion_limit")
         if limit is not None and (
-            not isinstance(limit, int) or isinstance(limit, bool) or limit < 1
+            not isinstance(limit, int)
+            or isinstance(limit, bool)
+            or not 1 <= limit <= DEFAULT_RECURSION_LIMIT
         ):
             raise WireError(
-                "recursion_limit must be a positive integer",
+                "recursion_limit must be an integer in "
+                f"[1, {DEFAULT_RECURSION_LIMIT}]",
                 field="recursion_limit",
             )
         return RunRequest(

@@ -143,6 +143,25 @@ class TestCheckAndRun(object):
         assert status == 400
         assert payload["error"]["field"] == "args"
 
+    def test_non_finite_timeout_is_400(self, router):
+        # json.dumps writes NaN, which json.loads reads back as a float
+        status, payload, _ = _post(
+            router,
+            "/v1/check",
+            {"source": TREEADD.source, "timeout": float("nan")},
+        )
+        assert status == 400
+        assert payload["error"]["field"] == "timeout"
+
+    def test_huge_recursion_limit_is_400(self, router):
+        status, payload, _ = _post(
+            router,
+            "/v1/run",
+            {"source": TREEADD.source, "recursion_limit": 2**40},
+        )
+        assert status == 400
+        assert payload["error"]["field"] == "recursion_limit"
+
 
 class TestBackpressure(object):
     def test_busy_daemon_rejects_with_retry_after(self):

@@ -101,12 +101,15 @@ class TestInferRequest(object):
         )
         assert req.timeout == 30.0
 
-    @pytest.mark.parametrize("bad", [0, -1, "fast", True])
+    @pytest.mark.parametrize(
+        "bad", [0, -1, "fast", True, float("nan"), float("inf")]
+    )
     def test_bad_timeouts_are_rejected(self, bad):
-        with pytest.raises(WireError):
+        with pytest.raises(WireError) as exc:
             InferRequest.from_payload(
                 _payload(timeout=bad), tenant_header=None, timeout_cap=30.0
             )
+        assert exc.value.field == "timeout"
 
     @pytest.mark.parametrize("source", [None, "", "   ", 42])
     def test_bad_sources_are_rejected(self, source):
@@ -153,6 +156,7 @@ class TestRunRequest(object):
             {"args": [True]},
             {"recursion_limit": 0},
             {"recursion_limit": True},
+            {"recursion_limit": 2**40},
         ],
     )
     def test_bad_fields_are_rejected(self, extra):
