@@ -465,21 +465,18 @@ def cmd_watch(args: argparse.Namespace, session: Session) -> int:
 
 
 def cmd_serve(args: argparse.Namespace, session: Session) -> int:
-    # the daemon builds its own shared pool and per-tenant sessions; the
-    # CLI-invocation session goes unused
+    # the daemon builds its own per-tenant sessions; the CLI-invocation
+    # session goes unused
     from .serve import ServerConfig, serve
 
     serve(
         ServerConfig(
             host=args.host,
             port=args.port,
-            backend=args.backend,
-            max_workers=args.jobs,
             max_concurrency=args.max_concurrency,
             max_pending=args.max_pending,
             request_timeout=args.request_timeout,
             max_tenants=args.max_tenants,
-            pool_idle_timeout=args.idle_timeout,
             quiet=args.quiet,
         )
     )
@@ -487,7 +484,7 @@ def cmd_serve(args: argparse.Namespace, session: Session) -> int:
 
 
 def cmd_loadgen(args: argparse.Namespace, session: Session) -> int:
-    from .serve import LoadgenConfig, ServerConfig, run_loadgen
+    from .serve import LoadgenConfig, run_loadgen
 
     config = LoadgenConfig(
         host=args.host or "127.0.0.1",
@@ -499,16 +496,7 @@ def cmd_loadgen(args: argparse.Namespace, session: Session) -> int:
         corpus_dir=args.corpus_dir,
     )
     self_host = args.host is None
-    result = run_loadgen(
-        config,
-        self_host=self_host,
-        server_config=(
-            ServerConfig(backend=args.backend, max_workers=args.jobs)
-            if self_host
-            else None
-        ),
-        output=args.output,
-    )
+    result = run_loadgen(config, self_host=self_host, output=args.output)
     summary = result["summary"]
     lines = [
         f"concurrency {r['metadata']['concurrency']}: "
@@ -784,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="output format (json carries structured diagnostics)",
         )
 
-    def pool(p: argparse.ArgumentParser, daemon: bool = False) -> None:
+    def pool(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--jobs",
             type=int,
@@ -796,13 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--backend",
             choices=list(BACKENDS),
             default=None,
-            help=(
-                "executor backend: thread or process (default: process "
-                "when more than one CPU is allowed, else thread)"
-                if daemon
-                else "executor backend: thread (default) or process "
-                "(multi-core)"
-            ),
+            help="executor backend: thread (default) or process (multi-core)",
         )
 
     def common(p: argparse.ArgumentParser, collect: bool = True) -> None:
@@ -935,8 +917,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the multi-tenant HTTP inference daemon",
         description="Serve /v1/infer, /v1/check, /v1/run, /v1/stats and "
-        "/healthz over HTTP+JSON, multiplexing per-tenant sessions over "
-        "one shared worker pool (see docs/serving.md).",
+        "/healthz over HTTP+JSON, one session per tenant, every request "
+        "inline under its deadline (see docs/serving.md).",
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
@@ -967,16 +949,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-tenants", type=int, default=64, metavar="N",
     )
     p_serve.add_argument(
-        "--idle-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="tear the worker pool down after this long idle",
-    )
-    p_serve.add_argument(
         "--quiet", action="store_true", help="suppress per-request logging"
     )
-    pool(p_serve, daemon=True)
     p_serve.set_defaults(func=cmd_serve)
 
     p_loadgen = sub.add_parser(
@@ -1036,7 +1010,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="publish the samples here as a one-family bench report "
         "(the `repro bench publish` layout)",
     )
-    pool(p_loadgen, daemon=True)
     output(p_loadgen)
     p_loadgen.set_defaults(func=cmd_loadgen)
 

@@ -48,7 +48,6 @@ from .pipeline import (
 from .pool import (
     BACKENDS,
     DEFAULT_WORKER_CACHE_ENTRIES,
-    PoolTimeout,
     WorkerPool,
     available_cpus,
     check_backend,
@@ -70,7 +69,6 @@ __all__ = [
     "check_backend",
     "default_workers",
     "map_ordered",
-    "PoolTimeout",
     "STAGES",
     "Pipeline",
     "StageFailure",

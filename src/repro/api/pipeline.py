@@ -46,6 +46,7 @@ from ..core import (
     RegionInference,
     reinfer_program,
 )
+from ..deadline import check as check_deadline
 from ..frontend.lexer import LexError
 from ..frontend.parser import ParseError, parse_program, parse_program_tolerant
 from ..runtime import DanglingAccessError, Interpreter, RuntimeError_
@@ -266,8 +267,11 @@ class Pipeline:
 
         ``RecursionError`` is adapted for every stage: input nested deeper
         than the recursive walkers' stack allows must come back as a
-        diagnostic, never as an uncaught exception.
+        diagnostic, never as an uncaught exception.  A
+        :class:`~repro.deadline.DeadlineExceeded` is not a property of the
+        program: it propagates, and the store keeps nothing for the stage.
         """
+        check_deadline()
         memo = memo if memo is not None else name
         start = time.perf_counter()
         try:
@@ -430,6 +434,7 @@ class Pipeline:
         prev = self.infer()
         if not prev.ok:
             return self._skipped("verify", "verify", prev)
+        check_deadline()
         start = time.perf_counter()
         report = check_target(
             prev.value.target,
@@ -469,6 +474,7 @@ class Pipeline:
         prev = self.infer()
         if not prev.ok:
             return self._skipped("execute", memo, prev)
+        check_deadline()
         start = time.perf_counter()
         try:
             kwargs = {}

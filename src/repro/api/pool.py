@@ -21,8 +21,7 @@ CLI subcommand) schedule their work on one of two backends:
 Both share one ordering and failure contract, documented on
 :func:`map_ordered`.
 
-A :class:`WorkerPool` is owned by a session (or shared by several, see
-below) and
+A :class:`WorkerPool` is owned by one session and
 
 * **spawns lazily**: the executor comes up on the first batch that needs
   it (degenerate single-item/single-worker batches with no pool alive run
@@ -51,25 +50,10 @@ below) and
   ``pool.respawns``           crash recoveries (executor replaced after a
                               :class:`BrokenProcessPool`)
   ``pool.retried_items``      items re-run because their worker died
-  ``pool.idle_teardowns``     executors reaped by the idle timeout
-  ``pool.timeouts``           :meth:`WorkerPool.run_one` waits that hit
-                              their deadline
   ==========================  =============================================
 
 Lifecycle: :meth:`WorkerPool.close` (or ``Session.close()`` / ``with
-Session(...) as s:``) shuts the workers down; for long-lived services an
-``idle_timeout`` reaps the executor after a quiet period — the next batch
-simply respawns it, trading warm caches for memory.
-
-**Sharing.**  The serving daemon (:mod:`repro.serve`) multiplexes many
-per-tenant :class:`~repro.api.Session`\\ s over one pool.  Ownership is
-refcounted — the creator holds one reference, :meth:`WorkerPool.acquire`
-takes another, and :meth:`WorkerPool.close` *releases* one; the workers
-shut down when the last reference is released.  Lifecycle events are
-attributed to the session whose batch caused them: the batch entry points
-accept a ``stats`` override, so a shared pool's ``pool.*`` counters land
-in the *calling* session's :class:`~repro.api.session.SessionStats` (and
-always in :attr:`WorkerPool.counters`, the pool-level total).
+Session(...) as s:``) drains in-flight batches and shuts the workers down.
 """
 
 from __future__ import annotations
@@ -94,7 +78,6 @@ _O = TypeVar("_O")
 __all__ = [
     "BACKENDS",
     "DEFAULT_WORKER_CACHE_ENTRIES",
-    "PoolTimeout",
     "WorkerPool",
     "available_cpus",
     "check_backend",
@@ -355,28 +338,13 @@ def _run_task(payload: Tuple[str, Any, str]) -> Tuple[List[Any], Dict]:
 # ---------------------------------------------------------------------------
 
 
-class PoolTimeout(Exception):
-    """A :meth:`WorkerPool.run_one` wait outlived its deadline.
-
-    The *wait* is abandoned, not the work: a task already running on a
-    worker cannot be interrupted and runs to completion (its result is
-    discarded; the warm worker is reused).  Callers that need to bound
-    pile-up must bound admission — see :mod:`repro.serve.admission`.
-    """
-
-    def __init__(self, timeout: float):
-        self.timeout = timeout
-        super().__init__(f"worker task did not finish within {timeout:.3f}s")
-
-
 class WorkerPool:
     """A lazily-spawned, persistent, crash-recovering process pool.
 
     ``max_workers`` is the executor width (``None``: the first batch's
     explicit ``max_workers``, else :func:`available_cpus`); the width is
     fixed when the executor spawns.  ``max_cache_entries`` bounds each
-    worker session's artifact cache.  ``idle_timeout`` (seconds) reaps
-    the executor after a quiet period.  ``stats`` is an optional
+    worker session's artifact cache.  ``stats`` is an optional
     :class:`~repro.api.session.SessionStats`; lifecycle counters are
     mirrored into its events.
     """
@@ -386,43 +354,27 @@ class WorkerPool:
         *,
         max_workers: Optional[int] = None,
         max_cache_entries: Optional[int] = DEFAULT_WORKER_CACHE_ENTRIES,
-        idle_timeout: Optional[float] = None,
         stats: Optional[Any] = None,
     ):
-        if idle_timeout is not None and idle_timeout <= 0:
-            raise ValueError(f"idle_timeout must be positive, got {idle_timeout}")
         self._max_workers = max_workers
         self._max_cache_entries = max_cache_entries
-        self._idle_timeout = idle_timeout
         self._stats = stats
-        if stats is not None and idle_timeout is not None:
-            # idle-teardown events are recorded from the timer thread;
-            # pre-registering the key means those writes only ever update
-            # an existing slot, so a concurrent stats reader iterating the
-            # events dict can never see it resize mid-iteration
-            stats.record_event("pool.idle_teardowns", 0)
         self.counters: Dict[str, int] = {}
         self._executor: Optional[ProcessPoolExecutor] = None
         self._size = 0
         self._closed = False
-        #: references held on this pool (creator = 1; each acquire() adds
-        #: one, each close() releases one; workers die at zero)
-        self._refs = 1
-        self._idle_timer: Optional[threading.Timer] = None
-        #: batches currently inside :meth:`map` or :meth:`run_one` —
-        #: concurrent batches run in parallel on the shared executor; this
-        #: count only gates the idle-teardown timer and close()
+        #: batches currently inside :meth:`map` — concurrent batches run in
+        #: parallel on the shared executor; this count only gates close()
         self._active = 0
-        #: guards executor spawn/teardown, the idle timer and the
-        #: active-batch count
+        #: guards executor spawn/teardown and the active-batch count
         self._lock = threading.Lock()
         #: signalled when the active-batch count drops to zero (close()
         #: drains in-flight batches before tearing the executor down:
         #: shutting it down under them can abandon their futures
         #: unresolved and hang their wait forever)
-        self._idle_cv = threading.Condition(self._lock)
+        self._drained = threading.Condition(self._lock)
         #: guards the lifecycle counters (written by concurrent batch
-        #: threads and the idle timer; never nests inside other locks)
+        #: threads; never nests inside other locks)
         self._counter_lock = threading.Lock()
 
     # -- observability -----------------------------------------------------
@@ -440,41 +392,15 @@ class WorkerPool:
     def closed(self) -> bool:
         return self._closed
 
-    @property
-    def refs(self) -> int:
-        """References currently held on this pool (see :meth:`acquire`)."""
-        with self._lock:
-            return self._refs
-
-    def _record(self, kind: str, n: int = 1, stats: Optional[Any] = None) -> None:
-        # concurrent batches (and the idle timer) all write these; the
-        # read-modify-write must not lose increments.  ``stats`` is the
-        # calling batch's attribution sink (a shared pool records the
-        # event against the session that caused it); the pool's own
-        # default sink still sees everything — deduplicated, so a
-        # session-owned pool whose default sink IS the batch sink counts
-        # each event once
+    def _record(self, kind: str, n: int = 1) -> None:
+        # concurrent batches all write these; the read-modify-write must
+        # not lose increments
         with self._counter_lock:
             self.counters[kind] = self.counters.get(kind, 0) + n
             if self._stats is not None:
                 self._stats.record_event(kind, n)
-            if stats is not None and stats is not self._stats:
-                stats.record_event(kind, n)
 
     # -- lifecycle ---------------------------------------------------------
-    def acquire(self) -> "WorkerPool":
-        """Take a reference on this pool (for sharing across sessions).
-
-        Every ``acquire()`` must be paired with one :meth:`close` — the
-        workers shut down when the last reference is released.  Raises
-        :class:`RuntimeError` on a fully-closed pool.
-        """
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("WorkerPool is closed")
-            self._refs += 1
-            return self
-
     def _width(self, requested: Optional[int]) -> int:
         """The width a spawn would use for a ``requested`` width."""
         if requested is not None:
@@ -483,7 +409,7 @@ class WorkerPool:
             return self._max_workers
         return available_cpus()
 
-    def _ensure(self, width: int, stats: Optional[Any] = None) -> ProcessPoolExecutor:
+    def _ensure(self, width: int) -> ProcessPoolExecutor:
         """The live executor, spawning one ``width`` workers wide if none is."""
         with self._lock:
             if self._closed:
@@ -495,7 +421,7 @@ class WorkerPool:
                     initargs=(self._max_cache_entries,),
                 )
                 self._size = width
-                self._record("pool.spawns", stats=stats)
+                self._record("pool.spawns")
             return self._executor
 
     def _shutdown_locked(self, *, wait_: bool) -> None:
@@ -520,25 +446,18 @@ class WorkerPool:
             return True
 
     def close(self) -> None:
-        """Release one reference; shut the workers down on the last one.
+        """Shut the workers down; idempotent and final.
 
-        An unshared pool (no :meth:`acquire` calls) closes immediately.
-        Closing is idempotent once the pool is fully closed; until then
-        each ``close()`` releases one reference.  On the final release new
-        batches are refused immediately and batches already in flight are
-        drained first — tearing the executor down under them could abandon
-        their futures unresolved and hang them forever.
+        New batches are refused immediately and batches already in flight
+        are drained first — tearing the executor down under them could
+        abandon their futures unresolved and hang them forever.
         """
         with self._lock:
             if self._closed:
                 return
-            self._refs -= 1
-            if self._refs > 0:
-                return
             self._closed = True
-            self._cancel_idle_timer_locked()
             while self._active > 0:
-                self._idle_cv.wait()
+                self._drained.wait()
             self._shutdown_locked(wait_=True)
 
     def __enter__(self) -> "WorkerPool":
@@ -547,131 +466,6 @@ class WorkerPool:
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
-    # -- active batches and idle teardown ----------------------------------
-    def _enter_batch(self) -> None:
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("WorkerPool is closed")
-            self._active += 1
-            self._cancel_idle_timer_locked()
-
-    def _leave_batch(self) -> None:
-        with self._lock:
-            self._active -= 1
-            if self._active == 0:
-                self._idle_cv.notify_all()
-        self._arm_idle_timer()
-
-    def _cancel_idle_timer_locked(self) -> None:
-        if self._idle_timer is not None:
-            self._idle_timer.cancel()
-            self._idle_timer = None
-
-    def _arm_idle_timer(self) -> None:
-        with self._lock:
-            self._cancel_idle_timer_locked()
-            if (
-                self._closed
-                or self._idle_timeout is None
-                or self._executor is None
-                or self._active > 0
-            ):
-                return
-            self._idle_timer = threading.Timer(
-                self._idle_timeout, self._idle_teardown
-            )
-            self._idle_timer.daemon = True
-            self._idle_timer.start()
-
-    def _idle_teardown(self) -> None:
-        # an already-fired timer survives cancel(): if a batch started in
-        # the meantime the active count is non-zero, and tearing the
-        # executor down under it would cancel its in-flight futures —
-        # skip; the last batch out re-arms the timer
-        with self._lock:
-            if self._closed or self._executor is None or self._active > 0:
-                return
-            self._shutdown_locked(wait_=True)
-        self._record("pool.idle_teardowns")
-
-    # -- single-task dispatch (the serving path) ---------------------------
-    def run_one(
-        self,
-        fn: Callable[[_I], _O],
-        item: _I,
-        *,
-        timeout: Optional[float] = None,
-        stats: Optional[Any] = None,
-    ) -> _O:
-        """Run one task on the pool, with a deadline — the serving primitive.
-
-        Where :meth:`map` is the batch entry point, ``run_one`` is what a
-        request/response service calls per request: it submits a single
-        task to the live executor (spawning one at the pool's
-        ``max_workers``, else :func:`available_cpus`, if needed — serving
-        always wants warm workers, so there is no inline fallback), waits
-        at most ``timeout`` seconds, and raises :class:`PoolTimeout` when
-        the deadline passes (the worker finishes the task in the
-        background; its result is discarded).  A :class:`BrokenProcessPool`
-        — a killed worker — respawns the executor and retries the task
-        once; a second break propagates.  Lifecycle events are attributed
-        to ``stats`` (the calling session).
-        """
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        self._enter_batch()
-        try:
-            return self._run_one_recovering(fn, item, timeout, stats)
-        finally:
-            self._leave_batch()
-
-    def _run_one_recovering(
-        self,
-        fn: Callable[[_I], _O],
-        item: _I,
-        timeout: Optional[float],
-        stats: Optional[Any],
-    ) -> _O:
-        retried = False
-        while True:
-            executor = self._ensure(self._width(None), stats)
-            try:
-                future = executor.submit(fn, item)
-            except (BrokenProcessPool, RuntimeError):
-                # the executor died before the submit — or a concurrent
-                # close() shut it down (submit's generic RuntimeError);
-                # on a closed pool the retry's _ensure raises the clear
-                # "WorkerPool is closed"
-                if retried:
-                    raise
-                self._note_break(executor, stats)
-                retried = True
-                continue
-            done, _ = wait([future], timeout=timeout)
-            if not done:
-                future.cancel()
-                self._record("pool.timeouts", stats=stats)
-                raise PoolTimeout(timeout if timeout is not None else 0.0)
-            err = future.exception()
-            if err is None:
-                return future.result()
-            if not isinstance(err, BrokenProcessPool):
-                raise err
-            if retried:
-                raise BrokenProcessPool(
-                    "worker pool broke again after a respawn; giving up"
-                )
-            self._note_break(executor, stats)
-            retried = True
-
-    def _note_break(
-        self, executor: ProcessPoolExecutor, stats: Optional[Any]
-    ) -> None:
-        """Account for one broken-executor retry (respawn + retried item)."""
-        if self._discard_broken(executor):
-            self._record("pool.respawns", stats=stats)
-        self._record("pool.retried_items", stats=stats)
-
     # -- the batch entry point ---------------------------------------------
     def map(
         self,
@@ -679,7 +473,6 @@ class WorkerPool:
         items: Sequence[_I],
         *,
         max_workers: Optional[int] = None,
-        stats: Optional[Any] = None,
     ) -> List[_O]:
         """The :func:`map_ordered` contract, on persistent worker processes.
 
@@ -693,8 +486,6 @@ class WorkerPool:
         ``max_workers`` sizes the executor only when this batch spawns it;
         a live executor serves every batch at the width it was spawned
         with, keeping the warm worker caches the pool exists to keep.
-        ``stats`` attributes this batch's lifecycle events to the calling
-        session (shared pools).
         """
         items = list(items)
         if not items:
@@ -710,24 +501,29 @@ class WorkerPool:
             # and the first pool's bound would silently win for every
             # later one
             return [fn(item) for item in items]
-        self._enter_batch()
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("WorkerPool is closed")
+            self._active += 1
         try:
-            return self._map_recovering(fn, items, width, stats)
+            return self._map_recovering(fn, items, width)
         finally:
-            self._leave_batch()
+            with self._lock:
+                self._active -= 1
+                if self._active == 0:
+                    self._drained.notify_all()
 
     def _map_recovering(
         self,
         fn: Callable[[_I], _O],
         items: List[_I],
         width: int,
-        stats: Optional[Any] = None,
     ) -> List[_O]:
         results: Dict[int, _O] = {}
         pending: List[Tuple[int, _I]] = list(enumerate(items))
         retried = False
         while pending:
-            executor = self._ensure(width, stats)
+            executor = self._ensure(width)
             ok, broken, failure = _run_batch(executor, fn, pending)
             results.update(ok)
             if broken:
@@ -748,8 +544,8 @@ class WorkerPool:
                 )
             retried = True
             if discarded:
-                self._record("pool.respawns", stats=stats)
-            self._record("pool.retried_items", len(broken), stats=stats)
+                self._record("pool.respawns")
+            self._record("pool.retried_items", len(broken))
             # input order again: _run_batch collects submit-time breakage
             # before future breakage, and the retry's failure scan (and
             # the earliest-input-order exception contract) walks the

@@ -39,6 +39,7 @@ from typing import (
 
 from ..checking import CheckReport
 from ..core import InferenceConfig, InferenceResult
+from ..deadline import deadline
 from .pipeline import (
     ExecutionResult,
     Pipeline,
@@ -70,9 +71,9 @@ class SessionStats:
 
     ``events`` counts things that are not cache traffic — the session's
     worker-pool lifecycle (``pool.spawns``, ``pool.respawns``,
-    ``pool.retried_items``, ``pool.idle_teardowns``; see
-    :mod:`repro.api.pool`) — so pool reuse and crash recovery are
-    observable through the same object as cache effectiveness.
+    ``pool.retried_items``; see :mod:`repro.api.pool`) — so pool reuse
+    and crash recovery are observable through the same object as cache
+    effectiveness.
     """
 
     hits: Dict[str, int] = field(default_factory=dict)
@@ -292,10 +293,10 @@ class _ArtifactStore:
         their own kind.  ``record_hit=True`` also counts a found
         entry as one hit on ``kind``, under the same lock as the lookup:
         the atomic probe behind :meth:`Pipeline.infer
-        <repro.api.pipeline.Pipeline.infer>`'s short-circuit and
-        :meth:`Session.infer_one`, with no window between a membership
-        test and the read for an eviction to fall into.  A ``None``
-        answer records nothing; the caller's build records the miss.
+        <repro.api.pipeline.Pipeline.infer>`'s short-circuit, with no
+        window between a membership test and the read for an eviction to
+        fall into.  A ``None`` answer records nothing; the caller's build
+        records the miss.
         """
         full_key = (kind, key)
         with self._lock:
@@ -384,19 +385,7 @@ class Session:
     ``pool.*`` event counters on :attr:`Session.stats`).  Release the
     workers with :meth:`close` or ``with Session(...) as s:`` — the
     session itself stays usable; a later batch simply spawns a fresh
-    pool.  ``pool_idle_timeout`` (seconds) reaps idle workers in
-    long-lived services the same way.
-
-    Alternatively ``pool=`` attaches the session to a **shared**
-    :class:`~repro.api.pool.WorkerPool` it does not own: the serving
-    daemon (:mod:`repro.serve`) multiplexes one pool under many
-    per-tenant sessions this way.  The session takes a reference
-    (:meth:`WorkerPool.acquire <repro.api.pool.WorkerPool.acquire>`) at
-    construction and releases it in :meth:`close`; workers shut down when
-    the last sharer releases.  Pool lifecycle events caused by *this*
-    session's batches are attributed to *this* session's
-    :attr:`Session.stats` (``pool.*`` event kinds), so per-tenant
-    observability survives the sharing.
+    pool.
     """
 
     def __init__(
@@ -407,15 +396,12 @@ class Session:
         max_cache_entries: Optional[int] = None,
         max_cache_bytes: Optional[int] = None,
         backend: Optional[str] = None,
-        pool_idle_timeout: Optional[float] = None,
-        pool: Optional[WorkerPool] = None,
     ):
         self.config = config or InferenceConfig()
         self.max_workers = max_workers
         self.max_cache_entries = max_cache_entries
         self.max_cache_bytes = max_cache_bytes
         self.backend = backend
-        self.pool_idle_timeout = pool_idle_timeout
         self.stats = SessionStats()
         self._store = _ArtifactStore(
             self.stats,
@@ -423,26 +409,19 @@ class Session:
             max_bytes=max_cache_bytes,
         )
         self._pool: Optional[WorkerPool] = None
-        self._shared_pool: Optional[WorkerPool] = (
-            pool.acquire() if pool is not None else None
-        )
         self._pool_lock = threading.Lock()
 
     # -- the worker pool ---------------------------------------------------
     def process_pool(self) -> WorkerPool:
-        """This session's process pool (shared if attached, else owned).
+        """This session's process pool, created on first call.
 
-        A session constructed with ``pool=`` always answers with that
-        shared pool.  Otherwise the session creates its own on first
-        call; worker sessions inherit the session's cache bound when it
-        has one, and an unbounded session still bounds its workers at
+        Worker sessions inherit the session's cache bound when it has
+        one, and an unbounded session still bounds its workers at
         :data:`~repro.api.pool.DEFAULT_WORKER_CACHE_ENTRIES` entries,
         because pool workers persist across batches and would otherwise
         grow without limit.
         """
         with self._pool_lock:
-            if self._shared_pool is not None:
-                return self._shared_pool
             if self._pool is None:
                 self._pool = WorkerPool(
                     max_workers=self.max_workers,
@@ -451,26 +430,21 @@ class Session:
                         if self.max_cache_entries is not None
                         else DEFAULT_WORKER_CACHE_ENTRIES
                     ),
-                    idle_timeout=self.pool_idle_timeout,
                     stats=self.stats,
                 )
             return self._pool
 
     def close(self) -> None:
-        """Release this session's pool (owned: shut down; shared: one ref).
+        """Shut this session's pool down.
 
         Idempotent.  The session remains fully usable afterwards — caches
         and stats are untouched, and the next process-backend batch
-        spawns a fresh session-owned pool (a released shared pool is not
-        re-attached).
+        spawns a fresh pool.
         """
         with self._pool_lock:
             pool, self._pool = self._pool, None
-            shared, self._shared_pool = self._shared_pool, None
         if pool is not None:
             pool.close()
-        if shared is not None:
-            shared.close()
 
     def __enter__(self) -> "Session":
         return self
@@ -481,17 +455,14 @@ class Session:
     def _pool_alive(self) -> bool:
         """Whether a pool with live workers exists right now (no spawn)."""
         with self._pool_lock:
-            pool = self._shared_pool if self._shared_pool is not None else self._pool
-            return pool is not None and pool.alive
+            return self._pool is not None and self._pool.alive
 
     def merge_worker_delta(self, delta: Dict[str, Dict[str, int]]) -> None:
         """Fold one worker task's stats delta into :attr:`stats`.
 
         Worker-side traffic is real cache activity, but it is not *this*
         store's: it is accounted under a ``worker.`` prefix so parent
-        counters keep meaning "the parent cache".  (Public because the
-        serving router dispatches single worker tasks itself and accounts
-        for them the same way.)
+        counters keep meaning "the parent cache".
         """
         self.stats.merge(
             {
@@ -755,7 +726,6 @@ class Session:
             _infer_task,
             [(src, cfg) for src in pending],
             max_workers=max_workers,
-            stats=self.stats,
         )
         shipped: Dict[str, InferenceResult] = {}
         failures: Dict[str, StageFailure] = {}
@@ -796,33 +766,16 @@ class Session:
         *,
         timeout: Optional[float] = None,
     ) -> InferenceResult:
-        """One inference on the process pool with a deadline — the serving path.
+        """:meth:`infer` under a deadline ``timeout`` seconds from now.
 
-        Where :meth:`infer` runs in the calling thread and :meth:`infer_many`
-        amortises a whole batch, ``infer_one`` is what a request/response
-        service calls per request: a cache hit answers immediately from
-        this session's store; a miss ships the source to the shared
-        :meth:`process_pool` as a single task
-        (:meth:`WorkerPool.run_one <repro.api.pool.WorkerPool.run_one>`),
-        waits at most ``timeout`` seconds
-        (:class:`~repro.api.pool.PoolTimeout` past the deadline), installs
-        the shipped result in the cache and merges the worker's cache
-        traffic into :attr:`stats`.  Raises :class:`StageFailure` when the
-        program itself fails.
+        This is what the serving daemon calls per request.  Past the
+        deadline :class:`~repro.deadline.DeadlineExceeded` propagates out
+        of the engine and nothing is cached; an enclosing
+        :func:`~repro.deadline.deadline` scope that ends sooner still
+        wins.  ``None`` adds no deadline of its own.
         """
-        cfg = config or self.config
-        key = (_source_key(source), config_key(cfg))
-        cached = self._store.peek("infer", key, record_hit=True)
-        if cached is not None:
-            return cached
-        result, failure, delta = self.process_pool().run_one(
-            _infer_task, (source, cfg), timeout=timeout, stats=self.stats
-        )
-        self.merge_worker_delta(delta)
-        if failure is not None:
-            raise failure
-        value, _ = self._store.get_or_build("infer", key, lambda: result)
-        return value
+        with deadline(timeout):
+            return self.infer(source, config)
 
     def run_many(
         self,
@@ -911,7 +864,6 @@ class Session:
             _run_task,
             [(src, cfg, until) for src in sources],
             max_workers=max_workers,
-            stats=self.stats,
         )
         out: List[List[StageSummary]] = []
         for summaries_list, delta in outcomes:

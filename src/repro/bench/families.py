@@ -869,13 +869,9 @@ def _loadgen_prepare(ctx: RunContext) -> None:
 
 
 def _loadgen_run(ctx: RunContext) -> List[Sample]:
-    from ..serve import ServerConfig, run_loadgen
+    from ..serve import run_loadgen
 
-    result = run_loadgen(
-        ctx.state["config"],
-        self_host=True,
-        server_config=ServerConfig(backend="thread"),
-    )
+    result = run_loadgen(ctx.state["config"], self_host=True)
     return [Sample.from_dict(s) for s in result["samples"]]
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from ..deadline import check as check_deadline
 from ..lang import target as T
 from ..regions.abstraction import AbstractionEnv
 from ..regions.constraints import (
@@ -379,6 +380,7 @@ class RegionTypeChecker:
         return hyp
 
     def _check_method(self, method: T.TMethodDecl, owner: Optional[str]) -> None:
+        check_deadline()
         where = f"method {method.qualified_name}"
         # only a letreg body extends the hypotheses (one axiom per region in
         # scope, fed to a live solver one at a time); the common letreg-free

@@ -34,6 +34,7 @@ import time
 from dataclasses import dataclass, field as dc_field, replace as dc_replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..deadline import check as check_deadline
 from ..frontend.parser import parse_program
 from ..lang import ast as S
 from ..lang import target as T
@@ -474,6 +475,7 @@ class RegionInference:
         if self.config.footprint_scope:
             self._footprints = SccFootprints(graph)
         for scc in graph.method_sccs():
+            check_deadline()
             self._process_scc(scc, result)
             self._resolve_ready()
             result.reinferred_sccs += 1
@@ -1393,6 +1395,7 @@ class _IncrementalInference(RegionInference):
         result.plan_salts = self._salts
         reused: List[str] = []
         for scc in self._graph.method_sccs():
+            check_deadline()
             key = tuple(sorted(scc))
             if all(qn in self._splice_ok for qn in scc):
                 for qn in scc:

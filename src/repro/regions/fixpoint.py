@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
+from ..deadline import check as check_deadline
 from .abstraction import AbstractionEnv, ConstraintAbstraction
 from .constraints import Constraint, HEAP, TRUE
 from .solver import RegionSolver, SolverStats
@@ -151,6 +152,7 @@ def solve_recursive_abstractions(
 
     iterations = 0
     for _ in range(MAX_ITERATIONS):
+        check_deadline()
         nxt = _step(nest, current, env, solvers)
         for name in nest:
             trace[name].append(nxt[name])

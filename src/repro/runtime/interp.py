@@ -23,6 +23,7 @@ import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..checking.region_check import _TargetTable
+from ..deadline import check as check_deadline
 from ..lang import target as T
 from ..regions.constraints import Region
 from .regions_rt import DanglingAccessError, RegionManager, RuntimeRegion
@@ -104,6 +105,49 @@ class StepBudgetExceeded(RuntimeError_):
     """The configured evaluation step budget ran out."""
 
 
+#: evaluation steps between two checks of the enclosing deadline
+DEADLINE_STRIDE = 1024
+
+
+class _Stepper:
+    """Step accounting shared by both interpreters.
+
+    :meth:`_tick` pays one compare per step: ``_checkpoint`` is the next
+    step count at which the step budget may have run out or the deadline
+    (:mod:`repro.deadline`) is due for a check, every
+    :data:`DEADLINE_STRIDE` steps.
+    """
+
+    def __init__(self, step_budget: Optional[int]) -> None:
+        self.step_budget = step_budget
+        self._steps = 0
+        self._checkpoint = 0
+
+    def _tick(self) -> None:
+        self._steps += 1
+        if self._steps > self._checkpoint:
+            self._at_checkpoint()
+
+    def _at_checkpoint(self) -> None:
+        budget = self.step_budget
+        if budget is not None and self._steps > budget:
+            raise StepBudgetExceeded(f"exceeded {budget} steps")
+        check_deadline()
+        self._checkpoint = self._steps + DEADLINE_STRIDE
+        if budget is not None and budget < self._checkpoint:
+            self._checkpoint = budget
+
+
+def _entry_locals(decl, args: Sequence[object]) -> Dict[str, Value]:
+    """Bind an entry method's parameters, refusing a wrong argument count."""
+    if len(args) != len(decl.params):
+        raise RuntimeError_(
+            f"entry method {decl.name!r} takes {len(decl.params)} "
+            f"argument(s), {len(args)} given"
+        )
+    return {p.name: _to_value(a) for p, a in zip(decl.params, args)}
+
+
 class _Frame:
     """One activation: local variables and region bindings."""
 
@@ -118,7 +162,7 @@ class _Frame:
         self.regions = regions
 
 
-class Interpreter:
+class Interpreter(_Stepper):
     """Evaluates target programs.  See the module docstring."""
 
     def __init__(
@@ -133,13 +177,12 @@ class Interpreter:
         interpreter runs (the tree-walker recurses once per evaluated
         node); pass ``None`` to leave the interpreter's limit untouched.
         """
+        super().__init__(step_budget)
         self.program = program
         self.table = _TargetTable(program)
         self.manager = RegionManager()
         self.check_dangling = check_dangling
-        self.step_budget = step_budget
         self.recursion_limit = recursion_limit
-        self._steps = 0
 
     # -- entry points ------------------------------------------------------------
     def run_static(self, name: str, args: Sequence[object] = ()) -> Value:
@@ -152,13 +195,11 @@ class Interpreter:
         decl = self.table.statics.get(name)
         if decl is None:
             raise RuntimeError_(f"no static method {name!r}")
+        locals_ = _entry_locals(decl, args)
         _HEADROOM.enter(self.recursion_limit)
         top = self.manager.push("main")
         try:
             regions = {r: top for r in decl.region_params}
-            locals_: Dict[str, Value] = {}
-            for p, a in zip(decl.params, args):
-                locals_[p.name] = _to_value(a)
             frame = _Frame(locals_, regions)
             return self._eval(decl.body, frame)
         finally:
@@ -170,11 +211,6 @@ class Interpreter:
         return self.manager.stats
 
     # -- evaluation -----------------------------------------------------------------
-    def _tick(self) -> None:
-        self._steps += 1
-        if self.step_budget is not None and self._steps > self.step_budget:
-            raise StepBudgetExceeded(f"exceeded {self.step_budget} steps")
-
     def _region_of(self, r: Region, frame: _Frame) -> RuntimeRegion:
         if r.is_heap:
             return self.manager.heap

@@ -16,10 +16,10 @@ from .interp import (
     CastFailedError,
     NullAccessError,
     RuntimeError_,
-    StepBudgetExceeded,
+    _entry_locals,
     _java_div,
     _same_value,
-    _to_value,
+    _Stepper,
 )
 from .values import (
     NULL_VALUE,
@@ -35,35 +35,26 @@ from .values import (
 __all__ = ["SourceInterpreter", "value_snapshot"]
 
 
-class SourceInterpreter:
+class SourceInterpreter(_Stepper):
     """Evaluates source programs with unbounded-lifetime objects."""
 
     def __init__(self, program: S.Program, *, step_budget: Optional[int] = None):
         from ..typing.normal import NormalTypeChecker
 
+        super().__init__(step_budget)
         self.program = program
         # normal checking elaborates implicit-this references and bare
         # nulls in place -- required before direct evaluation
         self.table = NormalTypeChecker(program).check()
-        self.step_budget = step_budget
-        self._steps = 0
         self.total_allocated = 0
 
     def run_static(self, name: str, args: Sequence[object] = ()) -> Value:
         decl = self.table.lookup_static(name)
         if decl is None:
             raise RuntimeError_(f"no static method {name!r}")
-        locals_: Dict[str, Value] = {}
-        for p, a in zip(decl.params, args):
-            locals_[p.name] = _to_value(a)
-        return self._eval(decl.body, locals_)
+        return self._eval(decl.body, _entry_locals(decl, args))
 
     # -- evaluation -----------------------------------------------------------------
-    def _tick(self) -> None:
-        self._steps += 1
-        if self.step_budget is not None and self._steps > self.step_budget:
-            raise StepBudgetExceeded(f"exceeded {self.step_budget} steps")
-
     def _obj(self, v: Value, what: str) -> Obj:
         if isinstance(v, VNull):
             raise NullAccessError(f"{what} on null")

@@ -1,22 +1,20 @@
-"""repro.serve: a multi-tenant inference service on one shared worker pool.
+"""repro.serve: a multi-tenant inference service.
 
 The daemon the batch engine grew into: an HTTP+JSON service (stdlib
-``http.server``, no new dependencies) multiplexing per-tenant
-:class:`~repro.api.Session` caches over a single refcounted
-:class:`~repro.api.pool.WorkerPool` of fixed width, with admission
-control (bounded concurrency + bounded queueing, 429 with
-``Retry-After`` beyond), per-request deadlines and graceful SIGTERM
-drain.  See ``docs/serving.md`` for the protocol and
-operational story.
+``http.server``, no new dependencies) with one
+:class:`~repro.api.Session` cache per tenant, admission control (bounded
+concurrency + bounded queueing, 429 with ``Retry-After`` beyond), one
+deadline per request that the engine itself enforces, and graceful
+SIGTERM drain.  Every request runs inline in its handler thread.  See
+``docs/serving.md`` for the protocol and operational story.
 
 Layering, bottom up:
 
 * :mod:`~repro.serve.wire` — request/response schemas, HTTP-free;
 * :mod:`~repro.serve.admission` — the concurrency gate;
-* :mod:`~repro.serve.tenancy` — per-tenant sessions + uid bands over the
-  shared pool;
+* :mod:`~repro.serve.tenancy` — per-tenant sessions;
 * :mod:`~repro.serve.router` — endpoints, error mapping, the per-request
-  admission→execute flow (tests drive this directly);
+  deadline→admission→execute flow (tests drive this directly);
 * :mod:`~repro.serve.server` — the ``ThreadingHTTPServer`` skin;
 * :mod:`~repro.serve.loadgen` — closed-loop concurrency sweeps emitting
   PKB-style samples (the ``serve_loadgen`` benchmark family).

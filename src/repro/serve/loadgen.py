@@ -337,18 +337,13 @@ def run_loadgen(
 
 
 def _server_workers(config: LoadgenConfig, server: Optional[Any]) -> int:
-    """Worker-count metadata for the samples, resolved to a real number.
+    """Worker-count metadata for the samples: requests served at once.
 
-    An unset cap used to publish as the string ``"auto"``, which made the
-    metadata type vary across families; resolve it to the CPU allowance
-    the pool actually spawns at.  ``0`` means unknown — an external
-    daemon whose configuration the client cannot see.
+    The daemon runs each admitted request inline in its handler thread,
+    so its worker count is its admission concurrency.  ``0`` means
+    unknown — an external daemon whose configuration the client cannot
+    see.
     """
     if server is None:
         return 0
-    cap = server.router.config.max_workers
-    if cap is not None:
-        return cap
-    from ..api.pool import available_cpus
-
-    return available_cpus()
+    return server.router.config.resolved_concurrency()

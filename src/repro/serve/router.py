@@ -1,32 +1,30 @@
 """Request routing: endpoints, admission, tenancy — no sockets.
 
-:class:`Router` is the whole daemon minus HTTP: it owns the shared
-:class:`~repro.api.pool.WorkerPool`, the :class:`~repro.serve.tenancy.
-TenantRegistry` and the :class:`~repro.serve.admission.AdmissionController`,
-and maps ``(method, path, headers, body)`` to ``(status, payload,
-headers)``.  The HTTP server (:mod:`repro.serve.server`) is a thin socket
-adapter over :meth:`Router.handle`; tests drive the router directly.
+:class:`Router` is the whole daemon minus HTTP: it owns the
+:class:`~repro.serve.tenancy.TenantRegistry` and the
+:class:`~repro.serve.admission.AdmissionController`, and maps ``(method,
+path, headers, body)`` to ``(status, payload, headers)``.  The HTTP
+server (:mod:`repro.serve.server`) is a thin socket adapter over
+:meth:`Router.handle`; tests drive the router directly.
 
 Request lifecycle for the POST endpoints::
 
-    parse wire -> resolve tenant -> admission.acquire(deadline)
-        -> execute on the tenant's session     (pool task or inline)
+    parse wire -> resolve tenant -> open deadline scope
+        -> admission.acquire(timeout)
+        -> execute inline on the tenant's session
         -> admission.release(latency)
 
-Backends: ``process`` ships each cache-missing inference to the shared
-pool as a single task with a deadline (:meth:`Session.infer_one
-<repro.api.session.Session.infer_one>`); verification and execution run
-inline on the already-cached inference.  ``thread`` runs everything
-inline in the handler thread under the tenant's uid-band minting guard.
-Unless configured, the router picks ``process`` exactly when the CPU
-allowance exceeds one core.
+Every request runs in its handler thread under one deadline, the
+request's ``timeout`` (capped by ``request_timeout``).  The engine checks
+it at its loop boundaries (:mod:`repro.deadline`), so a request whose
+time is up stops working, frees its admission slot and answers 504.
 
 Status codes: ``400`` malformed request, ``404``/``405`` routing, ``422``
-the *program* failed (parse/type/inference error — carries structured
-diagnostics), ``429`` admission or tenant-table backpressure (with
-``Retry-After``), ``503`` the request could not start before its
-deadline, ``504`` the pool task missed its deadline, ``500`` anything
-unexpected.
+the *program* failed (parse/type/inference/runtime error — carries
+structured diagnostics), ``429`` admission backpressure (with
+``Retry-After``) or a full tenant table (without: no retry can succeed),
+``503`` the request could not start before its deadline, ``504`` the
+request's deadline passed while it ran, ``500`` anything unexpected.
 """
 
 from __future__ import annotations
@@ -36,15 +34,9 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from ..api import (
-    DEFAULT_WORKER_CACHE_ENTRIES,
-    PoolTimeout,
-    StageFailure,
-    WorkerPool,
-    available_cpus,
-    check_backend,
-)
+from ..api import StageFailure, available_cpus
 from ..core import InferenceResult
+from ..deadline import DeadlineExceeded, deadline
 from ..lang.pretty import pretty_target
 from .admission import AdmissionController, AdmissionRejected, AdmissionTimeout
 from .tenancy import Tenant, TenantRegistry
@@ -70,17 +62,11 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 8178
-    #: ``thread`` | ``process``; ``None`` picks ``process`` when more
-    #: than one core is allowed
-    backend: Optional[str] = None
-    #: pool width (process backend; default: the CPU allowance), fixed
-    #: when the pool spawns; ``pool_idle_timeout`` reaps idle workers
-    max_workers: Optional[int] = None
-    pool_idle_timeout: Optional[float] = None
     #: admission: slots that execute / requests that may wait in line
     max_concurrency: Optional[int] = None
     max_pending: int = 16
-    #: server-side cap on any request's deadline (seconds)
+    #: server-side cap on any request's deadline (seconds); the deadline
+    #: bounds the request's admission wait and its engine work alike
     request_timeout: float = 60.0
     max_tenants: int = 64
     #: per-tenant session cache bounds
@@ -91,16 +77,9 @@ class ServerConfig:
     #: idle keep-alive connections are dropped after this long.  This is
     #: what keeps graceful drain bounded: ``server_close`` joins every
     #: handler thread, and a handler parked on an idle keep-alive socket
-    #: would hold it up indefinitely — notably when a forked pool worker
-    #: inherits a duplicate of the client's socket, so even the client
-    #: closing does not deliver EOF to the handler
+    #: would hold it up indefinitely
     keepalive_timeout: float = 5.0
     quiet: bool = False
-
-    def resolved_backend(self) -> str:
-        if self.backend is None:
-            return "process" if available_cpus() > 1 else "thread"
-        return check_backend(self.backend)
 
     def resolved_concurrency(self) -> int:
         if self.max_concurrency is not None:
@@ -113,18 +92,7 @@ class Router:
 
     def __init__(self, config: Optional[ServerConfig] = None):
         self.config = config or ServerConfig()
-        self.backend = self.config.resolved_backend()
-        self.pool = WorkerPool(
-            max_workers=self.config.max_workers,
-            idle_timeout=self.config.pool_idle_timeout,
-            max_cache_entries=(
-                self.config.max_cache_entries
-                if self.config.max_cache_entries is not None
-                else DEFAULT_WORKER_CACHE_ENTRIES
-            ),
-        )
         self.registry = TenantRegistry(
-            self.pool,
             max_tenants=self.config.max_tenants,
             max_cache_entries=self.config.max_cache_entries,
             max_cache_bytes=self.config.max_cache_bytes,
@@ -139,12 +107,11 @@ class Router:
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
-        """Drain-free teardown: close tenant sessions, release the pool."""
+        """Drain-free teardown: close tenant sessions."""
         if self._closed:
             return
         self._closed = True
         self.registry.close()
-        self.pool.close()
 
     def __enter__(self) -> "Router":
         return self
@@ -191,10 +158,10 @@ class Router:
                 error_payload("queue_timeout", str(err), retry_after=retry),
                 {"Retry-After": str(retry)},
             )
-        except PoolTimeout as err:
+        except DeadlineExceeded as err:
             status, payload, extra = (
                 504,
-                error_payload("inference_timeout", str(err)),
+                error_payload("deadline_exceeded", str(err)),
                 {},
             )
         except StageFailure as err:
@@ -282,40 +249,41 @@ class Router:
         try:
             tenant = self.registry.get_or_create(request.tenant)
         except ValueError:
-            # tenant slots are a bounded resource exactly like admission
-            # slots; refuse with backpressure, not a hang
-            raise AdmissionRejected(self.admission.retry_after())
-        deadline = time.monotonic() + request.timeout
-        self.admission.acquire(timeout=request.timeout)
-        started = time.monotonic()
-        try:
-            with self._counter_lock:
-                tenant.requests += 1
-            if path == "/v1/infer":
-                response = self._infer(tenant, request, deadline)
-            elif path == "/v1/check":
-                response = self._check(tenant, request, deadline)
-            else:
-                response = self._run(tenant, request, deadline)
-            return 200, response, {}
-        finally:
-            self.admission.release(time.monotonic() - started)
+            # tenants are never evicted, so no retry can succeed: a 429
+            # without Retry-After
+            return (
+                429,
+                error_payload(
+                    "tenant_table_full",
+                    f"tenant table full (max_tenants="
+                    f"{self.config.max_tenants}); cannot admit new tenant "
+                    f"{request.tenant!r}",
+                ),
+                {},
+            )
+        with deadline(request.timeout):
+            self.admission.acquire(timeout=request.timeout)
+            started = time.monotonic()
+            try:
+                with self._counter_lock:
+                    tenant.requests += 1
+                if path == "/v1/infer":
+                    response = self._infer(tenant, request)
+                elif path == "/v1/check":
+                    response = self._check(tenant, request)
+                else:
+                    response = self._run(tenant, request)
+                return 200, response, {}
+            finally:
+                self.admission.release(time.monotonic() - started)
 
     def _inference(
-        self, tenant: Tenant, request: Any, deadline: float
+        self, tenant: Tenant, request: Any
     ) -> Tuple[InferenceResult, bool]:
-        """The shared infer step: cached answer, pool task, or inline run."""
+        """The shared infer step: a cached answer or an inline run."""
         session = tenant.session
         hits_before = session.stats.hit_count("infer")
-        if self.backend == "process":
-            result = session.infer_one(
-                request.source,
-                request.config,
-                timeout=max(deadline - time.monotonic(), 0.001),
-            )
-        else:
-            with tenant.minting():
-                result = session.infer(request.source, request.config)
+        result = session.infer_one(request.source, request.config)
         return result, session.stats.hit_count("infer") > hits_before
 
     def _reinference(
@@ -323,29 +291,23 @@ class Router:
     ) -> Tuple[InferenceResult, bool]:
         """The incremental fast path: a named document resubmitted.
 
-        Runs inline under the tenant's minting guard on every backend —
-        the point of the path is that keystroke-scale edits re-infer only
-        their dirty SCCs, which is far cheaper than a pool round-trip
-        (and splicing against the prior result requires the uid universe
-        the tenant's own band minted).  ``cached`` in the response means
-        "the incremental path engaged": the prior was found and reused,
-        wholesale (unchanged resubmission) or per-SCC.
+        Keystroke-scale edits re-infer only their dirty SCCs.  ``cached``
+        in the response means "the incremental path engaged": the prior
+        was found and reused, wholesale (unchanged resubmission) or
+        per-SCC.
         """
         session = tenant.session
         doc_hits = session.stats.hit_count("scc.document")
-        with tenant.minting():
-            result = session.reinfer(
-                request.source, request.config, document=request.document
-            )
+        result = session.reinfer(
+            request.source, request.config, document=request.document
+        )
         return result, session.stats.hit_count("scc.document") > doc_hits
 
-    def _infer(
-        self, tenant: Tenant, request: InferRequest, deadline: float
-    ) -> Dict[str, Any]:
+    def _infer(self, tenant: Tenant, request: InferRequest) -> Dict[str, Any]:
         if request.document is not None:
             result, cached = self._reinference(tenant, request)
         else:
-            result, cached = self._inference(tenant, request, deadline)
+            result, cached = self._inference(tenant, request)
         response = {
             "ok": True,
             "tenant": tenant.name,
@@ -364,16 +326,11 @@ class Router:
             response["stats"]["reinferred_sccs"] = result.reinferred_sccs
         return response
 
-    def _check(
-        self, tenant: Tenant, request: InferRequest, deadline: float
-    ) -> Dict[str, Any]:
-        # the heavy half (inference) goes wherever the backend sends it;
-        # verification then runs inline against the now-cached result
-        _, cached = self._inference(tenant, request, deadline)
-        session = tenant.session
-        with tenant.minting():
-            pipe = session.pipeline(request.source, request.config)
-            stage = pipe.verify()
+    def _check(self, tenant: Tenant, request: InferRequest) -> Dict[str, Any]:
+        # verification runs against the now-cached inference result
+        _, cached = self._inference(tenant, request)
+        pipe = tenant.session.pipeline(request.source, request.config)
+        stage = pipe.verify()
         if stage.skipped:
             failed = pipe.failure()
             raise StageFailure(
@@ -390,19 +347,15 @@ class Router:
             "diagnostics": [d.to_dict() for d in stage.diagnostics],
         }
 
-    def _run(
-        self, tenant: Tenant, request: RunRequest, deadline: float
-    ) -> Dict[str, Any]:
-        _, cached = self._inference(tenant, request, deadline)
-        session = tenant.session
-        with tenant.minting():
-            execution = session.execute(
-                request.source,
-                request.entry,
-                request.args,
-                request.config,
-                recursion_limit=request.recursion_limit,
-            )
+    def _run(self, tenant: Tenant, request: RunRequest) -> Dict[str, Any]:
+        _, cached = self._inference(tenant, request)
+        execution = tenant.session.execute(
+            request.source,
+            request.entry,
+            request.args,
+            request.config,
+            recursion_limit=request.recursion_limit,
+        )
         return {
             "ok": True,
             "tenant": tenant.name,
@@ -416,7 +369,6 @@ class Router:
         return {
             "ok": True,
             "status": "ok",
-            "backend": self.backend,
             "uptime_seconds": round(time.time() - self.started_at, 3),
         }
 
@@ -429,22 +381,14 @@ class Router:
                 "requests": tenant.requests,
                 "cache_size": tenant.session.cache_size,
                 "cache_bytes": tenant.session.cache_bytes,
-                "uid_band": tenant.band,
                 "stats": tenant.session.stats.as_dict(),
             }
         return {
             "ok": True,
             "server": {
-                "backend": self.backend,
                 "uptime_seconds": round(time.time() - self.started_at, 3),
                 "counters": counters,
             },
             "admission": self.admission.snapshot(),
-            "pool": {
-                "alive": self.pool.alive,
-                "size": self.pool.size,
-                "refs": self.pool.refs,
-                "counters": dict(self.pool.counters),
-            },
             "tenants": tenants,
         }

@@ -5,15 +5,14 @@ A deliberately thin adapter: :class:`ReproServer` is a
 calls :meth:`Router.handle <repro.serve.router.Router.handle>`, and
 writes the JSON back: status line, headers and body in one write, on a
 socket with Nagle's algorithm off.  Everything interesting (admission,
-tenancy, pool scaling, error mapping) lives in the router where it is
+tenancy, deadlines, error mapping) lives in the router where it is
 testable without a socket.
 
 **Graceful drain.**  ``daemon_threads`` is *off* and ``block_on_close``
 is *on*: when :meth:`ReproServer.shutdown` runs — from a SIGTERM/SIGINT
 handler or a test — the accept loop stops, ``server_close`` then waits
 for every in-flight handler thread to finish its response, and only then
-does :func:`serve` release the router (closing tenant sessions and the
-shared worker pool).  In-flight requests complete; new connections are
+does :func:`serve` release the router (closing tenant sessions).  In-flight requests complete; new connections are
 refused.  The signal handler hands ``shutdown()`` to a helper thread
 because calling it from the serving thread deadlocks by design.
 """

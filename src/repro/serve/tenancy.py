@@ -1,116 +1,54 @@
-"""Per-tenant sessions multiplexed over one shared worker pool.
+"""Per-tenant sessions: one cache and one set of counters per tenant.
 
 Each tenant the daemon sees gets its own :class:`~repro.api.Session` —
 its own artifact cache (bounded per tenant, so one tenant's traffic can
-never evict another's entries), its own :class:`SessionStats` (per-tenant
-cache *and* ``pool.*`` lifecycle observability), and its own **region-uid
-band**.  All tenant sessions attach to the registry's one shared
-:class:`~repro.api.pool.WorkerPool` (refcounted: the registry holds the
-creating reference, every session takes one, and the workers die when the
-registry and every session have released theirs).
+never evict another's entries) and its own :class:`SessionStats`.
 
-**Uid bands.**  Region identity is uid identity, and the engine mints
-uids from one process-global counter.  The registry gives every tenant a
-private 48-bit-shifted band — the same scheme
-:meth:`Region.namespace_uids <repro.regions.constraints.Region.namespace_uids>`
-uses for pool workers — and :meth:`Tenant.minting` swaps the tenant's
-banded counter in around any inline engine work.  The swap holds a
-registry-wide mint lock for the duration: region inference is pure
-Python, so the GIL already serialises the CPU work of concurrent inline
-requests and the lock costs no real parallelism — what it buys is that
-regions minted for tenant A can never carry uids in tenant B's band, so
-cached artifacts from different tenants are disjoint by construction.
-Work shipped to the shared pool is banded per *worker* instead (each
-worker namespaces its uids at spawn), which gives the same cross-tenant
-disjointness guarantee on that path.
+Every request runs inline in its handler thread, so every region is
+minted in this one process from the global uid counter
+(``Region._counter``, an :func:`itertools.count` whose ``next()`` is
+atomic under the GIL).  Uids are therefore unique across threads and
+tenants with no lock and no per-tenant counter: cached artifacts from
+different tenants are disjoint by construction.  Within one inference
+the uids still grow monotonically, so tie-breaks are unchanged, and the
+gaps other threads leave are invisible in the renumbered output.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Optional
 
-from ..api import Session, WorkerPool
+from ..api import Session
 from ..core import InferenceConfig
 
-__all__ = ["Tenant", "TenantRegistry", "UID_BAND_SHIFT"]
-
-#: bit position of the band in a region uid — one band holds 2**48 uids,
-#: matching :meth:`Region.namespace_uids`
-UID_BAND_SHIFT = 48
-
-#: one lock for every inline mint swap in the process (see module docs)
-_MINT_LOCK = threading.RLock()
+__all__ = ["Tenant", "TenantRegistry"]
 
 
 @dataclass
 class Tenant:
-    """One tenant's slice of the daemon: session, uid band, counters."""
+    """One tenant's slice of the daemon: its session and counters."""
 
     name: str
     session: Session
-    #: band index; this tenant's uids live in
-    #: ``[(band << 48) + 1, (band + 1) << 48)``
-    band: int
     created_at: float = field(default_factory=time.time)
     requests: int = 0
-    #: next uid this tenant's inline minting resumes from
-    _cursor: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self._cursor = (self.band << UID_BAND_SHIFT) + 1
-
-    @property
-    def band_range(self) -> tuple:
-        """The half-open uid interval this tenant mints from."""
-        return (
-            (self.band << UID_BAND_SHIFT) + 1,
-            (self.band + 1) << UID_BAND_SHIFT,
-        )
-
-    @contextmanager
-    def minting(self) -> Iterator[None]:
-        """Run inline engine work with this tenant's banded uid counter.
-
-        Swaps the process's region-uid counter for the tenant's (resuming
-        at its saved cursor) and swaps it back afterwards, holding the
-        process-wide mint lock throughout so no other thread can mint
-        into the wrong band.  Serialises inline engine work — which the
-        GIL does anyway for this pure-Python engine; pool-shipped work is
-        unaffected (workers mint in their own bands).
-        """
-        from ..regions.constraints import Region
-
-        with _MINT_LOCK:
-            previous = Region._counter
-            Region._counter = itertools.count(self._cursor)
-            try:
-                yield
-            finally:
-                self._cursor = next(Region._counter)
-                Region._counter = previous
 
 
 class TenantRegistry:
     """The daemon's tenant table: create-on-first-sight, bounded, closable.
 
-    ``pool`` is the shared :class:`WorkerPool` every tenant session
-    attaches to (the registry takes its own reference and releases it in
-    :meth:`close`).  ``max_tenants`` bounds the table — tenants are
-    sessions with caches, so an unbounded table is an unbounded memory
-    obligation keyed by a client-controlled string.  Per-tenant session
-    bounds (``max_cache_entries``, ``max_cache_bytes``) are applied to
-    every session the registry creates.
+    ``max_tenants`` bounds the table — tenants are sessions with caches,
+    so an unbounded table is an unbounded memory obligation keyed by a
+    client-controlled string.  Per-tenant session bounds
+    (``max_cache_entries``, ``max_cache_bytes``) are applied to every
+    session the registry creates.
     """
 
     def __init__(
         self,
-        pool: WorkerPool,
         *,
         config: Optional[InferenceConfig] = None,
         max_tenants: int = 64,
@@ -119,7 +57,6 @@ class TenantRegistry:
     ):
         if max_tenants < 1:
             raise ValueError(f"max_tenants must be >= 1, got {max_tenants}")
-        self._pool = pool.acquire()
         self._config = config
         self._max_tenants = max_tenants
         self._max_cache_entries = max_cache_entries
@@ -127,15 +64,6 @@ class TenantRegistry:
         self._tenants: Dict[str, Tenant] = {}
         self._lock = threading.Lock()
         self._closed = False
-        # a random 40-bit base keeps tenant bands clear of the parent
-        # namespace (band 0) and makes collision with the random 48-bit
-        # worker bands as unlikely as worker-worker collisions already are;
-        # tenants then take consecutive bands above the base
-        self._next_band = 1 + int.from_bytes(os.urandom(5), "big")
-
-    @property
-    def pool(self) -> WorkerPool:
-        return self._pool
 
     def get_or_create(self, name: str) -> Tenant:
         """The tenant named ``name``, created on first sight.
@@ -154,16 +82,13 @@ class TenantRegistry:
                         f"tenant table full ({self._max_tenants}); "
                         f"cannot admit new tenant {name!r}"
                     )
-                band, self._next_band = self._next_band, self._next_band + 1
                 tenant = Tenant(
                     name=name,
                     session=Session(
                         self._config,
                         max_cache_entries=self._max_cache_entries,
                         max_cache_bytes=self._max_cache_bytes,
-                        pool=self._pool,
                     ),
-                    band=band,
                 )
                 self._tenants[name] = tenant
             return tenant
@@ -182,11 +107,7 @@ class TenantRegistry:
             return len(self._tenants)
 
     def close(self) -> None:
-        """Close every tenant session and release the registry's pool ref.
-
-        Idempotent.  The pool itself shuts down when the last reference
-        (usually the daemon's own) is released.
-        """
+        """Close every tenant session.  Idempotent."""
         with self._lock:
             if self._closed:
                 return
@@ -194,7 +115,6 @@ class TenantRegistry:
             tenants = list(self._tenants.values())
         for tenant in tenants:
             tenant.session.close()
-        self._pool.close()
 
     def __enter__(self) -> "TenantRegistry":
         return self

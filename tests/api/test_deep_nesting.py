@@ -58,7 +58,7 @@ def test_session_check_raises_stage_failure(source):
 
 
 def test_router_answers_422(source):
-    with Router(ServerConfig(backend="thread", quiet=True)) as router:
+    with Router(ServerConfig(quiet=True)) as router:
         status, payload, _ = router.handle(
             "POST", "/v1/check", {}, json.dumps({"source": source}).encode()
         )

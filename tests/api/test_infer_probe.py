@@ -49,9 +49,11 @@ class TestCachedInferShortCircuits(object):
 
     def test_check_after_a_pool_installed_result_touches_only_infer(self):
         with Session() as session:
-            result = session.infer_one(PAIR_SOURCE, timeout=120)
-            assert session.stats.miss_count("infer") == 1
-            # the worker built the front half; the parent never did
+            result, _ = session.infer_many(
+                [PAIR_SOURCE, LIST_SOURCE], backend="process", max_workers=2
+            )
+            assert session.stats.miss_count("infer") == 2
+            # the workers built the front half; the parent never did
             for kind in FRONT_HALF:
                 assert session.stats.miss_count(kind) == 0
             pipe = session.pipeline(PAIR_SOURCE)

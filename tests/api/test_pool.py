@@ -255,23 +255,6 @@ class TestLifecycle(object):
         assert out["results"] == [0, 2, 4, 6, 8, 10]
         assert pool.closed and not pool.alive
 
-    def test_idle_timeout_reaps_and_respawns(self):
-        with WorkerPool(idle_timeout=0.2) as pool:
-            pool.map(_double, [1, 2], max_workers=2)
-            assert pool.alive
-            deadline = time.time() + 5.0
-            while pool.alive and time.time() < deadline:
-                time.sleep(0.05)
-            assert not pool.alive
-            assert pool.counters["pool.idle_teardowns"] == 1
-            # the next batch simply spawns a fresh executor
-            assert pool.map(_double, [3, 4], max_workers=2) == [6, 8]
-            assert pool.counters["pool.spawns"] == 2
-
-    def test_rejects_non_positive_idle_timeout(self):
-        with pytest.raises(ValueError):
-            WorkerPool(idle_timeout=0)
-
     def test_workers_get_a_bounded_session_cache(self):
         with WorkerPool() as pool:
             bounds = pool.map(_worker_cache_bound, [0, 1, 2, 3], max_workers=2)
@@ -381,13 +364,3 @@ class TestSessionOwnedPool(object):
         session = Session()
         session.close()  # nothing spawned: nothing to do, no error
         assert session.stats.event_count("pool.spawns") == 0
-
-    def test_session_pool_idle_timeout_knob(self):
-        with Session(backend="process", pool_idle_timeout=0.2) as session:
-            session.infer_many(OLDEN_SOURCES[:2], max_workers=2)
-            pool = session.process_pool()
-            deadline = time.time() + 5.0
-            while pool.alive and time.time() < deadline:
-                time.sleep(0.05)
-            assert not pool.alive
-            assert session.stats.event_count("pool.idle_teardowns") == 1

@@ -12,9 +12,12 @@ import os
 
 import pytest
 
+from repro.api import Pipeline
 from repro.core import SubtypingMode
+from repro.deadline import deadline
 from repro.frontend import parse_program
 from repro.gen import GenSpec, check_program_invariants, generate_source
+from repro.lang.pretty import pretty_target
 from repro.typing import check_program
 
 _CHUNK = 15
@@ -27,6 +30,19 @@ def test_seed_sweep_passes_oracle(chunk):
         report = check_program_invariants(generate_source(spec), args=(0, 3))
         report.raise_if_failed()
         assert report.executed_args == [0, 3]
+
+
+def test_seed_sweep_inside_an_hour_deadline_changes_no_output():
+    # the engine checks the deadline at every loop boundary; a deadline
+    # that never fires must leave every target byte-identical
+    for seed in range(_CHUNK):
+        source = generate_source(GenSpec(seed=seed, classes=6))
+        outside = pretty_target(Pipeline(source).infer().unwrap().target)
+        with deadline(3600):
+            report = check_program_invariants(source, args=(0, 3))
+            inside = pretty_target(Pipeline(source).infer().unwrap().target)
+        report.raise_if_failed()
+        assert inside == outside
 
 
 def test_sized_smoke_program_full_oracle():

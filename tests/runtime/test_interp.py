@@ -3,12 +3,16 @@
 import pytest
 
 from repro.core import SubtypingMode
+from repro.deadline import DeadlineExceeded, deadline
+from repro.frontend import parse_program
 from repro.runtime import (
     CastFailedError,
     DanglingAccessError,
     Interpreter,
     NullAccessError,
     RegionManager,
+    RuntimeError_,
+    SourceInterpreter,
     StepBudgetExceeded,
     VBool,
     VInt,
@@ -170,6 +174,24 @@ class TestRegionsAtRuntime(object):
         with pytest.raises(StepBudgetExceeded):
             interp.run_static("f", [10000])
 
+    def test_step_budget_is_exact_past_the_deadline_stride(self):
+        # the budget shares its compare with the every-1024-steps deadline
+        # check; a budget that is not a multiple of the stride still
+        # allows exactly that many steps
+        src = "int f(int n) { if (n == 0) { 0 } else { f(n - 1) } }"
+        result = infer_and_check(src)
+        probe = Interpreter(result.target)
+        probe.run_static("f", [700])
+        steps = probe._steps
+        assert steps > 2048
+        assert Interpreter(result.target, step_budget=steps).run_static(
+            "f", [700]
+        ) == VInt(0)
+        with pytest.raises(StepBudgetExceeded):
+            Interpreter(result.target, step_budget=steps - 1).run_static(
+                "f", [700]
+            )
+
     def test_region_manager_stack_discipline(self):
         mgr = RegionManager()
         a = mgr.push("a")
@@ -266,3 +288,45 @@ class TestRecursionLimit(object):
                 interp.run_static("sum", [2000])
         finally:
             sys.setrecursionlimit(old)
+
+
+ENDLESS = "int main(int n) { int i = 0; while (0 < 1) { i = i + 1; } i }"
+SUCC = "int main(int n) { n + 1 }"
+
+
+def _source_interp(src):
+    return SourceInterpreter(parse_program(src))
+
+
+def _target_interp(src):
+    return Interpreter(infer_and_check(src).target)
+
+
+@pytest.mark.parametrize(
+    "make", [_target_interp, _source_interp], ids=["target", "source"]
+)
+class TestEntryArity(object):
+    def test_exact_arity_runs(self, make):
+        assert make(SUCC).run_static("main", [1]) == VInt(2)
+
+    def test_too_many_arguments_are_refused(self, make):
+        with pytest.raises(RuntimeError_, match="takes 1 argument.*2 given"):
+            make(SUCC).run_static("main", [1, 2])
+
+    def test_too_few_arguments_are_refused(self, make):
+        with pytest.raises(RuntimeError_, match="takes 1 argument.*0 given"):
+            make(SUCC).run_static("main", [])
+
+
+@pytest.mark.parametrize(
+    "make", [_target_interp, _source_interp], ids=["target", "source"]
+)
+class TestDeadline(object):
+    def test_endless_loop_stops_at_the_deadline(self, make):
+        interp = make(ENDLESS)
+        with deadline(0.2):
+            with pytest.raises(DeadlineExceeded):
+                interp.run_static("main", [0])
+
+    def test_no_scope_no_effect(self, make):
+        assert make(SUCC).run_static("main", [41]) == VInt(42)

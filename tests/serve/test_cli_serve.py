@@ -55,7 +55,6 @@ class TestLoadgenCommand(object):
                 "--requests", "4",
                 "--tenants", "2",
                 "--programs", "treeadd",
-                "--backend", "thread",
                 "--output", str(out),
             ]
         )
@@ -83,31 +82,44 @@ class TestServeParser(object):
         assert args.func.__name__ == "cmd_serve"
         assert args.port == 8178
         assert args.max_pending == 16
-        assert args.backend is None  # the router picks by CPU allowance
+        assert args.request_timeout == 60.0
 
     def test_knobs_parse(self):
         args = build_parser().parse_args(
             [
                 "serve",
                 "--port", "0",
-                "--backend", "process",
-                "--jobs", "4",
                 "--max-concurrency", "8",
                 "--max-pending", "0",
                 "--request-timeout", "10",
-                "--idle-timeout", "2.5",
                 "--quiet",
             ]
         )
-        assert args.jobs == 4
         assert args.max_concurrency == 8
         assert args.max_pending == 0
         assert args.request_timeout == 10.0
-        assert args.idle_timeout == 2.5
         assert args.quiet is True
 
     def test_warm_floor_flag_is_refused(self):
         # the pool has a fixed width; there is no warm floor to set
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["serve", "--min-workers", "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--backend", "process"],
+            ["serve", "--jobs", "2"],
+            ["serve", "--idle-timeout", "1"],
+            ["loadgen", "--backend", "thread"],
+            ["loadgen", "--jobs", "2"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_pool_flags_are_gone_from_the_daemon(self, argv):
+        # the daemon runs every request inline: there is no pool to size,
+        # pick or reap
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
         assert exc.value.code == 2

@@ -63,7 +63,6 @@ class TestSweep(object):
                 programs=("treeadd",),
             ),
             self_host=True,
-            server_config=ServerConfig(backend="thread"),
             output=str(out),
         )
         summary = result["summary"]
@@ -96,7 +95,6 @@ class TestSweep(object):
                 levels=(1,), requests_per_level=2, programs=("treeadd",)
             ),
             self_host=True,
-            server_config=ServerConfig(backend="thread"),
             output=str(out),
         )
         report = load_report(str(out))
@@ -118,7 +116,6 @@ class TestSweep(object):
                 programs=("treeadd",),
             ),
             self_host=True,
-            server_config=ServerConfig(backend="thread"),
         )
         stamps = {}
         for sample in result["samples"]:
@@ -137,9 +134,7 @@ class TestSweep(object):
                 levels=(4,), requests_per_level=8, programs=("treeadd",)
             ),
             self_host=True,
-            server_config=ServerConfig(
-                backend="thread", max_concurrency=1, max_pending=0
-            ),
+            server_config=ServerConfig(max_concurrency=1, max_pending=0),
         )
         summary = result["summary"]
         assert summary["total_failed"] == 0
@@ -162,7 +157,6 @@ class TestNonLatin1Corpus(object):
                 levels=(1,), requests_per_level=2, corpus_dir=str(tmp_path)
             ),
             self_host=True,
-            server_config=ServerConfig(backend="thread"),
         )
         summary = result["summary"]
         assert summary["total_ok"] == 2

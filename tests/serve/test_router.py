@@ -1,8 +1,6 @@
 """The router: endpoints, error mapping, admission wiring — no sockets."""
 
 import json
-import multiprocessing
-import threading
 
 import pytest
 
@@ -15,10 +13,7 @@ TREEADD = OLDEN_PROGRAMS["treeadd"]
 
 @pytest.fixture()
 def router():
-    # thread backend: deterministic and spawn-free for endpoint tests;
-    # the process path is covered by tests/api/test_pool_sharing.py and
-    # the HTTP smoke in test_server_http.py
-    with Router(ServerConfig(backend="thread", quiet=True)) as r:
+    with Router(ServerConfig(quiet=True)) as r:
         yield r
 
 
@@ -33,7 +28,7 @@ class TestReadEndpoints(object):
         status, payload, _ = router.handle("GET", "/healthz")
         assert status == 200
         assert payload["ok"] is True
-        assert payload["backend"] == "thread"
+        assert set(payload) == {"ok", "status", "uptime_seconds"}
 
     def test_stats_shape(self, router):
         _post(router, "/v1/infer", {"source": PAIR_SOURCE, "tenant": "alice"})
@@ -45,9 +40,9 @@ class TestReadEndpoints(object):
         alice = payload["tenants"]["alice"]
         assert alice["requests"] == 1
         assert alice["cache_size"] > 0
-        assert set(payload["pool"]) == {
-            "alive", "size", "refs", "counters",
-        }
+        assert set(payload) == {"ok", "server", "admission", "tenants"}
+        assert set(payload["server"]) == {"uptime_seconds", "counters"}
+        assert set(alice) == {"requests", "cache_size", "cache_bytes", "stats"}
 
 
 class TestRouting(object):
@@ -136,6 +131,19 @@ class TestCheckAndRun(object):
         assert payload["entry"] == TREEADD.entry
         assert payload["stats"]["objects_allocated"] > 0
 
+    @pytest.mark.parametrize("args", [[1, 2], []], ids=["extra", "missing"])
+    def test_run_with_the_wrong_arity_is_422(self, router, args):
+        status, payload, _ = _post(
+            router,
+            "/v1/run",
+            {"source": "int main(int n) { n + 1 }", "args": args},
+        )
+        assert status == 422
+        assert payload["error"]["code"] == "program_error"
+        [diag] = payload["diagnostics"]
+        assert diag["stage"] == "execute"
+        assert f"takes 1 argument(s), {len(args)} given" in diag["message"]
+
     def test_run_validates_args(self, router):
         status, payload, _ = _post(
             router, "/v1/run", {"source": TREEADD.source, "args": ["x"]}
@@ -166,9 +174,7 @@ class TestCheckAndRun(object):
 class TestBackpressure(object):
     def test_busy_daemon_rejects_with_retry_after(self):
         with Router(
-            ServerConfig(
-                backend="thread", quiet=True, max_concurrency=1, max_pending=0
-            )
+            ServerConfig(quiet=True, max_concurrency=1, max_pending=0)
         ) as router:
             # occupy the only slot from outside, as an in-flight request would
             router.admission.acquire()
@@ -185,9 +191,7 @@ class TestBackpressure(object):
 
     def test_queue_deadline_is_503(self):
         with Router(
-            ServerConfig(
-                backend="thread", quiet=True, max_concurrency=1, max_pending=4
-            )
+            ServerConfig(quiet=True, max_concurrency=1, max_pending=4)
         ) as router:
             router.admission.acquire()
             try:
@@ -203,54 +207,17 @@ class TestBackpressure(object):
             assert "Retry-After" in headers
 
     def test_full_tenant_table_is_429(self):
-        with Router(
-            ServerConfig(backend="thread", quiet=True, max_tenants=1)
-        ) as router:
+        with Router(ServerConfig(quiet=True, max_tenants=1)) as router:
             assert _post(
                 router, "/v1/infer", {"source": PAIR_SOURCE, "tenant": "a"}
             )[0] == 200
-            status, payload, _ = _post(
+            status, payload, headers = _post(
                 router, "/v1/infer", {"source": PAIR_SOURCE, "tenant": "b"}
             )
             assert status == 429
-
-
-class TestPoolBackend(object):
-    def test_default_backend_follows_the_cpu_allowance(self, monkeypatch):
-        import repro.serve.router as router_module
-
-        monkeypatch.setattr(router_module, "available_cpus", lambda: 1)
-        with Router(ServerConfig(quiet=True)) as router:
-            assert router.backend == "thread"
-        monkeypatch.setattr(router_module, "available_cpus", lambda: 2)
-        with Router(ServerConfig(quiet=True)) as router:
-            assert router.backend == "process"
-
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="counts worker processes the fork start method spawns eagerly",
-    )
-    def test_stats_pool_size_is_the_live_worker_count(self):
-        # pool.size must count worker processes that exist, not a width
-        # the pool was merely asked for
-        before = set(multiprocessing.active_children())
-        config = ServerConfig(backend="process", max_workers=2, quiet=True)
-        with Router(config) as router:
-            assert _post(router, "/v1/check", {"source": PAIR_SOURCE})[0] == 200
-            statuses = []
-
-            def check(source):
-                statuses.append(_post(router, "/v1/check", {"source": source})[0])
-
-            threads = [
-                threading.Thread(target=check, args=(program.source,))
-                for program in (TREEADD, OLDEN_PROGRAMS["bisort"])
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert statuses == [200, 200]
-            _, payload, _ = router.handle("GET", "/v1/stats")
-            workers = set(multiprocessing.active_children()) - before
-            assert payload["pool"]["size"] == len(workers) == 2
+            # tenants are never evicted: retrying cannot help, so say what
+            # is full and offer no Retry-After
+            assert payload["error"]["code"] == "tenant_table_full"
+            assert "max_tenants=1" in payload["error"]["message"]
+            assert "retry_after" not in payload["error"]
+            assert "Retry-After" not in headers

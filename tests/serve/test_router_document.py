@@ -16,7 +16,7 @@ def sources():
 
 @pytest.fixture()
 def router():
-    with Router(ServerConfig(backend="thread", quiet=True)) as r:
+    with Router(ServerConfig(quiet=True)) as r:
         yield r
 
 

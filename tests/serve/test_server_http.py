@@ -1,9 +1,7 @@
 """The HTTP layer: real sockets, keep-alive, body limits, graceful drain.
 
 Each test boots a daemon on an ephemeral port in a background thread and
-talks proper HTTP/1.1 to it with ``http.client``.  One test exercises
-the process backend end to end (a real worker does the inference); the
-rest use the thread backend to stay fast on one core.
+talks proper HTTP/1.1 to it with ``http.client``.
 """
 
 import http.client
@@ -25,7 +23,7 @@ TREEADD = OLDEN_PROGRAMS["treeadd"]
 @pytest.fixture()
 def daemon():
     """A serving daemon on an ephemeral port; yields (server, connection)."""
-    server = make_server(ServerConfig(backend="thread", port=0, quiet=True))
+    server = make_server(ServerConfig(port=0, quiet=True))
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}
     )
@@ -107,7 +105,6 @@ class TestRoundTrips(object):
     def test_retry_after_travels_as_a_header(self):
         server = make_server(
             ServerConfig(
-                backend="thread",
                 port=0,
                 quiet=True,
                 max_concurrency=1,
@@ -137,7 +134,7 @@ class TestRoundTrips(object):
 class TestBodyLimits(object):
     def test_oversized_body_is_413_before_reading(self):
         server = make_server(
-            ServerConfig(backend="thread", port=0, quiet=True, max_body_bytes=64)
+            ServerConfig(port=0, quiet=True, max_body_bytes=64)
         )
         thread = threading.Thread(
             target=server.serve_forever, kwargs={"poll_interval": 0.05}
@@ -267,7 +264,7 @@ class TestResponsePath(object):
 
 class TestDrain(object):
     def test_shutdown_waits_for_in_flight_requests(self):
-        server = make_server(ServerConfig(backend="thread", port=0, quiet=True))
+        server = make_server(ServerConfig(port=0, quiet=True))
         thread = threading.Thread(
             target=server.serve_forever, kwargs={"poll_interval": 0.05}
         )
@@ -294,28 +291,3 @@ class TestDrain(object):
         server.close()
         assert results.get("status") == 200
         assert results["payload"]["ok"] is True
-
-    def test_process_backend_round_trip_and_drain(self):
-        # the full stack once: HTTP -> admission -> shared pool worker
-        server = make_server(
-            ServerConfig(backend="process", port=0, quiet=True, max_workers=2)
-        )
-        thread = threading.Thread(
-            target=server.serve_forever, kwargs={"poll_interval": 0.05}
-        )
-        thread.start()
-        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=120)
-        try:
-            status, payload, _ = _post(
-                conn, "/v1/infer", {"source": TREEADD.source}
-            )
-            assert status == 200 and payload["ok"] is True
-            conn.request("GET", "/v1/stats")
-            stats = json.loads(conn.getresponse().read())
-            assert stats["pool"]["counters"].get("pool.spawns", 0) >= 1
-        finally:
-            conn.close()
-            server.shutdown()
-            thread.join(30.0)
-            server.close()
-        assert server.router.pool.closed

@@ -1,16 +1,18 @@
-"""Tenant isolation over one shared pool.
+"""Tenant isolation in one process.
 
-The satellite contract: two tenants multiplexed over a single
-``WorkerPool`` get (1) disjoint artifact caches, (2) disjoint region-uid
-bands, and (3) eviction isolation — filling tenant A's cache never
-evicts tenant B's entries.
+Two tenants get (1) disjoint artifact caches, (2) disjoint region uids —
+every region is minted from the one process-wide counter, so no two
+inferences share a uid — and (3) eviction isolation: filling tenant A's
+cache never evicts tenant B's entries.
 """
+
+import sys
+import threading
 
 import pytest
 
-from repro.api import WorkerPool
 from repro.regions.constraints import Region
-from repro.serve.tenancy import UID_BAND_SHIFT, TenantRegistry
+from repro.serve.tenancy import TenantRegistry
 from tests.conftest import LIST_SOURCE, PAIR_SOURCE
 
 
@@ -29,11 +31,8 @@ def _variable_region_uids(result):
 
 @pytest.fixture()
 def registry():
-    pool = WorkerPool(max_workers=2)
-    reg = TenantRegistry(pool)
-    yield reg
-    reg.close()
-    pool.close()
+    with TenantRegistry() as reg:
+        yield reg
 
 
 class TestRegistry(object):
@@ -44,90 +43,80 @@ class TestRegistry(object):
         assert registry.get("nobody") is None
         assert len(registry) == 1
 
-    def test_sessions_share_the_one_pool(self, registry):
-        a = registry.get_or_create("alice")
-        b = registry.get_or_create("bob")
-        assert a.session.process_pool() is b.session.process_pool()
-        assert registry.pool.refs == 4  # creator + registry + two sessions
-
     def test_table_bound_refuses_new_tenants(self):
-        pool = WorkerPool(max_workers=2)
-        with TenantRegistry(pool, max_tenants=1) as reg:
+        with TenantRegistry(max_tenants=1) as reg:
             reg.get_or_create("alice")
             reg.get_or_create("alice")  # existing: fine
             with pytest.raises(ValueError):
                 reg.get_or_create("bob")
-        pool.close()
 
-    def test_close_releases_every_session_ref(self):
-        pool = WorkerPool(max_workers=2)
-        reg = TenantRegistry(pool)
-        reg.get_or_create("alice")
-        reg.get_or_create("bob")
-        assert pool.refs == 4
+    def test_close_releases_every_session_ref(self, monkeypatch):
+        reg = TenantRegistry()
+        sessions = [reg.get_or_create(n).session for n in ("alice", "bob")]
+        closed = []
+        for session in sessions:
+            monkeypatch.setattr(
+                session, "close", lambda s=session: closed.append(s)
+            )
         reg.close()
         reg.close()  # idempotent
-        assert pool.refs == 1
+        assert closed == sessions
         with pytest.raises(RuntimeError):
             reg.get_or_create("carol")
-        pool.close()
 
 
 class TestIsolation(object):
     def test_disjoint_artifact_caches(self, registry):
         alice = registry.get_or_create("alice")
         bob = registry.get_or_create("bob")
-        with alice.minting():
-            alice.session.infer(PAIR_SOURCE)
+        alice.session.infer(PAIR_SOURCE)
         assert alice.session.cache_size > 0
         assert bob.session.cache_size == 0
 
-    def test_disjoint_uid_bands(self, registry):
+    def test_disjoint_region_uids(self, registry):
         alice = registry.get_or_create("alice")
         bob = registry.get_or_create("bob")
-        assert alice.band != bob.band
-        with alice.minting():
-            a_result = alice.session.infer(PAIR_SOURCE)
-        with bob.minting():
-            b_result = bob.session.infer(PAIR_SOURCE)
-        a_lo, a_hi = alice.band_range
-        b_lo, b_hi = bob.band_range
-        a_uids = _variable_region_uids(a_result)
-        b_uids = _variable_region_uids(b_result)
+        a_uids = _variable_region_uids(alice.session.infer(PAIR_SOURCE))
+        b_uids = _variable_region_uids(bob.session.infer(PAIR_SOURCE))
         assert a_uids and b_uids
-        assert all(a_lo <= uid < a_hi for uid in a_uids)
-        assert all(b_lo <= uid < b_hi for uid in b_uids)
         assert not (a_uids & b_uids)
-
-    def test_minting_resumes_and_restores(self, registry):
-        alice = registry.get_or_create("alice")
-        outside_before = Region.fresh("x").uid
-        with alice.minting():
-            first = Region.fresh("a").uid
-        with alice.minting():
-            second = Region.fresh("b").uid
-        outside_after = Region.fresh("y").uid
-        lo, hi = alice.band_range
-        assert lo <= first < second < hi  # band-confined, monotonic
-        assert not (lo <= outside_before < hi)
-        assert not (lo <= outside_after < hi)
-        assert outside_after == outside_before + 1  # outside counter untouched
 
     def test_eviction_isolation(self):
         # A's cache is one entry wide: inferring two programs as A evicts
         # A's own artifacts repeatedly, and must leave B's cache alone
-        pool = WorkerPool(max_workers=2)
-        with TenantRegistry(pool, max_cache_entries=1) as reg:
+        with TenantRegistry(max_cache_entries=1) as reg:
             alice = reg.get_or_create("alice")
             bob = reg.get_or_create("bob")
-            with bob.minting():
-                bob.session.infer(PAIR_SOURCE)
+            bob.session.infer(PAIR_SOURCE)
             bob_size = bob.session.cache_size
             bob_evictions = dict(bob.session.stats.evictions)
-            with alice.minting():
-                alice.session.infer(PAIR_SOURCE)
-                alice.session.infer(LIST_SOURCE)
+            alice.session.infer(PAIR_SOURCE)
+            alice.session.infer(LIST_SOURCE)
             assert sum(alice.session.stats.evictions.values()) > 0
             assert bob.session.cache_size == bob_size
             assert dict(bob.session.stats.evictions) == bob_evictions
-        pool.close()
+
+    def test_concurrent_minting_never_repeats_a_uid(self):
+        # every thread mints from the one global counter with no lock;
+        # a lost update would hand two regions the same uid
+        minted = [[] for _ in range(8)]
+
+        def mint(out):
+            out.extend(Region.fresh().uid for _ in range(20_000))
+
+        threads = [threading.Thread(target=mint, args=(m,)) for m in minted]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        uids = [uid for out in minted for uid in out]
+        assert len(uids) == 8 * 20_000
+        assert len(set(uids)) == len(uids)
+        for out in minted:
+            assert out == sorted(out)  # monotonic within each thread

@@ -1,0 +1,127 @@
+"""The deadline scope and the engine sites that check it."""
+
+import threading
+
+import pytest
+
+from repro.api import Pipeline, Session, config_key
+from repro.checking import check_target
+from repro.core import InferenceConfig, RegionInference
+from repro.deadline import DeadlineExceeded, check, deadline
+from repro.frontend import parse_program
+from repro.lang.pretty import pretty_target
+from repro.regions.abstraction import AbstractionEnv
+from repro.regions.fixpoint import solve_recursive_abstractions
+from tests.conftest import LIST_SOURCE, PAIR_SOURCE
+
+#: an already-expired scope: every check inside it fires
+EXPIRED = -1.0
+
+#: the store key of document ``doc``'s lineage under the default config
+DOC_KEY = ("doc", config_key(InferenceConfig()))
+
+
+class TestScope(object):
+    def test_no_scope_never_fires(self):
+        check()
+
+    def test_expired_scope_fires_and_closing_it_clears(self):
+        with deadline(EXPIRED):
+            with pytest.raises(DeadlineExceeded):
+                check()
+        check()
+
+    def test_nested_scope_keeps_the_earlier_deadline(self):
+        with deadline(EXPIRED):
+            with deadline(3600):
+                with pytest.raises(DeadlineExceeded):
+                    check()
+
+    def test_nested_shorter_scope_applies_then_restores(self):
+        with deadline(3600):
+            with deadline(EXPIRED):
+                with pytest.raises(DeadlineExceeded):
+                    check()
+            check()
+
+    def test_none_adds_no_deadline(self):
+        with deadline(None):
+            check()
+        with deadline(EXPIRED):
+            with deadline(None):
+                with pytest.raises(DeadlineExceeded):
+                    check()
+
+    def test_scope_belongs_to_its_thread(self):
+        seen = []
+
+        def other():
+            try:
+                check()
+                seen.append("ok")
+            except DeadlineExceeded:
+                seen.append("fired")
+
+        with deadline(EXPIRED):
+            t = threading.Thread(target=other)
+            t.start()
+            t.join(timeout=10)
+        assert seen == ["ok"]
+
+
+class TestEngineSites(object):
+    def test_every_pipeline_stage_checks(self):
+        for stage in ("parse", "typecheck", "annotate", "infer", "verify"):
+            pipe = Pipeline(PAIR_SOURCE)
+            with deadline(EXPIRED):
+                with pytest.raises(DeadlineExceeded):
+                    getattr(pipe, stage)()
+        pipe = Pipeline(PAIR_SOURCE)
+        pipe.infer()
+        with deadline(EXPIRED):
+            with pytest.raises(DeadlineExceeded):
+                pipe.execute("main")
+
+    def test_inference_checks_between_sccs(self):
+        program = parse_program(PAIR_SOURCE)
+        engine = RegionInference(program)
+        with deadline(EXPIRED):
+            with pytest.raises(DeadlineExceeded):
+                engine.infer()
+
+    def test_fixpoint_checks_each_iteration(self):
+        with deadline(EXPIRED):
+            with pytest.raises(DeadlineExceeded):
+                solve_recursive_abstractions([], AbstractionEnv())
+
+    def test_region_check_checks_each_method(self):
+        target = Pipeline(PAIR_SOURCE).infer().value.target
+        with deadline(EXPIRED):
+            with pytest.raises(DeadlineExceeded):
+                check_target(target)
+
+
+class TestNothingPartialIsKept(object):
+    def test_timed_out_infer_caches_nothing(self):
+        session = Session()
+        with pytest.raises(DeadlineExceeded):
+            session.infer_one(PAIR_SOURCE, timeout=EXPIRED)
+        assert session.cache_size == 0
+        result = session.infer_one(PAIR_SOURCE, timeout=3600)
+        assert pretty_target(result.target) == pretty_target(
+            Pipeline(PAIR_SOURCE).infer().value.target
+        )
+
+    def test_timed_out_reinfer_keeps_the_prior_lineage(self):
+        session = Session()
+        session.reinfer(PAIR_SOURCE, document="doc")
+        lineage = session._store.peek("document", DOC_KEY)
+        with deadline(EXPIRED):
+            with pytest.raises(DeadlineExceeded):
+                session.reinfer(LIST_SOURCE, document="doc")
+        assert session._store.peek("document", DOC_KEY) == lineage
+        result = session.reinfer(LIST_SOURCE, document="doc")
+        assert pretty_target(result.target) == pretty_target(
+            Pipeline(LIST_SOURCE).infer().value.target
+        )
+
