@@ -382,19 +382,24 @@ def measure_gen_pipeline(
 ) -> Dict[str, Any]:
     """Stage timings for one ``GenSpec.sized`` program.
 
-    Generation and parse are timed once (cheap, deterministic); field-mode
-    inference is min-of-rounds; the independent checker runs once over the
-    last inferred target.
+    Generation, lexing and parse are timed once (cheap, deterministic;
+    ``parse_s`` includes its own lexing); field-mode inference is
+    min-of-rounds; the independent checker runs once over the last
+    inferred target.
     """
     from ..checking import check_target
     from ..core import InferenceConfig, SubtypingMode, infer_program
     from ..frontend import parse_program
+    from ..frontend.lexer import tokenize
     from ..gen import GenSpec, generate_source
 
     spec = GenSpec.sized(classes, seed=seed)
     start = time.perf_counter()
     source = generate_source(spec)
     generate_s = time.perf_counter() - start
+    start = time.perf_counter()
+    tokenize(source)
+    lex_s = time.perf_counter() - start
     start = time.perf_counter()
     program = parse_program(source)
     parse_s = time.perf_counter() - start
@@ -416,6 +421,7 @@ def measure_gen_pipeline(
         "methods": sum(len(c.methods) for c in program.classes)
         + len(program.statics),
         "generate_s": generate_s,
+        "lex_s": lex_s,
         "parse_s": parse_s,
         "infer_s": infer_s,
         "verify_s": verify_s,
@@ -470,7 +476,7 @@ def _gen_run(ctx: RunContext) -> List[Sample]:
             "methods": measured["methods"],
             "rounds": rounds,
         }
-        for stage in ("generate", "parse", "infer", "verify"):
+        for stage in ("generate", "lex", "parse", "infer", "verify"):
             samples.append(
                 sample(stage, measured[f"{stage}_s"] * 1000.0, "ms", meta)
             )
@@ -525,7 +531,7 @@ def _gen_run(ctx: RunContext) -> List[Sample]:
 register(
     BenchmarkSpec(
         name="gen_scaling",
-        description="Parse/infer/verify scaling curve over GenSpec.sized "
+        description="Lex/parse/infer/verify scaling curve over GenSpec.sized "
         "generated corpora, plus edit-one-literal incremental re-inference "
         "on a synthetic corpus",
         prepare=_gen_prepare,

@@ -203,64 +203,70 @@ class DependencyGraph:
         owner_line = (
             set(self.table.ancestors(method.owner)) if method.owner else set()
         )
-
-        def uses_class(cn: str) -> None:
-            if cn != OBJECT_NAME and self.table.has_class(cn) and cn not in owner_line:
-                self._add_edge(me, classinv_node(cn))
-
         for p in method.params:
             if isinstance(p.param_type, S.ClassType):
-                uses_class(p.param_type.name)
+                self._uses_class(me, owner_line, p.param_type.name)
         if isinstance(method.ret_type, S.ClassType):
-            uses_class(method.ret_type.name)
+            self._uses_class(me, owner_line, method.ret_type.name)
 
         # walk the body for calls, news, casts and local decl types
-        def visit(e: S.Expr, env: Dict[str, str]) -> None:
-            if isinstance(e, S.New):
-                uses_class(e.class_name)
-            elif isinstance(e, S.Cast):
-                uses_class(e.class_name)
-            elif isinstance(e, S.Null) and e.class_name:
-                uses_class(e.class_name)
-            elif isinstance(e, S.Call):
-                callee = self._resolve_call(e, method, env)
-                if callee is not None:
-                    self._add_edge(me, method_node(callee))
-                else:
-                    # resolution failed: conservatively depend on every
-                    # method of this name, so incremental dirtying can
-                    # never miss a real dependency
-                    for qn in self._same_name_methods(
-                        e.method_name, static=e.receiver is None
-                    ):
-                        self._add_edge(me, method_node(qn))
-            elif isinstance(e, S.Block):
-                inner = dict(env)
-                for s in e.stmts:
-                    if isinstance(s, S.LocalDecl):
-                        if isinstance(s.decl_type, S.ClassType):
-                            uses_class(s.decl_type.name)
-                            if s.init is not None:
-                                visit(s.init, inner)
-                            inner[s.name] = s.decl_type.name
-                        elif s.init is not None:
-                            visit(s.init, inner)
-                    else:
-                        assert isinstance(s, S.ExprStmt)
-                        visit(s.expr, inner)
-                if e.result is not None:
-                    visit(e.result, inner)
-                return
-            for child in e.children():
-                visit(child, env)
-
         env: Dict[str, str] = {}
         if method.owner is not None:
             env[S.THIS] = method.owner
         for p in method.params:
             if isinstance(p.param_type, S.ClassType):
                 env[p.name] = p.param_type.name
-        visit(method.body, env)
+        self._add_body_edges(method.body, env, method, me, owner_line)
+
+    def _uses_class(self, me: Node, owner_line: Set[str], cn: str) -> None:
+        if cn != OBJECT_NAME and self.table.has_class(cn) and cn not in owner_line:
+            self._add_edge(me, classinv_node(cn))
+
+    def _add_body_edges(
+        self,
+        e: S.Expr,
+        env: Dict[str, str],
+        method: S.MethodDecl,
+        me: Node,
+        owner_line: Set[str],
+    ) -> None:
+        if isinstance(e, S.New):
+            self._uses_class(me, owner_line, e.class_name)
+        elif isinstance(e, S.Cast):
+            self._uses_class(me, owner_line, e.class_name)
+        elif isinstance(e, S.Null) and e.class_name:
+            self._uses_class(me, owner_line, e.class_name)
+        elif isinstance(e, S.Call):
+            callee = self._resolve_call(e, method, env)
+            if callee is not None:
+                self._add_edge(me, method_node(callee))
+            else:
+                # resolution failed: conservatively depend on every
+                # method of this name, so incremental dirtying can
+                # never miss a real dependency
+                for qn in self._same_name_methods(
+                    e.method_name, static=e.receiver is None
+                ):
+                    self._add_edge(me, method_node(qn))
+        elif isinstance(e, S.Block):
+            inner = dict(env)
+            for s in e.stmts:
+                if isinstance(s, S.LocalDecl):
+                    if isinstance(s.decl_type, S.ClassType):
+                        self._uses_class(me, owner_line, s.decl_type.name)
+                        if s.init is not None:
+                            self._add_body_edges(s.init, inner, method, me, owner_line)
+                        inner[s.name] = s.decl_type.name
+                    elif s.init is not None:
+                        self._add_body_edges(s.init, inner, method, me, owner_line)
+                else:
+                    assert isinstance(s, S.ExprStmt)
+                    self._add_body_edges(s.expr, inner, method, me, owner_line)
+            if e.result is not None:
+                self._add_body_edges(e.result, inner, method, me, owner_line)
+            return
+        for child in e.children():
+            self._add_body_edges(child, env, method, me, owner_line)
 
     def _static_type_of(
         self, e: S.Expr, method: S.MethodDecl, env: Dict[str, str]

@@ -144,115 +144,118 @@ class DowncastAnalysis:
                 self.static_class[_var(qn, p.name)] = p.param_type.name
         if isinstance(method.ret_type, S.ClassType):
             self.static_class[_ret(qn)] = method.ret_type.name
+        self._visit(method.body, env, qn)
 
-        def sources(e: S.Expr, env: Dict[str, str]) -> List[Tuple[FlowSource, Optional[str]]]:
-            """(flow node, downcast class) pairs a value may come from."""
-            if isinstance(e, S.Var):
-                return [(_var(qn, e.name), None)]
-            if isinstance(e, S.New):
-                self.static_class[_site(e.label)] = e.class_name
-                return [(_site(e.label), None)]
-            if isinstance(e, S.Cast):
-                inner = sources(e.expr, env)
-                cls = self._class_of(e.expr, env, qn)
-                if cls is not None and self.table.is_subclass(e.class_name, cls) and e.class_name != cls:
-                    # a true downcast: mark the sources
-                    return [(s, e.class_name) for (s, _d) in inner]
-                return inner
-            if isinstance(e, S.FieldRead):
-                recv_cls = self._class_of(e.receiver, env, qn)
-                if recv_cls is not None:
-                    found = self.table.lookup_field(recv_cls, e.field_name)
-                    if found is not None:
-                        return [(_field_slot(found[1], e.field_name), None)]
-                return []
-            if isinstance(e, S.Call):
-                callee = self._resolve_call(e, env, qn)
-                if callee is not None:
-                    return [(_ret(callee), None)]
-                return []
-            if isinstance(e, S.If):
-                return sources(e.then, env) + sources(e.els, env)
-            if isinstance(e, S.Block):
-                if e.result is not None:
-                    inner = dict(env)
-                    for s in e.stmts:
-                        if isinstance(s, S.LocalDecl) and isinstance(s.decl_type, S.ClassType):
-                            inner[s.name] = s.decl_type.name
-                    return sources(e.result, inner)
-                return []
+    def _sources(
+        self, e: S.Expr, env: Dict[str, str], qn: str
+    ) -> List[Tuple[FlowSource, Optional[str]]]:
+        """(flow node, downcast class) pairs a value may come from."""
+        if isinstance(e, S.Var):
+            return [(_var(qn, e.name), None)]
+        if isinstance(e, S.New):
+            self.static_class[_site(e.label)] = e.class_name
+            return [(_site(e.label), None)]
+        if isinstance(e, S.Cast):
+            inner = self._sources(e.expr, env, qn)
+            cls = self._class_of(e.expr, env, qn)
+            if cls is not None and self.table.is_subclass(e.class_name, cls) and e.class_name != cls:
+                # a true downcast: mark the sources
+                return [(s, e.class_name) for (s, _d) in inner]
+            return inner
+        if isinstance(e, S.FieldRead):
+            recv_cls = self._class_of(e.receiver, env, qn)
+            if recv_cls is not None:
+                found = self.table.lookup_field(recv_cls, e.field_name)
+                if found is not None:
+                    return [(_field_slot(found[1], e.field_name), None)]
             return []
-
-        def flow_into(dst: FlowSource, e: S.Expr, env: Dict[str, str]) -> None:
-            for src, dcls in sources(e, env):
-                self._edge(dst, src)
-                if dcls is not None:
-                    self.direct_casts.setdefault(src, set()).add(dcls)
-
-        def visit(e: S.Expr, env: Dict[str, str]) -> None:
-            if isinstance(e, S.Assign):
-                visit(e.rhs, env)
-                if isinstance(e.lhs, S.Var):
-                    flow_into(_var(qn, e.lhs.name), e.rhs, env)
-                elif isinstance(e.lhs, S.FieldRead):
-                    visit(e.lhs.receiver, env)
-                    recv_cls = self._class_of(e.lhs.receiver, env, qn)
-                    if recv_cls is not None:
-                        found = self.table.lookup_field(recv_cls, e.lhs.field_name)
-                        if found is not None:
-                            flow_into(_field_slot(found[1], e.lhs.field_name), e.rhs, env)
-                return
-            if isinstance(e, S.New):
-                for arg, fdecl in zip(e.args, self.table.fields(e.class_name)):
-                    visit(arg, env)
-                    if isinstance(fdecl.field_type, S.ClassType):
-                        owner = self.table.lookup_field(e.class_name, fdecl.name)
-                        assert owner is not None
-                        flow_into(_field_slot(owner[1], fdecl.name), arg, env)
-                self.static_class.setdefault(_site(e.label), e.class_name)
-                return
-            if isinstance(e, S.Call):
-                callee = self._resolve_call(e, env, qn)
-                if e.receiver is not None:
-                    visit(e.receiver, env)
-                for i, arg in enumerate(e.args):
-                    visit(arg, env)
-                    if callee is not None:
-                        decl = self._method_decl(callee)
-                        if decl is not None and i < len(decl.params):
-                            p = decl.params[i]
-                            if isinstance(p.param_type, S.ClassType):
-                                flow_into(_var(callee, p.name), arg, env)
-                return
-            if isinstance(e, S.Cast):
-                # visiting for marks even when the value is unused
-                for src, dcls in sources(e, env):
-                    if dcls is not None:
-                        self.direct_casts.setdefault(src, set()).add(dcls)
-                visit(e.expr, env)
-                return
-            if isinstance(e, S.Block):
+        if isinstance(e, S.Call):
+            callee = self._resolve_call(e, env, qn)
+            if callee is not None:
+                return [(_ret(callee), None)]
+            return []
+        if isinstance(e, S.If):
+            return self._sources(e.then, env, qn) + self._sources(e.els, env, qn)
+        if isinstance(e, S.Block):
+            if e.result is not None:
                 inner = dict(env)
                 for s in e.stmts:
-                    if isinstance(s, S.LocalDecl):
-                        if s.init is not None:
-                            visit(s.init, inner)
-                        if isinstance(s.decl_type, S.ClassType):
-                            inner[s.name] = s.decl_type.name
-                            self.static_class[_var(qn, s.name)] = s.decl_type.name
-                            if s.init is not None:
-                                flow_into(_var(qn, s.name), s.init, inner)
-                    else:
-                        assert isinstance(s, S.ExprStmt)
-                        visit(s.expr, inner)
-                if e.result is not None:
-                    visit(e.result, inner)
-                    flow_into(_ret(qn), e.result, inner)
-                return
-            for child in e.children():
-                visit(child, env)
+                    if isinstance(s, S.LocalDecl) and isinstance(s.decl_type, S.ClassType):
+                        inner[s.name] = s.decl_type.name
+                return self._sources(e.result, inner, qn)
+            return []
+        return []
 
-        visit(method.body, env)
+    def _flow_into(
+        self, dst: FlowSource, e: S.Expr, env: Dict[str, str], qn: str
+    ) -> None:
+        for src, dcls in self._sources(e, env, qn):
+            self._edge(dst, src)
+            if dcls is not None:
+                self.direct_casts.setdefault(src, set()).add(dcls)
+
+    def _visit(self, e: S.Expr, env: Dict[str, str], qn: str) -> None:
+        if isinstance(e, S.Assign):
+            self._visit(e.rhs, env, qn)
+            if isinstance(e.lhs, S.Var):
+                self._flow_into(_var(qn, e.lhs.name), e.rhs, env, qn)
+            elif isinstance(e.lhs, S.FieldRead):
+                self._visit(e.lhs.receiver, env, qn)
+                recv_cls = self._class_of(e.lhs.receiver, env, qn)
+                if recv_cls is not None:
+                    found = self.table.lookup_field(recv_cls, e.lhs.field_name)
+                    if found is not None:
+                        self._flow_into(_field_slot(found[1], e.lhs.field_name), e.rhs, env, qn)
+            return
+        if isinstance(e, S.New):
+            for arg, fdecl in zip(e.args, self.table.fields(e.class_name)):
+                self._visit(arg, env, qn)
+                if isinstance(fdecl.field_type, S.ClassType):
+                    owner = self.table.lookup_field(e.class_name, fdecl.name)
+                    assert owner is not None
+                    self._flow_into(_field_slot(owner[1], fdecl.name), arg, env, qn)
+            self.static_class.setdefault(_site(e.label), e.class_name)
+            return
+        if isinstance(e, S.Call):
+            callee = self._resolve_call(e, env, qn)
+            if e.receiver is not None:
+                self._visit(e.receiver, env, qn)
+            for i, arg in enumerate(e.args):
+                self._visit(arg, env, qn)
+                if callee is not None:
+                    decl = self._method_decl(callee)
+                    if decl is not None and i < len(decl.params):
+                        p = decl.params[i]
+                        if isinstance(p.param_type, S.ClassType):
+                            self._flow_into(_var(callee, p.name), arg, env, qn)
+            return
+        if isinstance(e, S.Cast):
+            # visiting for marks even when the value is unused
+            for src, dcls in self._sources(e, env, qn):
+                if dcls is not None:
+                    self.direct_casts.setdefault(src, set()).add(dcls)
+            self._visit(e.expr, env, qn)
+            return
+        if isinstance(e, S.Block):
+            inner = dict(env)
+            for s in e.stmts:
+                if isinstance(s, S.LocalDecl):
+                    if s.init is not None:
+                        self._visit(s.init, inner, qn)
+                    if isinstance(s.decl_type, S.ClassType):
+                        inner[s.name] = s.decl_type.name
+                        self.static_class[_var(qn, s.name)] = s.decl_type.name
+                        if s.init is not None:
+                            self._flow_into(_var(qn, s.name), s.init, inner, qn)
+                else:
+                    assert isinstance(s, S.ExprStmt)
+                    self._visit(s.expr, inner, qn)
+            if e.result is not None:
+                self._visit(e.result, inner, qn)
+                self._flow_into(_ret(qn), e.result, inner, qn)
+            return
+        for child in e.children():
+            self._visit(child, env, qn)
 
     # -- helpers --------------------------------------------------------------------
     def _method_decl(self, qualified: str) -> Optional[S.MethodDecl]:

@@ -268,14 +268,12 @@ def plan_salts(program: S.Program, plan: PaddingPlan) -> Dict[str, str]:
     for m in program.all_methods():
         parts = sorted(by_method.get(m.qualified_name, []))
         labels: List[str] = []
-
-        def collect(e: S.Expr) -> None:
+        stack: List[S.Expr] = [m.body]
+        while stack:  # pre-order
+            e = stack.pop()
             if isinstance(e, S.New):
                 labels.append(e.label)
-            for child in e.children():
-                collect(child)
-
-        collect(m.body)
+            stack.extend(reversed(e.children()))
         for i, label in enumerate(labels):
             dset = plan.downcast_sets.get(("new", label, ""))
             if dset:
@@ -325,6 +323,31 @@ def scc_splice_keys(
             h.update(fp.encode("ascii"))
         out[methods] = h.hexdigest()
     return out
+
+
+def _region_summary(body: T.TExpr) -> Tuple[Set[Region], Set[Region]]:
+    """The regions ``body`` mentions and the regions its letregs bind.
+
+    "Mentions" means the regions of every node's type plus the region
+    arguments of every ``new`` and call.  One walk computes both sets.
+    """
+    mentioned: Set[Region] = set()
+    bound: Set[Region] = set()
+    stack = [body]
+    while stack:
+        node = stack.pop()
+        t = node.type
+        if isinstance(t, T.RClass):
+            mentioned.update(t.regions)
+            mentioned.update(t.padding)
+        if isinstance(node, T.TNew):
+            mentioned.update(node.regions)
+        elif isinstance(node, T.TCall):
+            mentioned.update(node.region_args)
+        elif isinstance(node, T.TLetreg):
+            bound.update(node.regions)
+        stack.extend(node.children())
+    return mentioned, bound
 
 
 class _Ctx:
@@ -632,24 +655,38 @@ class RegionInference:
         preds = gathered.pred_atoms()
         hyp = self._hypotheses(scheme)
 
+        # the one summary walk: what the body mentions and what it binds.
+        # Every later step works on these sets and on one substitution,
+        # composed step by step and applied to the body in a single pass.
+        body_regions, bound = _region_summary(tbody)
+
         # method-level localisation of anything the block rule left behind
         solver = RegionSolver(base.conj(hyp))
         protected: Set[Region] = set(interface) | {HEAP}
         for p in preds:
             protected |= set(p.args)
         protected |= set(T.type_regions(tbody.type))
-        body_regions = self._body_regions(tbody)
+        # a region is its uid: ``r > mark`` means "minted after the mark"
         candidates = {
             r
             for r in (set(base.regions()) | body_regions)
-            if r.uid > mark and not (r.is_heap or r.is_null)
+            if r > mark and not (r.is_heap or r.is_null)
         }
-        bound_already = self._letreg_bound(tbody)
-        candidates -= bound_already
+        candidates -= bound
         escapes = solver.upward_closure(protected) | protected
         rs = candidates - escapes
+        subst = RegionSubst()
         if rs and self.config.localize_blocks:
-            tbody, base = self._apply_localization(tbody, base, rs, ctx)
+            local = Region.fresh("rl")
+            subst = RegionSubst({r: local for r in rs})
+            base = subst.apply_constraint(base)
+            base = Constraint(
+                frozenset(a for a in base.atoms if local not in a.regions())
+            )
+            ctx.localized += 1
+            tbody = T.TLetreg(regions=(local,), body=tbody, type=tbody.type)
+            body_regions = set(subst.apply_all(body_regions))
+            bound.add(local)
             # localisation rewrote ``base``; the closed solver is stale
             solver = RegionSolver(base.conj(hyp))
 
@@ -657,19 +694,22 @@ class RegionInference:
         coalesce = solver.coalescing_substitution(preferred=interface)
         keep = set(interface)
         coalesce = RegionSubst(
-            {k: v for k, v in coalesce if k not in keep and not self._is_bound(k, tbody)}
+            {k: v for k, v in coalesce if k not in keep and k not in bound}
         )
         base = coalesce.apply_constraint(base)
         preds = tuple(p.rename(coalesce.mapping()) for p in preds)
-        T.rename_expr_regions(tbody, coalesce)
+        body_regions = set(coalesce.apply_all(body_regions))
+        subst = subst.compose(coalesce)
 
         # map residual escaping regions onto the interface (or the heap)
         residual_subst = self._residual_substitution(
-            base, preds, tbody, interface, hyp
+            base, preds, body_regions, bound, interface, hyp
         )
         base = residual_subst.apply_constraint(base)
         preds = tuple(p.rename(residual_subst.mapping()) for p in preds)
-        T.rename_expr_regions(tbody, residual_subst)
+        subst = subst.compose(residual_subst)
+        if subst:
+            T.rename_expr_regions(tbody, subst)
 
         ret_type = scheme.ret_type
         tmethod = T.TMethodDecl(
@@ -694,50 +734,12 @@ class RegionInference:
         self.q.define(abstraction)
         return abstraction
 
-    def _body_regions(self, body: T.TExpr) -> Set[Region]:
-        out: Set[Region] = set()
-        for node in T.twalk(body):
-            out.update(T.type_regions(node.type) if node.type is not None else ())
-            if isinstance(node, T.TNew):
-                out.update(node.regions)
-            elif isinstance(node, T.TCall):
-                out.update(node.region_args)
-        return out
-
-    def _letreg_bound(self, body: T.TExpr) -> Set[Region]:
-        out: Set[Region] = set()
-        for node in T.twalk(body):
-            if isinstance(node, T.TLetreg):
-                out.update(node.regions)
-        return out
-
-    def _is_bound(self, r: Region, body: T.TExpr) -> bool:
-        return r in self._letreg_bound(body)
-
-    def _apply_localization(
-        self,
-        tbody: T.TExpr,
-        base: Constraint,
-        rs: Set[Region],
-        ctx: _Ctx,
-    ) -> Tuple[T.TExpr, Constraint]:
-        """Collapse ``rs`` into one fresh letreg region around ``tbody``."""
-        local = Region.fresh("rl")
-        subst = RegionSubst({r: local for r in rs})
-        base = subst.apply_constraint(base)
-        base = Constraint(
-            frozenset(a for a in base.atoms if local not in a.regions())
-        )
-        T.rename_expr_regions(tbody, subst)
-        ctx.localized += 1
-        wrapped = T.TLetreg(regions=(local,), body=tbody, type=tbody.type)
-        return wrapped, base
-
     def _residual_substitution(
         self,
         base: Constraint,
         preds: Tuple[PredAtom, ...],
-        tbody: T.TExpr,
+        body_regions: Set[Region],
+        bound: Set[Region],
         interface: List[Region],
         hyp: Constraint,
     ) -> RegionSubst:
@@ -746,16 +748,16 @@ class RegionInference:
         Every region of a finished method body must be a region parameter,
         a letreg-bound local, or the heap (Sec 3.3).  A residual escaping
         region ``r`` is unified with the longest-lived interface region it
-        provably outlives.
+        provably outlives.  ``body_regions`` and ``bound`` are the regions
+        the body mentions and those its letregs bind.
         """
         solver = RegionSolver(base.conj(hyp))
-        bound = self._letreg_bound(tbody)
         keep = set(interface) | bound | {HEAP}
-        mentioned: Set[Region] = set(base.regions()) | self._body_regions(tbody)
+        mentioned: Set[Region] = set(base.regions()) | body_regions
         for p in preds:
             mentioned.update(p.args)
         mapping: Dict[Region, Region] = {}
-        for r in sorted(mentioned, key=lambda x: x.uid):
+        for r in sorted(mentioned):
             if r in keep or r.is_heap or r.is_null:
                 continue
             # prefer an interface region the residual provably outlives
@@ -1217,6 +1219,15 @@ class RegionInference:
         # ---- the [letreg] rule -------------------------------------------
         block_constraints = Constraint.all(ctx.slice_from(cmark))
         base = block_constraints.base_atoms()
+        body_regions, bound = _region_summary(tblock)
+        candidates = {
+            r
+            for r in (set(base.regions()) | body_regions)
+            if r > mark and not (r.is_heap or r.is_null)
+        }
+        candidates -= bound
+        if not candidates:
+            return tblock
         solver = RegionSolver(base)
         protected: Set[Region] = {HEAP}
         for t in outer_env.values():
@@ -1225,13 +1236,6 @@ class RegionInference:
         for p in block_constraints.pred_atoms():
             protected |= set(p.args)
         protected |= set(ctx.scheme.abstraction_params)
-        bound = self._letreg_bound(tblock)
-        candidates = {
-            r
-            for r in (set(base.regions()) | self._body_regions(tblock))
-            if r.uid > mark and not (r.is_heap or r.is_null)
-        }
-        candidates -= bound
         escapes = solver.upward_closure(protected) | protected
         rs = candidates - escapes
         if not rs:

@@ -2,12 +2,19 @@
 
 Produces a stream of :class:`Token` objects with positions.  Supports
 ``//`` line comments and ``/* ... */`` block comments.
+
+One compiled regular expression does the scanning: each match consumes
+the whitespace and comments before a token plus the token itself, so the
+Python-level loop runs once per token, not once per character.  Lines
+and columns come from the newline offsets passed on the way (a column
+counts characters, tabs and ``\\r`` included, from 1).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List
 
 from ..lang.ast import Pos
 
@@ -37,9 +44,33 @@ KEYWORDS = frozenset(
     }
 )
 
-#: Multi-character operators, longest first so maximal munch works.
-_MULTI_OPS = ("==", "!=", "<=", ">=", "&&", "||")
-_SINGLE_OPS = "+-*/%<>=!.,;(){}[]"
+#: One token per match: skipped whitespace and comments, then exactly one
+#: of the groups.  Integer literals are ASCII digits only.  Identifiers
+#: start with a letter or ``_`` and go on with letters, digits or ``_``
+#: (Unicode ``isalpha``/``isalnum``, which is what ``\w`` matches); a word
+#: that starts with any other ``\w`` character (``²``, ``٣``) lands in
+#: ``uword`` and is checked by hand.  Multi-character operators come
+#: before single ones (maximal munch).  ``/*`` after the skip can only be
+#: an unterminated comment, so it is tried before ``/``.  The catch-all
+#: ``bad`` and ``eof`` groups make every position match, so the scan
+#: never skips input or backtracks.
+_TOKEN = re.compile(
+    r"""
+    (?:[ \t\r\n]+ | //[^\n]* | /\*.*?\*/)*
+    (?:
+      ([0-9]+)                                  # 1 int
+    | ([A-Za-z_]\w*)                            # 2 word
+    | (/\*)                                     # 3 unterminated comment
+    | (==|!=|<=|>=|&&|\|\||[-+*/%<>=!.,;(){}\[\]])  # 4 op
+    | (\w+)                                     # 5 uword
+    | (.)                                       # 6 bad
+    | (\Z)                                      # 7 eof
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+_INT, _WORD, _OPEN, _OP, _UWORD, _BAD, _EOF = range(1, 8)
 
 
 class LexError(Exception):
@@ -51,13 +82,16 @@ class LexError(Exception):
         self.pos = pos
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Token:
     """A lexical token.
 
     ``kind`` is one of ``"id"``, ``"int"``, ``"kw"``, ``"op"``, ``"eof"``;
-    ``text`` is the matched text (empty for eof).
+    ``text`` is the matched text (empty for eof).  Tokens compare and hash
+    by value; slotted and not frozen, so building one per token is cheap.
     """
+
+    __slots__ = ("kind", "text", "pos")
 
     kind: str
     text: str
@@ -76,68 +110,38 @@ class Token:
 def tokenize(source: str) -> List[Token]:
     """Lex ``source`` into a token list ending with one ``eof`` token."""
     tokens: List[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-
-    def pos() -> Pos:
-        return Pos(line, col)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        if source.startswith("/*", i):
-            start = pos()
-            advance(2)
-            while i < n and not source.startswith("*/", i):
-                advance(1)
-            if i >= n:
-                raise LexError("unterminated block comment", start)
-            advance(2)
-            continue
-        if ch.isdigit():
-            start, p = i, pos()
-            while i < n and source[i].isdigit():
-                advance(1)
-            tokens.append(Token("int", source[start:i], p))
-            continue
-        if ch.isalpha() or ch == "_":
-            start, p = i, pos()
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                advance(1)
-            word = source[start:i]
-            kind = "kw" if word in KEYWORDS else "id"
-            tokens.append(Token(kind, word, p))
-            continue
-        matched = False
-        for op in _MULTI_OPS:
-            if source.startswith(op, i):
-                tokens.append(Token("op", op, pos()))
-                advance(len(op))
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in _SINGLE_OPS:
-            tokens.append(Token("op", ch, pos()))
-            advance(1)
-            continue
-        raise LexError(f"unexpected character {ch!r}", pos())
-
-    tokens.append(Token("eof", "", pos()))
+    append = tokens.append
+    keywords = KEYWORDS
+    find = source.find
+    no_newline = len(source) + 1
+    line, line_start = 1, 0
+    newline = find("\n")
+    if newline < 0:
+        newline = no_newline
+    for m in _TOKEN.finditer(source):
+        group = m.lastindex
+        start = m.start(group)
+        while newline < start:
+            line += 1
+            line_start = newline + 1
+            newline = find("\n", line_start)
+            if newline < 0:
+                newline = no_newline
+        pos = Pos(line, start - line_start + 1)
+        text = m.group(group)
+        if group == _OP:
+            append(Token("op", text, pos))
+        elif group == _WORD:
+            append(Token("kw" if text in keywords else "id", text, pos))
+        elif group == _INT:
+            append(Token("int", text, pos))
+        elif group == _EOF:
+            append(Token("eof", "", pos))
+            break
+        elif group == _UWORD and text[0].isalpha():
+            append(Token("kw" if text in keywords else "id", text, pos))
+        elif group == _OPEN:
+            raise LexError("unterminated block comment", pos)
+        else:
+            raise LexError(f"unexpected character {text[0]!r}", pos)
     return tokens

@@ -52,8 +52,10 @@ class Parser:
 
     # -- token helpers -----------------------------------------------------
     def _peek(self, ahead: int = 0) -> Token:
-        j = min(self._i + ahead, len(self._tokens) - 1)
-        return self._tokens[j]
+        if not ahead:
+            # ``_next`` never moves past the trailing eof token
+            return self._tokens[self._i]
+        return self._tokens[min(self._i + ahead, len(self._tokens) - 1)]
 
     def _next(self) -> Token:
         t = self._tokens[self._i]
@@ -301,10 +303,13 @@ class Parser:
 
     def _parse_binop_chain(self, ops: Tuple[str, ...], sub) -> S.Expr:
         left = sub()
-        while self._peek().kind == "op" and self._peek().text in ops:
-            op = self._next()
+        tokens = self._tokens
+        op = tokens[self._i]
+        while op.kind == "op" and op.text in ops:
+            self._i += 1  # an operator is never the eof token
             right = sub()
             left = S.Binop(op.text, left, right, pos=op.pos)
+            op = tokens[self._i]
         return left
 
     def _parse_or(self) -> S.Expr:

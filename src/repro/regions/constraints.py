@@ -45,15 +45,20 @@ __all__ = [
 ]
 
 
-class Region:
+class Region(int):
     """An abstract region variable.
 
-    Regions are compared by identity of their unique id, which makes fresh
-    region generation trivially correct even when two regions share a
-    user-facing name.  The pre-built :data:`HEAP` region is the global heap
-    with unlimited lifetime; :data:`NULL_REGION` is the fictitious region of
-    ``null`` values discussed in the paper's conclusion (it outlives and is
-    outlived by every region).
+    A region *is* its unique id: :class:`Region` subclasses ``int`` with
+    the uid as its value, so equality and hashing run in C (``int``'s own
+    slots; the class defines no ``__eq__``/``__hash__``) with the value
+    semantics by uid that fresh region generation relies on -- two regions
+    are equal exactly when their uids are, even when they share a
+    user-facing name.  Hashes equal ``hash(uid)``, so set and dict
+    iteration orders are those of the uids.  A region is always truthy
+    (the heap's uid is 0).  The pre-built :data:`HEAP` region is the global
+    heap with unlimited lifetime; :data:`NULL_REGION` is the fictitious
+    region of ``null`` values discussed in the paper's conclusion (it
+    outlives and is outlived by every region).
 
     **Pickling contract.**  Regions pickle by value (name, kind, uid); the
     distinguished :data:`HEAP` and :data:`NULL_REGION` singletons unpickle
@@ -65,21 +70,19 @@ class Region:
     process mints uids from a private, disjoint namespace.
     """
 
-    __slots__ = ("name", "uid", "kind")
-
     _counter = itertools.count(1)
 
-    def __init__(self, name: str, kind: str = "var", _uid: Optional[int] = None):
+    #: the unique id, as a plain ``int``
+    uid = property(int.__int__)
+
+    def __new__(cls, name: str, kind: str = "var", _uid: Optional[int] = None):
+        self = int.__new__(cls, next(Region._counter) if _uid is None else _uid)
         self.name = name
         self.kind = kind  # "var" | "heap" | "null"
-        self.uid = _uid if _uid is not None else next(Region._counter)
+        return self
 
-    # -- identity ----------------------------------------------------------
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Region) and self.uid == other.uid
-
-    def __hash__(self) -> int:
-        return hash(self.uid)
+    def __bool__(self) -> bool:
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Region({self.name!r}, uid={self.uid})"
@@ -125,9 +128,8 @@ class Region:
         The ``hint`` only affects the display name; uniqueness comes from the
         internal uid.
         """
-        r = Region(hint, "var")
-        r.name = f"{hint}{r.uid}"
-        return r
+        uid = next(Region._counter)
+        return Region(f"{hint}{uid}", "var", uid)
 
     @staticmethod
     def fresh_many(n: int, hint: str = "r") -> Tuple["Region", ...]:

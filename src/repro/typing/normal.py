@@ -16,7 +16,7 @@ all :class:`NormalTypeError`\\ s.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..lang import ast as S
 from ..lang.class_table import ClassTable, ClassTableError
@@ -342,17 +342,36 @@ def _resolve_implicit_this(method: S.MethodDecl, owner: str, table: ClassTable) 
     treatment applies to bare *instance-method* calls ``mn(..)`` on the
     current class (static methods take priority, as they are unambiguous).
     """
-    field_names = {f.name for f in table.fields(owner)}
-    method_names = {m.name for (m, _) in table.methods(owner)}
+    rewriter = _ImplicitThis(
+        {f.name for f in table.fields(owner)},
+        {m.name for (m, _) in table.methods(owner)},
+        table,
+    )
+    body = rewriter.rewrite(method.body, {p.name for p in method.params})
+    assert isinstance(body, S.Block)
+    method.body = body
 
-    def rewrite(e: S.Expr, bound: set) -> S.Expr:
+
+class _ImplicitThis:
+    """The rewrite of :func:`_resolve_implicit_this` for one class.
+
+    A class rather than a nested recursive function, which would be a
+    reference cycle (function -> closure cell -> function) on every call.
+    """
+
+    def __init__(self, field_names: Set[str], method_names: Set[str], table: ClassTable):
+        self.field_names = field_names
+        self.method_names = method_names
+        self.table = table
+
+    def rewrite(self, e: S.Expr, bound: set) -> S.Expr:
         if isinstance(e, S.Var):
-            if e.name not in bound and e.name != S.THIS and e.name in field_names:
+            if e.name not in bound and e.name != S.THIS and e.name in self.field_names:
                 return S.FieldRead(S.Var(S.THIS, pos=e.pos), e.name, pos=e.pos)
             return e
         if isinstance(e, S.Call) and e.receiver is None:
-            args = [rewrite(a, bound) for a in e.args]
-            if table.lookup_static(e.method_name) is None and e.method_name in method_names:
+            args = [self.rewrite(a, bound) for a in e.args]
+            if self.table.lookup_static(e.method_name) is None and e.method_name in self.method_names:
                 return S.Call(S.Var(S.THIS, pos=e.pos), e.method_name, args, pos=e.pos)
             e.args = args
             return e
@@ -361,48 +380,43 @@ def _resolve_implicit_this(method: S.MethodDecl, owner: str, table: ClassTable) 
             for s in e.stmts:
                 if isinstance(s, S.LocalDecl):
                     if s.init is not None:
-                        s.init = rewrite(s.init, inner)
+                        s.init = self.rewrite(s.init, inner)
                     inner.add(s.name)
                 else:
                     assert isinstance(s, S.ExprStmt)
-                    s.expr = rewrite(s.expr, inner)
+                    s.expr = self.rewrite(s.expr, inner)
             if e.result is not None:
-                e.result = rewrite(e.result, inner)
+                e.result = self.rewrite(e.result, inner)
             return e
         # generic in-place rebuild for the remaining node kinds
         if isinstance(e, S.FieldRead):
-            e.receiver = rewrite(e.receiver, bound)
+            e.receiver = self.rewrite(e.receiver, bound)
         elif isinstance(e, S.Assign):
-            e.lhs = rewrite(e.lhs, bound)
-            e.rhs = rewrite(e.rhs, bound)
+            e.lhs = self.rewrite(e.lhs, bound)
+            e.rhs = self.rewrite(e.rhs, bound)
         elif isinstance(e, S.New):
-            e.args = [rewrite(a, bound) for a in e.args]
+            e.args = [self.rewrite(a, bound) for a in e.args]
         elif isinstance(e, S.Call):
             if e.receiver is not None:
-                e.receiver = rewrite(e.receiver, bound)
-            e.args = [rewrite(a, bound) for a in e.args]
+                e.receiver = self.rewrite(e.receiver, bound)
+            e.args = [self.rewrite(a, bound) for a in e.args]
         elif isinstance(e, S.Cast):
-            e.expr = rewrite(e.expr, bound)
+            e.expr = self.rewrite(e.expr, bound)
         elif isinstance(e, S.If):
-            e.cond = rewrite(e.cond, bound)
-            e.then = rewrite(e.then, bound)
-            e.els = rewrite(e.els, bound)
+            e.cond = self.rewrite(e.cond, bound)
+            e.then = self.rewrite(e.then, bound)
+            e.els = self.rewrite(e.els, bound)
         elif isinstance(e, S.While):
-            e.cond = rewrite(e.cond, bound)
-            body = rewrite(e.body, bound)
+            e.cond = self.rewrite(e.cond, bound)
+            body = self.rewrite(e.body, bound)
             assert isinstance(body, S.Block)
             e.body = body
         elif isinstance(e, S.Binop):
-            e.left = rewrite(e.left, bound)
-            e.right = rewrite(e.right, bound)
+            e.left = self.rewrite(e.left, bound)
+            e.right = self.rewrite(e.right, bound)
         elif isinstance(e, S.Unop):
-            e.operand = rewrite(e.operand, bound)
+            e.operand = self.rewrite(e.operand, bound)
         return e
-
-    bound = {p.name for p in method.params}
-    body = rewrite(method.body, bound)
-    assert isinstance(body, S.Block)
-    method.body = body
 
 
 def check_program(program: S.Program) -> ClassTable:

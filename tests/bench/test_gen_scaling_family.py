@@ -59,3 +59,15 @@ def test_measure_reinfer_rejects_half_a_version_pair():
 
     with pytest.raises(ValueError, match="both of source/edited"):
         measure_reinfer(1, source="class A extends Object { }")
+
+
+def test_smoke_run_emits_a_lex_sample_per_size():
+    """``lex`` sits beside ``parse`` in the curve, one sample per size."""
+    measured = measure_gen_pipeline(4, rounds=1)
+    assert 0 <= measured["lex_s"]
+    run = Runner().run(bench_families.get_spec("gen_scaling"), smoke=True)
+    lex = [s for s in run.samples if s.metric == "lex"]
+    parse = [s for s in run.samples if s.metric == "parse"]
+    assert [s.meta()["classes"] for s in lex] == list(GEN_SCALING_SMOKE)
+    assert [s.meta() for s in lex] == [s.meta() for s in parse]
+    assert all(s.unit == "ms" and s.value >= 0 for s in lex)
