@@ -10,7 +10,7 @@ Commands (all built on the staged :mod:`repro.api` pipeline):
 * ``profile FILE`` -- run parse/infer/verify under cProfile, reporting
   per-stage wall-clock and the top-N functions by cumulative time
   (text or JSON; see ``docs/scaling.md``)
-* ``batch FILE...`` -- batch inference over many files on a worker pool
+* ``batch FILE...`` -- batch inference over many files
 * ``watch FILE``   -- re-infer incrementally on every change to the file,
   printing per-edit latency and SCC splice/re-infer counts
 * ``gen``          -- emit seeded synthetic Core-Java programs, corpora
@@ -34,11 +34,13 @@ that infer but fail verification).
 Options: ``--mode {none,object,field}``, ``--downcast {padding,first-region,
 reject}``, ``--entry NAME``, ``--args N [N ...]``, ``--recursion-limit N``,
 ``--quick``.  The batch entry points (``batch``, ``fig8``, ``fig9``) accept
-``--jobs N`` and ``--backend {thread,process}`` — ``process`` runs the
-batch on a multi-core process pool.  One CLI invocation owns one
-:class:`~repro.api.Session` and therefore one persistent worker pool: all
-the work a subcommand schedules shares the same workers (and their warm
-caches), and the pool is released when the command exits.
+``--backend {thread,process}`` and ``--jobs N``: ``thread`` (the default)
+runs the batch in the calling thread, ``process`` on a multi-core process
+pool ``N`` workers wide.  Each subcommand passes both flags to every batch
+call it makes.  One CLI invocation owns one :class:`~repro.api.Session`
+and therefore one persistent worker pool: all the work a subcommand
+schedules shares the same workers (and their warm caches), and the pool
+is released when the command exits.
 """
 
 from __future__ import annotations
@@ -778,13 +780,14 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             metavar="N",
-            help="worker pool size (default: backend-aware, bounded by cores)",
+            help="process pool size (default: the CPUs this process may use)",
         )
         p.add_argument(
             "--backend",
             choices=list(BACKENDS),
             default=None,
-            help="executor backend: thread (default) or process (multi-core)",
+            help="batch backend: thread (default; the calling thread) or "
+            "process (multi-core)",
         )
 
     def common(p: argparse.ArgumentParser, collect: bool = True) -> None:
@@ -1177,10 +1180,7 @@ def main(argv=None) -> int:
     # whole invocation: every batch the subcommand schedules (all of
     # fig8's measurements, fig9's programs, every `batch` file) shares
     # the same workers and their warm caches
-    session = Session(
-        max_workers=getattr(args, "jobs", None),
-        backend=getattr(args, "backend", None),
-    )
+    session = Session()
     try:
         return args.func(args, session)
     except BrokenPipeError:

@@ -14,10 +14,11 @@ remain as thin shims over it):
 * :class:`Diagnostic` — structured errors (severity, stage, machine code,
   source span) replacing bare exception strings, with a ``collect`` mode
   that gathers multiple diagnostics instead of dying on the first.
-* :meth:`Session.infer_many` — batch inference over many programs on a
-  worker pool (``backend="thread" | "process"``); the process backend
-  escapes the GIL for multi-core batches and is what the Fig 8 / Fig 9
-  benchmark harness and the ``batch`` CLI subcommand fan out on.
+* :meth:`Session.infer_many` — batch inference over many programs, with
+  the backend chosen per call: ``backend="thread"`` (the default) is a
+  plain loop in the calling thread, ``backend="process"`` escapes the GIL
+  for multi-core batches and is what the Fig 8 / Fig 9 benchmark harness
+  and the ``batch`` CLI subcommand fan out on.
 * :class:`WorkerPool` — the session-owned *persistent* process pool
   behind every process-backend batch: spawned lazily once at a fixed
   width, reused across calls (warm worker caches), respawn-and-retry on
@@ -42,7 +43,6 @@ from .pipeline import (
     Pipeline,
     StageFailure,
     StageResult,
-    StageSummary,
     config_key,
 )
 from .pool import (
@@ -52,7 +52,6 @@ from .pool import (
     available_cpus,
     check_backend,
     default_workers,
-    map_ordered,
 )
 from .session import Session, SessionStats
 
@@ -68,12 +67,10 @@ __all__ = [
     "available_cpus",
     "check_backend",
     "default_workers",
-    "map_ordered",
     "STAGES",
     "Pipeline",
     "StageFailure",
     "StageResult",
-    "StageSummary",
     "config_key",
     "DEFAULT_WORKER_CACHE_ENTRIES",
     "WorkerPool",

@@ -59,7 +59,6 @@ __all__ = [
     "ExecutionResult",
     "StageFailure",
     "StageResult",
-    "StageSummary",
     "Pipeline",
     "config_key",
 ]
@@ -128,58 +127,6 @@ class StageResult:
     @property
     def errors(self) -> List[Diagnostic]:
         return [d for d in self.diagnostics if d.severity is Severity.ERROR]
-
-    def summary(self) -> "StageSummary":
-        """The reduced, picklable projection of this result."""
-        return StageSummary(
-            stage=self.stage,
-            ok=self.ok,
-            cached=self.cached,
-            skipped=self.skipped,
-            elapsed=self.elapsed,
-            diagnostics=tuple(self.diagnostics),
-            cause_stage=self.cause.stage if self.cause is not None else None,
-        )
-
-
-@dataclass(frozen=True)
-class StageSummary:
-    """A reduced, picklable projection of a :class:`StageResult`.
-
-    Carries everything a caller needs to *report* on a stage — stage name,
-    outcome, cache provenance, wall time, structured diagnostics, and for
-    skipped stages the stage that actually failed — but none of the raw
-    intermediate artifacts (ASTs, class tables, solvers, check reports)
-    whose pickling the process backend does not guarantee.  This is what
-    lets :meth:`Session.run_many(backend="process", summaries=True)
-    <repro.api.Session.run_many>` ship per-stage outcomes across process
-    boundaries byte-identically to the thread backend.
-    """
-
-    stage: str
-    ok: bool
-    cached: bool = False
-    skipped: bool = False
-    elapsed: float = 0.0
-    diagnostics: Tuple[Diagnostic, ...] = ()
-    #: for skipped stages: the name of the stage that actually failed
-    cause_stage: Optional[str] = None
-
-    @property
-    def errors(self) -> Tuple[Diagnostic, ...]:
-        return tuple(d for d in self.diagnostics if d.severity is Severity.ERROR)
-
-    def to_dict(self) -> dict:
-        """A JSON-ready representation (stable key set)."""
-        return {
-            "stage": self.stage,
-            "ok": self.ok,
-            "cached": self.cached,
-            "skipped": self.skipped,
-            "elapsed": self.elapsed,
-            "cause_stage": self.cause_stage,
-            "diagnostics": [d.to_dict() for d in self.diagnostics],
-        }
 
 
 @dataclass

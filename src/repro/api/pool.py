@@ -1,14 +1,13 @@
-"""Worker pools: the thread map and the persistent process pool.
+"""The persistent process pool behind ``backend="process"`` batches.
 
-Batch entry points (:meth:`repro.api.Session.infer_many`,
-:meth:`~repro.api.Session.run_many`, the fig8/fig9 harness, the ``batch``
-CLI subcommand) schedule their work on one of two backends:
+Batch entry points (:meth:`repro.api.Session.infer_many`, the fig8/fig9
+harness, the ``batch`` CLI subcommand) run on one of two backends, chosen
+per call:
 
-* ``backend="thread"`` — :func:`map_ordered` on a
-  :class:`~concurrent.futures.ThreadPoolExecutor`.  Inference is pure
-  Python, so the GIL serialises the CPU work, but threads share the
-  session cache directly, need no pickling, and still overlap I/O.  This
-  is the default and the right choice on one core or for small batches.
+* ``backend="thread"`` (the default) — a plain ordered loop in the
+  calling thread, on the caller's session.  Inference is pure Python, so
+  a thread pool would only add GIL contention; the loop also keeps the
+  caller's :func:`~repro.deadline.deadline` scope in force.
 
 * ``backend="process"`` — a :class:`WorkerPool`.  Sources are shipped to
   workers, each worker runs its own :class:`~repro.api.Session`, and
@@ -19,7 +18,7 @@ CLI subcommand) schedule their work on one of two backends:
   again in the parent's cache.
 
 Both share one ordering and failure contract, documented on
-:func:`map_ordered`.
+:meth:`WorkerPool.map`.
 
 A :class:`WorkerPool` is owned by one session and
 
@@ -27,9 +26,8 @@ A :class:`WorkerPool` is owned by one session and
   it (degenerate single-item/single-worker batches with no pool alive run
   inline);
 * **has a fixed width**: the width is set when the executor spawns — the
-  first batch's explicit ``max_workers``, else the pool's
-  ``max_workers``, else :func:`available_cpus` — and never changes after
-  that;
+  first batch's explicit ``max_workers``, else :func:`available_cpus` —
+  and never changes after that;
 * **persists**: every later batch reuses the same workers, so repeat
   batches hit warm worker caches and pay pool spawn once per session;
 * **recovers from crashes**: a killed worker breaks the whole
@@ -64,12 +62,12 @@ from concurrent.futures import (
     FIRST_EXCEPTION,
     Executor,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
+from ..deadline import deadline
 from .pipeline import StageFailure
 
 _I = TypeVar("_I")
@@ -82,7 +80,6 @@ __all__ = [
     "available_cpus",
     "check_backend",
     "default_workers",
-    "map_ordered",
     "worker_session",
 ]
 
@@ -94,10 +91,6 @@ BACKENDS = ("thread", "process")
 #: single calls (persistent pools, the parent-side inline session), so the
 #: default is bounded, never unlimited
 DEFAULT_WORKER_CACHE_ENTRIES = 256
-
-#: thread pools are GIL-bound: past a handful of workers extra threads only
-#: add contention, so the thread backend caps itself regardless of core count
-_THREAD_WORKER_CAP = 8
 
 
 def available_cpus() -> int:
@@ -119,18 +112,9 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def default_workers(n_items: int, backend: str = "thread") -> int:
-    """A sensible pool size: bounded by the CPU allowance and the workload.
-
-    The bound is backend-aware: thread pools are GIL-bound, so more than
-    :data:`_THREAD_WORKER_CAP` threads only add contention; process pools
-    genuinely use every core, so on big machines they scale to the full
-    CPU allowance (:func:`available_cpus` — the scheduler affinity mask,
-    not the raw machine core count).
-    """
-    cpus = available_cpus()
-    cap = cpus if backend == "process" else _THREAD_WORKER_CAP
-    return max(1, min(n_items, cpus, cap))
+def default_workers(n_items: int) -> int:
+    """A process-pool size: bounded by the CPU allowance and the workload."""
+    return max(1, min(n_items, available_cpus()))
 
 
 def check_backend(backend: Optional[str]) -> str:
@@ -194,37 +178,9 @@ def _run_batch(
             broken.append(idx)
         elif failure is None:
             # futures are scanned in input order, so the first genuine
-            # failure seen is the earliest one — the map_ordered contract
+            # failure seen is the earliest one — the WorkerPool.map contract
             failure = err
     return ok, broken, failure
-
-
-def map_ordered(
-    fn: Callable[[_I], _O],
-    items: Sequence[_I],
-    *,
-    max_workers: Optional[int] = None,
-) -> List[_O]:
-    """Apply ``fn`` to every item on a thread pool, preserving input order.
-
-    Failure contract (shared with :meth:`WorkerPool.map`): when any
-    worker raises, items that have not started yet are cancelled, items
-    already running drain to completion, and the exception that propagates
-    is deterministically the one from the **earliest item in input order**
-    among the failures that occurred — not whichever failure happened to
-    be raised first chronologically.  Items after a failure may therefore
-    never run, mirroring the inline path (zero or one item, or
-    ``max_workers=1``), where the first failure stops the scan.
-    """
-    items = list(items)
-    workers = max_workers if max_workers is not None else default_workers(len(items))
-    if len(items) <= 1 or workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        ok, _, failure = _run_batch(pool, fn, list(enumerate(items)))
-    if failure is not None:
-        raise failure
-    return [ok[i] for i in range(len(items))]
 
 
 # ---------------------------------------------------------------------------
@@ -292,45 +248,30 @@ def _stats_delta(
     return delta
 
 
-def _infer_task(payload: Tuple[str, Any]) -> Tuple[Any, Optional[Exception], Dict]:
+def _infer_task(
+    payload: Tuple[str, Any, Optional[float]]
+) -> Tuple[Any, Optional[Exception], Dict]:
     """Process-pool task: infer one source on this worker's session.
 
-    Returns ``(result, failure, stats_delta)`` — failures travel back as
-    values (not raises) so one bad program cannot poison a batch, and the
-    stats delta lets the parent session account for worker-side cache
-    traffic.
+    The payload carries the caller's :func:`~repro.deadline.remaining`
+    seconds (``None``: no deadline), which the worker opens as its own
+    scope; a :class:`~repro.deadline.DeadlineExceeded` propagates as a
+    task failure.  Returns ``(result, failure, stats_delta)`` — stage
+    failures travel back as values (not raises) so one bad program cannot
+    poison a batch, and the stats delta lets the parent session account
+    for worker-side cache traffic.
     """
-    source, config = payload
+    source, config, seconds = payload
     session = worker_session()
     before = session.stats.as_dict()
     result: Any = None
     failure: Optional[Exception] = None
     try:
-        result = session.infer(source, config)
+        with deadline(seconds):
+            result = session.infer(source, config)
     except StageFailure as err:
         failure = err
     return result, failure, _stats_delta(before, session.stats.as_dict())
-
-
-def _run_task(payload: Tuple[str, Any, str]) -> Tuple[List[Any], Dict]:
-    """Process-pool task: run one source through the staged pipeline.
-
-    Returns ``(summaries, stats_delta)`` where ``summaries`` is the
-    reduced, picklable :class:`~repro.api.pipeline.StageSummary` projection
-    of the stage results — full :class:`StageResult`\\ s carry arbitrary
-    intermediate artifacts (ASTs, solvers, reports) that the pickling
-    contract does not cover, so only the projection crosses the process
-    boundary.  ``run`` never raises: per-program failures come back as
-    not-ok summaries, exactly like the thread path.
-    """
-    source, config, until = payload
-    session = worker_session()
-    before = session.stats.as_dict()
-    results = session.pipeline(source, config).run(until)
-    return (
-        [r.summary() for r in results],
-        _stats_delta(before, session.stats.as_dict()),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -341,22 +282,19 @@ def _run_task(payload: Tuple[str, Any, str]) -> Tuple[List[Any], Dict]:
 class WorkerPool:
     """A lazily-spawned, persistent, crash-recovering process pool.
 
-    ``max_workers`` is the executor width (``None``: the first batch's
-    explicit ``max_workers``, else :func:`available_cpus`); the width is
-    fixed when the executor spawns.  ``max_cache_entries`` bounds each
-    worker session's artifact cache.  ``stats`` is an optional
-    :class:`~repro.api.session.SessionStats`; lifecycle counters are
-    mirrored into its events.
+    The executor width is the first batch's explicit ``max_workers``, else
+    :func:`available_cpus`, fixed when the executor spawns.
+    ``max_cache_entries`` bounds each worker session's artifact cache.
+    ``stats`` is an optional :class:`~repro.api.session.SessionStats`;
+    lifecycle counters are mirrored into its events.
     """
 
     def __init__(
         self,
         *,
-        max_workers: Optional[int] = None,
         max_cache_entries: Optional[int] = DEFAULT_WORKER_CACHE_ENTRIES,
         stats: Optional[Any] = None,
     ):
-        self._max_workers = max_workers
         self._max_cache_entries = max_cache_entries
         self._stats = stats
         self.counters: Dict[str, int] = {}
@@ -401,14 +339,6 @@ class WorkerPool:
                 self._stats.record_event(kind, n)
 
     # -- lifecycle ---------------------------------------------------------
-    def _width(self, requested: Optional[int]) -> int:
-        """The width a spawn would use for a ``requested`` width."""
-        if requested is not None:
-            return requested
-        if self._max_workers is not None:
-            return self._max_workers
-        return available_cpus()
-
     def _ensure(self, width: int) -> ProcessPoolExecutor:
         """The live executor, spawning one ``width`` workers wide if none is."""
         with self._lock:
@@ -474,7 +404,15 @@ class WorkerPool:
         *,
         max_workers: Optional[int] = None,
     ) -> List[_O]:
-        """The :func:`map_ordered` contract, on persistent worker processes.
+        """Apply ``fn`` to every item on the worker processes, in input order.
+
+        Failure contract: when any task raises, items that have not
+        started yet are cancelled, items already running drain to
+        completion, and the exception that propagates is deterministically
+        the one from the **earliest item in input order** among the
+        failures that occurred — not whichever was raised first
+        chronologically.  The in-thread batch loop keeps the same
+        contract, where the first failure simply stops the scan.
 
         ``fn`` must be a module-level callable and every item and result
         must pickle (workers run with namespaced region uids).  With no
@@ -492,7 +430,7 @@ class WorkerPool:
             return []
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
-        width = self._width(max_workers)
+        width = max_workers if max_workers is not None else available_cpus()
         if self._executor is None and (width <= 1 or len(items) <= 1):
             # inline tasks that call worker_session() share the one
             # parent-side session, which this module bounds at

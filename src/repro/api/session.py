@@ -8,7 +8,8 @@ hash + config for inference results) so that
 * an ablation sweep (same program, several :class:`InferenceConfig`\\ s)
   parses, normal-types and annotates classes exactly once, and
 * multi-program workloads go through :meth:`Session.infer_many`, which
-  schedules the batch on a worker pool and returns results in input order.
+  runs the batch in the calling thread or fans it out over the session's
+  persistent process pool, and returns results in input order either way.
 
 Cache effectiveness is observable through :attr:`Session.stats`
 (per-stage hit/miss counters), which the microbenchmarks and tests assert
@@ -34,28 +35,19 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from ..checking import CheckReport
 from ..core import InferenceConfig, InferenceResult
-from ..deadline import deadline
-from .pipeline import (
-    ExecutionResult,
-    Pipeline,
-    StageFailure,
-    StageResult,
-    StageSummary,
-    config_key,
-)
+from ..deadline import check as check_deadline
+from ..deadline import deadline, remaining
+from .pipeline import ExecutionResult, Pipeline, StageFailure, config_key
 from .pool import (
     DEFAULT_WORKER_CACHE_ENTRIES,
     WorkerPool,
     _infer_task,
-    _run_task,
     check_backend,
     default_workers,
-    map_ordered,
 )
 
 __all__ = ["Session", "SessionStats"]
@@ -371,37 +363,29 @@ class Session:
     parse artifact, which the entry bound cannot see.  ``None`` (the
     default) keeps every artifact.
 
-    ``backend`` is the default executor backend for this session's batch
-    entry points (``"thread"`` or ``"process"``; see
-    :mod:`repro.api.pool`).  Every batch call accepts a per-call
-    override.
-
+    Batch entry points pick their backend per call (``backend="thread"``,
+    the default, runs in the calling thread; see :mod:`repro.api.pool`).
     Process-backend batches run on one **persistent**
     :class:`~repro.api.pool.WorkerPool` owned by the session: the pool
     spawns lazily on the first batch that needs it and is then reused by
-    every later ``infer_many`` / ``run_many`` / harness call, so repeat
-    batches hit warm worker caches and pay pool spawn once.  Killed
-    workers are respawned and their items retried once (observable as
-    ``pool.*`` event counters on :attr:`Session.stats`).  Release the
-    workers with :meth:`close` or ``with Session(...) as s:`` — the
-    session itself stays usable; a later batch simply spawns a fresh
-    pool.
+    every later ``infer_many`` / harness call, so repeat batches hit
+    warm worker caches and pay pool spawn once.  Killed workers are
+    respawned and their items retried once (observable as ``pool.*``
+    event counters on :attr:`Session.stats`).  Release the workers with
+    :meth:`close` or ``with Session(...) as s:`` — the session itself
+    stays usable; a later batch simply spawns a fresh pool.
     """
 
     def __init__(
         self,
         config: Optional[InferenceConfig] = None,
         *,
-        max_workers: Optional[int] = None,
         max_cache_entries: Optional[int] = None,
         max_cache_bytes: Optional[int] = None,
-        backend: Optional[str] = None,
     ):
         self.config = config or InferenceConfig()
-        self.max_workers = max_workers
         self.max_cache_entries = max_cache_entries
         self.max_cache_bytes = max_cache_bytes
-        self.backend = backend
         self.stats = SessionStats()
         self._store = _ArtifactStore(
             self.stats,
@@ -424,7 +408,6 @@ class Session:
         with self._pool_lock:
             if self._pool is None:
                 self._pool = WorkerPool(
-                    max_workers=self.max_workers,
                     max_cache_entries=(
                         self.max_cache_entries
                         if self.max_cache_entries is not None
@@ -630,65 +613,73 @@ class Session:
         backend: Optional[str] = None,
         return_exceptions: bool = False,
     ) -> List[InferenceResult]:
-        """Batch inference over many programs on a worker pool.
+        """Batch inference over many programs.
 
-        Results are returned in input order regardless of completion
-        order; duplicate sources resolve to the same cached result.  The
-        failing program earliest in input order raises its
-        ``StageFailure``; with ``return_exceptions=True`` failures come
-        back *as list entries* instead (every program runs), which is what
-        the ``batch`` CLI subcommand reports from.
+        Results are returned in input order; duplicate sources resolve to
+        the same cached result.  The failing program earliest in input
+        order raises its ``StageFailure``; with ``return_exceptions=True``
+        failures come back *as list entries* instead (every program runs),
+        which is what the ``batch`` CLI subcommand reports from.  An
+        enclosing :func:`~repro.deadline.deadline` scope holds on both
+        backends: past it the batch raises
+        :class:`~repro.deadline.DeadlineExceeded`.
 
-        ``backend`` selects the pool (``"thread"`` or ``"process"``;
-        default: the session's ``backend``, else thread).  On the process
-        backend each worker runs its own session and pickles results
-        back; successful results land in this session's cache, the
-        workers' cache traffic is merged into :attr:`Session.stats`, and
-        worker-minted regions live in per-worker uid namespaces so results
-        from different workers never collide.  Process batches share the
-        session's persistent pool, where ``max_workers`` sizes the
-        executor only when this batch spawns it (see :meth:`WorkerPool.map
-        <repro.api.pool.WorkerPool.map>`).
+        ``backend="thread"`` (the default) runs the batch as a plain loop
+        in the calling thread.  ``backend="process"`` fans it out over the
+        session's persistent :meth:`process_pool`: each worker runs its own
+        session and pickles results back; successful results land in this
+        session's cache, the workers' cache traffic is merged into
+        :attr:`Session.stats`, and worker-minted regions live in per-worker
+        uid namespaces so results from different workers never collide.
+        ``max_workers`` sizes the process pool, and only when this batch
+        spawns it (see :meth:`WorkerPool.map
+        <repro.api.pool.WorkerPool.map>`); the thread backend ignores it.
         """
         sources = list(sources)
-        workers = max_workers if max_workers is not None else self.max_workers
-        resolved = check_backend(backend if backend is not None else self.backend)
-        if resolved == "process":
+        if check_backend(backend) == "process":
             return self._infer_many_process(
                 sources,
-                config,
-                max_workers=workers,
+                config or self.config,
+                max_workers=max_workers,
                 return_exceptions=return_exceptions,
             )
+        return self._infer_in_thread(sources, config, return_exceptions)
 
-        def one(src: str):
-            if not return_exceptions:
-                return self.infer(src, config)
+    def _infer_in_thread(
+        self,
+        sources: List[str],
+        config: Optional[InferenceConfig],
+        return_exceptions: bool,
+    ) -> List[InferenceResult]:
+        """The in-thread half of :meth:`infer_many`: one ordered loop."""
+        out: List[InferenceResult] = []
+        for src in sources:
             try:
-                return self.infer(src, config)
+                out.append(self.infer(src, config))
             except StageFailure as err:
-                return err
-
-        return map_ordered(one, sources, max_workers=workers)
+                if not return_exceptions:
+                    raise
+                out.append(err)  # type: ignore[arg-type]
+        return out
 
     def _infer_many_process(
         self,
         sources: List[str],
-        config: Optional[InferenceConfig],
+        cfg: InferenceConfig,
         *,
         max_workers: Optional[int],
         return_exceptions: bool,
     ) -> List[InferenceResult]:
         """The process-backend half of :meth:`infer_many`.
 
-        Only parent-cache misses are shipped (each unique source once);
-        worker results are installed into the parent cache through the
-        ordinary ``get_or_build`` path so hit/miss accounting and LRU
-        bounds behave exactly as on the thread backend.  Work runs on the
-        session's persistent :meth:`process_pool`, so consecutive batches
-        reuse one executor and its warm worker caches.
+        Only parent-cache misses are shipped (each unique source once),
+        each with the caller's remaining deadline; worker results are
+        installed into the parent cache through the ordinary
+        ``get_or_build`` path so hit/miss accounting and LRU bounds behave
+        exactly as on the thread backend.  Work runs on the session's
+        persistent :meth:`process_pool`, so consecutive batches reuse one
+        executor and its warm worker caches.
         """
-        cfg = config or self.config
         ck = config_key(cfg)
         unique = list(dict.fromkeys(sources))
         pending = [
@@ -699,7 +690,7 @@ class Session:
         workers = (
             max_workers
             if max_workers is not None
-            else default_workers(len(pending), backend="process")
+            else default_workers(len(pending))
         )
         if (
             pending
@@ -712,21 +703,20 @@ class Session:
             # worker session accumulating duplicates in a long-lived
             # service).  With warm workers already up, even single items
             # go to the pool instead, keeping its caches hot
-            return self.infer_many(
-                sources,
-                cfg,
-                max_workers=1,
-                backend="thread",
-                return_exceptions=return_exceptions,
-            )
+            return self._infer_in_thread(sources, cfg, return_exceptions)
+        # every task carries the caller's remaining deadline; a worker
+        # opens it from the task's own start, so the parent checks the
+        # scope again once the batch is back, before installing anything
+        seconds = remaining()
         # pass the caller's explicit width through (None lets the pool
         # size itself to the machine): a batch-derived width here would
         # pin the fixed-width pool at the first batch's size
         outcomes = self.process_pool().map(
             _infer_task,
-            [(src, cfg) for src in pending],
+            [(src, cfg, seconds) for src in pending],
             max_workers=max_workers,
         )
+        check_deadline()
         shipped: Dict[str, InferenceResult] = {}
         failures: Dict[str, StageFailure] = {}
         for src, (result, failure, delta) in zip(pending, outcomes):
@@ -776,100 +766,6 @@ class Session:
         """
         with deadline(timeout):
             return self.infer(source, config)
-
-    def run_many(
-        self,
-        sources: Sequence[str],
-        config: Optional[InferenceConfig] = None,
-        *,
-        until: str = "verify",
-        max_workers: Optional[int] = None,
-        backend: Optional[str] = None,
-        summaries: bool = False,
-    ) -> List[List[Union[StageResult, StageSummary]]]:
-        """Batch :meth:`Pipeline.run` — never raises; per-program results.
-
-        With ``summaries=True`` each program's list holds the reduced,
-        picklable :class:`~repro.api.pipeline.StageSummary` projection
-        (stage, ok, cache provenance, wall time, diagnostics, cause
-        stage) instead of full :class:`StageResult`\\ s.  That projection
-        is what unlocks ``backend="process"``: full stage results carry
-        arbitrary intermediate artifacts the pickling contract does not
-        cover, so the process backend **requires** ``summaries=True`` and
-        returns summaries identical to the thread backend's in
-        stage/ok/diagnostics.  Process batches run on the session's
-        persistent :meth:`process_pool`; a session whose default backend
-        is ``process`` falls back to threads here when full results are
-        requested.
-        """
-        sources = list(sources)
-        workers = max_workers if max_workers is not None else self.max_workers
-        resolved = check_backend(backend if backend is not None else self.backend)
-        if resolved == "process" and not summaries:
-            if backend == "process":
-                raise ValueError(
-                    "run_many(backend='process') requires summaries=True: "
-                    "full StageResults carry unpicklable intermediate "
-                    "artifacts; only the StageSummary projection crosses "
-                    "process boundaries"
-                )
-            # session default: keep full results on threads
-            resolved = "thread"
-        if resolved == "process":
-            return self._run_many_process(
-                sources, config, until=until, max_workers=workers
-            )
-
-        def one(src: str):
-            results = self.pipeline(src, config).run(until)
-            return [r.summary() for r in results] if summaries else results
-
-        return map_ordered(one, sources, max_workers=workers)
-
-    def _run_many_process(
-        self,
-        sources: List[str],
-        config: Optional[InferenceConfig],
-        *,
-        until: str,
-        max_workers: Optional[int],
-    ) -> List[List[StageSummary]]:
-        """The process-backend half of :meth:`run_many` (summaries only).
-
-        Stage artifacts stay worker-side (only summaries travel back), so
-        unlike :meth:`infer_many` nothing lands in the parent cache; the
-        workers' own cache traffic is merged into :attr:`Session.stats`
-        under ``worker.*`` kinds.
-        """
-        cfg = config or self.config
-        workers = (
-            max_workers
-            if max_workers is not None
-            else default_workers(len(sources), backend="process")
-        )
-        if (len(sources) <= 1 or workers <= 1) and not self._pool_alive():
-            # degenerate pool: run on this session's thread path — same
-            # summaries, and the artifacts land in the parent cache
-            # instead of a hidden worker session (with warm workers
-            # already up, single items go to the pool instead)
-            return self.run_many(
-                sources,
-                cfg,
-                until=until,
-                max_workers=1,
-                backend="thread",
-                summaries=True,
-            )
-        outcomes = self.process_pool().map(
-            _run_task,
-            [(src, cfg, until) for src in sources],
-            max_workers=max_workers,
-        )
-        out: List[List[StageSummary]] = []
-        for summaries_list, delta in outcomes:
-            self.merge_worker_delta(delta)
-            out.append(list(summaries_list))
-        return out
 
     # -- maintenance -------------------------------------------------------
     def clear_cache(self) -> None:

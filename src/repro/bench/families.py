@@ -562,7 +562,7 @@ register(
 
 
 # =====================================================================
-# backend_comparison: process pool vs the GIL on the Olden batch
+# backend_comparison: process pool vs the in-thread loop on the Olden batch
 # =====================================================================
 def _replicated_olden(replicas: int) -> List[str]:
     """Distinct sources (a trailing comment changes the hash) so neither
@@ -585,7 +585,7 @@ def _batch_workers() -> int:
 def measure_backends(
     replicas: int = 3, workers: Optional[int] = None
 ) -> Dict[str, Any]:
-    """Same batch, thread backend then process backend, fresh sessions."""
+    """Same batch, in-thread loop then process backend, fresh sessions."""
     from ..api import Session
 
     sources = _replicated_olden(replicas)
@@ -628,8 +628,8 @@ def _backend_run(ctx: RunContext) -> List[Sample]:
 register(
     BenchmarkSpec(
         name="backend_comparison",
-        description="infer_many on the replicated Olden batch: thread "
-        "backend (GIL-bound) vs the multi-core process pool",
+        description="infer_many on the replicated Olden batch: the "
+        "in-thread loop vs the multi-core process pool",
         run=_backend_run,
         key_fields=("corpus", "programs", "workers"),
         thresholds=(Threshold("backend_speedup", floor=1.5, min_cores=4),),

@@ -13,13 +13,15 @@ Fig 9 suite goes through :meth:`Session.infer_many` as one batch.  Reported
 "inference seconds" are therefore pure engine time
 (:attr:`InferenceResult.elapsed`), not parse time.
 
-Both table builders accept ``backend=`` / ``max_workers=``: with
-``backend="process"`` the whole evaluation — every (program, mode)
-measurement of Fig 8, and the infer+verify pass of Fig 9 — fans out over
-the session's *persistent* :class:`~repro.api.pool.WorkerPool` (one
-long-lived :class:`~repro.api.Session` per worker), which is how the
-embarrassingly parallel Fig 9 batch uses every core; running fig8 then
-fig9 through one session reuses one pool and its warm worker caches.
+Both table builders accept ``backend=`` / ``max_workers=``.  The default
+``backend="thread"`` measures in the calling thread.  With
+``backend="process"`` every (program, mode) measurement of Fig 8 — the
+inference *and* the interpreter run — and the inference batch of Fig 9
+fan out over the session's *persistent*
+:class:`~repro.api.pool.WorkerPool` (one long-lived
+:class:`~repro.api.Session` per worker); Fig 9 then verifies each program
+in the parent, where the pool's results are already cached.  Running fig8
+then fig9 through one session reuses one pool and its warm worker caches.
 Reported engine times stay per-program (each worker times its own run),
 but wall-clock for the whole table drops with the core count.
 
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..api import Session
-from ..api.pool import check_backend, map_ordered, worker_session
+from ..api.pool import check_backend, worker_session
 from ..core import InferenceConfig, SubtypingMode
 from ..lang.pretty import pretty_target
 from .olden import OLDEN_PROGRAMS, OldenProgram
@@ -223,9 +225,8 @@ def fig8_rows(
 
     With ``backend="process"`` the (program, mode) measurements — the
     inference *and* the interpreter execution pass, which dominates — fan
-    out over a process pool.  The thread backend stays serial unless
-    ``max_workers`` is passed explicitly: GIL contention would inflate the
-    per-program engine times the table exists to report.
+    out over the session's process pool.  The thread backend measures one
+    after another in the calling thread.
     """
     selected = [
         (name, program)
@@ -237,14 +238,10 @@ def fig8_rows(
         args = program.test_args if quick else program.run_args
         for mode in MODES:
             tasks.append((name, program, mode, args))
-    # one accessor for the session's default backend, shared with
-    # fig9_rows: normalise the session first, then read its attribute —
-    # session-less callers get the same fresh-session default either way
     owned = session is None
     session = session or Session()
-    resolved = check_backend(backend if backend is not None else session.backend)
     try:
-        if resolved == "process":
+        if check_backend(backend) == "process":
             measured = session.process_pool().map(
                 _fig8_task,
                 [
@@ -254,13 +251,12 @@ def fig8_rows(
                 max_workers=max_workers,
             )
         else:
-            measured = map_ordered(
-                lambda t: measure_program(
-                    t[1], t[2], run=run, args=t[3], session=session
-                ),
-                tasks,
-                max_workers=max_workers if max_workers is not None else 1,
-            )
+            measured = [
+                measure_program(
+                    program, mode, run=run, args=args, session=session
+                )
+                for _, program, mode, args in tasks
+            ]
     finally:
         if owned:
             session.close()
@@ -287,20 +283,6 @@ def fig8_rows(
     return [rows_by_name[name] for name, _ in selected]
 
 
-def _fig9_task(payload: Tuple[str, Optional[InferenceConfig]]):
-    """Process-pool task: infer + verify one Olden program.
-
-    One combined task per program, so the verification pass reuses the
-    worker session's just-inferred artifacts instead of paying a second
-    inference in a separate pool.  The caller's config ships with the
-    source: worker sessions must infer under the same knobs as the
-    thread path, which uses the parent session's config.
-    """
-    source, config = payload
-    session = worker_session()
-    return session.infer(source, config), session.check(source, config)
-
-
 def fig9_rows(
     names: Optional[Sequence[str]] = None,
     *,
@@ -310,13 +292,14 @@ def fig9_rows(
 ) -> List[Fig9Row]:
     """Measure inference time for every Olden program.
 
-    The whole suite is inferred as one :meth:`Session.infer_many` batch,
-    and the per-program verification pass runs on the same worker pool
-    (with ``backend="process"``, infer and verify ship as one combined
-    task per program over a process pool — the paper's embarrassingly
-    parallel Fig 9 evaluation on every core); each program's reported time
-    is its engine time (:attr:`InferenceResult.elapsed`), so the worker
-    pool does not distort per-program numbers.
+    The whole suite is inferred as one :meth:`Session.infer_many` batch on
+    the requested backend (``backend="process"``: the paper's
+    embarrassingly parallel Fig 9 evaluation on every core), then each
+    program is verified with :meth:`Session.check`, which finds the
+    batch's result in the session cache and only runs the checker.  Each
+    program's reported time is its engine time
+    (:attr:`InferenceResult.elapsed`), so the backend does not distort
+    per-program numbers.
     """
     owned = session is None
     session = session or Session()
@@ -325,34 +308,18 @@ def fig9_rows(
         for name, program in OLDEN_PROGRAMS.items()
         if names is None or name in names
     ]
-    sources = [program.source for _, program in selected]
-    resolved = check_backend(backend if backend is not None else session.backend)
     try:
-        if resolved == "process":
-            outcomes = session.process_pool().map(
-                _fig9_task,
-                [(source, session.config) for source in sources],
-                max_workers=max_workers,
-            )
-            results = [result for result, _ in outcomes]
-            reports = [report for _, report in outcomes]
-        else:
-            # pass the resolved backend down: infer_many would otherwise
-            # re-resolve from the session default, overriding an explicit
-            # backend="thread" on a process-default session
-            results = session.infer_many(
-                sources, max_workers=max_workers, backend="thread"
-            )
-            reports = map_ordered(
-                lambda program: session.check(program.source),
-                [program for _, program in selected],
-                max_workers=max_workers,
-            )
+        results = session.infer_many(
+            [program.source for _, program in selected],
+            backend=backend,
+            max_workers=max_workers,
+        )
     finally:
         if owned:
             session.close()
     rows: List[Fig9Row] = []
-    for (name, program), result, report in zip(selected, results, reports):
+    for (name, program), result in zip(selected, results):
+        report = session.check(program.source)
         if not report.ok:
             raise AssertionError(
                 f"{name} failed region checking: {report.issues[0]}"

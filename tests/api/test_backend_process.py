@@ -173,11 +173,15 @@ class TestBackendSelection(object):
             Session().infer_many(SMALL, backend="fibers")
 
     def test_session_default_backend(self):
-        session = Session(backend="process")
-        results = session.infer_many(SMALL[:2], max_workers=2)
-        assert len(results) == 2
-        # worker-side traffic proves the batch really went to the pool
-        assert session.stats.miss_count("worker.infer") == 2
+        # a session has no backend of its own: without a per-call backend
+        # the batch runs in this thread, whatever max_workers says, and
+        # only backend="process" reaches the pool
+        with Session() as session:
+            session.infer_many(SMALL[:2], max_workers=2)
+            assert session.stats.event_count("pool.spawns") == 0
+            session.infer_many(SMALL[2:], backend="process", max_workers=2)
+            # worker-side traffic proves the batch really went to the pool
+            assert session.stats.miss_count("worker.infer") == 2
 
 
 class TestHarnessFanout(object):
@@ -211,16 +215,6 @@ class TestHarnessFanout(object):
             max_workers=2,
         )
         assert process[0].annotation_lines == thread[0].annotation_lines
-
-    def test_fig9_task_infers_under_the_shipped_config(self):
-        from repro.bench.harness import _fig9_task
-        from repro.core import InferenceConfig
-
-        config = InferenceConfig(minimize_pre=False)
-        source = OLDEN_PROGRAMS["treeadd"].source
-        result, report = _fig9_task((source, config))
-        assert result.config == config
-        assert report.ok
 
     def test_fig8_rows_process_matches_thread(self):
         from repro.bench import fig8_rows

@@ -76,10 +76,12 @@ class TestErrors(object):
         with pytest.raises(StageFailure):
             session.infer_many([PROGRAMS[0], BAD, PROGRAMS[1]])
 
-    def test_run_many_reports_per_program(self):
+    def test_earliest_failure_stops_the_batch(self):
+        # the in-thread loop raises the first failure in input order and
+        # never starts the programs after it
+        bad_type = "class A extends Object { int x; }\nint main(int n) { new A(true).x }"
         session = Session()
-        outcomes = session.run_many([PROGRAMS[0], BAD, PROGRAMS[1]])
-        assert [o[-1].ok for o in outcomes] == [True, False, True]
-        failed = outcomes[1][-1]
-        assert failed.stage == "parse"
-        assert failed.diagnostics[0].code == "parse-error"
+        with pytest.raises(StageFailure) as exc:
+            session.infer_many([PROGRAMS[0], bad_type, BAD, PROGRAMS[1]])
+        assert exc.value.stage == "typecheck"
+        assert session.stats.miss_count("parse") == 2

@@ -266,10 +266,14 @@ class TestLifecycle(object):
 
 class TestSessionOwnedPool(object):
     def test_one_pool_across_consecutive_infer_many_calls(self):
-        with Session(backend="process") as session:
+        with Session() as session:
             half = len(OLDEN_SOURCES) // 2
-            session.infer_many(OLDEN_SOURCES[:half], max_workers=2)
-            session.infer_many(OLDEN_SOURCES[half:], max_workers=2)
+            session.infer_many(
+                OLDEN_SOURCES[:half], backend="process", max_workers=2
+            )
+            session.infer_many(
+                OLDEN_SOURCES[half:], backend="process", max_workers=2
+            )
             assert session.stats.event_count("pool.spawns") == 1
             assert session.stats.event_count("pool.respawns") == 0
 
@@ -333,29 +337,33 @@ class TestSessionOwnedPool(object):
     def test_single_items_ride_the_warm_pool(self):
         # degenerate batches only run inline while no pool is alive; once
         # workers are warm, even a one-source batch ships to them
-        with Session(backend="process") as session:
-            session.infer_many(OLDEN_SOURCES[:2], max_workers=2)
+        with Session() as session:
+            session.infer_many(
+                OLDEN_SOURCES[:2], backend="process", max_workers=2
+            )
             before = session.stats.miss_count("worker.infer")
-            session.infer_many([OLDEN_SOURCES[2]], max_workers=2)
+            session.infer_many(
+                [OLDEN_SOURCES[2]], backend="process", max_workers=2
+            )
             assert session.stats.miss_count("worker.infer") == before + 1
             assert session.stats.event_count("pool.spawns") == 1
 
     def test_close_releases_and_next_batch_respawns(self):
-        session = Session(backend="process")
-        session.infer_many(OLDEN_SOURCES[:2], max_workers=2)
+        session = Session()
+        session.infer_many(OLDEN_SOURCES[:2], backend="process", max_workers=2)
         pool = session.process_pool()
         session.close()
         assert pool.closed
         # the session stays usable: stats and cache survive, and a new
         # batch brings up a new pool
         session.clear_cache()
-        session.infer_many(OLDEN_SOURCES[:2], max_workers=2)
+        session.infer_many(OLDEN_SOURCES[:2], backend="process", max_workers=2)
         assert session.stats.event_count("pool.spawns") == 2
         session.close()
 
     def test_context_manager_closes_the_pool(self):
-        with Session(backend="process") as session:
-            session.infer_many(OLDEN_SOURCES[:2], max_workers=2)
+        with Session() as session:
+            session.infer_many(OLDEN_SOURCES[:2], backend="process", max_workers=2)
             pool = session.process_pool()
             assert pool.alive
         assert pool.closed

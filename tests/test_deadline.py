@@ -1,14 +1,17 @@
 """The deadline scope and the engine sites that check it."""
 
 import threading
+import time
 
 import pytest
 
 from repro.api import Pipeline, Session, config_key
+from repro.api.session import _source_key
 from repro.checking import check_target
 from repro.core import InferenceConfig, RegionInference
-from repro.deadline import DeadlineExceeded, check, deadline
+from repro.deadline import DeadlineExceeded, check, deadline, remaining
 from repro.frontend import parse_program
+from repro.gen import GenSpec, generate_source
 from repro.lang.pretty import pretty_target
 from repro.regions.abstraction import AbstractionEnv
 from repro.regions.fixpoint import solve_recursive_abstractions
@@ -19,6 +22,10 @@ EXPIRED = -1.0
 
 #: the store key of document ``doc``'s lineage under the default config
 DOC_KEY = ("doc", config_key(InferenceConfig()))
+
+#: a batch that takes far longer than :data:`BATCH_DEADLINE` to infer
+BATCH = [generate_source(GenSpec.sized(20, seed=i)) for i in range(8)]
+BATCH_DEADLINE = 0.05
 
 
 class TestScope(object):
@@ -51,6 +58,14 @@ class TestScope(object):
             with deadline(None):
                 with pytest.raises(DeadlineExceeded):
                     check()
+
+    def test_remaining_counts_down_and_is_none_outside_a_scope(self):
+        assert remaining() is None
+        with deadline(3600):
+            assert 3590 < remaining() <= 3600
+        with deadline(EXPIRED):
+            assert remaining() < 0
+        assert remaining() is None
 
     def test_scope_belongs_to_its_thread(self):
         seen = []
@@ -125,3 +140,36 @@ class TestNothingPartialIsKept(object):
             Pipeline(LIST_SOURCE).infer().value.target
         )
 
+
+
+class TestBatchBackends(object):
+    """The caller's scope bounds a whole ``infer_many`` batch."""
+
+    def test_in_thread_batch_stops_at_the_deadline(self):
+        session = Session()
+        start = time.monotonic()
+        with deadline(BATCH_DEADLINE):
+            with pytest.raises(DeadlineExceeded):
+                session.infer_many(BATCH)
+        assert time.monotonic() - start < 0.5
+        # front-half artifacts finished in time may stay; no program's
+        # inference result does
+        ck = config_key(session.config)
+        assert not any(
+            session._store.contains("infer", (_source_key(src), ck))
+            for src in BATCH
+        )
+
+    def test_process_batch_stops_at_the_deadline(self):
+        with Session() as session:
+            # warm the pool so the timed batch pays no spawn
+            session.infer_many(
+                [PAIR_SOURCE, LIST_SOURCE], backend="process", max_workers=2
+            )
+            session.clear_cache()
+            start = time.monotonic()
+            with deadline(BATCH_DEADLINE):
+                with pytest.raises(DeadlineExceeded):
+                    session.infer_many(BATCH, backend="process", max_workers=2)
+            assert time.monotonic() - start < 0.5
+            assert session.cache_size == 0
