@@ -24,7 +24,7 @@ Quickstart — the staged API::
     assert pipeline.verify().ok            # independent region check
     print(pretty_target(result.target))
 
-    # ablation sweep: parsing/annotation cached, only inference re-runs
+    # ablation sweep: parsing/annotation run once, only inference re-runs
     from repro import InferenceConfig, SubtypingMode
     sweep = session.sweep(source, [InferenceConfig(mode=m) for m in SubtypingMode])
     print(session.stats)                   # cache hit/miss counters

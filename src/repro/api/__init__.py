@@ -7,10 +7,10 @@ remain as thin shims over it):
 * :class:`Pipeline` — explicit ``parse -> typecheck -> annotate -> infer ->
   verify -> execute`` stages, each returning a typed :class:`StageResult`;
   stop early, inspect intermediates, or swap configs mid-stream.
-* :class:`Session` — a long-lived engine handle that caches the class
-  table, per-class annotations and inference results keyed by config +
-  source hash; ablation sweeps and repeated queries reuse unchanged work
-  (observable via :attr:`Session.stats`).
+* :class:`Session` — a long-lived engine handle that caches inference
+  results keyed by config + source hash; repeated queries are answered
+  from the cache and ablation sweeps annotate classes once (observable
+  via :attr:`Session.stats`).
 * :class:`Diagnostic` — structured errors (severity, stage, machine code,
   source span) replacing bare exception strings, with a ``collect`` mode
   that gathers multiple diagnostics instead of dying on the first.

@@ -23,11 +23,11 @@ Stage values:
 ``execute``           :class:`ExecutionResult`
 ====================  =====================================================
 
-Pipelines created through a :class:`~repro.api.Session` share that
-session's artifact cache, so the parse/typecheck/annotate prefix is reused
-across configurations and repeated queries, and a cached ``infer`` result
-answers :meth:`Pipeline.infer` (and the stages after it) without running
-its predecessors at all.
+Stage results are memoised per pipeline.  Pipelines created through a
+:class:`~repro.api.Session` also share that session's cache, which holds
+``infer`` results only: a cached result answers :meth:`Pipeline.infer`
+(and the stages after it) without running parse, typecheck or annotate
+at all.
 """
 
 from __future__ import annotations
@@ -154,24 +154,14 @@ class ExecutionResult:
         }
 
 
-class _InlineStore:
-    """No-op artifact store used by pipelines without a session."""
-
-    def peek(self, kind: str, key: Hashable, *, record_hit: bool = False) -> None:
-        return None
-
-    def get_or_build(self, kind: str, key: Hashable, builder: Callable[[], Any]):
-        return builder(), False
-
-
 class Pipeline:
     """One program's staged flow.  See the module docstring.
 
     ``collect`` switches the parse stage to the tolerant parser, which
     gathers every top-level syntax error instead of dying on the first
-    (collect-mode artifacts are never shared through a session cache, since
+    (collect-mode results are never shared through a session cache, since
     they may be partial).  Stage results are memoised per pipeline;
-    cross-pipeline reuse comes from the ``store`` a
+    cross-pipeline reuse is the ``infer`` entry in the ``store`` a
     :class:`~repro.api.Session` injects.
     """
 
@@ -189,9 +179,27 @@ class Pipeline:
         self.config = config or InferenceConfig()
         self.filename = filename
         self.collect = collect
-        self._store = store if store is not None else _InlineStore()
+        self._store = None if collect else store
         self._key = source_key if source_key is not None else source
         self._results: dict = {}
+
+    def fork(self, config: InferenceConfig) -> "Pipeline":
+        """This pipeline under ``config``, keeping its memoised front half
+        (parse, typecheck and annotate do not depend on the config)."""
+        other = Pipeline(
+            self.source,
+            config,
+            filename=self.filename,
+            collect=self.collect,
+            store=self._store,
+            source_key=self._key,
+        )
+        other._results = {
+            stage: result
+            for stage, result in self._results.items()
+            if stage in ("parse", "typecheck", "annotate")
+        }
+        return other
 
     # -- plumbing ----------------------------------------------------------
     def _skipped(self, name: str, memo: Hashable, prev: StageResult) -> StageResult:
@@ -207,25 +215,19 @@ class Pipeline:
         builder: Callable[[], Any],
         *,
         errors: Tuple[type, ...],
-        cache_key: Optional[Hashable] = None,
-        memo: Optional[Hashable] = None,
     ) -> StageResult:
-        """Build one stage value with timing, caching and error adaptation.
+        """Build one stage value with timing and error adaptation.
 
         ``RecursionError`` is adapted for every stage: input nested deeper
         than the recursive walkers' stack allows must come back as a
         diagnostic, never as an uncaught exception.  A
         :class:`~repro.deadline.DeadlineExceeded` is not a property of the
-        program: it propagates, and the store keeps nothing for the stage.
+        program: it propagates, and nothing is cached for the stage.
         """
         check_deadline()
-        memo = memo if memo is not None else name
         start = time.perf_counter()
         try:
-            if cache_key is not None and not self.collect:
-                value, cached = self._store.get_or_build(name, cache_key, builder)
-            else:
-                value, cached = builder(), False
+            value = builder()
         except (RecursionError, *errors) as err:
             result = StageResult(
                 stage=name,
@@ -233,16 +235,15 @@ class Pipeline:
                 diagnostics=[from_exception(err, stage=name, file=self.filename)],
                 elapsed=time.perf_counter() - start,
             )
-            self._results[memo] = result
+            self._results[name] = result
             return result
         result = StageResult(
             stage=name,
             ok=True,
             value=value,
             elapsed=time.perf_counter() - start,
-            cached=cached,
         )
-        self._results[memo] = result
+        self._results[name] = result
         return result
 
     # -- stages ------------------------------------------------------------
@@ -272,7 +273,6 @@ class Pipeline:
             "parse",
             lambda: parse_program(self.source),
             errors=(LexError, ParseError),
-            cache_key=self._key,
         )
 
     def typecheck(self) -> StageResult:
@@ -287,11 +287,10 @@ class Pipeline:
             "typecheck",
             lambda: NormalTypeChecker(program).check(),
             errors=(NormalTypeError,),
-            cache_key=self._key,
         )
 
     def annotate(self) -> StageResult:
-        """Class table -> shared :class:`~repro.core.AnnotatedProgram`."""
+        """Class table -> :class:`~repro.core.AnnotatedProgram`."""
         if "annotate" in self._results:
             return self._results["annotate"]
         prev = self.typecheck()
@@ -303,21 +302,24 @@ class Pipeline:
             "annotate",
             lambda: AnnotatedProgram.from_table(program, table),
             errors=(InferenceError, NormalTypeError),
-            cache_key=self._key,
         )
 
-    def infer(self) -> StageResult:
-        """Annotated program + config -> :class:`~repro.core.InferenceResult`.
+    def _infer_stage(
+        self,
+        front: Callable[[], StageResult],
+        build: Callable[[Any], InferenceResult],
+    ) -> StageResult:
+        """The one probe path behind :meth:`infer` and :meth:`reinfer`.
 
-        The session's cached ``infer`` entry is probed first: a hit answers
-        without running parse, typecheck or annotate, which the cached
-        result already embodies.  Collect mode never probes (its artifacts
-        stay out of the session cache).
+        A cached ``infer`` entry answers without running ``front``.  A probe
+        that finds nothing is one ``infer`` miss, whatever happens next; a
+        successful build is installed without a second count.  Collect
+        mode never probes.
         """
         if "infer" in self._results:
             return self._results["infer"]
         cache_key = (self._key, config_key(self.config))
-        if not self.collect:
+        if self._store is not None:
             start = time.perf_counter()
             value = self._store.peek("infer", cache_key, record_hit=True)
             if value is not None:
@@ -330,42 +332,40 @@ class Pipeline:
                 )
                 self._results["infer"] = result
                 return result
-        prev = self.annotate()
+            self._store.record_miss("infer")
+        prev = front()
         if not prev.ok:
             return self._skipped("infer", "infer", prev)
-        annotated = prev.value
-        return self._run_stage(
+        result = self._run_stage(
             "infer",
-            lambda: RegionInference(
+            lambda: build(prev.value),
+            errors=(InferenceError, NormalTypeError),
+        )
+        if result.ok and self._store is not None:
+            self._store.put("infer", cache_key, result.value)
+        return result
+
+    def infer(self) -> StageResult:
+        """Annotated program + config -> :class:`~repro.core.InferenceResult`."""
+        return self._infer_stage(
+            self.annotate,
+            lambda annotated: RegionInference(
                 annotated.program, self.config, prepared=annotated
             ).infer(),
-            errors=(InferenceError, NormalTypeError),
-            cache_key=cache_key,
         )
 
     def reinfer(self, prior: "InferenceResult") -> StageResult:
         """Incremental variant of :meth:`infer` against a prior result.
 
-        Parses this pipeline's source, then re-infers it through
-        :func:`repro.core.reinfer_program` — only the method SCCs dirtied
-        relative to ``prior`` re-run their fixed points; everything else
-        is spliced from the prior result.  The stage memoises and
-        caches under the same ``infer`` key as :meth:`infer`, so an
-        unchanged resubmission is an ordinary file-level cache hit and
-        downstream stages (:meth:`verify`, :meth:`execute`) consume the
-        incremental result transparently.
+        Probes the ``infer`` entry exactly as :meth:`infer` does; on a miss
+        it parses and re-infers through :func:`repro.core.reinfer_program`,
+        which re-runs fixed points only for the method SCCs dirtied
+        relative to ``prior`` and splices the rest.  The result is cached
+        under the same ``infer`` key, so later stages consume it as usual.
         """
-        if "infer" in self._results:
-            return self._results["infer"]
-        prev = self.parse()
-        if not prev.ok:
-            return self._skipped("infer", "infer", prev)
-        program = prev.value
-        return self._run_stage(
-            "infer",
-            lambda: reinfer_program(program, prior, self.config),
-            errors=(InferenceError, NormalTypeError),
-            cache_key=(self._key, config_key(self.config)),
+        return self._infer_stage(
+            self.parse,
+            lambda program: reinfer_program(program, prior, self.config),
         )
 
     def verify(self) -> StageResult:

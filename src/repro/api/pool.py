@@ -86,11 +86,11 @@ __all__ = [
 #: the recognised executor backends
 BACKENDS = ("thread", "process")
 
-#: artifact-cache bound applied to worker sessions unless the pool that
-#: spawned the worker configures one explicitly: worker sessions outlive
-#: single calls (persistent pools, the parent-side inline session), so the
+#: cache bound (in programs) applied to worker sessions unless the pool
+#: that spawned the worker configures one: worker sessions outlive single
+#: calls (persistent pools, the parent-side inline session), so the
 #: default is bounded, never unlimited
-DEFAULT_WORKER_CACHE_ENTRIES = 256
+DEFAULT_WORKER_CACHE_ENTRIES = 64
 
 
 def available_cpus() -> int:

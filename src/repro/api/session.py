@@ -1,21 +1,21 @@
 """Reusable inference sessions with artifact caching and batch entry points.
 
 A :class:`Session` is the long-lived engine object of the API: it owns a
-keyed artifact cache (source hash for the config-independent stages, source
-hash + config for inference results) so that
+keyed cache of answers — inference results keyed by source hash + config,
+plus the lineages of :meth:`Session.reinfer` documents — so that
 
-* re-inferring an unmodified program is a cache hit end to end,
+* repeating any query on an unmodified program is one ``infer`` hit,
 * an ablation sweep (same program, several :class:`InferenceConfig`\\ s)
-  parses, normal-types and annotates classes exactly once, and
+  parses, normal-types and annotates classes at most once per call, and
 * multi-program workloads go through :meth:`Session.infer_many`, which
   runs the batch in the calling thread or fans it out over the session's
   persistent process pool, and returns results in input order either way.
 
 Cache effectiveness is observable through :attr:`Session.stats`
-(per-stage hit/miss counters), which the microbenchmarks and tests assert
+(per-kind hit/miss counters), which the microbenchmarks and tests assert
 against.  Sessions are thread-safe: the cache is lock-guarded, and two
-threads racing to build the same artifact at worst build it twice (both
-results are equivalent; one wins the cache slot).
+threads racing to build the same result at worst build it twice (both
+results are equivalent; the later one keeps the cache slot).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
     Any,
-    Callable,
     Dict,
     Hashable,
     List,
@@ -59,7 +58,10 @@ def _source_key(source: str) -> str:
 
 @dataclass
 class SessionStats:
-    """Per-stage cache hit/miss/eviction counters for one session.
+    """Per-kind cache hit/miss/eviction counters for one session.
+
+    Cache kinds: ``infer`` (one hit or miss per lookup, failed builds
+    included) and ``document`` (lineages: evictions only).
 
     ``events`` counts things that are not cache traffic — the session's
     worker-pool lifecycle (``pool.spawns``, ``pool.respawns``,
@@ -124,18 +126,6 @@ class SessionStats:
             return self.events.get(kind, 0)
         return sum(self.events.values())
 
-    @property
-    def total_hits(self) -> int:
-        return self.hit_count()
-
-    @property
-    def total_misses(self) -> int:
-        return self.miss_count()
-
-    @property
-    def total_evictions(self) -> int:
-        return self.eviction_count()
-
     def as_dict(self) -> Dict[str, Dict[str, int]]:
         return {
             "hits": dict(self.hits),
@@ -164,8 +154,7 @@ class SessionStats:
         return "; ".join(parts) if parts else "no cache traffic"
 
 
-#: byte cost charged to a cached artifact that cannot be pickled for
-#: sizing (some intermediate stage artifacts carry solvers/closures):
+#: byte cost charged to a cached value that cannot be pickled for sizing:
 #: deliberately pessimistic, so unsizeable entries cannot hide an
 #: unbounded cache behind a tiny byte estimate
 FALLBACK_ARTIFACT_BYTES = 64 * 1024
@@ -174,11 +163,10 @@ FALLBACK_ARTIFACT_BYTES = 64 * 1024
 def _approx_artifact_bytes(value: Any) -> int:
     """Approximate in-memory weight of a cached artifact, in bytes.
 
-    Pickled size is the proxy: it is cheap, correlates with real
-    footprint across the artifact zoo (an :class:`InferenceResult` is
-    ~100x a parse, which entry-count LRU treats as equals), and is
-    already a supported operation for everything the process backend
-    ships.  Artifacts that refuse to pickle are charged
+    Pickled size is the proxy: it grows with the program (a ``sized(10)``
+    :class:`InferenceResult` pickles to 70–86 KB, ~3x its parse tree) and
+    is already supported for everything the process backend ships.
+    Values that refuse to pickle are charged
     :data:`FALLBACK_ARTIFACT_BYTES` (or their shallow ``getsizeof`` if
     larger).
     """
@@ -193,19 +181,19 @@ def _approx_artifact_bytes(value: Any) -> int:
 
 
 class _ArtifactStore:
-    """The keyed artifact cache a session injects into its pipelines.
+    """The keyed cache a session injects into its pipelines.
 
+    A session stores ``infer`` results and ``document`` lineages in it.
     With ``max_entries`` set, the store is a bounded LRU: a hit refreshes
     the entry's recency, and an insert that pushes the store past the bound
-    evicts the least-recently-used artifact (counted per stage kind in
+    evicts the least-recently-used entry (counted per kind in
     :attr:`SessionStats.evictions`).  With ``max_bytes`` set the LRU is
     **cost-aware**: each entry is weighted by its approximate pickled
-    size (:func:`_approx_artifact_bytes`), so one multi-megabyte
-    :class:`InferenceResult` counts for what it is instead of masquerading
-    as one entry among hundreds of kilobyte-scale parses — the bound a
-    multi-tenant service actually needs.  The most recent entry is never
-    evicted by the byte bound (the caller is holding it), so a single
-    oversized artifact degrades to cache-of-one rather than thrashing.
+    size (:func:`_approx_artifact_bytes`), so a large program's result
+    counts for what it is — the bound a multi-tenant service actually
+    needs.  The most recent entry is never evicted by the byte bound (the
+    caller is holding it), so a single oversized result degrades to
+    cache-of-one rather than thrashing.
     Both bounds may be set; either alone works.  Unbounded by default.
     """
 
@@ -240,39 +228,10 @@ class _ArtifactStore:
             while self._bytes > self._max_bytes and len(self._data) > 1:
                 self._evict_lru_locked()
 
-    def get_or_build(
-        self, kind: str, key: Hashable, builder: Callable[[], Any]
-    ) -> Tuple[Any, bool]:
-        full_key = (kind, key)
+    def record_miss(self, kind: str) -> None:
+        """Count one lookup of ``kind`` that found nothing."""
         with self._lock:
-            if full_key in self._data:
-                self._data.move_to_end(full_key)
-                self._stats.record(kind, hit=True)
-                return self._data[full_key], True
-        try:
-            value = builder()  # outside the lock: builds may be slow
-        except Exception:
-            # a failed build is still a miss: without this, failing
-            # programs are invisible in hit/miss accounting and hit-rate
-            # ratios over-report
-            with self._lock:
-                self._stats.record(kind, hit=False)
-            raise
-        # size outside the lock too: pickling a large artifact is not free
-        cost = (
-            _approx_artifact_bytes(value) if self._max_bytes is not None else 0
-        )
-        with self._lock:
-            winner = self._data.setdefault(full_key, value)
-            if winner is value and full_key not in self._costs:
-                # we inserted (not the loser of a build race): account the
-                # entry's weight exactly once
-                self._costs[full_key] = cost
-                self._bytes += cost
-            self._data.move_to_end(full_key)
             self._stats.record(kind, hit=False)
-            self._shrink_locked()
-        return winner, False
 
     def peek(
         self, kind: str, key: Hashable, *, record_hit: bool = False
@@ -281,14 +240,12 @@ class _ArtifactStore:
 
         A present entry has its LRU recency refreshed (a peek is a real
         use; :meth:`Session.reinfer` reads document lineages and their
-        priors through it).  Callers that want traffic accounted record
-        their own kind.  ``record_hit=True`` also counts a found
-        entry as one hit on ``kind``, under the same lock as the lookup:
-        the atomic probe behind :meth:`Pipeline.infer
-        <repro.api.pipeline.Pipeline.infer>`'s short-circuit, with no
-        window between a membership test and the read for an eviction to
-        fall into.  A ``None`` answer records nothing; the caller's build
-        records the miss.
+        priors through it).  ``record_hit=True`` also counts a found entry
+        as one hit on ``kind`` under the same lock as the lookup: the
+        atomic probe behind :meth:`Pipeline.infer
+        <repro.api.pipeline.Pipeline.infer>`, with no window for an
+        eviction to fall into.  A ``None`` answer records nothing; the
+        caller counts the miss (:meth:`record_miss`).
         """
         full_key = (kind, key)
         with self._lock:
@@ -302,11 +259,11 @@ class _ArtifactStore:
     def put(self, kind: str, key: Hashable, value: Any) -> None:
         """Insert or replace an entry without hit/miss accounting.
 
-        :meth:`Session.reinfer` records document lineages through this:
-        moving a document to its next version is not a cache *miss*
-        (nothing was looked up and not found).  A replaced entry is
-        re-charged at its new value's weight and refreshed to most
-        recent; eviction pressure applies exactly as for built artifacts.
+        :meth:`Session.reinfer` records document lineages through this, and
+        :meth:`Pipeline.infer <repro.api.pipeline.Pipeline.infer>` installs
+        the result its probe already counted as a miss.  A replaced entry
+        is re-charged at its new value's weight and refreshed to most
+        recent; eviction pressure applies exactly as for built entries.
         """
         full_key = (kind, key)
         cost = (
@@ -323,8 +280,8 @@ class _ArtifactStore:
         """Membership test with no side effects (no stats, no LRU refresh).
 
         The process backend uses this to split a batch into parent-cache
-        hits and work to ship; the authoritative lookup (and the stats
-        record) still happens through :meth:`get_or_build` at assembly.
+        hits and work to ship; the counted lookup (:meth:`peek` with
+        ``record_hit``, or :meth:`record_miss`) still happens at assembly.
         """
         with self._lock:
             return (kind, key) in self._data
@@ -351,17 +308,16 @@ class Session:
 
     ``config`` is the default :class:`InferenceConfig` for pipelines this
     session creates; every entry point accepts a per-call override, which
-    is how ablation sweeps share one session (and therefore one parse and
-    one class annotation) across configurations.
+    is how ablation sweeps share one session across configurations.
 
-    ``max_cache_entries`` bounds the artifact cache by entry count and
-    ``max_cache_bytes`` bounds it by approximate pickled size: a
-    long-lived session serving many distinct programs evicts its
-    least-recently-used artifacts instead of growing without bound
+    The cache holds one ``infer`` entry per (program, config) and one
+    lineage per :meth:`reinfer` document.  ``max_cache_entries`` bounds
+    it by entry count and ``max_cache_bytes`` by approximate pickled
+    size: a long-lived session serving many distinct programs evicts its
+    least-recently-used entries instead of growing without bound
     (evictions are visible in :attr:`Session.stats`).  The byte bound is
-    the one services want — an :class:`InferenceResult` weighs ~100x a
-    parse artifact, which the entry bound cannot see.  ``None`` (the
-    default) keeps every artifact.
+    the one services want — results grow with the program, which the
+    entry bound cannot see.  ``None`` (the default) keeps every entry.
 
     Batch entry points pick their backend per call (``backend="thread"``,
     the default, runs in the calling thread; see :mod:`repro.api.pool`).
@@ -394,6 +350,7 @@ class Session:
         )
         self._pool: Optional[WorkerPool] = None
         self._pool_lock = threading.Lock()
+        self._calls = threading.local()
 
     # -- the worker pool ---------------------------------------------------
     def process_pool(self) -> WorkerPool:
@@ -478,7 +435,16 @@ class Session:
         self, source: str, config: Optional[InferenceConfig] = None
     ) -> InferenceResult:
         """Infer ``source`` (cached); raises ``StageFailure`` on error."""
-        return self.pipeline(source, config).infer().unwrap()
+        stage = self.pipeline(source, config).infer()
+        self._calls.cached = stage.cached
+        return stage.unwrap()
+
+    @property
+    def last_call_cached(self) -> bool:
+        """Whether this thread's last :meth:`infer` hit the cache, or its
+        last :meth:`reinfer` reused the document's prior (per thread, so
+        concurrent callers never see each other's answers)."""
+        return getattr(self._calls, "cached", False)
 
     # -- incremental re-inference ------------------------------------------
     def reinfer(
@@ -519,20 +485,17 @@ class Session:
             # first submission for this document, or its lineage or prior
             # was evicted: full (file-level cached) inference
             result = self.infer(source, cfg)
-            self.stats.record("scc.document", hit=False)
+            engaged = False
         elif prior_skey == skey:
             # unchanged resubmission: the prior answers outright
-            self.stats.record("scc.document", hit=True)
+            result, engaged = prior, True
             self._record_scc_reuse(
                 prior.reused_sccs + prior.reinferred_sccs, 0
             )
-            return prior
         else:
             stage = self.pipeline(source, cfg).reinfer(prior)
             result = stage.unwrap()
-            self.stats.record(
-                "scc.document", hit=result.annotations is prior.annotations
-            )
+            engaged = result.annotations is prior.annotations
             if stage.cached:
                 # this exact source was inferred before (e.g. toggling
                 # between two versions): everything is reused
@@ -543,6 +506,8 @@ class Session:
                 self._record_scc_reuse(
                     result.reused_sccs, result.reinferred_sccs
                 )
+        self.stats.record("scc.document", hit=engaged)
+        self._calls.cached = engaged
         self._store.put("document", (document, ck), skey)
         return result
 
@@ -598,11 +563,17 @@ class Session:
     ) -> List[InferenceResult]:
         """Infer one program under several configs, sharing the front half.
 
-        The parse/typecheck/annotate artifacts are computed on the first
-        config and are cache hits for every subsequent one — the ablation
-        workload the ROADMAP's benchmarks sweep.
+        Every config probes its own ``infer`` entry first; each later
+        config runs on a :meth:`Pipeline.fork
+        <repro.api.pipeline.Pipeline.fork>`, so one call builds parse,
+        typecheck and annotate at most once — the ablation workload the
+        ``session_reuse`` benchmark sweeps.
         """
-        return [self.infer(source, config) for config in configs]
+        out, pipe = [], None
+        for config in configs:
+            pipe = pipe.fork(config) if pipe else self.pipeline(source, config)
+            out.append(pipe.infer().unwrap())
+        return out
 
     def infer_many(
         self,
@@ -674,9 +645,10 @@ class Session:
 
         Only parent-cache misses are shipped (each unique source once),
         each with the caller's remaining deadline; worker results are
-        installed into the parent cache through the ordinary
-        ``get_or_build`` path so hit/miss accounting and LRU bounds behave
-        exactly as on the thread backend.  Work runs on the session's
+        installed into the parent cache with the same probe, miss and
+        ``put`` as :meth:`Pipeline.infer <repro.api.pipeline.Pipeline.infer>`,
+        so hit/miss accounting and LRU bounds behave exactly as on the
+        thread backend.  Work runs on the session's
         persistent :meth:`process_pool`, so consecutive batches reuse one
         executor and its warm worker caches.
         """
@@ -733,19 +705,20 @@ class Session:
             if src in failures:
                 out.append(failures[src])  # type: ignore[arg-type]
                 continue
-            # shipped results install here (a parent miss, built remotely);
-            # sources that were parent hits at split time resolve without
-            # re-parsing — the builder only runs again in the rare race
-            # where the LRU evicted the entry mid-batch
-            value, _ = self._store.get_or_build(
-                "infer",
-                (_source_key(src), ck),
-                lambda src=src: (
-                    shipped[src]
-                    if src in shipped
-                    else self.pipeline(src, cfg).infer().unwrap()
-                ),
-            )
+            if src not in shipped:
+                # a parent hit at split time: the ordinary probe answers it
+                # (and rebuilds only in the rare race where the LRU evicted
+                # the entry mid-batch)
+                out.append(self.pipeline(src, cfg).infer().unwrap())
+                continue
+            # a parent miss built remotely: one miss, then installed; a
+            # repeat of the source later in the batch is a hit
+            key = (_source_key(src), ck)
+            value = self._store.peek("infer", key, record_hit=True)
+            if value is None:
+                self._store.record_miss("infer")
+                value = shipped[src]
+                self._store.put("infer", key, value)
             out.append(value)
         return out
 
@@ -769,7 +742,7 @@ class Session:
 
     # -- maintenance -------------------------------------------------------
     def clear_cache(self) -> None:
-        """Drop every cached artifact (counters are preserved).
+        """Drop every cached entry (counters are preserved).
 
         Document lineages are store entries too, so the next ``reinfer``
         of any document starts a fresh lineage with a full run.

@@ -765,7 +765,8 @@ register(
     BenchmarkSpec(
         name="session_reuse",
         description="Ablation sweep through one Session (parse/annotate "
-        "cached across configs) vs a cold per-config loop",
+        "built once per sweep, shared across configs) vs a cold "
+        "per-config loop",
         run=_session_run,
         key_fields=("program", "configs"),
         # the deterministic cache behaviour is asserted in tests; the

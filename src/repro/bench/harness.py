@@ -165,9 +165,10 @@ def measure_program(
 ) -> Tuple[float, float, float, int, int]:
     """(inference s, checking s, space ratio, letregs, annotation lines).
 
-    With a shared ``session``, only the first mode measured for a program
-    pays for parsing and class annotation; inference and checking always
-    run (and are timed) per mode.  Reported inference time is always the
+    Each mode builds its own front half (parse, typecheck and class
+    annotation take milliseconds per program, little next to execution);
+    with a shared ``session``, re-measuring a (program, mode) pair is an
+    ``infer`` hit.  Reported inference time is always the
     engine's own :attr:`InferenceResult.elapsed` — never the stage wall
     time, which includes cache bookkeeping — so the same row value comes
     back whether the inference result was a cache hit or a miss.
@@ -199,8 +200,8 @@ def _fig8_task(payload: Tuple[str, str, bool, Tuple[int, ...]]):
     """Process-pool task: one (program, mode) measurement of the Fig 8 pass.
 
     Ships only the program *name* (workers import the corpus themselves)
-    and runs on the worker's long-lived session, so the three modes of one
-    program still share a parse whenever they land on the same worker.
+    and runs on the worker's long-lived session, so a repeated fig8 pass
+    finds its inference results cached on whichever worker ran them.
     """
     name, mode_value, run, args = payload
     return measure_program(

@@ -126,8 +126,9 @@ class AnnotatedProgram:
 
     Parsing, normal typing and class annotation do not depend on the
     :class:`InferenceConfig`, so one :class:`AnnotatedProgram` can seed any
-    number of :class:`RegionInference` runs over the same source (ablation
-    sweeps, repeated queries).  Each run forks the abstraction environment
+    number of :class:`RegionInference` runs over the same source (the
+    configs of one :meth:`repro.api.Session.sweep` call; sessions do not
+    cache it).  Each run forks the abstraction environment
     (:meth:`fork_env`), so per-run method preconditions never leak between
     configurations; the class invariants and annotations are shared.
     """
@@ -379,10 +380,10 @@ class RegionInference:
     ):
         """``prepared`` injects the config-independent front half.
 
-        When given (typically by a :class:`repro.api.Session` cache), normal
-        typing, class annotation and the downcast plan are reused instead of
-        recomputed; this run works on a forked abstraction environment so
-        its method preconditions stay private.
+        When given (typically by a :class:`repro.api.Pipeline`, once per
+        sweep), normal typing, class annotation and the downcast plan are
+        reused instead of recomputed; this run works on a forked
+        abstraction environment so its method preconditions stay private.
         """
         self.program = program
         self.config = config or InferenceConfig()

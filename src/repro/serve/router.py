@@ -50,10 +50,9 @@ from .wire import (
 
 __all__ = ["Router", "ServerConfig", "DEFAULT_TENANT_CACHE_BYTES"]
 
-#: per-tenant artifact-cache byte bound unless configured otherwise: a
-#: tenant's cache holds results, not the corpus, and an InferenceResult
-#: is ~100x a parse — bound by bytes, not entries
-DEFAULT_TENANT_CACHE_BYTES = 64 * 1024 * 1024
+#: per-tenant cache byte bound unless configured otherwise: a tenant's
+#: cache holds one inference result per program (70–86 KB at ``sized(10)``)
+DEFAULT_TENANT_CACHE_BYTES = 32 * 1024 * 1024
 
 
 @dataclass
@@ -278,36 +277,24 @@ class Router:
                 self.admission.release(time.monotonic() - started)
 
     def _inference(
-        self, tenant: Tenant, request: Any
+        self, tenant: Tenant, request: Any, document: Optional[str] = None
     ) -> Tuple[InferenceResult, bool]:
-        """The shared infer step: a cached answer or an inline run."""
-        session = tenant.session
-        hits_before = session.stats.hit_count("infer")
-        result = session.infer_one(request.source, request.config)
-        return result, session.stats.hit_count("infer") > hits_before
+        """The shared infer step: a cached answer or an inline run.
 
-    def _reinference(
-        self, tenant: Tenant, request: InferRequest
-    ) -> Tuple[InferenceResult, bool]:
-        """The incremental fast path: a named document resubmitted.
-
-        Keystroke-scale edits re-infer only their dirty SCCs.  ``cached``
-        in the response means "the incremental path engaged": the prior
-        was found and reused, wholesale (unchanged resubmission) or
-        per-SCC.
+        ``cached`` is this call's own answer; with a ``document`` (the
+        incremental fast path) it means the prior was reused.
         """
         session = tenant.session
-        doc_hits = session.stats.hit_count("scc.document")
-        result = session.reinfer(
-            request.source, request.config, document=request.document
-        )
-        return result, session.stats.hit_count("scc.document") > doc_hits
+        if document is None:
+            result = session.infer_one(request.source, request.config)
+        else:
+            result = session.reinfer(
+                request.source, request.config, document=document
+            )
+        return result, session.last_call_cached
 
     def _infer(self, tenant: Tenant, request: InferRequest) -> Dict[str, Any]:
-        if request.document is not None:
-            result, cached = self._reinference(tenant, request)
-        else:
-            result, cached = self._inference(tenant, request)
+        result, cached = self._inference(tenant, request, request.document)
         response = {
             "ok": True,
             "tenant": tenant.name,

@@ -1,11 +1,10 @@
 """Cost-aware artifact caching: the ``max_cache_bytes`` bound.
 
-A serving session's artifacts differ in size by orders of magnitude (a
-parse tree vs a full ``InferenceResult``), so the byte bound — measured
-as approximate pickled size — is what actually caps memory, with the
-entry bound as a secondary guard.  The newest entry is never evicted:
-a single oversized artifact must still be cacheable (and returned),
-otherwise a big program would evict itself forever.
+A serving session's cached results grow with the program, so the byte
+bound — measured as approximate pickled size — is what actually caps
+memory, with the entry bound as a secondary guard.  The newest entry is
+never evicted: a single oversized result must still be cacheable (and
+returned), otherwise a big program would evict itself forever.
 """
 
 import pytest
@@ -17,7 +16,7 @@ from repro.api.session import (
     _approx_artifact_bytes,
     _ArtifactStore,
 )
-from tests.conftest import PAIR_SOURCE
+from tests.conftest import LIST_SOURCE, PAIR_SOURCE
 
 
 class TestApproxBytes(object):
@@ -38,10 +37,10 @@ class TestByteBound(object):
 
     def test_bytes_accumulate_and_clear(self):
         store = self._store(1 << 30)
-        store.get_or_build("k", "a", lambda: "x" * 100)
+        store.put("k", "a", "x" * 100)
         used = store.bytes_used
         assert used > 100
-        store.get_or_build("k", "b", lambda: "y" * 100)
+        store.put("k", "b", "y" * 100)
         assert store.bytes_used > used
         store.clear()
         assert store.bytes_used == 0
@@ -51,7 +50,7 @@ class TestByteBound(object):
         one = _approx_artifact_bytes(blob)
         store = self._store(int(one * 2.5))  # room for two blobs, not three
         for key in ("a", "b", "c"):
-            store.get_or_build("k", key, lambda: "z" * 1000)
+            store.put("k", key, "z" * 1000)
         assert store.bytes_used <= int(one * 2.5)
         assert self.stats.evictions.get("k") == 1
         # LRU order: "a" went, "b" and "c" stayed
@@ -61,28 +60,27 @@ class TestByteBound(object):
 
     def test_the_newest_entry_survives_even_oversized(self):
         store = self._store(8)  # smaller than any pickled artifact
-        value, hit = store.get_or_build("k", "a", lambda: "w" * 1000)
-        assert not hit and value == "w" * 1000
-        assert store.contains("k", "a")
+        store.put("k", "a", "w" * 1000)
+        assert store.peek("k", "a") == "w" * 1000
         # the next insert evicts it, but is itself kept
-        store.get_or_build("k", "b", lambda: "v" * 1000)
+        store.put("k", "b", "v" * 1000)
         assert not store.contains("k", "a")
         assert store.contains("k", "b")
 
     def test_hits_refresh_recency_under_the_byte_bound(self):
         blob_cost = _approx_artifact_bytes("z" * 1000)
         store = self._store(int(blob_cost * 2.5))
-        store.get_or_build("k", "a", lambda: "z" * 1000)
-        store.get_or_build("k", "b", lambda: "z" * 1000)
-        store.get_or_build("k", "a", lambda: "z" * 1000)  # hit: refresh "a"
-        store.get_or_build("k", "c", lambda: "z" * 1000)
+        store.put("k", "a", "z" * 1000)
+        store.put("k", "b", "z" * 1000)
+        store.peek("k", "a")  # a use: refresh "a"
+        store.put("k", "c", "z" * 1000)
         assert store.contains("k", "a")
         assert not store.contains("k", "b")
 
     def test_entry_bound_still_applies_alongside_bytes(self):
         store = _ArtifactStore(SessionStats(), max_entries=2, max_bytes=1 << 30)
         for key in ("a", "b", "c"):
-            store.get_or_build("k", key, lambda: key)
+            store.put("k", key, key)
         assert not store.contains("k", "a")
         assert store.contains("k", "c")
 
@@ -102,8 +100,10 @@ class TestSessionSurface(object):
 
     def test_byte_bound_evicts_across_kinds(self):
         with Session(max_cache_bytes=1) as session:
-            session.infer(PAIR_SOURCE)
-            # every stage inserted then got evicted by its successor's
-            # insert, except the newest artifact
+            session.reinfer(PAIR_SOURCE, document="d")
+            # the document's lineage evicted its infer entry, and the next
+            # program's infer entry evicts the lineage: only the newest
+            # entry stays
+            session.infer(LIST_SOURCE)
             assert session.cache_size == 1
-            assert sum(session.stats.evictions.values()) >= 3
+            assert session.stats.evictions == {"infer": 1, "document": 1}

@@ -84,4 +84,4 @@ class TestErrors(object):
         with pytest.raises(StageFailure) as exc:
             session.infer_many([PROGRAMS[0], bad_type, BAD, PROGRAMS[1]])
         assert exc.value.stage == "typecheck"
-        assert session.stats.miss_count("parse") == 2
+        assert session.stats.misses == {"infer": 2}

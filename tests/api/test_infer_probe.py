@@ -7,8 +7,6 @@ from repro.core import InferenceConfig, SubtypingMode
 from repro.lang.pretty import pretty_target
 from tests.conftest import LIST_SOURCE, PAIR_SOURCE
 
-FRONT_HALF = ("parse", "typecheck", "annotate")
-
 
 def _traffic(session):
     """(hits, misses) per kind, copied so later traffic can be diffed."""
@@ -23,53 +21,67 @@ def _delta(before, after):
     }
 
 
-def _assert_one_infer_hit(session, step):
+def _assert_one_infer_hit(session, step, builds):
     hits, misses = _traffic(session)
+    built = dict(builds)
     step()
     new_hits, new_misses = _traffic(session)
     assert _delta(hits, new_hits) == {"infer": 1}
     assert _delta(misses, new_misses) == {}
+    # answered from the cached result: nothing parsed or annotated
+    assert builds == built
 
 
 class TestCachedInferShortCircuits(object):
-    def test_verify_after_inline_infer_touches_only_infer(self):
+    def test_verify_after_inline_infer_touches_only_infer(
+        self, front_half_builds
+    ):
         session = Session()
         session.infer(PAIR_SOURCE)
         pipe = session.pipeline(PAIR_SOURCE)
-        _assert_one_infer_hit(session, pipe.verify)
+        _assert_one_infer_hit(session, pipe.verify, front_half_builds)
         assert pipe.verify().ok
         assert pipe.infer().cached
         assert pipe.diagnostics() == []
 
-    def test_check_after_inline_infer_touches_only_infer(self):
+    def test_check_after_inline_infer_touches_only_infer(
+        self, front_half_builds
+    ):
         session = Session()
         session.infer(PAIR_SOURCE)
-        _assert_one_infer_hit(session, lambda: session.check(PAIR_SOURCE))
+        _assert_one_infer_hit(
+            session, lambda: session.check(PAIR_SOURCE), front_half_builds
+        )
         assert session.check(PAIR_SOURCE).ok
 
-    def test_check_after_a_pool_installed_result_touches_only_infer(self):
+    def test_check_after_a_pool_installed_result_touches_only_infer(
+        self, front_half_builds
+    ):
         with Session() as session:
             result, _ = session.infer_many(
                 [PAIR_SOURCE, LIST_SOURCE], backend="process", max_workers=2
             )
             assert session.stats.miss_count("infer") == 2
             # the workers built the front half; the parent never did
-            for kind in FRONT_HALF:
-                assert session.stats.miss_count(kind) == 0
+            assert front_half_builds == {"parse": 0, "annotate": 0}
             pipe = session.pipeline(PAIR_SOURCE)
-            _assert_one_infer_hit(session, pipe.verify)
+            _assert_one_infer_hit(session, pipe.verify, front_half_builds)
             assert pipe.infer().value is result
             assert pipe.verify().ok
-            _assert_one_infer_hit(session, lambda: session.check(PAIR_SOURCE))
-            for kind in FRONT_HALF:
-                assert session.stats.hit_count(kind) == 0
-                assert session.stats.miss_count(kind) == 0
+            _assert_one_infer_hit(
+                session, lambda: session.check(PAIR_SOURCE), front_half_builds
+            )
+            assert front_half_builds == {"parse": 0, "annotate": 0}
 
-    def test_infer_one_answers_a_cached_result_without_the_pool(self):
+    def test_infer_one_answers_a_cached_result_without_the_pool(
+        self, front_half_builds
+    ):
         session = Session()
         result = session.infer(PAIR_SOURCE)
         _assert_one_infer_hit(
-            session, lambda: session.infer_one(PAIR_SOURCE, timeout=120)
+            session,
+            lambda: session.infer_one(PAIR_SOURCE, timeout=120),
+            front_half_builds,
         )
         assert session.infer_one(PAIR_SOURCE) is result
         assert not session._pool_alive()
@@ -86,7 +98,8 @@ class TestCachedInferShortCircuits(object):
             "verify",
         ]
         assert all(r.ok for r in results)
-        assert all(r.cached for r in results[:4])
+        # the front half is not cached: asked for, it is rebuilt
+        assert [r.cached for r in results] == [False, False, False, True, False]
 
     def test_each_config_probes_its_own_entry(self):
         session = Session()
@@ -94,9 +107,9 @@ class TestCachedInferShortCircuits(object):
         other = InferenceConfig(mode=SubtypingMode.NONE)
         pipe = session.pipeline(PAIR_SOURCE, other)
         assert not pipe.infer().cached
-        # the miss fell through to the front half, which was cached
-        assert session.stats.hit_count("annotate") == 1
-        assert session.stats.miss_count("infer") == 2
+        # the miss fell through to a front half of its own
+        assert session.stats.as_dict()["misses"] == {"infer": 2}
+        assert session.stats.hit_count() == 0
 
     def test_a_probe_miss_on_a_failing_program_blames_its_own_stage(self):
         session = Session()
@@ -109,9 +122,9 @@ class TestCachedInferShortCircuits(object):
 
 class TestEvictedInferRebuilds(object):
     def test_fully_evicted_program_rebuilds_with_fresh_results(self):
-        session = Session(max_cache_entries=4)
+        session = Session(max_cache_entries=1)
         session.infer(PAIR_SOURCE)
-        session.infer(LIST_SOURCE)  # evicts every PAIR_SOURCE entry
+        session.infer(LIST_SOURCE)  # evicts the PAIR_SOURCE entry
         pipe = session.pipeline(PAIR_SOURCE)
         report = pipe.verify().value
         fresh = Pipeline(PAIR_SOURCE)
@@ -123,28 +136,6 @@ class TestEvictedInferRebuilds(object):
         )
         assert pipe.diagnostics() == fresh.diagnostics() == []
 
-    def test_evicted_infer_entry_rebuilds_from_the_cached_front_half(self):
-        # a second config's miss refreshes the front half past the first
-        # config's infer entry, which is then the least recently used
-        session = Session(max_cache_entries=4)
-        session.infer(PAIR_SOURCE)
-        other = InferenceConfig(mode=SubtypingMode.NONE)
-        session.infer(PAIR_SOURCE, other)
-        assert session.stats.eviction_count("infer") == 1
-        hits, misses = _traffic(session)
-        pipe = session.pipeline(PAIR_SOURCE)
-        stage = pipe.verify()
-        assert stage.ok and not pipe.infer().cached
-        new_hits, new_misses = _traffic(session)
-        assert _delta(misses, new_misses) == {"infer": 1}
-        assert _delta(hits, new_hits) == {
-            "parse": 1,
-            "typecheck": 1,
-            "annotate": 1,
-        }
-        fresh = Pipeline(PAIR_SOURCE)
-        assert stage.value.obligations == fresh.verify().value.obligations
-        assert stage.diagnostics == fresh.verify().diagnostics == []
 
 class _NoProbeStore(object):
     """A store that fails the test if anything probes it."""
@@ -152,7 +143,7 @@ class _NoProbeStore(object):
     def peek(self, kind, key, *, record_hit=False):
         raise AssertionError(f"collect mode probed the store for {kind!r}")
 
-    def get_or_build(self, kind, key, builder):
+    def put(self, kind, key, value):
         raise AssertionError(f"collect mode used the store for {kind!r}")
 
 

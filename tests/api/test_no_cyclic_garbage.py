@@ -92,8 +92,8 @@ def test_evicting_cached_artifacts_leaves_no_cycles():
 
 
 def test_lru_eviction_leaves_no_cycles(save_all):
-    session = Session(max_cache_entries=4)
+    session = Session(max_cache_entries=2)
     for source in SOURCES + [EDITED]:
         session.pipeline(source).run("execute", args=[2])
-    assert session.stats.total_evictions > 0
+    assert session.stats.eviction_count("infer") == 2
     assert save_all() == []

@@ -1,4 +1,4 @@
-"""Tests for the bounded (LRU) session artifact cache."""
+"""Tests for the bounded (LRU) session cache."""
 
 import pytest
 
@@ -20,8 +20,8 @@ PROGRAM_D = """
 int main(int n) { n + 4 }
 """
 
-#: cache entries one inference populates: parse, typecheck, annotate, infer
-ENTRIES_PER_PROGRAM = 4
+#: cache entries one inference populates: its infer result
+ENTRIES_PER_PROGRAM = 1
 
 
 class TestBoundedCache:
@@ -44,30 +44,28 @@ class TestBoundedCache:
         assert session.stats.miss_count("infer") == 3
 
     def test_hits_refresh_recency(self):
-        # an infer hit answers from the infer entry alone: it refreshes
-        # that entry and leaves the program's front-half entries to age
-        session = Session(max_cache_entries=2 * ENTRIES_PER_PROGRAM + 1)
+        session = Session(max_cache_entries=2 * ENTRIES_PER_PROGRAM)
         session.infer(PROGRAM_A)
         session.infer(PROGRAM_B)
-        session.infer(PROGRAM_A)  # refresh A: B's infer is now the older
-        session.infer(PROGRAM_C)  # evicts front-half entries only
-        assert session.stats.eviction_count("infer") == 0
-        session.infer(PROGRAM_D)  # evicts B's infer entry, not A's
+        session.infer(PROGRAM_A)  # refresh A: B is now the older
+        session.infer(PROGRAM_C)  # evicts B, not A
         assert session.stats.eviction_count("infer") == 1
         before = session.stats.miss_count()
         session.infer(PROGRAM_A)
-        assert session.stats.miss_count() == before  # A fully cached
+        assert session.stats.miss_count() == before  # A still cached
         session.infer(PROGRAM_B)
-        assert session.stats.miss_count("infer") == 5  # B was evicted
+        assert session.stats.miss_count("infer") == 4  # B was evicted
 
     def test_eviction_counters_are_per_stage(self):
-        session = Session(max_cache_entries=ENTRIES_PER_PROGRAM)
-        session.infer(PROGRAM_A)
-        session.infer(PROGRAM_B)
+        # the store's kinds: infer results and document lineages
+        session = Session(max_cache_entries=2)
+        session.reinfer(PROGRAM_A, document="doc")
+        session.infer(PROGRAM_B)  # evicts A's infer entry
+        session.infer(PROGRAM_C)  # evicts the lineage
         stats = session.stats
-        assert stats.eviction_count("parse") == 1
         assert stats.eviction_count("infer") == 1
-        assert stats.as_dict()["evictions"]["parse"] == 1
+        assert stats.eviction_count("document") == 1
+        assert stats.as_dict()["evictions"] == {"infer": 1, "document": 1}
         assert "eviction(s)" in str(stats)
 
     def test_rejects_non_positive_bound(self):

@@ -54,16 +54,19 @@ class TestDocumentLifecycle(object):
         total = first.reused_sccs + first.reinferred_sccs
         assert stats["hits"].get("scc.reuse") == total
 
-    def test_full_undo_is_a_file_level_hit(self, sources):
+    def test_full_undo_is_a_file_level_hit(self, sources, front_half_builds):
         src, edited = sources
         session = Session()
         original = session.reinfer(src, document="buf")
         session.reinfer(edited, document="buf")
+        parses = front_half_builds["parse"]
         restored = session.reinfer(src, document="buf")
         stats = session.stats.as_dict()
         # reverting to a version already inferred never re-runs anything:
-        # the file-level artifact answers before any SCC is diffed
+        # the infer entry answers before the source is even parsed
         assert restored is original
+        assert front_half_builds["parse"] == parses
+        assert stats["hits"]["infer"] == 1
         total = original.reused_sccs + original.reinferred_sccs
         assert stats["hits"].get("scc.reuse", 0) >= total
 

@@ -59,6 +59,33 @@ List join(List xs, List ys) {
 """
 
 
+@pytest.fixture
+def front_half_builds(monkeypatch):
+    """Count the parses and class annotations pipelines build (a session
+    caches ``infer`` results only, so this is how a test sees them)."""
+    from repro.api import pipeline
+    from repro.core import AnnotatedProgram
+
+    counts = {"parse": 0, "annotate": 0}
+
+    def counted(stage, build):
+        def run(*args):
+            counts[stage] += 1
+            return build(*args)
+
+        return run
+
+    monkeypatch.setattr(
+        pipeline, "parse_program", counted("parse", pipeline.parse_program)
+    )
+    monkeypatch.setattr(
+        AnnotatedProgram,
+        "from_table",
+        staticmethod(counted("annotate", AnnotatedProgram.from_table)),
+    )
+    return counts
+
+
 @pytest.fixture(autouse=True)
 def _deep_recursion():
     old = sys.getrecursionlimit()

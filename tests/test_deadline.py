@@ -122,6 +122,8 @@ class TestNothingPartialIsKept(object):
         with pytest.raises(DeadlineExceeded):
             session.infer_one(PAIR_SOURCE, timeout=EXPIRED)
         assert session.cache_size == 0
+        # the lookup found nothing: one miss, though parse never ran
+        assert session.stats.as_dict()["misses"] == {"infer": 1}
         result = session.infer_one(PAIR_SOURCE, timeout=3600)
         assert pretty_target(result.target) == pretty_target(
             Pipeline(PAIR_SOURCE).infer().value.target
