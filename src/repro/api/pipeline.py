@@ -162,7 +162,9 @@ class Pipeline:
     (collect-mode results are never shared through a session cache, since
     they may be partial).  Stage results are memoised per pipeline;
     cross-pipeline reuse is the ``infer`` entry in the ``store`` a
-    :class:`~repro.api.Session` injects.
+    :class:`~repro.api.Session` injects.  A caller that already holds
+    this program's inference result passes it as ``inferred``: the
+    ``infer`` stage then answers with it and probes nothing.
     """
 
     def __init__(
@@ -174,6 +176,7 @@ class Pipeline:
         collect: bool = False,
         store: Optional[Any] = None,
         source_key: Optional[Hashable] = None,
+        inferred: Optional[InferenceResult] = None,
     ):
         self.source = source
         self.config = config or InferenceConfig()
@@ -182,6 +185,10 @@ class Pipeline:
         self._store = None if collect else store
         self._key = source_key if source_key is not None else source
         self._results: dict = {}
+        if inferred is not None:
+            self._results["infer"] = StageResult(
+                stage="infer", ok=True, value=inferred, cached=True
+            )
 
     def fork(self, config: InferenceConfig) -> "Pipeline":
         """This pipeline under ``config``, keeping its memoised front half

@@ -419,8 +419,10 @@ class Session:
         *,
         filename: Optional[str] = None,
         collect: bool = False,
+        inferred: Optional[InferenceResult] = None,
     ) -> Pipeline:
-        """A staged pipeline for ``source`` sharing this session's cache."""
+        """A staged pipeline for ``source`` sharing this session's cache
+        (``inferred``: see :class:`Pipeline`)."""
         return Pipeline(
             source,
             config or self.config,
@@ -428,6 +430,7 @@ class Session:
             collect=collect,
             store=self._store,
             source_key=_source_key(source),
+            inferred=inferred,
         )
 
     # -- one-shot conveniences --------------------------------------------

@@ -35,6 +35,8 @@ from .pkb import (
     Threshold,
     best_of,
     interleaved_best,
+    interleaved_pairs,
+    median_ratio,
     sample,
 )
 
@@ -44,14 +46,11 @@ __all__ = [
     "registered_specs",
     "family_names",
     "measure_close_project",
-    "measure_alternating",
     "measure_backends",
     "measure_pool_reuse",
     "measure_session_sweep",
     "measure_reinfer",
     "measure_gen_pipeline",
-    "alternating_workload",
-    "constraint_bundles",
     "CONSTRAINT_FAMILIES",
 ]
 
@@ -137,19 +136,17 @@ CLOSE_PROJECT_FULL = [
 ]
 CLOSE_PROJECT_SMOKE = [("chain", 100), ("grid", 100), ("clique", 40)]
 
-#: the alternating add/query workload always runs at full size — it is
-#: cheap, and keeping the size fixed means smoke and full publishes
-#: produce the *same* sample key, so CI can gate the speedup across them
-ALTERNATING_REGIONS = 1000
-
 
 def _interface(regions, k=16):
     stride = max(1, len(regions) // k)
     return list(regions)[::stride]
 
 
-def measure_close_project(shape: str, n: int, rounds: int = 3) -> float:
-    """Min-of-rounds seconds for build + close + project on one family."""
+def measure_close_project(
+    shape: str, n: int, rounds: int = 3
+) -> Tuple[float, int]:
+    """Min-of-rounds seconds for build + close + project on one family,
+    and the family's atom count."""
     regions, constraint = CONSTRAINT_FAMILIES[shape](n)
     interface = _interface(regions)
     from ..regions import RegionSolver
@@ -159,66 +156,7 @@ def measure_close_project(shape: str, n: int, rounds: int = 3) -> float:
         solver.close()
         return solver.project(interface)
 
-    return best_of(run, rounds)
-
-
-def constraint_bundles(n, bundle_size=8):
-    """Independent short chains — per-method scopes off shared invariants."""
-    from ..regions import Region
-
-    regions = Region.fresh_many(n)
-    return [regions[i : i + bundle_size] for i in range(0, n, bundle_size)]
-
-
-def alternating_workload(solver, bundles):
-    """One edge add, then a query burst, round-robin across bundles.
-
-    Returns the query answers so callers can differentially compare two
-    solver configurations on the identical operation sequence.
-    """
-    from ..regions import HEAP
-
-    answers = []
-    # prime the (empty) cache so every add exercises maintenance
-    answers.append(solver.entails_outlives(bundles[0][0], bundles[0][-1]))
-    for depth in range(len(bundles[0]) - 1):
-        for i, bundle in enumerate(bundles):
-            if depth + 1 >= len(bundle):
-                continue
-            solver.add_outlives(bundle[depth], bundle[depth + 1])
-            other = bundles[(i + 1) % len(bundles)]
-            answers.append(solver.entails_outlives(bundle[0], bundle[depth + 1]))
-            answers.append(solver.entails_outlives(bundle[depth + 1], bundle[0]))
-            answers.append(solver.entails_outlives(bundle[0], other[0]))
-            answers.append(solver.entails_outlives(HEAP, bundle[depth]))
-    return answers
-
-
-def measure_alternating(
-    n: int = ALTERNATING_REGIONS, rounds: int = 2
-) -> Dict[str, Any]:
-    """Incremental maintenance vs rebuild-per-burst, interleaved rounds.
-
-    The baseline is the same solver class with incremental maintenance
-    disabled — exactly the old invalidate-and-rebuild behaviour — run on
-    the identical operation sequence (``tests/regions/test_solver.py``
-    pins that both answer alike).
-    """
-    from ..regions import RegionSolver
-
-    rebuild_s, incremental_s = interleaved_best(
-        lambda: alternating_workload(
-            RegionSolver(incremental=False), constraint_bundles(n)
-        ),
-        lambda: alternating_workload(RegionSolver(), constraint_bundles(n)),
-        rounds,
-    )
-    return {
-        "regions": n,
-        "incremental_s": incremental_s,
-        "rebuild_s": rebuild_s,
-        "speedup": rebuild_s / incremental_s,
-    }
+    return best_of(run, rounds), len(constraint.atoms)
 
 
 def _solver_prepare(ctx: RunContext) -> None:
@@ -231,43 +169,54 @@ def _solver_prepare(ctx: RunContext) -> None:
 def _solver_run(ctx: RunContext) -> List[Sample]:
     samples: List[Sample] = []
     rounds = ctx.state["rounds"]
+    curves: Dict[str, List[Tuple[int, float]]] = {}
     for shape, n in ctx.state["cases"]:
-        seconds = measure_close_project(shape, n, rounds)
+        seconds, atoms = measure_close_project(shape, n, rounds)
+        curves.setdefault(shape, []).append((atoms, seconds))
         samples.append(
             sample(
                 "close_project",
                 seconds * 1000.0,
                 "ms",
-                {"shape": shape, "regions": n, "rounds": rounds},
+                {"shape": shape, "regions": n, "atoms": atoms, "rounds": rounds},
             )
         )
-    alt = measure_alternating(rounds=rounds)
-    meta = {"regions": alt["regions"], "bundle": 8, "rounds": rounds}
-    samples.append(
-        sample("alternating_incremental", alt["incremental_s"] * 1000, "ms", meta)
-    )
-    samples.append(
-        sample("alternating_rebuild", alt["rebuild_s"] * 1000, "ms", meta)
-    )
-    samples.append(sample("alternating_speedup", alt["speedup"], "x", meta))
+    if not ctx.smoke:
+        # time against *atom* count, so one bound fits every shape: a
+        # clique's atoms grow quadratically in its regions.  Full runs
+        # only, as in gen_scaling: smoke has one size per shape.
+        for shape, points in curves.items():
+            samples.append(
+                sample(
+                    "close_project_scaling_exponent",
+                    fit_loglog_exponent(points),
+                    "exponent",
+                    {
+                        "shape": shape,
+                        "atoms": ",".join(str(a) for a, _ in points),
+                        "rounds": rounds,
+                    },
+                )
+            )
     return samples
 
 
 register(
     BenchmarkSpec(
         name="solver_scaling",
-        description="Region-solver close+project scaling (chain/grid/clique) "
-        "and incremental maintenance vs rebuild-per-burst on the "
-        "alternating add/query workload",
+        description="Region-solver build+close+project time on synthetic "
+        "chain/grid/clique constraint families, and its scaling exponent "
+        "in the atom count",
         prepare=_solver_prepare,
         run=_solver_run,
         key_fields=("shape", "regions"),
-        thresholds=(Threshold("alternating_speedup", floor=5.0),),
-        rules={
-            "alternating_speedup": MetricRule(
-                direction="higher", tolerance=0.8, portable=True
-            )
-        },
+        # Tarjan and the bitset sweep are near-linear in the atoms at
+        # these sizes: 60 full runs on a 2-core host (half of them beside
+        # a tier-1 run) fitted 0.52-1.25 per shape; a closure quadratic
+        # in the regions would fit ~2 on the chain and grid
+        thresholds=(
+            Threshold("close_project_scaling_exponent", ceiling=1.5, full_only=True),
+        ),
     )
 )
 
@@ -282,7 +231,7 @@ REINFER_EDIT_LABEL = "one method body (bisort.nextRandom)"
 
 
 def measure_reinfer(
-    rounds: int = 5,
+    pairs: int = 5,
     *,
     source: Optional[str] = None,
     edited: Optional[str] = None,
@@ -292,7 +241,8 @@ def measure_reinfer(
     Defaults to the Olden composite corpus with its canonical
     single-literal edit; pass any ``(source, edited)`` version pair --
     e.g. two adjacent :func:`repro.gen.edit_script` versions -- to
-    measure the same thing on a synthetic corpus.
+    measure the same thing on a synthetic corpus.  The times are
+    min-of-pairs; ``speedup`` is the median of the per-pair ratios.
     """
     from ..core import infer_source
     from ..core.infer import reinfer_program
@@ -307,23 +257,22 @@ def measure_reinfer(
     prior = infer_source(source)
     program = parse_program(edited)
     result = reinfer_program(program, prior)
-    full_s, incremental_s = interleaved_best(
+    timings = interleaved_pairs(
         lambda: infer_source(edited),
         lambda: reinfer_program(program, prior),
-        rounds,
+        pairs,
     )
     return {
-        "full_s": full_s,
-        "incremental_s": incremental_s,
-        "speedup": full_s / incremental_s,
+        "full_s": min(full for full, _ in timings),
+        "incremental_s": min(inc for _, inc in timings),
+        "speedup": median_ratio(timings),
         "result": result,
-        "rounds": rounds,
+        "pairs": len(timings),
     }
 
 
 def _reinfer_run(ctx: RunContext) -> List[Sample]:
-    rounds = 2 if ctx.smoke else 5
-    measured = measure_reinfer(rounds)
+    measured = measure_reinfer(5 if ctx.smoke else 9)
     result = measured["result"]
     meta = {
         "corpus": REINFER_CORPUS,
@@ -331,7 +280,7 @@ def _reinfer_run(ctx: RunContext) -> List[Sample]:
         "sccs_total": result.reused_sccs + result.reinferred_sccs,
         "sccs_reused": result.reused_sccs,
         "sccs_reinferred": result.reinferred_sccs,
-        "rounds": rounds,
+        "pairs": measured["pairs"],
     }
     return [
         sample("full_infer", measured["full_s"] * 1000, "ms", meta),
@@ -452,7 +401,7 @@ def fit_loglog_exponent(points: Sequence[Tuple[float, float]]) -> float:
 def _gen_prepare(ctx: RunContext) -> None:
     ctx.state["sizes"] = GEN_SCALING_SMOKE if ctx.smoke else GEN_SCALING_FULL
     # min-of-2 even in smoke: a single round can land on a cyclic-GC
-    # pause and sink gen_reinfer_speedup below its floor
+    # pause (the reinfer ratio takes its own interleaved pairs)
     ctx.state["rounds"] = 2
     ctx.state["reinfer_classes"] = GEN_REINFER_CLASSES[
         "smoke" if ctx.smoke else "full"
@@ -507,7 +456,7 @@ def _gen_run(ctx: RunContext) -> List[Sample]:
 
     classes = ctx.state["reinfer_classes"]
     versions = edit_script(GenSpec.sized(classes, seed=GEN_SCALING_SEED), 1)
-    measured = measure_reinfer(rounds, source=versions[0], edited=versions[1])
+    measured = measure_reinfer(5, source=versions[0], edited=versions[1])
     result = measured["result"]
     meta = {
         "corpus": "generated",
@@ -516,7 +465,7 @@ def _gen_run(ctx: RunContext) -> List[Sample]:
         "edit": "one body literal (edit_script)",
         "sccs_total": result.reused_sccs + result.reinferred_sccs,
         "sccs_reused": result.reused_sccs,
-        "rounds": rounds,
+        "pairs": measured["pairs"],
     }
     samples.append(sample("gen_full_infer", measured["full_s"] * 1000, "ms", meta))
     samples.append(
@@ -736,10 +685,10 @@ def measure_session_sweep(rounds: int = 5) -> Dict[str, Any]:
     def cold():
         return [infer_source(program.source, config) for config in configs]
 
-    def warm():
+    def swept():
         return Session().sweep(program.source, configs)
 
-    cold_s, warm_s = interleaved_best(cold, warm, rounds)
+    cold_s, warm_s = interleaved_best(cold, swept, rounds)
     return {
         "program": "reynolds3",
         "configs": len(configs),

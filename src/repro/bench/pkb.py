@@ -14,7 +14,8 @@ Three ideas keep the numbers honest:
 
 * **min-of-rounds timing** — :func:`best_of` / :func:`interleaved_best`
   report the minimum over several rounds, the estimator least sensitive
-  to scheduler noise;
+  to scheduler noise; speedup ratios are the :func:`median_ratio` of
+  per-pair ratios instead;
 * **interleaved baseline/candidate execution** — both sides of a ratio
   are measured back to back *within each round*, so transient machine
   load degrades both alike instead of sinking one side;
@@ -44,6 +45,7 @@ import json
 import os
 import platform
 import re
+import statistics
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -74,6 +76,8 @@ __all__ = [
     "BenchmarkError",
     "best_of",
     "interleaved_best",
+    "interleaved_pairs",
+    "median_ratio",
     "host_metadata",
     "publish",
     "next_bench_path",
@@ -176,27 +180,49 @@ def best_of(fn: Callable[[], Any], rounds: int = 3) -> float:
     return best
 
 
-def interleaved_best(
+def interleaved_pairs(
     baseline: Callable[[], Any],
     candidate: Callable[[], Any],
-    rounds: int = 3,
-) -> Tuple[float, float]:
-    """Min-of-rounds for both sides, measured back to back each round.
+    pairs: int = 3,
+) -> List[Tuple[float, float]]:
+    """Wall-clock seconds of ``pairs`` back-to-back (baseline, candidate) runs.
 
     Interleaving means transient machine load (CI neighbours, the rest
-    of the suite) degrades both numerators alike instead of sinking one
-    side of the ratio.  Returns ``(baseline_s, candidate_s)``.
+    of the suite) degrades both sides of a pair alike instead of sinking
+    one side of the ratio.
     """
-    best_base = best_cand = float("inf")
-    for _ in range(max(1, rounds)):
+    timings = []
+    for _ in range(max(1, pairs)):
         t0 = time.perf_counter()
         baseline()
         t1 = time.perf_counter()
         candidate()
         t2 = time.perf_counter()
-        best_base = min(best_base, t1 - t0)
-        best_cand = min(best_cand, t2 - t1)
-    return best_base, best_cand
+        timings.append((t1 - t0, t2 - t1))
+    return timings
+
+
+def interleaved_best(
+    baseline: Callable[[], Any],
+    candidate: Callable[[], Any],
+    rounds: int = 3,
+) -> Tuple[float, float]:
+    """Min-of-rounds for both sides of :func:`interleaved_pairs`.
+
+    Returns ``(baseline_s, candidate_s)``.
+    """
+    timings = interleaved_pairs(baseline, candidate, rounds)
+    return min(b for b, _ in timings), min(c for _, c in timings)
+
+
+def median_ratio(timings: Sequence[Tuple[float, float]]) -> float:
+    """Median over :func:`interleaved_pairs` of ``baseline / candidate``.
+
+    The speedup estimator for ratio gates: a load spike that lands on
+    one side of one pair skews only that pair's ratio, where a ratio of
+    two minimums moves whenever either side's best run was disturbed.
+    """
+    return statistics.median(b / c for b, c in timings)
 
 
 # ----------------------------------------------------------------- specs

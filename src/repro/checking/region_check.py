@@ -216,8 +216,7 @@ class RegionTypeChecker:
         (class-level checks, letreg-free method bodies) use the cached
         instance directly.  Callers that extend the hypotheses (letreg
         axioms) must work on a :meth:`RegionSolver.copy`, never on the
-        cached instance; the copy inherits the warm reachability cache and
-        maintains it incrementally as axioms are fed in one at a time.
+        cached instance.
         """
         solver = self._solvers.get(hypotheses.atoms)
         if solver is None:

@@ -812,35 +812,26 @@ class RegionInference:
         abstraction = self.q[scheme.pre]
         hyp = self._hypotheses(scheme)
         kept = [a for a in abstraction.body.sorted_atoms()]
-        # the hypotheses are shared by every drop test: solve them once and
-        # warm the reachability cache.  Each candidate's trial then *adds*
-        # the still-undecided suffix under a checkpoint and retracts it
-        # again (delta updates on the live cache in both directions),
-        # instead of copying the solver per candidate; atoms decided
-        # *kept* accumulate under the per-pass checkpoint so later trials
-        # inherit them, and the pass rollback restores the pure-hypothesis
-        # solver for the next pass.
-        hyp_solver = RegionSolver(hyp).warm()
+        # each drop test solves the hypotheses, the atoms already decided
+        # kept and the still-undecided suffix on a fresh solver (these
+        # solvers hold a handful of regions, so building one costs less
+        # than copying one)
         changed = True
         while changed:
             changed = False
             decided: List[Atom] = []
-            with hyp_solver.checkpoint():
-                for i, a in enumerate(kept):
-                    if isinstance(a, PredAtom):
-                        decided.append(a)
-                        continue
-                    trial = hyp_solver.checkpoint()
-                    for b in kept[i + 1 :]:
-                        if not isinstance(b, PredAtom):
-                            hyp_solver.add_atom(b)
-                    dropped = hyp_solver.entails_atom(a)
-                    trial.rollback()
-                    if dropped:
-                        changed = True  # recoverable from the rest
-                    else:
-                        decided.append(a)
-                        hyp_solver.add_atom(a)
+            for i, a in enumerate(kept):
+                if isinstance(a, PredAtom):
+                    decided.append(a)
+                    continue
+                trial = RegionSolver(hyp)
+                for b in decided + kept[i + 1 :]:
+                    if not isinstance(b, PredAtom):
+                        trial.add_atom(b)
+                if trial.entails_atom(a):
+                    changed = True  # recoverable from the rest
+                else:
+                    decided.append(a)
             kept = decided
         self.q.define(
             ConstraintAbstraction(

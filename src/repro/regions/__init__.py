@@ -32,8 +32,6 @@ from .constraints import (
 from .fixpoint import FixpointResult, close_abstraction_env, solve_recursive_abstractions
 from .solver import (
     RegionSolver,
-    SolverCheckpoint,
-    SolverStats,
     coalescing_substitution,
     entails,
     solve,
@@ -55,8 +53,6 @@ __all__ = [
     "req",
     "RegionSubst",
     "RegionSolver",
-    "SolverCheckpoint",
-    "SolverStats",
     "solve",
     "entails",
     "coalescing_substitution",

@@ -23,12 +23,12 @@ locals introduced by instantiation cannot grow the constraint unboundedly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from ..deadline import check as check_deadline
 from .abstraction import AbstractionEnv, ConstraintAbstraction
 from .constraints import Constraint, HEAP, TRUE
-from .solver import RegionSolver, SolverStats
+from .solver import RegionSolver
 
 __all__ = ["FixpointResult", "solve_recursive_abstractions", "close_abstraction_env"]
 
@@ -47,10 +47,6 @@ class FixpointResult:
             equals iterate 3).
         trace: per-name list of intermediate bodies (iterate 0 is ``true``),
             useful for reproducing Fig 6(d).
-        solver_stats: per-name cache-maintenance counters of the persistent
-            Kleene solver (:class:`~repro.regions.solver.SolverStats`); a
-            warm iteration shows ``full_rebuilds`` pinned at 1 with every
-            later expansion absorbed incrementally.
     """
 
     def __init__(
@@ -58,12 +54,10 @@ class FixpointResult:
         solutions: Dict[str, ConstraintAbstraction],
         iterations: int,
         trace: Dict[str, List[Constraint]],
-        solver_stats: Optional[Dict[str, SolverStats]] = None,
     ):
         self.solutions = solutions
         self.iterations = iterations
         self.trace = trace
-        self.solver_stats = solver_stats or {}
 
     def __getitem__(self, name: str) -> ConstraintAbstraction:
         return self.solutions[name]
@@ -84,13 +78,8 @@ def _step(
     monotone -- every expansion entails the previous one over the shared
     vocabulary (the parameters plus heap), so the accumulated conjunction
     projects onto the parameters exactly like the latest expansion alone.
-
-    The solver's reachability cache stays *warm* across iterations too:
-    after the first projection builds it, the atoms a later expansion
-    contributes are absorbed by delta propagation over the cached
-    condensation, so subsequent projections answer from updated bitsets
-    instead of re-closing per iteration (``FixpointResult.solver_stats``
-    exposes the hit/rebuild counters).
+    Each projection re-closes the grown graph and rebuilds its descendant
+    bitsets once.
     """
     nxt: Dict[str, Constraint] = {}
     for name, abstraction in nest.items():
@@ -147,7 +136,7 @@ def solve_recursive_abstractions(
     nest: Dict[str, ConstraintAbstraction] = {a.name: a for a in abstractions}
     trace: Dict[str, List[Constraint]] = {name: [TRUE] for name in nest}
     current: Dict[str, Constraint] = {name: TRUE for name in nest}
-    # one incrementally-fed solver per abstraction, shared by every step
+    # one accumulating solver per abstraction, shared by every step
     solvers: Dict[str, RegionSolver] = {name: RegionSolver() for name in nest}
 
     iterations = 0
@@ -170,12 +159,7 @@ def solve_recursive_abstractions(
         name: ConstraintAbstraction(name, nest[name].params, current[name])
         for name in nest
     }
-    return FixpointResult(
-        solutions,
-        iterations,
-        trace,
-        solver_stats={name: solvers[name].stats for name in nest},
-    )
+    return FixpointResult(solutions, iterations, trace)
 
 
 def close_abstraction_env(env: AbstractionEnv) -> None:

@@ -1,65 +1,35 @@
 """The region-constraint solver.
 
-The solver gives semantics to conjunctions of ``Outlives``/``RegionEq`` atoms:
+The solver gives semantics to conjunctions of ``Outlives``/``RegionEq`` atoms.
+It needs two rules (paper Sec 4.2.2): ``=`` merges regions into one class,
+and ``>=`` is transitive, with cycles collapsing into equalities
+(``r >= s /\\ s >= r  =>  r = s``) -- which is what forces every cyclic
+data structure into a single region.  It is built from four parts:
 
-* equalities are handled with a union-find structure;
-* outlives atoms form a directed graph over equivalence-class
-  representatives (edge ``a -> b`` for ``a >= b``);
-* cycles in the outlives graph are collapsed into equalities
-  (``r >= s /\\ s >= r  =>  r = s``) -- this is what forces every cyclic data
-  structure into a single region (paper Sec 4.2.2);
-* the heap outlives everything, and the fictitious null region both outlives
-  and is outlived by everything, so neither ever needs explicit edges;
-* entailment ``C |= a >= b`` is reachability in the closed graph;
-* ``project`` computes the strongest consequence of a constraint over a set
-  of *interface* regions -- used to turn the constraints gathered from a
-  method body into the method's precondition ``pre.m`` (existentially
-  quantifying the method's local regions).
+* **union-find** for ``=`` (:meth:`RegionSolver.union`);
+* **successor/predecessor sets** over equivalence-class representatives
+  for ``>=`` (edge ``a -> b`` for ``a >= b``);
+* **one Tarjan pass** (:meth:`RegionSolver.close`) that collapses every
+  cycle, plus the heap-completion rule: anything with an outlives path
+  into the heap class *is* heap;
+* **descendant bitsets** per representative, built by the first query
+  after a mutation and dropped by any mutation.
+
+The heap outlives everything, and the fictitious null region both outlives
+and is outlived by everything, so neither ever needs explicit edges.
+Entailment ``C |= a >= b`` is reachability in the closed graph; ``project``
+computes the strongest consequence of a constraint over a set of
+*interface* regions -- used to turn the constraints gathered from a method
+body into the method's precondition ``pre.m`` (existentially quantifying
+the method's local regions).
 
 The solver ignores :class:`~repro.regions.constraints.PredAtom` atoms; those
-are eliminated beforehand by fixed-point analysis.
-
-Performance model (see ``docs/solver.md``):
-
-* the edge maps ``_succ``/``_pred`` only ever hold *representatives*, on
-  both sides, so :meth:`union` re-points edges in O(degree of the merged
-  class) by walking the merged class's own adjacency sets -- the reverse
-  map is the back-reference index;
-* :meth:`close` runs Tarjan exactly once: collapsing every SCC of the
-  current graph yields its condensation, which is a DAG, so no new cycle
-  can appear and no fixpoint loop is needed;
-* reachability queries are answered from a memoised *descendant bitset*
-  per representative (one ``int`` used as a bitmask over a dense
-  representative numbering, computed in a single reverse-topological
-  sweep).  ``entails``/``project``/``upward_closure``/``failing_atoms``
-  are all O(1) bit tests per query after the cache is built;
-* mutations on a solver whose cache is live are maintained
-  **incrementally**: a cycle-free ``add_outlives``/``union`` updates the
-  descendant bitsets along the affected condensation edges (a
-  reverse-topological dirty-frontier sweep from the changed
-  representative) instead of discarding them.  Only a mutation that
-  creates a new SCC cycle -- or merges ancestors into the heap class --
-  falls back to invalidate-and-rebuild.  :attr:`RegionSolver.stats`
-  counts incremental hits vs. full rebuilds so regressions are
-  observable;
-* atoms can be *retracted*: :meth:`RegionSolver.checkpoint` opens an
-  undo journal recording every write to the union-find, the edge
-  mirrors and the live bitsets, and ``rollback()`` replays it in
-  reverse -- so what-if entailment probes (``_minimize_pre``,
-  incremental re-inference) drop and re-add atoms on one solver instead
-  of copying it per trial.  A journal that outgrows
-  ``JOURNAL_SOFT_LIMIT`` sheds the cache once (counted as a
-  ``rollback_fallback``) and keeps journaling the graph only;
-* a solver mutated for a long stretch without any query sheds its live
-  cache after ``deferred_rebuild_after`` consecutive mutations
-  (``deferred_rebuilds`` in the stats): the next query rebuilds once
-  instead of paying delta propagation for intermediate states nobody
-  observed.
+are eliminated beforehand by fixed-point analysis.  See ``docs/solver.md``
+for the cost model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .constraints import (
@@ -75,119 +45,14 @@ from .substitution import RegionSubst
 
 __all__ = [
     "RegionSolver",
-    "SolverCheckpoint",
-    "SolverStats",
     "solve",
     "entails",
     "coalescing_substitution",
 ]
 
-#: Mutations absorbed without an interleaved query before the live cache
-#: is shed (the next query rebuilds once).  Large enough that the
-#: alternating add/query workloads of inference never trip it.
-DEFERRED_REBUILD_AFTER = 512
-
-#: Journal entries after which an open checkpoint stops paying for
-#: cache-precise undo: the bitset cache is dropped (one
-#: ``rollback_fallback``) and only the graph keeps journaling.
-JOURNAL_SOFT_LIMIT = 1 << 20
-
-#: sentinel for "key was absent" in journal entries
-_ABSENT = object()
-
-
-@dataclass
-class SolverStats:
-    """Counters for the reachability cache's maintenance behaviour.
-
-    ``incremental_edges``/``incremental_unions`` count mutations absorbed
-    by delta propagation over the live cache; ``cycle_fallbacks`` counts
-    mutations that had to discard it (a new SCC cycle, or a merge that
-    gave the heap class ancestors); ``full_rebuilds`` counts complete
-    close-and-sweep cache constructions (including the very first build).
-    A healthy alternating add/query workload shows ``incremental_hits``
-    close to the mutation count and ``full_rebuilds`` near 1.
-
-    ``retractions`` counts checkpoint rollbacks (each one retracts every
-    atom added since the checkpoint); ``rollback_fallbacks`` counts
-    checkpoint windows whose journal outgrew ``JOURNAL_SOFT_LIMIT`` and
-    shed the bitset cache to stay affordable; ``deferred_rebuilds``
-    counts caches shed by the query-free-mutation-burst heuristic.
-    """
-
-    incremental_edges: int = 0
-    incremental_unions: int = 0
-    cycle_fallbacks: int = 0
-    full_rebuilds: int = 0
-    retractions: int = 0
-    rollback_fallbacks: int = 0
-    deferred_rebuilds: int = 0
-
-    @property
-    def incremental_hits(self) -> int:
-        """Mutations the cache survived without a rebuild."""
-        return self.incremental_edges + self.incremental_unions
-
-    def snapshot(self) -> Dict[str, int]:
-        """A plain-dict view (stable keys, for logs and assertions)."""
-        return {
-            "incremental_edges": self.incremental_edges,
-            "incremental_unions": self.incremental_unions,
-            "incremental_hits": self.incremental_hits,
-            "cycle_fallbacks": self.cycle_fallbacks,
-            "full_rebuilds": self.full_rebuilds,
-            "retractions": self.retractions,
-            "rollback_fallbacks": self.rollback_fallbacks,
-            "deferred_rebuilds": self.deferred_rebuilds,
-        }
-
-
-class SolverCheckpoint:
-    """A mark in a solver's undo journal; ``rollback()`` retracts to it.
-
-    Obtained from :meth:`RegionSolver.checkpoint`.  Checkpoints nest
-    LIFO: rolling back (or committing) an outer checkpoint releases any
-    checkpoints opened after it.  Usable as a context manager -- a
-    checkpoint still active at ``__exit__`` is rolled back, so::
-
-        with solver.checkpoint():
-            solver.add_atom(trial)
-            ok = solver.entails_atom(goal)
-        # trial is retracted here
-
-    ``commit()`` keeps the mutations and merely releases the mark.
-    """
-
-    __slots__ = ("_solver", "_mark", "_active")
-
-    def __init__(self, solver: "RegionSolver", mark: int):
-        self._solver = solver
-        self._mark = mark
-        self._active = True
-
-    @property
-    def active(self) -> bool:
-        return self._active
-
-    def rollback(self) -> None:
-        """Retract every mutation recorded since this checkpoint."""
-        if self._active:
-            self._solver._release(self, unwind=True)
-
-    def commit(self) -> None:
-        """Keep the mutations; release the mark (and any nested marks)."""
-        if self._active:
-            self._solver._release(self, unwind=False)
-
-    def __enter__(self) -> "SolverCheckpoint":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.rollback()
-
 
 class RegionSolver:
-    """Incremental solver for outlives/equality constraints.
+    """Solver for outlives/equality constraints.
 
     Typical use::
 
@@ -199,19 +64,11 @@ class RegionSolver:
 
     The solver may be seeded with *hypotheses* (e.g. a class invariant and a
     method precondition during checking) and then asked whether obligations
-    follow.  Mutations interleaved with queries keep the reachability cache
-    live by delta propagation (``incremental=False`` restores the old
-    invalidate-and-rebuild behaviour, used as the baseline in benchmarks
-    and differential tests).
+    follow.  What-if tests (add atoms, query, forget them) run on a
+    :meth:`copy`.
     """
 
-    def __init__(
-        self,
-        constraint: Optional[Constraint] = None,
-        *,
-        incremental: bool = True,
-        deferred_rebuild_after: int = DEFERRED_REBUILD_AFTER,
-    ):
+    def __init__(self, constraint: Optional[Constraint] = None):
         # union-find parent pointers; regions are added lazily.
         self._parent: Dict[Region, Region] = {}
         # outlives edges over *representatives*: succ[a] = {b | a >= b}.
@@ -222,259 +79,37 @@ class RegionSolver:
         self._succ: Dict[Region, Set[Region]] = {}
         self._pred: Dict[Region, Set[Region]] = {}
         self._closed = False
-        self._incremental = incremental
-        # reachability cache over the closed condensation (built lazily):
-        # _bit numbers representatives densely (bits are never reused while
-        # the cache lives, so retired reps keep their bit); _reach[rep] is
-        # the bitmask of representatives reachable from rep (including its
-        # own class); _classbits[rep] ORs the bits of every original
-        # representative merged into rep's class, so "x reaches rep's
-        # class" is `_reach[x] & _classbits[rep]` even after incremental
-        # unions.
+        # descendant bitsets over the closed graph, built by the first query
+        # after a mutation: _bit numbers the representatives densely and
+        # _reach[rep] is the mask of representatives reachable from rep
+        # (its own bit included).  Never mutated in place -- a mutation
+        # drops both -- so copies may share them.
         self._bit: Optional[Dict[Region, int]] = None
         self._reach: Optional[Dict[Region, int]] = None
-        self._classbits: Optional[Dict[Region, int]] = None
-        #: cache-maintenance counters; see :class:`SolverStats`
-        self.stats = SolverStats()
-        # undo journal for checkpoint/rollback (None = no open checkpoint);
-        # entries are ("m", dict, key, old), ("s", set, member, had) or
-        # ("a", attr_name, old), replayed in reverse by _unwind().
-        self._journal: Optional[List[tuple]] = None
-        self._cp_stack: List[SolverCheckpoint] = []
-        self._journal_shed = False
-        # deferred-rebuild heuristic: consecutive cache-maintained
-        # mutations since the last bitset query
-        self._mutations_since_query = 0
-        self._deferred_rebuild_after = deferred_rebuild_after
         if constraint is not None:
             self.add_constraint(constraint)
 
-    # -- cache control --------------------------------------------------------
     def _invalidate(self) -> None:
-        """Drop the closure flag and reachability cache after a mutation."""
-        jr = self._journal
-        if jr is not None:
-            jr.append(("a", "_closed", self._closed))
-            jr.append(("a", "_bit", self._bit))
-            jr.append(("a", "_reach", self._reach))
-            jr.append(("a", "_classbits", self._classbits))
+        """Drop the closure flag and the bitsets after a mutation."""
         self._closed = False
         self._bit = None
         self._reach = None
-        self._classbits = None
 
-    @property
-    def _cache_live(self) -> bool:
-        """Is the bitset cache valid for the current (closed) graph?
-
-        The incremental paths only maintain a cache that exists; while it
-        is ``None`` (before the first query, or after a fallback) mutations
-        cost nothing and the next query rebuilds once.
-        """
-        return self._reach is not None
-
-    def _note_mutation(self) -> None:
-        """Deferred-rebuild heuristic: shed a live cache nobody queries.
-
-        Called on every non-trivial mutation outside a checkpoint window.
-        A long query-free burst pays delta propagation for intermediate
-        states no query ever observes; past the threshold it is cheaper to
-        drop the cache and let the next query rebuild once.
-        """
-        if self._journal is not None or not self._cache_live:
-            return
-        self._mutations_since_query += 1
-        if self._mutations_since_query > self._deferred_rebuild_after:
-            self.stats.deferred_rebuilds += 1
-            self._mutations_since_query = 0
-            self._invalidate()
-
-    # -- checkpoint / rollback -------------------------------------------------
-    def checkpoint(self) -> SolverCheckpoint:
-        """Open an undo mark; see :class:`SolverCheckpoint`.
-
-        While any checkpoint is open every state write (union-find, edge
-        mirrors, live bitsets, closure flag) is journaled, and
-        ``find()`` skips path compression so parent chains stay
-        restorable.  Checkpoints nest LIFO.
-        """
-        if self._journal is None:
-            self._journal = []
-            self._journal_shed = False
-        cp = SolverCheckpoint(self, len(self._journal))
-        self._cp_stack.append(cp)
-        return cp
-
-    def _release(self, cp: SolverCheckpoint, *, unwind: bool) -> None:
-        if cp not in self._cp_stack:  # pragma: no cover - defensive
-            raise ValueError("checkpoint does not belong to this solver")
-        # releasing an outer checkpoint deactivates anything nested in it
-        while self._cp_stack:
-            inner = self._cp_stack.pop()
-            inner._active = False
-            if inner is cp:
-                break
-        if unwind:
-            self._unwind(cp._mark)
-            self.stats.retractions += 1
-        if not self._cp_stack:
-            self._journal = None
-            self._journal_shed = False
-
-    def _unwind(self, mark: int) -> None:
-        """Replay the journal in reverse down to ``mark``."""
-        jr = self._journal
-        assert jr is not None
-        while len(jr) > mark:
-            entry = jr.pop()
-            tag = entry[0]
-            if tag == "m":
-                _, m, k, old = entry
-                if old is _ABSENT:
-                    m.pop(k, None)
-                else:
-                    m[k] = old
-            elif tag == "s":
-                _, s, x, had = entry
-                if had:
-                    s.add(x)
-                else:
-                    s.discard(x)
-            else:  # "a"
-                setattr(self, entry[1], entry[2])
-
-    def _journal_overflow(self) -> None:
-        """Shed the cache once if the open journal has grown too large.
-
-        Checked at the *start* of a mutating operation (never mid-sweep,
-        so the journal always covers complete operations).  After the
-        shed only graph writes are journaled -- rollback stays exact, the
-        next query after the window rebuilds the bitsets once.
-        """
-        jr = self._journal
-        if (
-            jr is not None
-            and not self._journal_shed
-            and len(jr) > JOURNAL_SOFT_LIMIT
-        ):
-            self._journal_shed = True
-            self.stats.rollback_fallbacks += 1
-            if self._cache_live:
-                self._invalidate()
-
-    def _jm(self, m: Dict, k) -> None:
-        """Journal dict ``m[k]`` (current value, or absence) before a write."""
-        jr = self._journal
-        if jr is not None:
-            jr.append(("m", m, k, m.get(k, _ABSENT)))
-
-    def _js(self, s: Set, x) -> None:
-        """Journal set membership of ``x`` in ``s`` before a write."""
-        jr = self._journal
-        if jr is not None:
-            jr.append(("s", s, x, x in s))
-
-    def _cache_enter(self, rep: Region) -> None:
-        """Give a brand-new representative its bit and singleton bitsets."""
-        assert self._bit is not None and self._reach is not None
-        assert self._classbits is not None
-        if rep in self._reach:
-            return
-        if rep not in self._bit:
-            self._jm(self._bit, rep)
-            self._bit[rep] = len(self._bit)
-        own = 1 << self._bit[rep]
-        self._jm(self._classbits, rep)
-        self._classbits[rep] = own
-        self._jm(self._reach, rep)
-        self._reach[rep] = own
-
-    def _propagate(self, start: Region) -> None:
-        """Push ``start``'s enlarged descendant bitset to its ancestors.
-
-        The worklist is the *dirty frontier*: a representative whose mask
-        grew re-enters it, and each predecessor ORs in only the missing
-        bits, so the sweep visits exactly the condensation edges along
-        which reachability actually changed (reverse-topological order is
-        irrelevant for correctness -- the update is monotone -- and the
-        frontier converges because masks only grow over a finite bit set).
-        """
-        assert self._reach is not None
-        masks = self._reach
-        pred = self._pred
-        jr = self._journal
-        work = [start]
-        while work:
-            node = work.pop()
-            mask = masks[node]
-            for p in pred[node]:
-                add = mask & ~masks[p]
-                if add:
-                    if jr is not None:
-                        jr.append(("m", masks, p, masks[p]))
-                    masks[p] |= add
-                    work.append(p)
-
-    def _merge_creates_cycle(self, ra: Region, rb: Region) -> bool:
-        """Would uniting ``ra`` and ``rb`` create a cycle in the closed DAG?
-
-        A cycle appears iff a path of length >= 2 connects the two classes
-        (a direct edge simply collapses into the merged class).  With the
-        descendant bitsets live this is an O(degree) test: does any
-        successor of one class, other than the other class itself, reach
-        the other class?  At most one direction can be reachable at all --
-        mutual reachability would already have been a cycle.
-        """
-        assert self._reach is not None and self._classbits is not None
-        masks, classbits = self._reach, self._classbits
-        for x, y in ((ra, rb), (rb, ra)):
-            if masks[x] & classbits[y]:
-                if any(s != y and masks[s] & classbits[y] for s in self._succ[x]):
-                    return True
-        return False
-
-    # -- pickling -------------------------------------------------------------
     def __getstate__(self) -> Dict[str, object]:
-        """Pickle the graph without the memoised reachability bitsets.
+        """Pickle the graph without the bitsets.
 
-        The dense representative numbering behind ``_bit``/``_reach`` is an
-        artifact of *this* process's query history; shipping it across a
-        process boundary wastes payload and would pin a numbering the
-        receiver never audits.  The closure flag survives (closing is a
-        graph property), and the first query on the unpickled solver
-        rebuilds the bitsets from the closed graph.  The stats counters are
-        process-local observability and restart at zero.
+        The dense numbering behind ``_bit``/``_reach`` is an artifact of
+        this process's query history; the closure flag survives (closing
+        is a graph property), and the first query on the unpickled solver
+        rebuilds the bitsets.
         """
-        return {
-            "parent": self._parent,
-            "succ": self._succ,
-            "pred": self._pred,
-            "closed": self._closed,
-            "incremental": self._incremental,
-        }
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self._parent = state["parent"]  # type: ignore[assignment]
-        self._succ = state["succ"]  # type: ignore[assignment]
-        self._pred = state["pred"]  # type: ignore[assignment]
-        self._closed = bool(state["closed"])
-        self._incremental = bool(state.get("incremental", True))
-        self._bit = None
-        self._reach = None
-        self._classbits = None
-        self.stats = SolverStats()
-        self._journal = None
-        self._cp_stack = []
-        self._journal_shed = False
-        self._mutations_since_query = 0
-        self._deferred_rebuild_after = DEFERRED_REBUILD_AFTER
+        state = dict(self.__dict__)
+        state["_bit"] = state["_reach"] = None
+        return state
 
     # -- union-find -----------------------------------------------------------
     def _ensure(self, r: Region) -> Region:
         if r not in self._parent:
-            self._jm(self._parent, r)
-            self._jm(self._succ, r)
-            self._jm(self._pred, r)
             self._parent[r] = r
             self._succ[r] = set()
             self._pred[r] = set()
@@ -482,19 +117,15 @@ class RegionSolver:
 
     def find(self, r: Region) -> Region:
         """Representative of ``r``'s equivalence class."""
-        if r not in self._parent:
+        parent = self._parent
+        if r not in parent:
             return r
         root = r
-        while self._parent[root] != root:
-            root = self._parent[root]
-        if self._journal is not None:
-            # no path compression while a checkpoint is open: rollback
-            # restores parent pointers exactly, and compressing here would
-            # write entries the journal must then carry for no query win
-            return root
+        while parent[root] != root:
+            root = parent[root]
         # path compression
-        while self._parent[r] != root:
-            self._parent[r], r = root, self._parent[r]
+        while parent[r] != root:
+            parent[r], r = root, parent[r]
         return root
 
     def union(self, a: Region, b: Region) -> Region:
@@ -502,116 +133,50 @@ class RegionSolver:
 
         Heap and null regions are canonical: if either side is heap (resp.
         null) the merged class is represented by it, so entailment rules for
-        the distinguished regions stay uniform.
+        the distinguished regions stay uniform.  Otherwise the older
+        (smaller-uid) region represents the class, so the representative
+        never depends on the order of the merges.
 
         Cost is O(degree of the dropped representative): its adjacency sets
         are walked once to re-point the mirror edges held by its neighbours.
-        With a live cache the merged class's bitsets are maintained by delta
-        propagation unless the merge would create a cycle in the
-        condensation (then the cache is dropped and the next query
-        re-closes) or would give the heap class ancestors (which must be
-        collapsed into heap by the completion rule in :meth:`close`).
         """
-        self._journal_overflow()
         ra, rb = self._ensure(a), self._ensure(b)
         if ra == rb:
             return ra
-        self._note_mutation()
-        incremental = self._cache_live and self._incremental
-        if incremental:
-            self._cache_enter(ra)
-            self._cache_enter(rb)
-            if self._merge_creates_cycle(ra, rb):
-                self.stats.cycle_fallbacks += 1
-                incremental = False
         # prefer heap, then null, then the older (smaller-uid) region as rep:
         # older regions are usually interface regions, which keeps projected
         # constraints readable.
-        keep, drop = (ra, rb)
+        keep, drop = ra, rb
         if rb.is_heap or (rb.is_null and not ra.is_heap):
             keep, drop = rb, ra
         elif not (ra.is_heap or ra.is_null) and rb.uid < ra.uid:
             keep, drop = rb, ra
-        jr = self._journal
-        self._jm(self._parent, drop)
         self._parent[drop] = keep
-        self._jm(self._succ, drop)
-        self._jm(self._pred, drop)
         succ_d = self._succ.pop(drop)
         pred_d = self._pred.pop(drop)
         # re-point the mirror edges held by the dropped rep's neighbours
         for s in succ_d:
             mirror = self._pred[s]
-            if jr is not None:
-                jr.append(("s", mirror, drop, True))
-                jr.append(("s", mirror, keep, keep in mirror))
             mirror.discard(drop)
             mirror.add(keep)
         for p in pred_d:
             mirror = self._succ[p]
-            if jr is not None:
-                jr.append(("s", mirror, drop, True))
-                jr.append(("s", mirror, keep, keep in mirror))
             mirror.discard(drop)
             mirror.add(keep)
         succ_k = self._succ[keep]
         pred_k = self._pred[keep]
-        if jr is not None:
-            # journal the kept rep's sets as per-element deltas (never as
-            # replacement copies): earlier journal entries hold references
-            # to these very set objects, so undo must restore them in place
-            for s in succ_d:
-                if s not in succ_k:
-                    jr.append(("s", succ_k, s, False))
-            for p in pred_d:
-                if p not in pred_k:
-                    jr.append(("s", pred_k, p, False))
-            jr.append(("s", succ_k, keep, keep in succ_k))
-            jr.append(("s", succ_k, drop, drop in succ_k))
-            jr.append(("s", pred_k, keep, keep in pred_k))
-            jr.append(("s", pred_k, drop, drop in pred_k))
         succ_k |= succ_d
         pred_k |= pred_d
         succ_k.discard(keep)
         succ_k.discard(drop)
         pred_k.discard(keep)
         pred_k.discard(drop)
-        if not incremental:
-            self._invalidate()
-            return keep
-        # delta-merge the bitsets: the merged class reaches the union of
-        # what either class reached, its identity is the union of both
-        # classes' bits, and every ancestor of either class gains the
-        # union via the dirty-frontier sweep.
-        assert self._reach is not None and self._classbits is not None
-        self._jm(self._classbits, keep)
-        self._jm(self._classbits, drop)
-        self._jm(self._reach, keep)
-        self._jm(self._reach, drop)
-        self._classbits[keep] = self._classbits[keep] | self._classbits.pop(drop)
-        self._reach[keep] = self._reach[keep] | self._reach.pop(drop)
-        self._propagate(keep)
-        if keep.is_heap and pred_k:
-            # something now has an outlives path *into* the heap class; the
-            # completion rule of close() must collapse it into heap, so
-            # this merge cannot keep the cache.
-            self.stats.cycle_fallbacks += 1
-            self._invalidate()
-        else:
-            self.stats.incremental_unions += 1
+        self._invalidate()
         return keep
 
     # -- building ----------------------------------------------------------------
     def add_outlives(self, left: Region, right: Region) -> None:
-        """Record ``left >= right``.
-
-        With a live cache a cycle-free edge is absorbed incrementally: the
-        new source class inherits the target class's descendant bitset and
-        the delta is swept up the condensation's ancestors.  An edge whose
-        target already reaches its source closes a new SCC cycle -- that
-        one falls back to invalidate-and-rebuild (the next query re-runs
-        Tarjan and collapses the cycle).
-        """
+        """Record ``left >= right``."""
         if left.is_heap or left.is_null or right.is_null or left == right:
             return  # trivially valid
         if right.is_heap:
@@ -628,30 +193,9 @@ class RegionSolver:
             return
         if rb in self._succ[la]:
             return
-        self._journal_overflow()
-        self._note_mutation()
-        self._js(self._succ[la], rb)
-        self._js(self._pred[rb], la)
         self._succ[la].add(rb)
         self._pred[rb].add(la)
-        if not (self._cache_live and self._incremental):
-            self._invalidate()
-            return
-        assert self._reach is not None and self._classbits is not None
-        self._cache_enter(la)
-        self._cache_enter(rb)
-        if self._reach[rb] & self._classbits[la]:
-            # the target reaches back to the source: the new edge closes a
-            # cycle, which only a full re-close can collapse
-            self.stats.cycle_fallbacks += 1
-            self._invalidate()
-            return
-        add = self._reach[rb] & ~self._reach[la]
-        if add:
-            self._jm(self._reach, la)
-            self._reach[la] |= add
-            self._propagate(la)
-        self.stats.incremental_edges += 1
+        self._invalidate()
 
     def add_eq(self, left: Region, right: Region) -> None:
         """Record ``left = right``."""
@@ -683,8 +227,7 @@ class RegionSolver:
         A single Tarjan pass suffices: collapsing the SCCs of the current
         graph produces its condensation, which is a DAG by construction, so
         no further cycles can appear.  After closing, entailment is plain
-        reachability.  Idempotent -- and a no-op whenever incremental
-        maintenance kept the closure live across mutations.
+        reachability.  Idempotent until the next mutation.
         """
         if self._closed:
             return
@@ -707,9 +250,6 @@ class RegionSolver:
                 frontier.extend(self._pred[node])
             for r in above:
                 self.union(r, HEAP)
-        jr = self._journal
-        if jr is not None:
-            jr.append(("a", "_closed", self._closed))
         self._closed = True
 
     def _tarjan_sccs(self) -> List[List[Region]]:
@@ -764,20 +304,17 @@ class RegionSolver:
                     sccs.append(scc)
         return sccs
 
-    # -- reachability cache --------------------------------------------------------
+    # -- descendant bitsets --------------------------------------------------------
     def _reach_masks(self) -> Dict[Region, int]:
         """Descendant bitsets per representative over the closed DAG.
 
         Built in one reverse-topological sweep (iterative post-order DFS):
         each representative's mask is its own bit OR-ed with its successors'
-        masks.  Valid until the next mutation that cannot be maintained
-        incrementally.
+        masks.  Valid until the next mutation.
         """
         self.close()
-        self._mutations_since_query = 0
         if self._reach is not None:
             return self._reach
-        self.stats.full_rebuilds += 1
         bit: Dict[Region, int] = {}
         masks: Dict[Region, int] = {}
         succ = self._succ
@@ -798,36 +335,20 @@ class RegionSolver:
                 work.pop()
                 if node in masks:  # diamond: finished via another path
                     continue
-                if node not in bit:
-                    bit[node] = len(bit)
+                bit[node] = len(bit)
                 mask = 1 << bit[node]
                 for child in succ[node]:
                     mask |= masks[child]
                 masks[node] = mask
-        jr = self._journal
-        if jr is not None:
-            # the replacement dicts are fresh objects, so journaling the
-            # three attribute slots alone makes the rebuild fully undoable
-            jr.append(("a", "_bit", self._bit))
-            jr.append(("a", "_reach", self._reach))
-            jr.append(("a", "_classbits", self._classbits))
         self._bit = bit
         self._reach = masks
-        self._classbits = {rep: 1 << bit[rep] for rep in masks}
         return masks
 
-    def warm(self) -> "RegionSolver":
-        """Close and build the reachability cache now (idempotent).
-
-        Queries build the cache on demand, but not every query needs it
-        (``same_region`` is pure union-find, and entailment over an empty
-        or equality-only constraint never touches reachability).  Callers
-        about to fan out :meth:`copy`-based what-if tests warm the parent
-        once, so every copy inherits a *live* cache and mutates it
-        incrementally instead of rebuilding per trial.  Returns ``self``.
-        """
-        self._reach_masks()
-        return self
+    def _class_bit(self, rep: Region) -> int:
+        """The bit of representative ``rep`` (0 if it is in no atom)."""
+        assert self._bit is not None
+        index = self._bit.get(rep)
+        return 0 if index is None else 1 << index
 
     # -- queries ----------------------------------------------------------------
     def same_region(self, a: Region, b: Region) -> bool:
@@ -840,22 +361,14 @@ class RegionSolver:
     def reachable(self, src: Region, dst: Region) -> bool:
         """Is there an outlives path ``src >= ... >= dst``? (on representatives)
 
-        Answered by a bit test against the memoised descendant sets: the
-        source class's mask intersected with the target *class's* bits
-        (a class carries the bits of every representative merged into it,
-        so incremental unions never stale the test).
+        One bit test: the source class's descendant mask against the
+        target class's bit.
         """
         masks = self._reach_masks()
         a, b = self.find(src), self.find(dst)
         if a == b:
             return True
-        if a not in masks:
-            return False  # a region the solver has never seen in an atom
-        assert self._classbits is not None
-        cb = self._classbits.get(b)
-        if cb is None:
-            return False
-        return bool(masks[a] & cb)
+        return bool(masks.get(a, 0) & self._class_bit(b))
 
     def entails_outlives(self, left: Region, right: Region) -> bool:
         """Does the recorded constraint entail ``left >= right``?"""
@@ -892,16 +405,13 @@ class RegionSolver:
         """
         masks = self._reach_masks()
         targets = list(targets)
-        assert self._classbits is not None
         target_mask = 0
         for t in targets:
-            rep = self.find(t)
-            if rep in masks:
-                target_mask |= self._classbits[rep]
+            target_mask |= self._class_bit(self.find(t))
         reps: Set[Region] = set()
         if target_mask:
             # a representative reaches a target iff its descendant bitset
-            # intersects the targets' bits (each mask includes its own bits)
+            # intersects the targets' bits (each mask includes its own bit)
             reps = {rep for rep, mask in masks.items() if mask & target_mask}
         if targets:
             # the heap class outlives every target unconditionally — even
@@ -916,16 +426,21 @@ class RegionSolver:
         return frozenset(members)
 
     # -- extraction ----------------------------------------------------------------
-    def known_regions(self) -> FrozenSet[Region]:
-        return frozenset(self._parent.keys())
-
-    def equivalence_classes(self) -> List[List[Region]]:
-        """All non-singleton equivalence classes (deterministic order)."""
+    def _classes(self) -> Dict[Region, List[Region]]:
+        """Closed equivalence classes, keyed by representative."""
         self.close()
         groups: Dict[Region, List[Region]] = {}
         for r in self._parent:
             groups.setdefault(self.find(r), []).append(r)
-        out = [sorted(g, key=lambda x: x.uid) for g in groups.values() if len(g) > 1]
+        return groups
+
+    def equivalence_classes(self) -> List[List[Region]]:
+        """All non-singleton equivalence classes (deterministic order)."""
+        out = [
+            sorted(g, key=lambda x: x.uid)
+            for g in self._classes().values()
+            if len(g) > 1
+        ]
         out.sort(key=lambda g: g[0].uid)
         return out
 
@@ -940,13 +455,9 @@ class RegionSolver:
         program realises the "coalesce equal regions" simplification of the
         paper's examples (Fig 5(d)).
         """
-        self.close()
         pref_rank = {r: i for i, r in enumerate(preferred)}
-        groups: Dict[Region, List[Region]] = {}
-        for r in self._parent:
-            groups.setdefault(self.find(r), []).append(r)
         mapping: Dict[Region, Region] = {}
-        for rep, members in groups.items():
+        for rep, members in self._classes().items():
             if rep.is_heap or rep.is_null:
                 canon = rep
             else:
@@ -973,13 +484,10 @@ class RegionSolver:
         atoms implied by others in the result are dropped, matching the terse
         preconditions shown in the paper's figures.
 
-        Each pair is a single bit test against the memoised descendant
-        sets, so projection is O(k^2) bit tests for k interface regions,
-        not O(k^2) graph searches.
+        Each pair is a single bit test against the descendant bitsets, so
+        projection is O(k^2) bit tests for k interface regions.
         """
         masks = self._reach_masks()
-        assert self._classbits is not None
-        classbits = self._classbits
         iface = [r for r in interface if not r.is_null]
         # Equalities among interface regions.
         eq_atoms: List[Atom] = []
@@ -1005,10 +513,7 @@ class RegionSolver:
                 if a == b:
                     continue
                 rb = self.find(b)
-                if ra == rb:
-                    continue
-                cb = classbits.get(rb)
-                if cb and mask_a & cb:
+                if ra != rb and mask_a & self._class_bit(rb):
                     pairs.add((a, b))
         if transitive_reduce:
             pairs = _transitive_reduction(pairs)
@@ -1018,29 +523,17 @@ class RegionSolver:
     def copy(self) -> "RegionSolver":
         """An independent copy (used for what-if entailment tests).
 
-        The closure flag and the reachability cache carry over, so copying
-        a closed solver and querying the copy costs no re-closing -- and
-        with incremental maintenance, *mutating* the copy extends the
-        inherited cache by delta propagation instead of discarding it.
-        The stats counters carry over by value (the copy's mutations do
-        not feed back into the original's counters).  An open checkpoint
-        journal does *not* carry over: the copy starts with no undo
-        history of its own.
+        The graph is copied; the closure flag and the bitsets carry over
+        (shared, since a mutation replaces them rather than editing them),
+        so querying an unmutated copy of a closed solver costs no rebuild.
         """
-        dup = RegionSolver(
-            incremental=self._incremental,
-            deferred_rebuild_after=self._deferred_rebuild_after,
-        )
+        dup = RegionSolver()
         dup._parent = dict(self._parent)
         dup._succ = {k: set(v) for k, v in self._succ.items()}
         dup._pred = {k: set(v) for k, v in self._pred.items()}
         dup._closed = self._closed
-        dup._bit = dict(self._bit) if self._bit is not None else None
-        dup._reach = dict(self._reach) if self._reach is not None else None
-        dup._classbits = (
-            dict(self._classbits) if self._classbits is not None else None
-        )
-        dup.stats = replace(self.stats)
+        dup._bit = self._bit
+        dup._reach = self._reach
         return dup
 
 
@@ -1054,11 +547,10 @@ def _transitive_reduction(
     self-loops): ``(a, c)`` is redundant iff some successor ``b`` of
     ``a`` also has ``(b, c)``.
 
-    Implemented over dense per-source successor bitsets, mirroring the
-    solver's memoised descendant masks: one pass ORs together the masks
-    of ``a``'s successors, and ``a`` keeps exactly the successors not
-    dominated by that union -- O(pairs) big-int mask operations instead
-    of the old O(pairs x degree) membership loop.
+    Implemented over dense per-source successor bitsets: one pass ORs
+    together the masks of ``a``'s successors, and ``a`` keeps exactly the
+    successors not dominated by that union -- O(pairs) big-int mask
+    operations.
     """
     if not pairs:
         return set()

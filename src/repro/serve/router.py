@@ -314,16 +314,12 @@ class Router:
         return response
 
     def _check(self, tenant: Tenant, request: InferRequest) -> Dict[str, Any]:
-        # verification runs against the now-cached inference result
-        _, cached = self._inference(tenant, request)
-        pipe = tenant.session.pipeline(request.source, request.config)
+        # verify the result the request looked up: one lookup per request
+        result, cached = self._inference(tenant, request)
+        pipe = tenant.session.pipeline(
+            request.source, request.config, inferred=result
+        )
         stage = pipe.verify()
-        if stage.skipped:
-            failed = pipe.failure()
-            raise StageFailure(
-                failed.stage if failed is not None else "verify",
-                pipe.diagnostics(),
-            )
         report = stage.value
         return {
             "ok": True,
@@ -335,14 +331,13 @@ class Router:
         }
 
     def _run(self, tenant: Tenant, request: RunRequest) -> Dict[str, Any]:
-        _, cached = self._inference(tenant, request)
-        execution = tenant.session.execute(
-            request.source,
-            request.entry,
-            request.args,
-            request.config,
-            recursion_limit=request.recursion_limit,
+        result, cached = self._inference(tenant, request)
+        pipe = tenant.session.pipeline(
+            request.source, request.config, inferred=result
         )
+        execution = pipe.execute(
+            request.entry, request.args, recursion_limit=request.recursion_limit
+        ).unwrap()
         return {
             "ok": True,
             "tenant": tenant.name,

@@ -54,6 +54,18 @@ class TestCachedInferShortCircuits(object):
         )
         assert session.check(PAIR_SOURCE).ok
 
+    def test_a_result_in_hand_verifies_without_any_lookup(
+        self, front_half_builds
+    ):
+        session = Session()
+        result = session.infer(PAIR_SOURCE)
+        traffic, built = _traffic(session), dict(front_half_builds)
+        pipe = session.pipeline(PAIR_SOURCE, inferred=result)
+        assert pipe.verify().ok
+        assert pipe.infer().value is result
+        assert _traffic(session) == traffic
+        assert front_half_builds == built
+
     def test_check_after_a_pool_installed_result_touches_only_infer(
         self, front_half_builds
     ):

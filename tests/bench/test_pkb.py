@@ -26,7 +26,9 @@ from repro.bench.pkb import (
     format_comparison,
     host_metadata,
     interleaved_best,
+    interleaved_pairs,
     load_report,
+    median_ratio,
     next_bench_path,
     publish,
     sample,
@@ -88,6 +90,20 @@ def test_cores_mean_this_process_allowance_not_the_machine(monkeypatch):
 def test_interleaved_best_returns_both_sides():
     base_s, cand_s = interleaved_best(lambda: None, lambda: None, rounds=2)
     assert base_s >= 0 and cand_s >= 0
+
+
+def test_interleaved_pairs_runs_the_sides_alternately():
+    calls = []
+    timings = interleaved_pairs(
+        lambda: calls.append("base"), lambda: calls.append("cand"), pairs=3
+    )
+    assert len(timings) == 3
+    assert calls == ["base", "cand"] * 3
+
+
+def test_median_ratio_ignores_one_disturbed_pair():
+    # the third pair's candidate ran during a load spike
+    assert median_ratio([(4.0, 1.0), (4.2, 1.0), (4.0, 4.0)]) == 4.0
 
 
 # ------------------------------------------------------------ thresholds

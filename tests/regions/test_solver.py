@@ -1,12 +1,10 @@
 """Unit tests for the region-constraint solver."""
 
+import random
+
 import pytest
 
-from repro.bench.families import (
-    ALTERNATING_REGIONS,
-    alternating_workload,
-    constraint_bundles,
-)
+import repro.regions.solver as solver_mod
 from repro.regions import (
     Constraint,
     HEAP,
@@ -274,224 +272,56 @@ class TestCopy:
         assert not solver.same_region(a, b)
 
 
-class TestIncrementalMaintenance:
-    """Directed tests for delta propagation over the live cache.
-
-    Each scenario primes the reachability cache with a query, mutates, and
-    asserts both the answers and the `stats` counters — so a regression
-    that silently falls back to rebuild-per-mutation (correct but slow)
-    fails here too.
-    """
-
-    def test_edge_add_updates_live_cache(self):
+class TestTransitiveReductionBitsets:
+    def test_chain_reduces_to_cover(self):
         a, b, c = Region.fresh_many(3)
-        solver = RegionSolver(outlives(a, b))
-        assert solver.entails_outlives(a, b)  # builds the cache
-        solver.add_outlives(b, c)
-        assert solver.entails_outlives(a, c)
-        assert solver.stats.full_rebuilds == 1
-        assert solver.stats.incremental_edges == 1
-        assert solver.stats.cycle_fallbacks == 0
+        pairs = {(a, b), (b, c), (a, c)}
+        assert solver_mod._transitive_reduction(pairs) == {(a, b), (b, c)}
 
-    def test_edge_add_reaches_all_ancestors(self):
-        # a diamond above the mutation point: both upper arms must see the
-        # delta via the dirty-frontier sweep, not just the direct parent
-        top, left, right, mid, new = Region.fresh_many(5)
-        solver = RegionSolver(
-            Constraint.of(
-                Outlives(top, left),
-                Outlives(top, right),
-                Outlives(left, mid),
-                Outlives(right, mid),
-            )
-        )
-        assert not solver.entails_outlives(top, new)
-        solver.add_outlives(mid, new)
-        for src in (top, left, right, mid):
-            assert solver.entails_outlives(src, new)
-        assert solver.stats.full_rebuilds == 1
-
-    def test_cycle_closing_edge_falls_back_and_collapses(self):
+    def test_diamond_keeps_both_branches(self):
         a, b, c, d = Region.fresh_many(4)
-        solver = RegionSolver(
-            Constraint.of(Outlives(a, b), Outlives(b, c), Outlives(c, d))
-        )
-        assert solver.entails_outlives(a, c)
-        solver.add_outlives(c, a)  # closes the cycle: needs a re-close
-        assert solver.stats.cycle_fallbacks == 1
-        # the re-close collapses the SCC by union-find alone ...
-        assert solver.same_region(a, c) and solver.same_region(a, b)
-        assert solver.stats.full_rebuilds == 1
-        # ... and the next cross-class reachability query rebuilds bitsets
-        assert solver.entails_outlives(a, d)
-        assert solver.stats.full_rebuilds == 2
-
-    def test_union_of_unrelated_classes_is_incremental(self):
-        a, b, c, d = Region.fresh_many(4)
-        solver = RegionSolver(Constraint.of(Outlives(a, b), Outlives(c, d)))
-        assert not solver.entails_outlives(a, d)
-        solver.union(b, c)
-        assert solver.entails_outlives(a, d)
-        assert solver.entails_outlives(c, d) and solver.entails_outlives(a, b)
-        assert solver.stats.incremental_unions == 1
-        assert solver.stats.full_rebuilds == 1
-
-    def test_union_across_direct_edge_is_incremental(self):
-        a, b, c = Region.fresh_many(3)
-        solver = RegionSolver(Constraint.of(Outlives(a, b), Outlives(b, c)))
-        assert solver.entails_outlives(a, c)
-        solver.union(a, b)  # only a length-1 path between the classes
-        assert solver.same_region(a, b)
-        assert solver.entails_outlives(a, c)
-        assert solver.stats.incremental_unions == 1
-        assert solver.stats.full_rebuilds == 1
-
-    def test_union_with_longer_path_falls_back(self):
-        a, b, c, d = Region.fresh_many(4)
-        solver = RegionSolver(
-            Constraint.of(Outlives(a, b), Outlives(b, c), Outlives(c, d))
-        )
-        assert solver.entails_outlives(a, c)
-        solver.union(a, c)  # merging the ends of a length-2 path: a cycle
-        assert solver.stats.cycle_fallbacks == 1
-        assert solver.same_region(a, b)  # b got swallowed by the collapse
-        assert solver.entails_outlives(a, d)
-        assert solver.stats.full_rebuilds == 2
-
-    def test_union_into_heap_with_ancestors_falls_back(self):
-        x, y = Region.fresh_many(2)
-        solver = RegionSolver(outlives(x, y))
-        assert solver.entails_outlives(x, y)
-        solver.union(y, HEAP)
-        # x now has a path into the heap class, so the completion rule of
-        # close() must collapse x into heap as well
-        assert solver.stats.cycle_fallbacks == 1
-        assert solver.same_region(x, HEAP)
-
-    def test_union_into_heap_without_ancestors_is_incremental(self):
-        x, y = Region.fresh_many(2)
-        solver = RegionSolver(outlives(x, y))
-        assert solver.entails_outlives(x, y)
-        solver.union(x, HEAP)  # x has no predecessors: no completion needed
-        assert solver.same_region(x, HEAP)
-        assert solver.entails_outlives(HEAP, y)
-        assert solver.stats.incremental_unions == 1
-        assert solver.stats.full_rebuilds == 1
-
-    def test_fresh_regions_enter_the_live_cache(self):
-        a, b = Region.fresh_many(2)
-        solver = RegionSolver(outlives(a, b))
-        assert solver.entails_outlives(a, b)
-        c, d = Region.fresh_many(2)  # never seen by the solver yet
-        solver.add_outlives(b, c)
-        solver.add_outlives(c, d)
-        assert solver.entails_outlives(a, d)
-        assert solver.stats.full_rebuilds == 1
-        assert solver.stats.incremental_edges == 2
-
-    def test_duplicate_edge_and_trivial_atoms_cost_nothing(self):
-        a, b = Region.fresh_many(2)
-        solver = RegionSolver(outlives(a, b))
-        assert solver.entails_outlives(a, b)
-        solver.add_outlives(a, b)      # duplicate edge
-        solver.add_outlives(a, a)      # trivial
-        solver.add_outlives(HEAP, b)   # heap is top anyway
-        assert solver.stats.incremental_hits == 0
-        assert solver.stats.full_rebuilds == 1
-
-    @pytest.mark.parametrize("n", [200, 1000])
-    def test_alternating_add_query(self, n):
-        """Every add after the priming query is absorbed without a
-        rebuild, at either size."""
-        solver = RegionSolver()
-        answers = alternating_workload(solver, constraint_bundles(n))
-        assert solver.stats.full_rebuilds == 1
-        assert solver.stats.cycle_fallbacks == 0
-        assert solver.stats.incremental_edges > 0
-        assert any(answers) and not all(answers)
-
-    def test_alternating_workload_builds_the_cache_once(self):
-        """The letreg-shaped workload of the ``solver_scaling`` family:
-        one edge add then a query burst, round-robin over short chains.
-        Incremental maintenance builds the cache once and absorbs every
-        later add; the ``incremental=False`` baseline rebuilds per burst
-        and gives the same answers."""
-        n = ALTERNATING_REGIONS
-        bundles = constraint_bundles(n)
-        solver = RegionSolver()
-        answers = alternating_workload(solver, bundles)
-        rebuild = RegionSolver(incremental=False)
-        assert alternating_workload(rebuild, constraint_bundles(n)) == answers
-        assert any(answers) and not all(answers)
-        assert solver.stats.full_rebuilds == 1
-        assert solver.stats.cycle_fallbacks == 0
-        assert solver.stats.incremental_edges == n - len(bundles)
-        assert rebuild.stats.incremental_hits == 0
-        assert rebuild.stats.full_rebuilds > 100  # one per mutation burst
-
-    def test_incremental_false_restores_rebuild_per_burst(self):
-        a, b, c, d = Region.fresh_many(4)
-        solver = RegionSolver(incremental=False)
-        solver.add_outlives(a, b)
-        assert solver.entails_outlives(a, b)
-        solver.add_outlives(b, c)
-        assert solver.entails_outlives(a, c)
-        solver.add_outlives(c, d)
-        assert solver.entails_outlives(a, d)
-        assert solver.stats.incremental_hits == 0
-        assert solver.stats.full_rebuilds == 3
-
-    def test_copy_inherits_cache_and_maintains_it_independently(self):
-        a, b, c = Region.fresh_many(3)
-        solver = RegionSolver(outlives(a, b))
-        assert solver.entails_outlives(a, b)
-        dup = solver.copy()
-        dup.add_outlives(b, c)
-        assert dup.entails_outlives(a, c)
-        # the copy's mutation was incremental on the inherited cache ...
-        assert dup.stats.full_rebuilds == 1
-        assert dup.stats.incremental_edges == 1
-        # ... and never leaked into the original, graph or counters
-        assert not solver.entails_outlives(a, c)
-        assert solver.stats.incremental_edges == 0
-
-    def test_pickle_drops_cache_and_counters_but_not_answers(self):
-        import pickle
-
-        a, b, c = Region.fresh_many(3)
-        solver = RegionSolver(Constraint.of(Outlives(a, b), Outlives(b, c)))
-        assert solver.entails_outlives(a, c)
-        clone = pickle.loads(pickle.dumps(solver))
-        assert clone.stats.full_rebuilds == 0  # counters restart
-        assert clone.entails_outlives(a, c)
-        clone.add_outlives(c, Region.fresh())
-        assert clone.stats.incremental_edges == 1  # maintenance still on
-
-    def test_stats_snapshot_keys_are_stable(self):
-        snap = RegionSolver().stats.snapshot()
-        assert set(snap) == {
-            "incremental_edges",
-            "incremental_unions",
-            "incremental_hits",
-            "cycle_fallbacks",
-            "full_rebuilds",
-            "retractions",
-            "rollback_fallbacks",
-            "deferred_rebuilds",
+        pairs = {(a, b), (a, c), (b, d), (c, d), (a, d)}
+        assert solver_mod._transitive_reduction(pairs) == {
+            (a, b),
+            (a, c),
+            (b, d),
+            (c, d),
         }
 
-    def test_warm_builds_cache_even_for_trivial_hypotheses(self):
-        # entailment over TRUE / equality-only constraints never touches
-        # reachability, so without warm() copies would inherit a dead
-        # cache and rebuild per mutation (the _minimize_pre fast path)
-        solver = RegionSolver().warm()
-        assert solver.stats.full_rebuilds == 1
+    def test_empty_and_single(self):
         a, b = Region.fresh_many(2)
-        solver.add_outlives(a, b)
-        assert solver.stats.incremental_edges == 1
-        eq_only = RegionSolver(req(*Region.fresh_many(2))).warm()
-        assert eq_only.stats.full_rebuilds == 1
-        dup = eq_only.copy()
-        dup.add_outlives(a, b)
-        assert dup.stats.incremental_edges == 1
-        assert dup.stats.full_rebuilds == 1
+        assert solver_mod._transitive_reduction(set()) == set()
+        assert solver_mod._transitive_reduction({(a, b)}) == {(a, b)}
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_naive_reference_on_random_closed_dags(self, seed):
+        rng = random.Random(seed)
+        n = rng.randrange(2, 12)
+        regions = Region.fresh_many(n)
+        # random DAG over an index order, then transitively close it
+        succ = {i: set() for i in range(n)}
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.3:
+                    succ[i].add(j)
+        for i in reversed(range(n)):
+            for j in list(succ[i]):
+                succ[i] |= succ[j]
+        pairs = {
+            (regions[i], regions[j]) for i in range(n) for j in succ[i]
+        }
+
+        def naive(ps):
+            smap = {}
+            for x, y in ps:
+                smap.setdefault(x, set()).add(y)
+            return {
+                (x, y)
+                for x, y in ps
+                if not any(
+                    z != x and z != y and y in smap.get(z, ())
+                    for z in smap.get(x, ())
+                )
+            }
+
+        assert solver_mod._transitive_reduction(pairs) == naive(pairs)

@@ -10,6 +10,7 @@ import pytest
 
 from repro.api import pipeline as pipeline_module
 from repro.api import session as session_module
+from repro.bench.olden import OLDEN_PROGRAMS
 from repro.gen import GenSpec, generate_source
 from repro.serve.router import Router, ServerConfig
 
@@ -103,3 +104,22 @@ def test_no_front_half_kind_is_counted(router):
     kinds = {kind for bucket in tenant["stats"].values() for kind in bucket}
     assert "infer" in kinds
     assert not kinds & {"parse", "typecheck", "annotate"}
+
+
+TREEADD = OLDEN_PROGRAMS["treeadd"]
+
+
+@pytest.mark.parametrize(
+    "path,payload",
+    [
+        ("/v1/check", {}),
+        ("/v1/run", {"entry": TREEADD.entry, "args": list(TREEADD.test_args)}),
+    ],
+    ids=["check", "run"],
+)
+def test_each_request_looks_its_answer_up_once(router, path, payload):
+    for _ in range(2):
+        _post(router, path, {"source": TREEADD.source, **payload})
+    stats = _tenant(router)["stats"]
+    assert stats["hits"]["infer"] == 1
+    assert stats["misses"]["infer"] == 1
