@@ -365,14 +365,18 @@ class Pipeline:
         """Incremental variant of :meth:`infer` against a prior result.
 
         Probes the ``infer`` entry exactly as :meth:`infer` does; on a miss
-        it parses and re-infers through :func:`repro.core.reinfer_program`,
-        which re-runs fixed points only for the method SCCs dirtied
-        relative to ``prior`` and splices the rest.  The result is cached
-        under the same ``infer`` key, so later stages consume it as usual.
+        it runs the ``typecheck`` stage (so a type error is reported by
+        that stage, as on the from-scratch path) and re-infers through
+        :func:`repro.core.reinfer_program`, which re-runs fixed points
+        only for the method SCCs dirtied relative to ``prior`` and splices
+        the rest.  The result is cached under the same ``infer`` key, so
+        later stages consume it as usual.
         """
         return self._infer_stage(
-            self.parse,
-            lambda program: reinfer_program(program, prior, self.config),
+            self.typecheck,
+            lambda table: reinfer_program(
+                table.program, prior, self.config, table=table
+            ),
         )
 
     def verify(self) -> StageResult:

@@ -8,7 +8,8 @@ analysis.  The paper's five dependency kinds map onto our edges as follows
 * ``cn1 < cn2`` (component / superclass)  -- handled separately by the
   class annotation ordering in :mod:`repro.core.schemes`;
 * ``mn1 < cn2`` (method uses class)       -- ``method -> classinv`` edges;
-* ``mn1 < mn2`` (method calls method)     -- ``caller -> callee`` edges;
+* ``mn1 < mn2`` (method calls method)     -- ``caller -> callee`` edges,
+  one per call, to the target normal typing resolved (``Call.callee``);
 * ``cn'.mn < cn.mn`` (override check)     -- the *superclass* method's
   finalisation depends on the subclass method's inferred precondition, so
   ``super_method -> sub_method``;
@@ -18,7 +19,9 @@ analysis.  The paper's five dependency kinds map onto our edges as follows
 Method SCCs are mutually recursive nests solved together; ``classinv``
 nodes are ordering markers only.  A method never takes a ``classinv`` edge
 on its own class or superclasses (that would make every class trivially
-cyclic with its methods).
+cyclic with its methods).  The graph reads the call targets the normal
+type checker recorded, so it must be built from a type-checked program;
+it resolves nothing itself.
 
 For incremental re-inference the graph also carries **structural
 fingerprints**: a per-method AST hash independent of formatting,
@@ -28,8 +31,8 @@ callees, override partners and the class structures whose invariants it
 expands.  Two programs agreeing on an SCC's *transitive* fingerprint
 are guaranteed to present identical inference inputs for that SCC, so
 :func:`diff` can mark exactly the SCCs whose fingerprint changed as
-dirty and :meth:`repro.core.infer.RegionInference.reinfer` splices the
-rest from a prior result.
+dirty and :func:`repro.core.infer.reinfer_program` splices the rest
+from a prior result.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from dataclasses import dataclass, fields as dc_fields, is_dataclass
 from typing import (
     Dict,
     FrozenSet,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -69,10 +71,13 @@ __all__ = [
 # Structural fingerprints
 # ---------------------------------------------------------------------------
 
-#: dataclass fields that are parse artifacts, not program structure:
-#: source positions, and the global ``New`` allocation-site counter
-#: (two parses of the same text disagree on it).
-_SKIP_FIELDS = frozenset({"pos", "label"})
+#: dataclass fields that are not the method's own structure: source
+#: positions, the global ``New`` allocation-site counter (two parses of
+#: the same text disagree on it), and the answers normal typing records
+#: (whole-program facts; the graph's edges carry the call targets).
+_SKIP_FIELDS = frozenset(
+    {"pos", "label", "callee", "declaring_class", "operand_class"}
+)
 
 
 def _feed(h, obj) -> None:
@@ -209,130 +214,20 @@ class DependencyGraph:
         if isinstance(method.ret_type, S.ClassType):
             self._uses_class(me, owner_line, method.ret_type.name)
 
-        # walk the body for calls, news, casts and local decl types
-        env: Dict[str, str] = {}
-        if method.owner is not None:
-            env[S.THIS] = method.owner
-        for p in method.params:
-            if isinstance(p.param_type, S.ClassType):
-                env[p.name] = p.param_type.name
-        self._add_body_edges(method.body, env, method, me, owner_line)
+        # walk the body for calls, news, casts, nulls and local decl types
+        for e in S.walk(method.body):
+            if isinstance(e, S.Call):
+                self._add_edge(me, method_node(e.callee))
+            elif isinstance(e, (S.New, S.Cast, S.Null)):
+                self._uses_class(me, owner_line, e.class_name)
+            elif isinstance(e, S.Block):
+                for s in e.stmts:
+                    if isinstance(s, S.LocalDecl) and isinstance(s.decl_type, S.ClassType):
+                        self._uses_class(me, owner_line, s.decl_type.name)
 
     def _uses_class(self, me: Node, owner_line: Set[str], cn: str) -> None:
         if cn != OBJECT_NAME and self.table.has_class(cn) and cn not in owner_line:
             self._add_edge(me, classinv_node(cn))
-
-    def _add_body_edges(
-        self,
-        e: S.Expr,
-        env: Dict[str, str],
-        method: S.MethodDecl,
-        me: Node,
-        owner_line: Set[str],
-    ) -> None:
-        if isinstance(e, S.New):
-            self._uses_class(me, owner_line, e.class_name)
-        elif isinstance(e, S.Cast):
-            self._uses_class(me, owner_line, e.class_name)
-        elif isinstance(e, S.Null) and e.class_name:
-            self._uses_class(me, owner_line, e.class_name)
-        elif isinstance(e, S.Call):
-            callee = self._resolve_call(e, method, env)
-            if callee is not None:
-                self._add_edge(me, method_node(callee))
-            else:
-                # resolution failed: conservatively depend on every
-                # method of this name, so incremental dirtying can
-                # never miss a real dependency
-                for qn in self._same_name_methods(
-                    e.method_name, static=e.receiver is None
-                ):
-                    self._add_edge(me, method_node(qn))
-        elif isinstance(e, S.Block):
-            inner = dict(env)
-            for s in e.stmts:
-                if isinstance(s, S.LocalDecl):
-                    if isinstance(s.decl_type, S.ClassType):
-                        self._uses_class(me, owner_line, s.decl_type.name)
-                        if s.init is not None:
-                            self._add_body_edges(s.init, inner, method, me, owner_line)
-                        inner[s.name] = s.decl_type.name
-                    elif s.init is not None:
-                        self._add_body_edges(s.init, inner, method, me, owner_line)
-                else:
-                    assert isinstance(s, S.ExprStmt)
-                    self._add_body_edges(s.expr, inner, method, me, owner_line)
-            if e.result is not None:
-                self._add_body_edges(e.result, inner, method, me, owner_line)
-            return
-        for child in e.children():
-            self._add_body_edges(child, env, method, me, owner_line)
-
-    def _static_type_of(
-        self, e: S.Expr, method: S.MethodDecl, env: Dict[str, str]
-    ) -> Optional[str]:
-        """Best-effort static class of ``e`` for call resolution."""
-        if isinstance(e, S.Var):
-            return env.get(e.name)
-        if isinstance(e, S.New):
-            return e.class_name
-        if isinstance(e, S.Cast):
-            return e.class_name
-        if isinstance(e, S.Null):
-            return e.class_name
-        if isinstance(e, S.FieldRead):
-            recv = self._static_type_of(e.receiver, method, env)
-            if recv is None:
-                return None
-            found = self.table.lookup_field(recv, e.field_name)
-            if found and isinstance(found[0].field_type, S.ClassType):
-                return found[0].field_type.name
-            return None
-        if isinstance(e, S.Call):
-            callee = self._resolve_call(e, method, env)
-            if callee is None:
-                return None
-            decl = self._methods.get(callee)
-            if decl and isinstance(decl.ret_type, S.ClassType):
-                return decl.ret_type.name
-            return None
-        if isinstance(e, S.If):
-            t = self._static_type_of(e.then, method, env)
-            return t if t is not None else self._static_type_of(e.els, method, env)
-        if isinstance(e, S.Block) and e.result is not None:
-            inner = dict(env)
-            for s in e.stmts:
-                if isinstance(s, S.LocalDecl):
-                    if isinstance(s.decl_type, S.ClassType):
-                        inner[s.name] = s.decl_type.name
-                    else:
-                        inner.pop(s.name, None)  # shadowed by a primitive
-            return self._static_type_of(e.result, method, inner)
-        return None
-
-    def _same_name_methods(self, mn: str, *, static: bool) -> List[str]:
-        """Every known method named ``mn`` (the unresolved-call fallback)."""
-        out = []
-        for qualified, decl in self._methods.items():
-            if decl.name != mn:
-                continue
-            if static == (decl.owner is None):
-                out.append(qualified)
-        return sorted(out)
-
-    def _resolve_call(
-        self, e: S.Call, method: S.MethodDecl, env: Dict[str, str]
-    ) -> Optional[str]:
-        if e.receiver is None:
-            decl = self.table.lookup_static(e.method_name)
-            return decl.qualified_name if decl else None
-        recv = self._static_type_of(e.receiver, method, env)
-        if recv is None:
-            return None
-        found = self.table.lookup_method(recv, e.method_name)
-        if found is None:
-            return None
-        return f"{found[1]}.{found[0].name}"
 
     # -- ordering --------------------------------------------------------------------
     def sccs(self) -> List[List[Node]]:
@@ -456,19 +351,6 @@ class DependencyGraph:
             for n in scc:
                 out[n] = digest
         return out
-
-    def scc_fingerprints(
-        self, salts: Optional[Mapping[str, str]] = None
-    ) -> List[Tuple[Tuple[str, ...], str]]:
-        """``(sorted method names, transitive fingerprint)`` per method SCC,
-        in processing (dependencies-first) order."""
-        node_fps = self.node_fingerprints(salts)
-        groups: List[Tuple[Tuple[str, ...], str]] = []
-        for scc in self.sccs():
-            methods = sorted(n.name for n in scc if n.kind == "method")
-            if methods:
-                groups.append((tuple(methods), node_fps[scc[0]]))
-        return groups
 
     def class_fingerprints(self) -> Dict[str, str]:
         """Local (shape-only) fingerprint per declared class."""

@@ -16,7 +16,12 @@ a later downcast cannot recover them.  The paper offers two remedies:
 
 This module implements the flow analysis (flow gathering, backward-flow
 closure, downcast-set closure) and the padding plan; the inference engine
-(:mod:`repro.core.infer`) consumes the plan.  Strategy selection:
+(:mod:`repro.core.infer`) consumes the plan.  Flow gathering reads the
+call targets, field owners and cast operand classes the normal type
+checker recorded, so the analysis runs on a type-checked program.  The
+parameters and results of an override and of the method it overrides
+end up with the same downcast sets, so both methods are padded alike.
+Strategy selection:
 
 * ``DowncastStrategy.PADDING``       (default; Sec 5's preferred technique)
 * ``DowncastStrategy.FIRST_REGION``
@@ -112,7 +117,7 @@ class DowncastAnalysis:
         self.captures_from: Dict[FlowSource, Set[FlowSource]] = {}
         #: downcast marks applied directly to a node
         self.direct_casts: Dict[FlowSource, Set[str]] = {}
-        #: static class of each node (best effort)
+        #: declared class of each variable, field slot, site and result
         self.static_class: Dict[FlowSource, str] = {}
         self._decls: Dict[str, S.MethodDecl] = {
             m.qualified_name: m for m in program.all_methods()
@@ -131,24 +136,33 @@ class DowncastAnalysis:
                     self.static_class[_field_slot(cn, f.name)] = f.field_type.name
         for method in self.program.all_methods():
             self._gather_method(method)
+        # a call resolved to an overridden method may run the override:
+        # its arguments reach the override's parameters and its result
+        # comes from the override's.  Linking each pair both ways also
+        # pads both methods alike, so their region parameters line up for
+        # the override check (Sec 4.4).
+        for sub, sup, mn in self.table.override_pairs():
+            a, b = f"{sub}.{mn}", f"{sup}.{mn}"
+            links = [(_ret(a), _ret(b))] + [
+                (_var(a, p.name), _var(b, q.name))
+                for p, q in zip(self._decls[a].params, self._decls[b].params)
+            ]
+            for x, y in links:
+                self._edge(x, y)
+                self._edge(y, x)
 
     def _gather_method(self, method: S.MethodDecl) -> None:
         qn = method.qualified_name
-        env: Dict[str, str] = {}
         if method.owner is not None:
-            env[S.THIS] = method.owner
             self.static_class[_var(qn, S.THIS)] = method.owner
         for p in method.params:
             if isinstance(p.param_type, S.ClassType):
-                env[p.name] = p.param_type.name
                 self.static_class[_var(qn, p.name)] = p.param_type.name
         if isinstance(method.ret_type, S.ClassType):
             self.static_class[_ret(qn)] = method.ret_type.name
-        self._visit(method.body, env, qn)
+        self._visit(method.body, qn)
 
-    def _sources(
-        self, e: S.Expr, env: Dict[str, str], qn: str
-    ) -> List[Tuple[FlowSource, Optional[str]]]:
+    def _sources(self, e: S.Expr, qn: str) -> List[Tuple[FlowSource, Optional[str]]]:
         """(flow node, downcast class) pairs a value may come from."""
         if isinstance(e, S.Var):
             return [(_var(qn, e.name), None)]
@@ -156,158 +170,81 @@ class DowncastAnalysis:
             self.static_class[_site(e.label)] = e.class_name
             return [(_site(e.label), None)]
         if isinstance(e, S.Cast):
-            inner = self._sources(e.expr, env, qn)
-            cls = self._class_of(e.expr, env, qn)
-            if cls is not None and self.table.is_subclass(e.class_name, cls) and e.class_name != cls:
+            inner = self._sources(e.expr, qn)
+            src = e.operand_class
+            if e.class_name != src and self.table.is_subclass(e.class_name, src):
                 # a true downcast: mark the sources
                 return [(s, e.class_name) for (s, _d) in inner]
             return inner
         if isinstance(e, S.FieldRead):
-            recv_cls = self._class_of(e.receiver, env, qn)
-            if recv_cls is not None:
-                found = self.table.lookup_field(recv_cls, e.field_name)
-                if found is not None:
-                    return [(_field_slot(found[1], e.field_name), None)]
-            return []
+            return [(_field_slot(e.declaring_class, e.field_name), None)]
         if isinstance(e, S.Call):
-            callee = self._resolve_call(e, env, qn)
-            if callee is not None:
-                return [(_ret(callee), None)]
-            return []
+            return [(_ret(e.callee), None)]
         if isinstance(e, S.If):
-            return self._sources(e.then, env, qn) + self._sources(e.els, env, qn)
-        if isinstance(e, S.Block):
-            if e.result is not None:
-                inner = dict(env)
-                for s in e.stmts:
-                    if isinstance(s, S.LocalDecl) and isinstance(s.decl_type, S.ClassType):
-                        inner[s.name] = s.decl_type.name
-                return self._sources(e.result, inner, qn)
-            return []
+            return self._sources(e.then, qn) + self._sources(e.els, qn)
+        if isinstance(e, S.Block) and e.result is not None:
+            return self._sources(e.result, qn)
         return []
 
-    def _flow_into(
-        self, dst: FlowSource, e: S.Expr, env: Dict[str, str], qn: str
-    ) -> None:
-        for src, dcls in self._sources(e, env, qn):
+    def _flow_into(self, dst: FlowSource, e: S.Expr, qn: str) -> None:
+        for src, dcls in self._sources(e, qn):
             self._edge(dst, src)
             if dcls is not None:
                 self.direct_casts.setdefault(src, set()).add(dcls)
 
-    def _visit(self, e: S.Expr, env: Dict[str, str], qn: str) -> None:
+    def _visit(self, e: S.Expr, qn: str) -> None:
         if isinstance(e, S.Assign):
-            self._visit(e.rhs, env, qn)
+            self._visit(e.rhs, qn)
             if isinstance(e.lhs, S.Var):
-                self._flow_into(_var(qn, e.lhs.name), e.rhs, env, qn)
+                self._flow_into(_var(qn, e.lhs.name), e.rhs, qn)
             elif isinstance(e.lhs, S.FieldRead):
-                self._visit(e.lhs.receiver, env, qn)
-                recv_cls = self._class_of(e.lhs.receiver, env, qn)
-                if recv_cls is not None:
-                    found = self.table.lookup_field(recv_cls, e.lhs.field_name)
-                    if found is not None:
-                        self._flow_into(_field_slot(found[1], e.lhs.field_name), e.rhs, env, qn)
+                self._visit(e.lhs.receiver, qn)
+                slot = _field_slot(e.lhs.declaring_class, e.lhs.field_name)
+                self._flow_into(slot, e.rhs, qn)
             return
         if isinstance(e, S.New):
             for arg, fdecl in zip(e.args, self.table.fields(e.class_name)):
-                self._visit(arg, env, qn)
+                self._visit(arg, qn)
                 if isinstance(fdecl.field_type, S.ClassType):
                     owner = self.table.lookup_field(e.class_name, fdecl.name)
                     assert owner is not None
-                    self._flow_into(_field_slot(owner[1], fdecl.name), arg, env, qn)
+                    self._flow_into(_field_slot(owner[1], fdecl.name), arg, qn)
             self.static_class.setdefault(_site(e.label), e.class_name)
             return
         if isinstance(e, S.Call):
-            callee = self._resolve_call(e, env, qn)
             if e.receiver is not None:
-                self._visit(e.receiver, env, qn)
-            for i, arg in enumerate(e.args):
-                self._visit(arg, env, qn)
-                if callee is not None:
-                    decl = self._method_decl(callee)
-                    if decl is not None and i < len(decl.params):
-                        p = decl.params[i]
-                        if isinstance(p.param_type, S.ClassType):
-                            self._flow_into(_var(callee, p.name), arg, env, qn)
+                self._visit(e.receiver, qn)
+            params = self._decls[e.callee].params
+            for arg, p in zip(e.args, params):
+                self._visit(arg, qn)
+                if isinstance(p.param_type, S.ClassType):
+                    self._flow_into(_var(e.callee, p.name), arg, qn)
             return
         if isinstance(e, S.Cast):
             # visiting for marks even when the value is unused
-            for src, dcls in self._sources(e, env, qn):
+            for src, dcls in self._sources(e, qn):
                 if dcls is not None:
                     self.direct_casts.setdefault(src, set()).add(dcls)
-            self._visit(e.expr, env, qn)
+            self._visit(e.expr, qn)
             return
         if isinstance(e, S.Block):
-            inner = dict(env)
             for s in e.stmts:
                 if isinstance(s, S.LocalDecl):
                     if s.init is not None:
-                        self._visit(s.init, inner, qn)
+                        self._visit(s.init, qn)
                     if isinstance(s.decl_type, S.ClassType):
-                        inner[s.name] = s.decl_type.name
                         self.static_class[_var(qn, s.name)] = s.decl_type.name
                         if s.init is not None:
-                            self._flow_into(_var(qn, s.name), s.init, inner, qn)
+                            self._flow_into(_var(qn, s.name), s.init, qn)
                 else:
                     assert isinstance(s, S.ExprStmt)
-                    self._visit(s.expr, inner, qn)
+                    self._visit(s.expr, qn)
             if e.result is not None:
-                self._visit(e.result, inner, qn)
-                self._flow_into(_ret(qn), e.result, inner, qn)
+                self._visit(e.result, qn)
+                self._flow_into(_ret(qn), e.result, qn)
             return
         for child in e.children():
-            self._visit(child, env, qn)
-
-    # -- helpers --------------------------------------------------------------------
-    def _method_decl(self, qualified: str) -> Optional[S.MethodDecl]:
-        return self._decls.get(qualified)
-
-    def _class_of(self, e: S.Expr, env: Dict[str, str], qn: str) -> Optional[str]:
-        if isinstance(e, S.Var):
-            return env.get(e.name)
-        if isinstance(e, S.New):
-            return e.class_name
-        if isinstance(e, S.Cast):
-            return e.class_name
-        if isinstance(e, S.Null):
-            return e.class_name
-        if isinstance(e, S.FieldRead):
-            recv = self._class_of(e.receiver, env, qn)
-            if recv is None:
-                return None
-            found = self.table.lookup_field(recv, e.field_name)
-            if found and isinstance(found[0].field_type, S.ClassType):
-                return found[0].field_type.name
-            return None
-        if isinstance(e, S.Call):
-            callee = self._resolve_call(e, env, qn)
-            if callee is None:
-                return None
-            decl = self._method_decl(callee)
-            if decl and isinstance(decl.ret_type, S.ClassType):
-                return decl.ret_type.name
-            return None
-        if isinstance(e, S.If):
-            t = self._class_of(e.then, env, qn)
-            return t if t is not None else self._class_of(e.els, env, qn)
-        if isinstance(e, S.Block) and e.result is not None:
-            inner = dict(env)
-            for s in e.stmts:
-                if isinstance(s, S.LocalDecl) and isinstance(s.decl_type, S.ClassType):
-                    inner[s.name] = s.decl_type.name
-            return self._class_of(e.result, inner, qn)
-        return None
-
-    def _resolve_call(self, e: S.Call, env: Dict[str, str], qn: str) -> Optional[str]:
-        if e.receiver is None:
-            decl = self.table.lookup_static(e.method_name)
-            return decl.qualified_name if decl else None
-        recv = self._class_of(e.receiver, env, qn)
-        if recv is None:
-            return None
-        found = self.table.lookup_method(recv, e.method_name)
-        if found is None:
-            return None
-        return f"{found[1]}.{found[0].name}"
+            self._visit(child, qn)
 
     # -- closures --------------------------------------------------------------------
     def downcast_sets(self) -> Dict[FlowSource, FrozenSet[str]]:

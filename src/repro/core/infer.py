@@ -1019,24 +1019,14 @@ class RegionInference:
         return max(self.annotations[d].arity for d in related) - base
 
     def _infer_call(self, e: S.Call, env: Dict[str, T.RType], ctx: _Ctx) -> T.TCall:
+        scheme = self.schemes[e.callee]
         if e.receiver is None:
-            decl = self.table.lookup_static(e.method_name)
-            if decl is None:
-                raise InferenceError(f"unknown static method {e.method_name!r}")
-            scheme = self.schemes[decl.qualified_name]
             recv: Optional[T.TExpr] = None
             class_subst = RegionSubst.identity()
             class_args: Tuple[Region, ...] = ()
         else:
             recv = self._infer_expr(e.receiver, env, ctx)
-            if not isinstance(recv.type, T.RClass):
-                raise InferenceError(f"method call on non-object {recv.type}")
-            found = self.table.lookup_method(recv.type.name, e.method_name)
-            if found is None:
-                raise InferenceError(
-                    f"class {recv.type.name} has no method {e.method_name!r}"
-                )
-            scheme = self.schemes[f"{found[1]}.{found[0].name}"]
+            assert isinstance(recv.type, T.RClass), "normal typing checks receivers"
             n = len(scheme.class_regions)
             class_args = tuple(recv.type.regions[:n])
             class_subst = RegionSubst.zip(scheme.class_regions, class_args)
@@ -1430,40 +1420,41 @@ def reinfer_program(
     program: S.Program,
     prior: InferenceResult,
     config: Optional[InferenceConfig] = None,
+    *,
+    table: Optional[ClassTable] = None,
 ) -> InferenceResult:
     """Incrementally re-infer ``program`` against a prior result.
 
     Diffs the new program's dependency graph against the prior one and
     re-runs fixed points only for the dirty SCCs, splicing everything
-    else from ``prior``.  Falls back to a full :func:`infer_program` run
-    when the configs differ, the class structure changed, or the prior
-    result predates incremental support (no replay state).  The output
-    is byte-identical (under :func:`repro.lang.pretty.pretty_target`
-    renumbering) to a from-scratch inference of ``program``.
+    else from ``prior``.  Falls back to a full run when the configs
+    differ, the class structure changed, or the prior result predates
+    incremental support (no replay state).  The output is byte-identical
+    (under :func:`repro.lang.pretty.pretty_target` renumbering) to a
+    from-scratch inference of ``program``.  ``table`` is the class table
+    of an already normal-typed ``program``; without it the program is
+    type-checked here.
     """
     config = config or prior.config
-    if (
-        config != prior.config
-        or not prior.raw_pres
-        or not prior.pristine_q
-    ):
-        return RegionInference(program, config).infer()
-    table = NormalTypeChecker(program).check()
-    new_graph = DependencyGraph(program, table)
-    old_graph = DependencyGraph(prior.table.program, prior.table)
-    if config.downcast is DowncastStrategy.PADDING:
-        plan = DowncastAnalysis(program, table).build_plan()
-    else:
-        plan = PaddingPlan()
-    salts = plan_salts(program, plan)
-    dirty = depgraph_diff(
-        old_graph, new_graph, old_salts=prior.plan_salts, new_salts=salts
-    )
-    if dirty.full:
-        return RegionInference(program, config).infer()
-    return _IncrementalInference(
-        program, config, prior, table, new_graph, plan, salts, dirty
-    ).infer()
+    if table is None:
+        table = NormalTypeChecker(program).check()
+    if config == prior.config and prior.raw_pres and prior.pristine_q:
+        new_graph = DependencyGraph(program, table)
+        old_graph = DependencyGraph(prior.table.program, prior.table)
+        if config.downcast is DowncastStrategy.PADDING:
+            plan = DowncastAnalysis(program, table).build_plan()
+        else:
+            plan = PaddingPlan()
+        salts = plan_salts(program, plan)
+        dirty = depgraph_diff(
+            old_graph, new_graph, old_salts=prior.plan_salts, new_salts=salts
+        )
+        if not dirty.full:
+            return _IncrementalInference(
+                program, config, prior, table, new_graph, plan, salts, dirty
+            ).infer()
+    prepared = AnnotatedProgram.from_table(program, table)
+    return infer_program(program, config, prepared=prepared)
 
 
 def infer_program(

@@ -196,11 +196,16 @@ class Null(Expr):
 
 @dataclass
 class FieldRead(Expr):
-    """A field access ``e.f``."""
+    """A field access ``e.f``.
+
+    ``declaring_class`` is the class that declares ``f``, recorded by the
+    normal type checker.
+    """
 
     receiver: Expr
     field_name: str
     pos: Optional[Pos] = None
+    declaring_class: Optional[str] = field(default=None, repr=False, compare=False)
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.receiver,)
@@ -240,12 +245,16 @@ class Call(Expr):
 
     ``receiver is None`` marks a *static* call ``mn(args)``; otherwise an
     instance call ``e.mn(args)`` dispatched on the receiver's class.
+    ``callee`` is the qualified name of the method normal typing resolves
+    the call to (``cn.mn`` on the receiver's static class, ``mn`` for a
+    static), recorded by the normal type checker.
     """
 
     receiver: Optional[Expr]
     method_name: str
     args: List[Expr] = field(default_factory=list)
     pos: Optional[Pos] = None
+    callee: Optional[str] = field(default=None, repr=False, compare=False)
 
     @property
     def is_static(self) -> bool:
@@ -258,11 +267,16 @@ class Call(Expr):
 
 @dataclass
 class Cast(Expr):
-    """A cast ``(cn) e``.  Downcasts are the subject of paper Sec 5."""
+    """A cast ``(cn) e``.  Downcasts are the subject of paper Sec 5.
+
+    ``operand_class`` is the static class of ``e``, recorded by the normal
+    type checker.
+    """
 
     class_name: str
     expr: Expr
     pos: Optional[Pos] = None
+    operand_class: Optional[str] = field(default=None, repr=False, compare=False)
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.expr,)

@@ -79,7 +79,9 @@ def _step(
     vocabulary (the parameters plus heap), so the accumulated conjunction
     projects onto the parameters exactly like the latest expansion alone.
     Each projection re-closes the grown graph and rebuilds its descendant
-    bitsets once.
+    bitsets once.  A member's solver is built by the first step whose
+    expansion has an atom; until then its iterate is ``True`` (the
+    projection of an empty store), and many members never get one.
     """
     nxt: Dict[str, Constraint] = {}
     for name, abstraction in nest.items():
@@ -95,7 +97,12 @@ def _step(
             else:
                 # out-of-nest abstraction: must already be closed
                 expanded = expanded.conj(env.expand(Constraint.of(atom)))
-        solver = solvers[name]
+        solver = solvers.get(name)
+        if solver is None:
+            if expanded.is_true:
+                nxt[name] = TRUE
+                continue
+            solver = solvers[name] = RegionSolver()
         solver.add_constraint(expanded)
         nxt[name] = solver.project(list(abstraction.params) + [HEAP])
     return nxt
@@ -110,12 +117,17 @@ def _same(
 
     Iterates are projections onto the abstraction's parameters, so at the
     fixed point they are almost always *syntactically* identical -- the
-    atom-set fingerprint decides without any solving.  Mutual entailment is
-    the (rare) fallback for syntactically different but equivalent forms.
+    atom-set fingerprint decides without any solving.  ``True`` against a
+    non-empty iterate is decided without solving too: iterates come from
+    ``Constraint.of``, which drops every atom ``True`` entails.  Mutual
+    entailment is the (rare) fallback for syntactically different but
+    equivalent forms.
     """
     for name in nest:
         if a[name].atoms == b[name].atoms:
             continue
+        if a[name].is_true or b[name].is_true:
+            return False
         sa = RegionSolver(a[name])
         sb = RegionSolver(b[name])
         if not (sa.entails(b[name]) and sb.entails(a[name])):
@@ -136,8 +148,9 @@ def solve_recursive_abstractions(
     nest: Dict[str, ConstraintAbstraction] = {a.name: a for a in abstractions}
     trace: Dict[str, List[Constraint]] = {name: [TRUE] for name in nest}
     current: Dict[str, Constraint] = {name: TRUE for name in nest}
-    # one accumulating solver per abstraction, shared by every step
-    solvers: Dict[str, RegionSolver] = {name: RegionSolver() for name in nest}
+    # one accumulating solver per abstraction, shared by every step and
+    # built when the abstraction's expansion first has an atom
+    solvers: Dict[str, RegionSolver] = {}
 
     iterations = 0
     for _ in range(MAX_ITERATIONS):

@@ -4,10 +4,21 @@ Region inference assumes its input is well-normal-typed (paper Sec 4.1:
 "if |- P ~> P' then |-N erase(P')").  This module implements that normal
 type system: a conventional class-based checker with subsumption.
 
-Besides checking, it performs one piece of elaboration the later passes rely
-on: every ``null`` literal is resolved to a class-ascribed null ``(cn) null``
-(the paper's core syntax), with the class taken from the expected type at
-the point of use.
+Besides checking, it elaborates the program in place with the answers the
+later passes rely on:
+
+* every ``null`` literal is resolved to a class-ascribed null
+  ``(cn) null`` (the paper's core syntax), with the class taken from the
+  expected type at the point of use;
+* every call records its target in ``Call.callee`` (the qualified name
+  of the method the receiver's static class resolves it to);
+* every field read records the class declaring the field in
+  ``FieldRead.declaring_class``;
+* every cast records its operand's static class in
+  ``Cast.operand_class``.
+
+The dependency graph, the downcast analysis and region inference read
+these recorded answers instead of resolving calls, fields and casts again.
 
 The checker is deliberately strict: unknown names, arity mismatches,
 unrelated casts ("stupid casts"), void misuse and primitive/class mixups are
@@ -42,8 +53,10 @@ class NormalTypeChecker:
         table = NormalTypeChecker(program).check()
 
     Returns the :class:`~repro.lang.class_table.ClassTable` (which callers
-    almost always need next).  ``null`` literals in the program are
-    destructively class-ascribed as a side effect.
+    almost always need next).  As a side effect the program is elaborated
+    in place: ``null`` literals are class-ascribed, and each call, field
+    read and cast records its resolved callee, declaring class and operand
+    class (see the module docstring).
     """
 
     def __init__(self, program: S.Program):
@@ -142,6 +155,7 @@ class NormalTypeChecker:
             found = self.table.lookup_field(cn, e.field_name)
             if found is None:
                 raise NormalTypeError(f"class {cn} has no field {e.field_name!r}", e.pos)
+            e.declaring_class = found[1]
             return found[0].field_type
 
         if isinstance(e, S.Assign):
@@ -192,6 +206,7 @@ class NormalTypeChecker:
                 raise NormalTypeError(
                     f"cast between unrelated classes {src} and {e.class_name}", e.pos
                 )
+            e.operand_class = src
             return S.ClassType(e.class_name)
 
         if isinstance(e, S.If):
@@ -279,6 +294,7 @@ class NormalTypeChecker:
                     f"{arg_t}, expected {param.param_type}",
                     e.pos,
                 )
+        e.callee = decl.qualified_name
         return decl.ret_type
 
     def _check_binop(self, e: S.Binop, env: Dict[str, S.Type]) -> S.Type:

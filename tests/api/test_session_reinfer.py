@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.api import Session
+from repro.api import Session, StageFailure
 from repro.bench.composite import composite_source, tweak_method_body
 from repro.core import InferenceConfig, SubtypingMode
 from repro.lang.pretty import pretty_target
+from tests.conftest import IF_RECEIVER_SOURCE
 
 
 EDIT = ("1103515245", "1103515246")  # bisort's nextRandom multiplier
@@ -151,3 +152,33 @@ class TestByteIdentityThroughSession(object):
         for version in (src, edited, twice, src):
             incr = session.reinfer(version, document="buf")
             assert rendered(incr) == rendered(scratch.infer(version))
+
+    @pytest.mark.parametrize("footprint_scope", [True, False], ids=["scoped", "unscoped"])
+    def test_callee_edit_reinfers_a_caller_through_an_if_receiver(self, footprint_scope):
+        # D.use calls A.m through an if whose type is the msst A, so an
+        # edit to A.m's body must dirty D.use
+        config = InferenceConfig(footprint_scope=footprint_scope)
+        edited = IF_RECEIVER_SOURCE.replace(
+            "int m(A o) { 1 }", "int m(A o) { this.nxt = o; 1 }"
+        )
+        assert edited != IF_RECEIVER_SOURCE
+        session = Session()
+        session.reinfer(IF_RECEIVER_SOURCE, config, document="buf")
+        result = session.reinfer(edited, config, document="buf")
+        assert session.stats.hit_count("scc.document") == 1
+        assert "D.use" not in result.reused_methods
+        assert rendered(result) == rendered(Session().infer(edited, config))
+
+
+class TestEditPathErrors(object):
+    def test_a_type_error_is_blamed_on_typecheck_on_both_paths(self):
+        src = "class A { int v; int get() { v } }"
+        bad = "class A { int v; int get() { v } } bool f(A a) { a.get() }"
+        with pytest.raises(StageFailure) as scratch:
+            Session().infer(bad)
+        session = Session()
+        session.reinfer(src, document="buf")
+        with pytest.raises(StageFailure) as edit:
+            session.reinfer(bad, document="buf")
+        assert scratch.value.stage == edit.value.stage == "typecheck"
+        assert [d.stage for d in edit.value.diagnostics] == ["typecheck"]

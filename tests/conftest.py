@@ -58,6 +58,28 @@ List join(List xs, List ys) {
 }
 """
 
+#: a call whose receiver is a two-armed if: normal typing types the if as
+#: the most specific supertype of its branches (A), so the call resolves to
+#: A.m although the then-branch has type B
+IF_RECEIVER_SOURCE = """
+class A { A nxt; int m(A o) { 1 } }
+class B extends A { int m(A o) { 2 } }
+class D { B f; A g;
+  int use(bool c) { (if (c) { this.f } else { this.g }).m(this.g) }
+}
+int main(int n) { D d = new D(new B(null), new A(null)); d.use(true) }
+"""
+
+#: an override whose parameter only the overriding method downcasts: the
+#: downcast analysis must pad A.m's parameter as it pads B.m's
+PADDED_OVERRIDE_SOURCE = """
+class P { int v; }
+class Q extends P { P w; }
+class A { int k; int m(P o) { 1 } }
+class B extends A { int m(P o) { ((Q) o).v } }
+int main(int n) { A a = new B(1); a.m(new Q(1, null)) }
+"""
+
 
 @pytest.fixture
 def front_half_builds(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from repro.core.depgraph import DependencyGraph, classinv_node, method_node
 from repro.frontend import parse_program
 from repro.typing import check_program
+from tests.conftest import IF_RECEIVER_SOURCE
 
 
 def graph(src):
@@ -164,15 +165,9 @@ class TestCallResolutionPrecision(object):
         pos = order_of(g)
         assert pos["A.get"] < pos["f"]
 
-    def test_same_name_fallback_partitions_static_and_instance(self):
-        # when receiver resolution fails, the conservative fallback
-        # depends on every same-name method of the right kind
-        g = graph(
-            """
-            class A { int x; int get() { x } }
-            class B { int y; int get() { y } }
-            int get() { 1 }
-            """
-        )
-        assert g._same_name_methods("get", static=False) == ["A.get", "B.get"]
-        assert g._same_name_methods("get", static=True) == ["get"]
+    def test_if_receiver_resolves_on_the_most_specific_supertype(self):
+        # normal typing gives a two-armed if the msst of its branches, so
+        # the call dispatches through A.m even though the then-branch is B
+        g = graph(IF_RECEIVER_SOURCE)
+        assert method_node("A.m") in g.edges[method_node("D.use")]
+        assert method_node("B.m") not in g.edges[method_node("D.use")]

@@ -95,6 +95,29 @@ class TestFlowGathering(object):
         news = [k for k in sets if k[0] == "new"]
         assert len(news) == 2
 
+    def test_override_pair_parameters_and_results_share_sets(self):
+        a = analyse(
+            """
+            class P { int v; }
+            class Q extends P { P w; }
+            class A { int k; int m(P o) { 1 } P r() { new Q(0, null) } }
+            class B extends A {
+              int m(P o) { ((Q) o).v }
+              P r() { new P(0) }
+            }
+            int f(A a) { ((Q) a.r()).v + a.m(new Q(1, null)) }
+            """
+        )
+        sets = a.downcast_sets()
+        # only B.m casts its parameter, and only a call through A.r casts
+        # a result, yet a call may run either member of each pair
+        for node in (("var", "A.m", "o"), ("var", "B.m", "o")):
+            assert sets.get(node) == frozenset({"Q"})
+        for node in (("ret", "A.r", ""), ("ret", "B.r", "")):
+            assert sets.get(node) == frozenset({"Q"})
+        plan = a.build_plan()
+        assert plan.pads_for_var("A.m", "o") == plan.pads_for_var("B.m", "o") == 1
+
 
 class TestPlan(object):
     def test_unrelated_class_not_counted(self):

@@ -225,3 +225,47 @@ class TestDowncastThroughCalls(object):
         interp = Interpreter(result.target)
         with pytest.raises(CastFailedError):
             interp.run_static("f")
+
+
+#: overrides where only some members of a chain downcast a parameter or a
+#: result: padding must agree along each override pair
+OVERRIDE_PADDING = {
+    "chain": """
+    class P { int v; } class Q extends P { P w; }
+    class A { int k; int m(P o) { 1 } }
+    class B extends A { int m(P o) { 2 } }
+    class C extends B { int m(P o) { ((Q) o).v } }
+    int main(int n) { A a = new C(1); a.m(new Q(1, null)) + new B(2).m(new P(3)) }
+    """,
+    "sibling_targets": """
+    class P { int v; } class Q extends P { P w; } class R extends P { P x; P y; }
+    class A { int k; int m(P o) { if (o.v > 0) { ((R) o).v } else { 0 } } }
+    class B extends A { int m(P o) { if (o.v > 1) { ((Q) o).v } else { 0 } } }
+    int main(int n) {
+      A a = new B(1);
+      a.m(new Q(0, null)) + a.m(new R(0, null, null)) + new A(1).m(new R(1, null, null))
+    }
+    """,
+    "result": """
+    class P { int v; } class Q extends P { P w; }
+    class A { int k; P r() { new P(1) } }
+    class B extends A { P r() { new Q(2, new P(3)) } }
+    int main(int n) { A a = new B(1); P p = a.r(); if (p.v == 2) { ((Q) p).w.v } else { 0 } }
+    """,
+    "recursive": """
+    class P { int v; } class Q extends P { P w; }
+    class A { int k; int m(P o, int d) { if (d > 0) { this.m(o, d - 1) } else { 0 } } }
+    class B extends A {
+      int m(P o, int d) { if (d > 0) { this.m(o, d - 1) } else { ((Q) o).v } }
+    }
+    int main(int n) { A a = new B(1); a.m(new Q(1, null), 3) }
+    """,
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERRIDE_PADDING))
+def test_override_padding_passes_the_oracle(name):
+    from repro.gen import check_program_invariants
+
+    report = check_program_invariants(OVERRIDE_PADDING[name])
+    assert report.failures == []

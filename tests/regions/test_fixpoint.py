@@ -120,3 +120,36 @@ class TestGeneralFixpoints:
         assert entails(closed, outlives(r2, r1))
         assert entails(closed, outlives(r3, r1))
         assert not entails(closed, outlives(r3, r2))
+
+
+class TestSolverConstruction:
+    """The fixed point builds a solver only for a member that gets an atom."""
+
+    SRC = """
+    class Cell { Cell next;
+      Cell copy() {
+        if (this.next == null) { new Cell(null) } else { new Cell(this.next.copy()) }
+      }
+    }
+    int down(int n) { if (n <= 0) { 0 } else { down(n - 1) } }
+    """
+
+    def test_recursive_program_builds_one_solver_per_member_with_atoms(self, monkeypatch):
+        from repro.core import infer_source
+        from repro.regions import fixpoint
+
+        built = []
+
+        class Counting(RegionSolver):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(fixpoint, "RegionSolver", Counting)
+        result = infer_source(self.SRC)
+        # three nests get an atom: Cell's recursive invariant and Cell.copy
+        # in each of its two passes.  `down` never does (its precondition
+        # stays true), and comparing iterate 0 (true) with a non-empty
+        # iterate 1 needs no solver.
+        assert len(built) == 3
+        assert result.fixpoint_iterations == {("Cell.copy",): 1, ("down",): 0}

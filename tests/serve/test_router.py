@@ -6,7 +6,7 @@ import pytest
 
 from repro.bench.olden import OLDEN_PROGRAMS
 from repro.serve.router import Router, ServerConfig
-from tests.conftest import PAIR_SOURCE
+from tests.conftest import IF_RECEIVER_SOURCE, PADDED_OVERRIDE_SOURCE, PAIR_SOURCE
 
 TREEADD = OLDEN_PROGRAMS["treeadd"]
 
@@ -116,6 +116,16 @@ class TestCheckAndRun(object):
         assert status == 200
         assert payload["verified"] is True
         assert payload["obligations"] > 0
+
+    @pytest.mark.parametrize(
+        "source",
+        [IF_RECEIVER_SOURCE, PADDED_OVERRIDE_SOURCE],
+        ids=["if_receiver", "padded_override"],
+    )
+    def test_check_of_dispatch_corner_cases_verifies(self, router, source):
+        status, payload, _ = _post(router, "/v1/check", {"source": source})
+        assert status == 200
+        assert payload["verified"] is True
 
     def test_run_executes_the_entry(self, router):
         status, payload, _ = _post(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main
+from tests.conftest import IF_RECEIVER_SOURCE, PADDED_OVERRIDE_SOURCE
 
 PROGRAM = """
 class Box extends Object { int v; }
@@ -54,6 +55,17 @@ class TestCheck(object):
     def test_ablations(self, source_file):
         assert main(["check", source_file, "--monomorphic"]) == 0
         assert main(["check", source_file, "--no-letreg"]) == 0
+
+    @pytest.mark.parametrize(
+        "source",
+        [IF_RECEIVER_SOURCE, PADDED_OVERRIDE_SOURCE],
+        ids=["if_receiver", "padded_override"],
+    )
+    def test_dispatch_corner_cases_check(self, source, tmp_path, capsys):
+        path = tmp_path / "prog.cj"
+        path.write_text(source)
+        assert main(["check", str(path)]) == 0
+        assert "OK" in capsys.readouterr().out
 
 
 class TestRun(object):
