@@ -7,9 +7,10 @@ Commands (all built on the staged :mod:`repro.api` pipeline):
 * ``run FILE``     -- infer and execute a static entry point on the
   region-based interpreter, reporting space statistics
 * ``report FILE``  -- per-class/per-method inference statistics
-* ``profile FILE`` -- run parse/infer/verify under cProfile, reporting
-  per-stage wall-clock and the top-N functions by cumulative time
-  (text or JSON; see ``docs/scaling.md``)
+* ``profile FILE`` -- run the pipeline's stages (parse, typecheck,
+  annotate, infer, verify) one by one under cProfile, reporting per-stage
+  wall-clock and the top-N functions by cumulative time, and stopping at
+  the first stage that fails (text or JSON; see ``docs/scaling.md``)
 * ``batch FILE...`` -- batch inference over many files
 * ``watch FILE``   -- re-infer incrementally on every change to the file,
   printing per-edit latency and SCC splice/re-infer counts
@@ -69,7 +70,6 @@ from .lang.pretty import pretty_target
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_ERROR = 2
-
 
 def _config(args: argparse.Namespace) -> InferenceConfig:
     return InferenceConfig(
@@ -244,21 +244,17 @@ def cmd_profile(args: argparse.Namespace, session: Session) -> int:
     import pstats
     import time
 
-    from .checking import check_target
-    from .core import infer_program
-    from .frontend import parse_program
-
-    source = Path(args.file).read_text()
-    config = _config(args)
+    pipe = _pipeline(args, session)
     stages: List[Dict[str, Any]] = []
-
-    def staged(name: str, thunk):
+    for name in ("parse", "typecheck", "annotate", "infer", "verify"):
         profiler = cProfile.Profile()
         start = time.perf_counter()
         profiler.enable()
-        value = thunk()
+        outcome = getattr(pipe, name)()
         profiler.disable()
         elapsed = time.perf_counter() - start
+        if not outcome.ok:
+            return _fail(args, "profile", _stage_failure([outcome]) or [])
         rows = []
         stats = pstats.Stats(profiler).stats
         by_cumulative = sorted(
@@ -278,16 +274,6 @@ def cmd_profile(args: argparse.Namespace, session: Session) -> int:
         stages.append(
             {"stage": name, "seconds": round(elapsed, 6), "top": rows}
         )
-        return value
-
-    program = staged("parse", lambda: parse_program(source))
-    result = staged("infer", lambda: infer_program(program, config))
-    staged(
-        "verify",
-        lambda: check_target(
-            result.target, mode=args.mode, downcast=args.downcast
-        ),
-    )
 
     total = sum(s["seconds"] for s in stages)
     lines = []
@@ -856,11 +842,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_profile = sub.add_parser(
         "profile",
-        help="profile parse/infer/verify under cProfile",
-        description="Run parse -> infer -> verify on one file under "
-        "cProfile, reporting per-stage wall-clock and the top-N functions "
-        "by cumulative time -- the first tool to reach for when the "
-        "gen_scaling curve regresses (see docs/scaling.md).",
+        help="profile each pipeline stage under cProfile",
+        description="Run the pipeline stages parse -> typecheck -> annotate "
+        "-> infer -> verify on one file, each under cProfile, reporting "
+        "per-stage wall-clock and the top-N functions by cumulative time, "
+        "and stop at the first stage that fails -- the first tool to reach "
+        "for when the gen_scaling curve regresses (see docs/scaling.md).",
     )
     p_profile.add_argument("file")
     p_profile.add_argument(

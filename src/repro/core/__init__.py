@@ -9,7 +9,7 @@
 * :mod:`repro.core.downcast` -- downcast safety analysis (Sec 5).
 """
 
-from .depgraph import DependencyGraph, DirtySet, diff
+from .depgraph import DependencyGraph, diff
 from .downcast import DowncastAnalysis, DowncastStrategy, PaddingPlan, analyse_downcasts
 from .infer import (
     AnnotatedProgram,
@@ -28,7 +28,6 @@ from .subtyping import SubtypingMode, subtype
 
 __all__ = [
     "DependencyGraph",
-    "DirtySet",
     "diff",
     "DowncastAnalysis",
     "DowncastStrategy",

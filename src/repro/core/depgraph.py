@@ -30,9 +30,14 @@ per-SCC with the fingerprints of everything the SCC depends on --
 callees, override partners and the class structures whose invariants it
 expands.  Two programs agreeing on an SCC's *transitive* fingerprint
 are guaranteed to present identical inference inputs for that SCC, so
-:func:`diff` can mark exactly the SCCs whose fingerprint changed as
-dirty and :func:`repro.core.infer.reinfer_program` splices the rest
-from a prior result.
+:func:`diff` returns exactly the methods of the SCCs whose fingerprint
+changed (or ``None`` when the class shapes changed), and the one
+inference driver (:meth:`repro.core.infer.RegionInference.infer`)
+splices the rest from a prior result.
+
+:class:`SccFootprints` gives each method SCC the abstraction names its
+inference may read; every inference run gates its per-SCC reads to
+them.
 """
 
 from __future__ import annotations
@@ -58,12 +63,12 @@ __all__ = [
     "method_node",
     "classinv_node",
     "DependencyGraph",
-    "DirtySet",
     "FootprintSet",
     "SccFootprints",
     "diff",
     "method_fingerprint",
     "class_fingerprint",
+    "class_fingerprints",
 ]
 
 
@@ -129,7 +134,7 @@ def class_fingerprint(decl: S.ClassDecl) -> str:
     Method bodies are excluded -- they are fingerprinted per method.
     This is the identity of the class annotation (region arity, field
     types, recursive region), so any change here invalidates the whole
-    annotation universe (:func:`diff` then reports ``full=True``).
+    annotation universe (:func:`diff` then returns ``None``).
     """
     h = hashlib.sha256()
     h.update(b"\x00C")
@@ -139,6 +144,15 @@ def class_fingerprint(decl: S.ClassDecl) -> str:
     for f in decl.fields:
         _feed(h, f)
     return h.hexdigest()
+
+
+def class_fingerprints(table: ClassTable) -> List[Tuple[str, str]]:
+    """``(name, shape fingerprint)`` per declared class, in table order.
+
+    Two programs agreeing on this list share one class annotation
+    universe, which is what lets re-inference adopt a prior's annotations.
+    """
+    return [(cn, class_fingerprint(table.decl(cn))) for cn in table.class_names()]
 
 
 @dataclass(frozen=True)
@@ -352,13 +366,6 @@ class DependencyGraph:
                 out[n] = digest
         return out
 
-    def class_fingerprints(self) -> Dict[str, str]:
-        """Local (shape-only) fingerprint per declared class."""
-        return {
-            cn: class_fingerprint(self.table.decl(cn))
-            for cn in self.table.class_names()
-        }
-
 
 # ---------------------------------------------------------------------------
 # Per-SCC reachable footprints
@@ -485,35 +492,8 @@ class SccFootprints:
 
 
 # ---------------------------------------------------------------------------
-# Dirty sets
+# Diffing
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DirtySet:
-    """Which parts of a program must be re-inferred after an edit.
-
-    ``full`` forces a from-scratch run (class shapes changed, so every
-    region annotation may differ).  Otherwise ``methods`` lists every
-    qualified method name belonging to an SCC whose transitive
-    fingerprint changed; ``added``/``removed`` break out the methods
-    that appear only on one side (both are subsets of the overall
-    change -- removed methods are only relevant to the caller-side
-    ripple, which the transitive fingerprints already capture).
-    """
-
-    full: bool = False
-    reason: str = ""
-    methods: FrozenSet[str] = frozenset()
-    added: FrozenSet[str] = frozenset()
-    removed: FrozenSet[str] = frozenset()
-
-    def is_dirty(self, qualified: str) -> bool:
-        return self.full or qualified in self.methods
-
-    @property
-    def clean(self) -> bool:
-        return not self.full and not self.methods and not self.removed
 
 
 def diff(
@@ -522,8 +502,11 @@ def diff(
     *,
     old_salts: Optional[Mapping[str, str]] = None,
     new_salts: Optional[Mapping[str, str]] = None,
-) -> DirtySet:
-    """Compare two dependency graphs and mark the dirty method SCCs.
+) -> Optional[FrozenSet[str]]:
+    """The methods of ``new`` whose SCC must be re-inferred after an edit.
+
+    ``None`` when the class shapes changed: every region annotation may
+    then differ, so nothing of ``old``'s inference can be reused.
 
     Because the per-SCC fingerprints are transitive, a change anywhere
     below an SCC (edited callee body, changed override partner, a callee
@@ -538,16 +521,12 @@ def diff(
     may strengthen.  ``diff`` closes that gap here by dirtying every
     method whose owner's ``classinv`` transitive fingerprint changed.
     """
-    if list(old.class_fingerprints().items()) != list(
-        new.class_fingerprints().items()
-    ):
-        return DirtySet(full=True, reason="class structure changed")
+    if class_fingerprints(old.table) != class_fingerprints(new.table):
+        return None
 
     old_fps = old.node_fingerprints(old_salts)
     new_fps = new.node_fingerprints(new_salts)
     old_method_fps = {fp for n, fp in old_fps.items() if n.kind == "method"}
-    old_methods = set(old._methods)
-    new_methods = set(new._methods)
 
     dirty: Set[str] = set()
     for n, fp in new_fps.items():
@@ -567,10 +546,4 @@ def diff(
         for names in new.method_sccs():
             if any(qn in dirty for qn in names):
                 dirty.update(names)
-    return DirtySet(
-        full=False,
-        reason="method edits" if dirty else "",
-        methods=frozenset(dirty),
-        added=frozenset(new_methods - old_methods),
-        removed=frozenset(old_methods - new_methods),
-    )
+    return frozenset(dirty)

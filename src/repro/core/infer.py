@@ -21,6 +21,12 @@ that is guaranteed never to create dangling references:
 6. override conflicts are repaired per Sec 4.4;
 7. downcasts are secured by the configured strategy of Sec 5.
 
+Re-inference after an edit (:func:`reinfer_program`) is the same walk
+over the SCCs: given a prior result, :meth:`RegionInference.infer` takes
+each SCC the dependency-graph diff finds clean from the prior and runs
+every other SCC as above.  A from-scratch run is that walk with no
+prior, so nothing is spliced.
+
 The result can be independently verified by the region type checker
 (:mod:`repro.checking`), which is how the correctness theorem (Thm 1) is
 exercised in the test suite.
@@ -62,8 +68,8 @@ from ..regions.substitution import RegionSubst
 from ..typing.normal import NormalTypeChecker
 from .depgraph import (
     DependencyGraph,
-    DirtySet,
     SccFootprints,
+    class_fingerprints,
     classinv_node,
     diff as depgraph_diff,
 )
@@ -110,14 +116,6 @@ class InferenceConfig:
     #: give every null literal the fictitious null region (the paper's
     #: Sec 8 extension): nulls then impose *no* lifetime constraints at all
     null_fictitious_regions: bool = False
-    #: run every per-SCC step against a footprint-restricted env view:
-    #: reads outside the SCC's reachable closure raise
-    #: :class:`~repro.regions.abstraction.FootprintViolation`.  Writes
-    #: pass through unchecked, so flipping this can never change the
-    #: inference output -- it only turns an accidental whole-program
-    #: dependency into a loud error (and keeps the contract that per-SCC
-    #: cost scales with the footprint, not program size)
-    footprint_scope: bool = True
 
 
 @dataclass
@@ -160,6 +158,26 @@ class AnnotatedProgram:
             q=q,
             annotations=annotations,
             annotator=annotator,
+        )
+
+    @classmethod
+    def adopt(
+        cls, program: S.Program, table: ClassTable, prior: "InferenceResult"
+    ) -> "AnnotatedProgram":
+        """The front half of ``prior``'s run, for an edit of its program.
+
+        Keeps the prior class annotations (re-annotating would mint new
+        region uids and orphan the schemes and bodies spliced from
+        ``prior``) over the prior's pristine env.  Only valid while the
+        class shapes are unchanged (:func:`reinfer_program` checks).
+        """
+        q = AbstractionEnv.over(prior.pristine_q)
+        return cls(
+            program=program,
+            table=table,
+            q=q,
+            annotations=prior.annotations,
+            annotator=ClassAnnotator.adopt(table, q, prior.annotations),
         )
 
     def fork_env(self) -> AbstractionEnv:
@@ -351,6 +369,13 @@ def _region_summary(body: T.TExpr) -> Tuple[Set[Region], Set[Region]]:
     return mentioned, bound
 
 
+def _target_methods(target: T.TProgram) -> Dict[str, T.TMethodDecl]:
+    """A target program's methods by qualified name."""
+    out = {f"{c.name}.{m.name}": m for c in target.classes for m in c.methods}
+    out.update((m.name, m) for m in target.statics)
+    return out
+
+
 class _Ctx:
     """Per-method inference state."""
 
@@ -377,6 +402,7 @@ class RegionInference:
         config: Optional[InferenceConfig] = None,
         *,
         prepared: Optional[AnnotatedProgram] = None,
+        prior: Optional[InferenceResult] = None,
     ):
         """``prepared`` injects the config-independent front half.
 
@@ -384,6 +410,12 @@ class RegionInference:
         sweep), normal typing, class annotation and the downcast plan are
         reused instead of recomputed; this run works on a forked
         abstraction environment so its method preconditions stay private.
+
+        ``prior`` is a result for an earlier version of ``program`` under
+        the same config and class shapes, whose front half ``prepared``
+        adopted (:meth:`AnnotatedProgram.adopt`); :meth:`infer` splices
+        the SCCs it finds clean from it.  :func:`reinfer_program` builds
+        both.
         """
         self.program = program
         self.config = config or InferenceConfig()
@@ -399,15 +431,7 @@ class RegionInference:
             self.plan = prepared.ensure_plan()
         else:
             self.plan = PaddingPlan()
-        self.schemes: Dict[str, MethodScheme] = {}
-        for m in program.all_methods():
-            scheme = self.annotator.method_scheme(m)
-            self._pad_scheme(scheme)
-            self.schemes[m.qualified_name] = scheme
-        self._tmethods: Dict[str, T.TMethodDecl] = {}
-        self._done: Set[str] = set()
-        self._init_resolution()
-        self._footprints: Optional[SccFootprints] = None
+        self.prior = prior
         self.result: Optional[InferenceResult] = None
 
     def _init_resolution(self) -> None:
@@ -481,8 +505,36 @@ class RegionInference:
 
     # ------------------------------------------------------------------ driver
     def infer(self) -> InferenceResult:
-        """Infer annotations for the whole program."""
+        """Infer annotations for the whole program, one method SCC at a time.
+
+        The SCCs are walked in dependency order.  Without a prior every
+        SCC runs its fixed point.  With one, an SCC that
+        :func:`~repro.core.depgraph.diff` finds clean takes its raw pre,
+        target bodies, localised counts and iteration count from the
+        prior instead; ``docs/incremental.md`` sets out why the output
+        stays byte-identical to a from-scratch run.
+        """
         start = time.perf_counter()
+        graph = DependencyGraph(self.program, self.table)
+        salts = plan_salts(self.program, self.plan)
+        spliced = self._spliceable(graph, salts)
+        prior = self.prior
+        self.schemes: Dict[str, MethodScheme] = {}
+        for m in self.program.all_methods():
+            qn = m.qualified_name
+            if qn in spliced:
+                # prior regions and padding (the spliced bodies mention
+                # their uids), fresh decl
+                self.schemes[qn] = dc_replace(prior.schemes[qn], decl=m)
+            else:
+                scheme = self.annotator.method_scheme(m)
+                self._pad_scheme(scheme)
+                self.schemes[qn] = scheme
+        self._tmethods: Dict[str, T.TMethodDecl] = {}
+        self._prior_tmethods = _target_methods(prior.target) if spliced else {}
+        self._done: Set[str] = set()
+        self._init_resolution()
+        self._footprints = SccFootprints(graph)
         result = InferenceResult(
             target=T.TProgram(q=self.q),
             table=self.table,
@@ -490,47 +542,73 @@ class RegionInference:
             schemes=self.schemes,
             config=self.config,
         )
-        # the replay seed for incremental re-inference: the environment
-        # holds exactly the class invariants at this point, so the shared
-        # frozen base mapping *is* the snapshot (aliased, not copied)
+        # the replay seed for re-inference: the environment holds exactly
+        # the class invariants at this point, so the shared frozen base
+        # mapping *is* the snapshot (aliased, not copied)
         result.pristine_q = self.q.snapshot_base()
-        result.plan_salts = plan_salts(self.program, self.plan)
-        graph = DependencyGraph(self.program, self.table)
-        if self.config.footprint_scope:
-            self._footprints = SccFootprints(graph)
+        result.plan_salts = salts
         for scc in graph.method_sccs():
             check_deadline()
-            self._process_scc(scc, result)
+            if spliced.issuperset(scc):
+                self._splice_scc(scc, result)
+                result.reused_sccs += 1
+            else:
+                self._process_scc(scc, result)
+                result.reinferred_sccs += 1
             self._resolve_ready()
-            result.reinferred_sccs += 1
-        result.raw_pres = {
-            qn: self.q[s.pre] for qn, s in self.schemes.items() if s.pre in self.q
-        }
+        result.raw_pres = {qn: self.q[s.pre] for qn, s in self.schemes.items()}
         if self.config.minimize_pre:
-            for qn in self.schemes:
-                self._minimize_pre(qn)
+            for qn, scheme in self.schemes.items():
+                if qn in spliced:
+                    # same raw pre, same final hypotheses: same minimisation
+                    self.q.define(prior.target.q[scheme.pre])
+                else:
+                    self._minimize_pre(qn)
         self._assemble(result.target)
+        result.reused_methods = tuple(sorted(spliced))
         result.elapsed = time.perf_counter() - start
         self.result = result
         return result
 
-    def _scoped_q(self, allowed) -> AbstractionEnv:
-        """``self.q`` read-gated to ``allowed``, or as-is when unscoped."""
-        if allowed is None:
-            return self.q
-        return ScopedAbstractionEnv(self.q, allowed)
+    def _spliceable(self, graph: DependencyGraph, salts: Dict[str, str]) -> Set[str]:
+        """The methods whose results this run takes from the prior.
+
+        Empty without a prior.  :func:`~repro.core.depgraph.diff` dirties
+        whole SCCs, so this is a union of SCCs: a nest is one fixed point,
+        spliced whole or not at all.
+        """
+        prior = self.prior
+        if prior is None:
+            return set()
+        old = DependencyGraph(prior.table.program, prior.table)
+        dirty = depgraph_diff(
+            old, graph, old_salts=prior.plan_salts, new_salts=salts
+        )
+        if dirty is None:
+            raise ValueError("the prior result has other class shapes")
+        return {m.qualified_name for m in self.program.all_methods()} - dirty
+
+    def _splice_scc(self, scc: List[str], result: InferenceResult) -> None:
+        """Take a clean SCC's results from the prior run."""
+        prior = self.prior
+        for qn in scc:
+            self.q.define(prior.raw_pres[qn])
+            self._tmethods[qn] = self._prior_tmethods[qn]
+            result.localized_regions[qn] = prior.localized_regions[qn]
+        key = tuple(sorted(scc))
+        result.fixpoint_iterations[key] = prior.fixpoint_iterations[key]
+        self._mark_done(scc)
 
     def _process_scc(self, scc: List[str], result: InferenceResult) -> None:
         scc_set = set(scc)
-        # per-SCC work runs against a footprint-restricted view of the env:
-        # the writes (pre definitions) land in the real env, but any read
-        # outside the SCC's reachable closure raises rather than silently
-        # re-introducing a whole-program dependency.  Override resolution
-        # stays on the real env (self._resolver): it legitimately reaches
-        # descendant invariants across the hierarchy.
+        # per-SCC work reads the env through its footprint gate: the writes
+        # (pre definitions) land in the real env, but a read outside the
+        # SCC's reachable closure raises FootprintViolation rather than
+        # silently re-introducing a whole-program dependency.  Override
+        # resolution stays on the real env (self._resolver): it
+        # legitimately reaches descendant invariants across the hierarchy.
         whole_q = self.q
-        if self._footprints is not None:
-            self.q = self._scoped_q(self._footprints.for_scc(scc))
+        self.q = ScopedAbstractionEnv(whole_q, self._footprints.for_scc(scc))
         try:
             nest: List[ConstraintAbstraction] = []
             for qn in scc:
@@ -798,46 +876,42 @@ class RegionInference:
         because the checker re-assumes the invariants.
         """
         scheme = self.schemes[qualified]
+        # minimisation reads the method's own pre and its signature
+        # hypotheses -- all inside the method's SCC footprint
         whole_q = self.q
-        if self._footprints is not None:
-            # minimisation reads the method's own pre and its signature
-            # hypotheses -- all inside the method's SCC footprint
-            self.q = self._scoped_q(self._footprints.for_method(qualified))
+        self.q = ScopedAbstractionEnv(whole_q, self._footprints.for_method(qualified))
         try:
-            self._minimize_pre_scoped(scheme)
+            abstraction = self.q[scheme.pre]
+            hyp = self._hypotheses(scheme)
+            kept = [a for a in abstraction.body.sorted_atoms()]
+            # each drop test solves the hypotheses, the atoms already
+            # decided kept and the still-undecided suffix on a fresh solver
+            # (these solvers hold a handful of regions, so building one
+            # costs less than copying one)
+            changed = True
+            while changed:
+                changed = False
+                decided: List[Atom] = []
+                for i, a in enumerate(kept):
+                    if isinstance(a, PredAtom):
+                        decided.append(a)
+                        continue
+                    trial = RegionSolver(hyp)
+                    for b in decided + kept[i + 1 :]:
+                        if not isinstance(b, PredAtom):
+                            trial.add_atom(b)
+                    if trial.entails_atom(a):
+                        changed = True  # recoverable from the rest
+                    else:
+                        decided.append(a)
+                kept = decided
+            self.q.define(
+                ConstraintAbstraction(
+                    abstraction.name, abstraction.params, Constraint.of(*kept)
+                )
+            )
         finally:
             self.q = whole_q
-
-    def _minimize_pre_scoped(self, scheme: MethodScheme) -> None:
-        abstraction = self.q[scheme.pre]
-        hyp = self._hypotheses(scheme)
-        kept = [a for a in abstraction.body.sorted_atoms()]
-        # each drop test solves the hypotheses, the atoms already decided
-        # kept and the still-undecided suffix on a fresh solver (these
-        # solvers hold a handful of regions, so building one costs less
-        # than copying one)
-        changed = True
-        while changed:
-            changed = False
-            decided: List[Atom] = []
-            for i, a in enumerate(kept):
-                if isinstance(a, PredAtom):
-                    decided.append(a)
-                    continue
-                trial = RegionSolver(hyp)
-                for b in decided + kept[i + 1 :]:
-                    if not isinstance(b, PredAtom):
-                        trial.add_atom(b)
-                if trial.entails_atom(a):
-                    changed = True  # recoverable from the rest
-                else:
-                    decided.append(a)
-            kept = decided
-        self.q.define(
-            ConstraintAbstraction(
-                abstraction.name, abstraction.params, Constraint.of(*kept)
-            )
-        )
 
     # ------------------------------------------------------------ expressions
     def _fresh_type(self, t: S.Type, pads: int = 0, dcast: Sequence[str] = ()) -> T.RType:
@@ -1272,150 +1346,6 @@ class RegionInference:
                 target.statics.append(self._tmethods[m.qualified_name])
 
 
-class _IncrementalInference(RegionInference):
-    """Re-infers only the dirty SCCs, splicing the rest from a prior run.
-
-    Construction invariants (enforced by :func:`reinfer_program`): the
-    configs match, the class structure is unchanged (so the prior class
-    annotations are adopted wholesale -- re-annotating would mint new
-    region uids and orphan the spliced schemes), and ``dirty`` came from
-    :func:`repro.core.depgraph.diff` over transitive fingerprints.
-
-    Replay discipline for byte-identity with a from-scratch run:
-
-    * the abstraction environment is seeded from the prior *pristine*
-      snapshot (class invariants before any override strengthening);
-    * SCCs are visited in the new graph's dependency order; clean SCCs
-      define their prior **raw** (pre-minimisation) pre abstractions,
-      dirty SCCs run the normal fixed point;
-    * override resolution is replayed after every SCC exactly as the
-      driver does -- resolution is idempotent on atom sets, so replay
-      over spliced pres re-derives the prior strengthenings and computes
-      fresh ones where dirty methods participate;
-    * minimisation runs only for dirty methods; clean methods restore
-      the prior minimised pre (same raw pre + same final hypotheses
-      guarantee the same minimisation).
-
-    Prior results are only splice-able in the process that minted their
-    region uids (or across processes minting in disjoint namespaces, see
-    :class:`InferenceResult`).
-    """
-
-    def __init__(
-        self,
-        program: S.Program,
-        config: InferenceConfig,
-        prior: InferenceResult,
-        table: ClassTable,
-        graph: DependencyGraph,
-        plan: PaddingPlan,
-        salts: Dict[str, str],
-        dirty: DirtySet,
-    ):
-        self.program = program
-        self.config = config
-        # overlay the prior run's frozen pristine mapping directly: O(1)
-        # seeding, and replay writes stay private to this run
-        self.q = AbstractionEnv.over(prior.pristine_q)
-        self.table = table
-        self.annotations = prior.annotations
-        self.annotator = ClassAnnotator.adopt(table, self.q, prior.annotations)
-        self.plan = plan
-        self._prior = prior
-        self._graph = graph
-        self._salts = salts
-        self._dirty = dirty
-
-        prior_tms: Dict[str, T.TMethodDecl] = {}
-        for c in prior.target.classes:
-            for m in c.methods:
-                prior_tms[f"{c.name}.{m.name}"] = m
-        for m in prior.target.statics:
-            prior_tms[m.name] = m
-        self._prior_tms = prior_tms
-
-        # splice whole SCCs or not at all: the nest is one fixed point
-        self._splice_ok: Set[str] = set()
-        for scc in graph.method_sccs():
-            if all(
-                not dirty.is_dirty(qn)
-                and qn in prior.schemes
-                and qn in prior.raw_pres
-                and qn in prior_tms
-                for qn in scc
-            ):
-                self._splice_ok.update(scc)
-
-        self.schemes = {}
-        for m in program.all_methods():
-            qn = m.qualified_name
-            if qn in self._splice_ok:
-                # prior regions and padding, fresh decl (uids must match
-                # the spliced target bodies; the AST is structurally
-                # identical but a different parse)
-                self.schemes[qn] = dc_replace(prior.schemes[qn], decl=m)
-            else:
-                scheme = self.annotator.method_scheme(m)
-                self._pad_scheme(scheme)
-                self.schemes[qn] = scheme
-        self._tmethods = {}
-        self._done = set()
-        self._init_resolution()
-        self._footprints = (
-            SccFootprints(graph) if config.footprint_scope else None
-        )
-        self.result = None
-
-    def infer(self) -> InferenceResult:
-        start = time.perf_counter()
-        prior = self._prior
-        result = InferenceResult(
-            target=T.TProgram(q=self.q),
-            table=self.table,
-            annotations=self.annotations,
-            schemes=self.schemes,
-            config=self.config,
-        )
-        # the seed mapping is frozen; aliasing it avoids an O(classes) copy
-        result.pristine_q = prior.pristine_q
-        result.plan_salts = self._salts
-        reused: List[str] = []
-        for scc in self._graph.method_sccs():
-            check_deadline()
-            key = tuple(sorted(scc))
-            if all(qn in self._splice_ok for qn in scc):
-                for qn in scc:
-                    self.q.define(prior.raw_pres[qn])
-                    self._tmethods[qn] = self._prior_tms[qn]
-                    result.localized_regions[qn] = prior.localized_regions.get(
-                        qn, 0
-                    )
-                result.fixpoint_iterations[key] = prior.fixpoint_iterations.get(
-                    key, 0
-                )
-                self._mark_done(scc)
-                result.reused_sccs += 1
-                reused.extend(scc)
-            else:
-                self._process_scc(scc, result)
-                result.reinferred_sccs += 1
-            self._resolve_ready()
-        result.raw_pres = {
-            qn: self.q[s.pre] for qn, s in self.schemes.items() if s.pre in self.q
-        }
-        if self.config.minimize_pre:
-            for qn, scheme in self.schemes.items():
-                if qn in self._splice_ok and scheme.pre in prior.target.q:
-                    self.q.define(prior.target.q[scheme.pre])
-                else:
-                    self._minimize_pre(qn)
-        self._assemble(result.target)
-        result.reused_methods = tuple(sorted(reused))
-        result.elapsed = time.perf_counter() - start
-        self.result = result
-        return result
-
-
 def reinfer_program(
     program: S.Program,
     prior: InferenceResult,
@@ -1423,38 +1353,26 @@ def reinfer_program(
     *,
     table: Optional[ClassTable] = None,
 ) -> InferenceResult:
-    """Incrementally re-infer ``program`` against a prior result.
+    """Re-infer ``program``, an edit of ``prior``'s program.
 
-    Diffs the new program's dependency graph against the prior one and
-    re-runs fixed points only for the dirty SCCs, splicing everything
-    else from ``prior``.  Falls back to a full run when the configs
-    differ, the class structure changed, or the prior result predates
-    incremental support (no replay state).  The output is byte-identical
-    (under :func:`repro.lang.pretty.pretty_target` renumbering) to a
-    from-scratch inference of ``program``.  ``table`` is the class table
-    of an already normal-typed ``program``; without it the program is
-    type-checked here.
+    When the config and the class shapes match ``prior``'s, the run
+    adopts the prior's annotations and pristine env and splices every SCC
+    the dependency-graph diff finds clean; otherwise it annotates afresh
+    and splices nothing.  Either way the output is byte-identical (under
+    :func:`repro.lang.pretty.pretty_target` renumbering) to a from-scratch
+    inference of ``program``.  ``table`` is the class table of an already
+    normal-typed ``program``; without it the program is type-checked here.
     """
     config = config or prior.config
     if table is None:
         table = NormalTypeChecker(program).check()
-    if config == prior.config and prior.raw_pres and prior.pristine_q:
-        new_graph = DependencyGraph(program, table)
-        old_graph = DependencyGraph(prior.table.program, prior.table)
-        if config.downcast is DowncastStrategy.PADDING:
-            plan = DowncastAnalysis(program, table).build_plan()
-        else:
-            plan = PaddingPlan()
-        salts = plan_salts(program, plan)
-        dirty = depgraph_diff(
-            old_graph, new_graph, old_salts=prior.plan_salts, new_salts=salts
-        )
-        if not dirty.full:
-            return _IncrementalInference(
-                program, config, prior, table, new_graph, plan, salts, dirty
-            ).infer()
-    prepared = AnnotatedProgram.from_table(program, table)
-    return infer_program(program, config, prepared=prepared)
+    if config == prior.config and class_fingerprints(table) == class_fingerprints(
+        prior.table
+    ):
+        prepared = AnnotatedProgram.adopt(program, table, prior)
+    else:
+        prepared, prior = AnnotatedProgram.from_table(program, table), None
+    return RegionInference(program, config, prepared=prepared, prior=prior).infer()
 
 
 def infer_program(

@@ -151,8 +151,8 @@ class ClassAnnotator:
         refer to the old ones.  The adopted annotator never annotates --
         it only serves :meth:`method_scheme` / :meth:`lookup_field_type`
         lookups against the inherited registry.  Only valid while the
-        class structure is unchanged (:func:`repro.core.depgraph.diff`
-        forces a full rebuild otherwise).
+        class structure is unchanged (:func:`repro.core.reinfer_program`
+        annotates afresh otherwise).
         """
         self = cls.__new__(cls)
         self.table = table

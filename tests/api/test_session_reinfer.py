@@ -153,21 +153,20 @@ class TestByteIdentityThroughSession(object):
             incr = session.reinfer(version, document="buf")
             assert rendered(incr) == rendered(scratch.infer(version))
 
-    @pytest.mark.parametrize("footprint_scope", [True, False], ids=["scoped", "unscoped"])
-    def test_callee_edit_reinfers_a_caller_through_an_if_receiver(self, footprint_scope):
+    def test_callee_edit_reinfers_a_caller_through_an_if_receiver(self):
         # D.use calls A.m through an if whose type is the msst A, so an
-        # edit to A.m's body must dirty D.use
-        config = InferenceConfig(footprint_scope=footprint_scope)
+        # edit to A.m's body must dirty D.use (a missing edge would also
+        # trip D.use's footprint gate: FootprintViolation)
         edited = IF_RECEIVER_SOURCE.replace(
             "int m(A o) { 1 }", "int m(A o) { this.nxt = o; 1 }"
         )
         assert edited != IF_RECEIVER_SOURCE
         session = Session()
-        session.reinfer(IF_RECEIVER_SOURCE, config, document="buf")
-        result = session.reinfer(edited, config, document="buf")
+        session.reinfer(IF_RECEIVER_SOURCE, document="buf")
+        result = session.reinfer(edited, document="buf")
         assert session.stats.hit_count("scc.document") == 1
         assert "D.use" not in result.reused_methods
-        assert rendered(result) == rendered(Session().infer(edited, config))
+        assert rendered(result) == rendered(Session().infer(edited))
 
 
 class TestEditPathErrors(object):

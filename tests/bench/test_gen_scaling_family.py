@@ -45,6 +45,21 @@ def test_measure_gen_pipeline_reports_program_shape():
         assert measured[stage] >= 0
 
 
+def test_measure_gen_pipeline_times_verify_min_of_rounds(monkeypatch):
+    import repro.checking as checking
+
+    real = checking.check_target
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(checking, "check_target", counted)
+    measure_gen_pipeline(4, rounds=3)
+    assert len(calls) == 3
+
+
 def test_measure_reinfer_accepts_generated_version_pair():
     versions = edit_script(GenSpec.sized(12, seed=0), 1)
     measured = measure_reinfer(1, source=versions[0], edited=versions[1])

@@ -10,9 +10,16 @@ the exact feature interaction that provoked it.
 
 import pytest
 
+from repro.api import Session
 from repro.core import InferenceConfig, SubtypingMode, infer_program
 from repro.frontend import parse_program
-from repro.gen import GenSpec, check_program_invariants, feature_matrix, generate_source
+from repro.gen import (
+    GenSpec,
+    check_program_invariants,
+    edit_script,
+    feature_matrix,
+    generate_source,
+)
 from repro.lang.pretty import pretty_target
 
 _TOGGLES = ("recursion", "loops", "downcasts", "overrides", "letreg")
@@ -43,21 +50,20 @@ def test_matrix_is_exhaustive():
 
 @pytest.mark.parametrize("spec", MATRIX, ids=_matrix_id)
 def test_footprint_scoped_inference_is_byte_identical(spec):
-    """Footprint scoping gates reads; it must never change inference.
+    """Re-inference splices clean SCCs; it must never change the target.
 
-    Every feature combination is inferred twice -- once against the
-    per-SCC footprint-restricted env view (the default), once against
-    the whole env -- and the pretty-printed targets must agree byte for
-    byte.  A footprint computed too small fails loudly instead
-    (``FootprintViolation``), so this also sweeps the footprint
-    closure over every generator feature.
+    Every feature combination runs a two-edit ``Session.reinfer`` chain
+    over ``edit_script``, and at every version the spliced result must
+    render byte for byte like a from-scratch inference.  Each per-SCC
+    step reads the env through its footprint gate, so a footprint
+    computed too small fails loudly here too (``FootprintViolation``).
     """
-    source = generate_source(spec.with_seed(0))
-    rendered = {}
-    for scoped in (True, False):
-        config = InferenceConfig(
-            mode=SubtypingMode.FIELD, footprint_scope=scoped
+    session = Session()
+    config = InferenceConfig(mode=SubtypingMode.FIELD)
+    for version in edit_script(spec.with_seed(0), 2):
+        spliced = session.reinfer(version, config, document="buf")
+        scratch = infer_program(parse_program(version), config)
+        assert pretty_target(spliced.target, renumber=True) == pretty_target(
+            scratch.target, renumber=True
         )
-        result = infer_program(parse_program(source), config)
-        rendered[scoped] = pretty_target(result.target)
-    assert rendered[True] == rendered[False]
+    assert session.stats.hit_count("scc.document") == 2

@@ -83,12 +83,14 @@ class TestRun(object):
 
 
 class TestProfile(object):
-    def test_reports_all_three_stages(self, source_file, capsys):
+    def test_reports_every_pipeline_stage(self, source_file, capsys):
         assert main(["profile", source_file, "--top", "3"]) == 0
         out = capsys.readouterr().out
-        for stage in ("parse:", "infer:", "verify:", "total:"):
+        for stage in (
+            "parse:", "typecheck:", "annotate:", "infer:", "verify:", "total:",
+        ):
             assert stage in out
-        assert "infer_program" in out  # top-by-cumulative includes the entry
+        assert "check_target" in out  # top-by-cumulative includes the entry
 
     def test_json_payload_shape(self, source_file, capsys):
         import json
@@ -98,7 +100,7 @@ class TestProfile(object):
         assert payload["ok"] is True
         assert payload["command"] == "profile"
         assert [s["stage"] for s in payload["stages"]] == [
-            "parse", "infer", "verify",
+            "parse", "typecheck", "annotate", "infer", "verify",
         ]
         for stage in payload["stages"]:
             assert len(stage["top"]) <= 2
@@ -108,6 +110,25 @@ class TestProfile(object):
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["profile", str(tmp_path / "absent.cj")]) == 2
+
+    @pytest.mark.parametrize(
+        "stage,source",
+        [
+            ("parse", "class Broken extends Object { int"),
+            ("typecheck", "int f() { missing }"),
+        ],
+        ids=["parse", "typecheck"],
+    )
+    def test_failure_is_blamed_on_its_stage(self, tmp_path, capsys, stage, source):
+        import json
+
+        bad = tmp_path / "bad.cj"
+        bad.write_text(source)
+        assert main(["profile", str(bad), "--format", "json"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False
+        assert payload["command"] == "profile"
+        assert [d["stage"] for d in payload["diagnostics"]] == [stage]
 
 
 BROKEN = "class Broken extends Object { int"
@@ -233,6 +254,68 @@ class TestWatch(object):
         payload = json.loads(capsys.readouterr().out)
         assert [e["edit"] for e in payload["events"]] == [False, True]
         assert payload["stats"]["hits"].get("scc.document") == 1
+
+    def test_edits_of_a_multi_scc_program_splice_clean_sccs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import json
+        import threading
+        import time
+
+        from repro.api import Session
+        from repro.bench.composite import composite_source, tweak_method_body
+
+        # the composite corpus holds four independent programs, so a
+        # one-literal edit leaves most SCCs clean
+        source = composite_source()
+        v1 = tweak_method_body(source, "1103515245", "1103515246")
+        v2 = tweak_method_body(v1, "100003", "100004")
+        path = tmp_path / "composite.cj"
+        path.write_text(source)
+
+        # the editor writes each version only after watch has inferred the
+        # previous one, so no poll can miss an edit
+        inferred = threading.Semaphore(0)
+        real_reinfer = Session.reinfer
+
+        def reinfer(self, *args, **kwargs):
+            try:
+                return real_reinfer(self, *args, **kwargs)
+            finally:
+                inferred.release()
+
+        monkeypatch.setattr(Session, "reinfer", reinfer)
+
+        def editor():
+            for version in (v1, v2):
+                assert inferred.acquire(timeout=60)
+                time.sleep(0.2)
+                path.write_text(version)
+
+        thread = threading.Thread(target=editor)
+        thread.start()
+        try:
+            assert main(
+                [
+                    "watch",
+                    str(path),
+                    "--iterations",
+                    "2",
+                    "--interval",
+                    "0.05",
+                    "--format",
+                    "json",
+                ]
+            ) == 0
+        finally:
+            thread.join()
+        payload = json.loads(capsys.readouterr().out)
+        events = payload["events"]
+        assert [e["edit"] for e in events] == [False, True, True]
+        assert all(e["reused_sccs"] > 0 for e in events[1:])
+        hits = payload["stats"]["hits"]
+        assert hits.get("scc.document") == 2
+        assert hits.get("scc.reuse", 0) > 0
 
     def test_parse_failure_on_initial_run_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.cj"
