@@ -9,7 +9,8 @@ Commands (all built on the staged :mod:`repro.api` pipeline):
 * ``report FILE``  -- per-class/per-method inference statistics
 * ``profile FILE`` -- run the pipeline's stages (parse, typecheck,
   annotate, infer, verify) one by one under cProfile, reporting per-stage
-  wall-clock and the top-N functions by cumulative time, and stopping at
+  wall-clock, cyclic-GC collections per generation and pause time, and
+  the top-N functions by cumulative time, and stopping at
   the first stage that fails (text or JSON; see ``docs/scaling.md``)
 * ``batch FILE...`` -- batch inference over many files
 * ``watch FILE``   -- re-infer incrementally on every change to the file,
@@ -244,15 +245,18 @@ def cmd_profile(args: argparse.Namespace, session: Session) -> int:
     import pstats
     import time
 
+    from .obs import GcPauses
+
     pipe = _pipeline(args, session)
     stages: List[Dict[str, Any]] = []
     for name in ("parse", "typecheck", "annotate", "infer", "verify"):
         profiler = cProfile.Profile()
-        start = time.perf_counter()
-        profiler.enable()
-        outcome = getattr(pipe, name)()
-        profiler.disable()
-        elapsed = time.perf_counter() - start
+        with GcPauses() as pauses:
+            start = time.perf_counter()
+            profiler.enable()
+            outcome = getattr(pipe, name)()
+            profiler.disable()
+            elapsed = time.perf_counter() - start
         if not outcome.ok:
             return _fail(args, "profile", _stage_failure([outcome]) or [])
         rows = []
@@ -272,13 +276,23 @@ def cmd_profile(args: argparse.Namespace, session: Session) -> int:
                 }
             )
         stages.append(
-            {"stage": name, "seconds": round(elapsed, 6), "top": rows}
+            {
+                "stage": name,
+                "seconds": round(elapsed, 6),
+                "gc": pauses.to_dict(),
+                "top": rows,
+            }
         )
 
     total = sum(s["seconds"] for s in stages)
     lines = []
     for s in stages:
-        lines.append(f"{s['stage']}: {s['seconds'] * 1000:.1f}ms")
+        gc_ = s["gc"]
+        lines.append(
+            f"{s['stage']}: {s['seconds'] * 1000:.1f}ms "
+            f"(gc {gc_['pause_ms']:.1f}ms, collections per generation "
+            f"{'/'.join(str(n) for n in gc_['collections'])})"
+        )
         lines.append(
             f"  {'cum(ms)':>9}  {'tot(ms)':>9}  {'calls':>8}  function"
         )
@@ -845,7 +859,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile each pipeline stage under cProfile",
         description="Run the pipeline stages parse -> typecheck -> annotate "
         "-> infer -> verify on one file, each under cProfile, reporting "
-        "per-stage wall-clock and the top-N functions by cumulative time, "
+        "per-stage wall-clock, cyclic-GC collections and pause time, and "
+        "the top-N functions by cumulative time, "
         "and stop at the first stage that fails -- the first tool to reach "
         "for when the gen_scaling curve regresses (see docs/scaling.md).",
     )

@@ -20,6 +20,7 @@ results are equivalent; the later one keeps the cache slot).
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import pickle
 import sys
@@ -195,6 +196,21 @@ class _ArtifactStore:
     caller is holding it), so a single oversized result degrades to
     cache-of-one rather than thrashing.
     Both bounds may be set; either alone works.  Unbounded by default.
+
+    Every :meth:`put` ends with ``gc.collect(); gc.freeze()``, outside the
+    lock: the store is the process's quiet point, where everything alive
+    moves into the collector's permanent generation, so later collections
+    walk only objects born since the last store instead of re-walking
+    every cached result (thousands of tracked objects per program).  The
+    collect first reclaims cycles that are already dead, so they are not
+    pinned; it walks only the unfrozen objects, so it is cheap.  Frozen
+    entries are still freed by reference counting when they are evicted
+    or cleared, because cached artifacts are acyclic
+    (``tests/api/test_no_cyclic_garbage.py`` pins that).  An embedding
+    application's own objects that are alive at a store are frozen too:
+    acyclic ones are still freed when their last reference goes, a cycle
+    that dies after a store is never reclaimed, and
+    ``gc.get_freeze_count()`` shows the size of the frozen set.
     """
 
     def __init__(
@@ -275,6 +291,8 @@ class _ArtifactStore:
             self._data[full_key] = value
             self._data.move_to_end(full_key)
             self._shrink_locked()
+        gc.collect()
+        gc.freeze()
 
     def contains(self, kind: str, key: Hashable) -> bool:
         """Membership test with no side effects (no stats, no LRU refresh).

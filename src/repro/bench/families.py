@@ -51,6 +51,7 @@ __all__ = [
     "measure_session_sweep",
     "measure_reinfer",
     "measure_gen_pipeline",
+    "measure_warm_heap",
     "CONSTRAINT_FAMILIES",
 ]
 
@@ -324,6 +325,10 @@ GEN_SCALING_SMOKE = (4, 12)
 #: class count of the synthetic reinfer corpus per run kind
 GEN_REINFER_CLASSES = {"smoke": 12, "full": 40}
 GEN_SCALING_SEED = 0
+#: class count of the warm-heap probe per run kind, and the pairs it takes
+GEN_WARM_HEAP = {"smoke": (6, 3), "full": (20, 9)}
+#: cached results the warm session holds
+WARM_HEAP_CACHED = 30
 
 
 def measure_gen_pipeline(
@@ -380,6 +385,56 @@ def measure_gen_pipeline(
     }
 
 
+def measure_warm_heap(
+    classes: int,
+    cached: int = WARM_HEAP_CACHED,
+    pairs: int = 5,
+    seed: int = GEN_SCALING_SEED,
+) -> Dict[str, Any]:
+    """Inference through a session holding ``cached`` results vs an empty one.
+
+    Each pair infers the same never-seen ``GenSpec.sized(classes)``
+    program first through a fresh, empty session, then through a session
+    holding ``cached`` other results of the same size.  The warm session
+    is filled (untimed) just before its run and dropped just after it, so
+    the empty run has none of its results alive.  ``ratio`` is the median
+    of the per-pair warm/empty ratios; ``gc_pause_ms`` is the collector's
+    mean pause per warm inference (:class:`repro.obs.GcPauses`).
+    """
+    from ..api import Session
+    from ..gen import GenSpec, generate_source
+    from ..obs import GcPauses
+
+    probe = generate_source(GenSpec.sized(classes, seed=seed))
+    others = [
+        generate_source(GenSpec.sized(classes, seed=seed + 1 + i))
+        for i in range(cached)
+    ]
+    Session().infer(probe)  # untimed: imports and the first store
+    pauses = GcPauses()
+    timings: List[Tuple[float, float]] = []
+    for i in range(max(1, pairs)):
+        source = probe + f"\n// pair {i}\n"
+        start = time.perf_counter()
+        Session().infer(source)
+        empty_s = time.perf_counter() - start
+        warm = Session()
+        for other in others:
+            warm.infer(other)
+        with pauses:
+            start = time.perf_counter()
+            warm.infer(source)
+            warm_s = time.perf_counter() - start
+        del warm
+        timings.append((warm_s, empty_s))
+    return {
+        "cached": cached,
+        "pairs": len(timings),
+        "ratio": median_ratio(timings),
+        "gc_pause_ms": pauses.pause_ms / len(timings),
+    }
+
+
 def fit_loglog_exponent(points: Sequence[Tuple[float, float]]) -> float:
     """Least-squares slope of ``log(value)`` against ``log(size)``.
 
@@ -402,13 +457,14 @@ def fit_loglog_exponent(points: Sequence[Tuple[float, float]]) -> float:
 
 
 def _gen_prepare(ctx: RunContext) -> None:
+    kind = "smoke" if ctx.smoke else "full"
     ctx.state["sizes"] = GEN_SCALING_SMOKE if ctx.smoke else GEN_SCALING_FULL
-    # min-of-2 even in smoke: a single round can land on a cyclic-GC
-    # pause (the reinfer ratio takes its own interleaved pairs)
+    # min-of-2 even in smoke: a single round can land on a load spike or
+    # a young-generation collection (the reinfer and warm-heap ratios
+    # take their own interleaved pairs)
     ctx.state["rounds"] = 2
-    ctx.state["reinfer_classes"] = GEN_REINFER_CLASSES[
-        "smoke" if ctx.smoke else "full"
-    ]
+    ctx.state["reinfer_classes"] = GEN_REINFER_CLASSES[kind]
+    ctx.state["warm_heap"] = GEN_WARM_HEAP[kind]
 
 
 def _gen_run(ctx: RunContext) -> List[Sample]:
@@ -477,6 +533,18 @@ def _gen_run(ctx: RunContext) -> List[Sample]:
         )
     )
     samples.append(sample("gen_reinfer_speedup", measured["speedup"], "x", meta))
+
+    classes, pairs = ctx.state["warm_heap"]
+    measured = measure_warm_heap(classes, pairs=pairs)
+    meta = {
+        "corpus": "generated",
+        "classes": classes,
+        "seed": GEN_SCALING_SEED,
+        "cached": measured["cached"],
+        "pairs": measured["pairs"],
+    }
+    samples.append(sample("warm_heap_ratio", measured["ratio"], "x", meta))
+    samples.append(sample("gc_pause_ms", measured["gc_pause_ms"], "ms", meta))
     return samples
 
 
@@ -497,6 +565,11 @@ register(
             # full runs fit the exponents (see _gen_run).
             Threshold("infer_scaling_exponent", ceiling=1.35, full_only=True),
             Threshold("verify_scaling_exponent", ceiling=1.35, full_only=True),
+            # a session's cached results are frozen out of the cyclic
+            # collector at each store, so holding 30 of them must not slow
+            # the next inference.  Full runs only: three sized(6) pairs
+            # are too few and too small to gate on
+            Threshold("warm_heap_ratio", ceiling=1.1, full_only=True),
         ),
         rules={
             "gen_reinfer_speedup": MetricRule(
@@ -703,7 +776,7 @@ def measure_session_sweep(rounds: int = 5) -> Dict[str, Any]:
 
 def _session_run(ctx: RunContext) -> List[Sample]:
     # min-of-5 in smoke too: the ratio sits only ~10% above its floor,
-    # and two rounds let one cyclic-GC pause decide it
+    # and with two rounds one load spike or collection could decide it
     measured = measure_session_sweep(rounds=5)
     meta = {"program": measured["program"], "configs": measured["configs"]}
     return [

@@ -183,6 +183,9 @@ class DependencyGraph:
         self.edges: Dict[Node, Set[Node]] = {}
         self._methods: Dict[str, S.MethodDecl] = {}
         self._build()
+        # the graph never changes after it is built, so one Tarjan run
+        # serves every reader (diff, footprints, the inference driver)
+        self._sccs = self._tarjan()
 
     # -- building ----------------------------------------------------------------
     def _add_edge(self, a: Node, b: Node) -> None:
@@ -244,13 +247,16 @@ class DependencyGraph:
             self._add_edge(me, classinv_node(cn))
 
     # -- ordering --------------------------------------------------------------------
-    def sccs(self) -> List[List[Node]]:
+    def sccs(self) -> Tuple[Tuple[Node, ...], ...]:
         """SCCs in reverse-topological (dependencies-first) order."""
+        return self._sccs
+
+    def _tarjan(self) -> Tuple[Tuple[Node, ...], ...]:
         index: Dict[Node, int] = {}
         low: Dict[Node, int] = {}
         on_stack: Set[Node] = set()
         stack: List[Node] = []
-        out: List[List[Node]] = []
+        out: List[Tuple[Node, ...]] = []
         counter = [0]
         nodes = sorted(self.edges, key=str)
 
@@ -289,11 +295,11 @@ class DependencyGraph:
                         scc.append(member)
                         if member == node:
                             break
-                    out.append(scc)
+                    out.append(tuple(scc))
         # Tarjan emits SCCs in reverse topological order of the condensation
         # *with edges pointing at dependencies*, which is exactly
         # dependencies-first.
-        return out
+        return tuple(out)
 
     def method_sccs(self) -> List[List[str]]:
         """The method groups (qualified names) in processing order."""

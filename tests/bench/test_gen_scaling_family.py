@@ -4,8 +4,10 @@ from repro.bench import families as bench_families
 from repro.bench.families import (
     GEN_REINFER_CLASSES,
     GEN_SCALING_SMOKE,
+    GEN_WARM_HEAP,
     measure_gen_pipeline,
     measure_reinfer,
+    measure_warm_heap,
 )
 from repro.bench.pkb import Runner
 from repro.gen import GenSpec, edit_script
@@ -17,6 +19,8 @@ def test_family_registered_with_expected_contract():
     names = [t.metric for t in spec.thresholds]
     assert "gen_reinfer_speedup" in names
     assert "gen_reinfer_speedup" in spec.rules
+    (warm,) = [t for t in spec.thresholds if t.metric == "warm_heap_ratio"]
+    assert warm.ceiling == 1.1 and warm.full_only
 
 
 def test_smoke_run_emits_curve_and_reinfer_samples():
@@ -34,6 +38,31 @@ def test_smoke_run_emits_curve_and_reinfer_samples():
     assert speedup.meta()["classes"] == GEN_REINFER_CLASSES["smoke"]
     assert speedup.meta()["sccs_reused"] >= 1
     assert speedup.value > 0
+    classes, pairs = GEN_WARM_HEAP["smoke"]
+    for metric, unit in (("warm_heap_ratio", "x"), ("gc_pause_ms", "ms")):
+        (warm,) = by_metric[metric]
+        assert warm.unit == unit and warm.value >= 0
+        assert warm.meta()["classes"] == classes
+        assert warm.meta()["cached"] == 30
+        assert warm.meta()["pairs"] == pairs
+
+
+def test_measure_warm_heap_pairs_a_warm_and_an_empty_session(monkeypatch):
+    from repro.api import Session
+
+    sizes = []
+    infer = Session.infer
+
+    def recorded(self, source, config=None):
+        sizes.append(self.cache_size)
+        return infer(self, source, config)
+
+    monkeypatch.setattr(Session, "infer", recorded)
+    measured = measure_warm_heap(4, cached=3, pairs=2)
+    assert measured["pairs"] == 2 and measured["cached"] == 3
+    assert measured["ratio"] > 0 and measured["gc_pause_ms"] >= 0
+    # warm-up, then per pair: the empty run, three fills, the warm run
+    assert sizes == [0] + [0, 0, 1, 2, 3] * 2
 
 
 def test_measure_gen_pipeline_reports_program_shape():

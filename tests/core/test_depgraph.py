@@ -171,3 +171,46 @@ class TestCallResolutionPrecision(object):
         g = graph(IF_RECEIVER_SOURCE)
         assert method_node("A.m") in g.edges[method_node("D.use")]
         assert method_node("B.m") not in g.edges[method_node("D.use")]
+
+
+class TestTarjanRunsOncePerGraph(object):
+    """The graph never changes after it is built, so its SCCs are
+    computed once, however many readers ask for them."""
+
+    @pytest.fixture()
+    def runs(self, monkeypatch):
+        count = [0]
+        tarjan = DependencyGraph._tarjan
+
+        def counted(self):
+            count[0] += 1
+            return tarjan(self)
+
+        monkeypatch.setattr(DependencyGraph, "_tarjan", counted)
+        return count
+
+    def test_from_scratch_builds_one_graph(self, runs):
+        from repro.core import infer_source
+        from repro.gen import GenSpec, generate_source
+
+        infer_source(generate_source(GenSpec.sized(6, seed=0)))
+        assert runs[0] == 1
+
+    def test_an_edit_builds_the_old_and_the_new_graph(self, runs):
+        from repro.core import infer_source
+        from repro.core.infer import reinfer_program
+        from repro.gen import GenSpec, edit_script
+
+        old, new = edit_script(GenSpec.sized(6, seed=0), 1)
+        prior = infer_source(old)
+        runs[0] = 0
+        result = reinfer_program(parse_program(new), prior)
+        assert result.reused_sccs > 0
+        assert runs[0] == 2
+
+    def test_repeat_readers_share_one_run(self, runs):
+        g = graph("int f() { g() } int g() { f() }")
+        assert g.sccs() is g.sccs()
+        g.method_sccs()
+        g.node_fingerprints()
+        assert runs[0] == 1

@@ -91,6 +91,7 @@ class TestProfile(object):
         ):
             assert stage in out
         assert "check_target" in out  # top-by-cumulative includes the entry
+        assert out.count("collections per generation") == 5
 
     def test_json_payload_shape(self, source_file, capsys):
         import json
@@ -104,9 +105,21 @@ class TestProfile(object):
         ]
         for stage in payload["stages"]:
             assert len(stage["top"]) <= 2
+            assert len(stage["gc"]["collections"]) == 3
+            assert all(n >= 0 for n in stage["gc"]["collections"])
+            assert stage["gc"]["pause_ms"] >= 0
             for row in stage["top"]:
                 assert row["cumtime_s"] >= row["tottime_s"] - 1e-9
         assert payload["total_seconds"] >= 0
+
+    def test_the_store_collection_is_blamed_on_infer(self, source_file, capsys):
+        import json
+
+        assert main(["profile", source_file, "--format", "json"]) == 0
+        stages = json.loads(capsys.readouterr().out)["stages"]
+        # storing the result collects once, before it freezes the heap
+        gen2 = {s["stage"]: s["gc"]["collections"][2] for s in stages}
+        assert gen2["infer"] >= 1
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["profile", str(tmp_path / "absent.cj")]) == 2
