@@ -25,13 +25,15 @@ Commands (all built on the staged :mod:`repro.api` pipeline):
 * ``fig8`` / ``fig9`` -- regenerate the paper's evaluation tables
 * ``serve``        -- the multi-tenant HTTP inference daemon
   (:mod:`repro.serve`; see ``docs/serving.md``)
-* ``loadgen``      -- closed-loop load generator sweeping the daemon
 
-Every command accepts ``--format {text,json}``; JSON output carries the
-machine-readable diagnostics of :mod:`repro.api.diagnostics` (severity,
-stage, code, source span).  Errors render as ``file:line:col`` diagnostics
+Every command but ``serve`` accepts ``--format {text,json}``; JSON
+output carries the machine-readable diagnostics of
+:mod:`repro.api.diagnostics` (severity, stage, code, source span).
+Errors render as ``file:line:col`` diagnostics
 on stderr and exit with code 2 (``check`` keeps exit code 1 for programs
-that infer but fail verification).
+that infer but fail verification).  A command that runs pipeline stages
+unwraps each :class:`~repro.api.StageResult` and lets the
+:class:`~repro.api.StageFailure` reach :func:`main`, which renders it.
 
 Options: ``--mode {none,object,field}``, ``--downcast {padding,first-region,
 reject}``, ``--entry NAME``, ``--args N [N ...]``, ``--recursion-limit N``,
@@ -52,10 +54,10 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from .analysis import render_report, summarize
-from .api import BACKENDS, Pipeline, Session, StageFailure, StageResult
+from .api import BACKENDS, Pipeline, Session, StageFailure
 from .api.diagnostics import (
     Diagnostic,
     DiagnosticCode,
@@ -93,7 +95,8 @@ def _fail(
     args: argparse.Namespace, command: str, diagnostics: List[Diagnostic]
 ) -> int:
     """Render error diagnostics and return the error exit code."""
-    if args.format == "json":
+    # ``serve`` has no --format flag
+    if getattr(args, "format", "text") == "json":
         print(
             json.dumps(
                 {
@@ -119,31 +122,11 @@ def _pipeline(args: argparse.Namespace, session: Session) -> Pipeline:
     )
 
 
-def _stage_failure(results: List[StageResult]) -> Optional[List[Diagnostic]]:
-    """The diagnostics of the failing stage, or None if every stage passed."""
-    last = results[-1]
-    if last.ok:
-        return None
-    if last.diagnostics:
-        return last.diagnostics
-    return [
-        Diagnostic(
-            severity=Severity.ERROR,
-            stage=last.stage,
-            code=DiagnosticCode.INTERNAL,
-            message=f"stage {last.stage!r} failed without diagnostics",
-        )
-    ]
-
-
 # ---------------------------------------------------------------- commands
 def cmd_infer(args: argparse.Namespace, session: Session) -> int:
     pipe = _pipeline(args, session)
     results = pipe.run("infer")
-    failed = _stage_failure(results)
-    if failed is not None:
-        return _fail(args, "infer", failed)
-    result = results[-1].value
+    result = results[-1].unwrap()
     target_text = pretty_target(result.target)
     q_lines = [str(a) for a in sorted(result.target.q, key=lambda a: a.name)]
     payload = {
@@ -172,10 +155,9 @@ def cmd_infer(args: argparse.Namespace, session: Session) -> int:
 
 def cmd_check(args: argparse.Namespace, session: Session) -> int:
     pipe = _pipeline(args, session)
-    results = pipe.run("verify")
-    last = results[-1]
-    if last.stage != "verify":
-        return _fail(args, "check", _stage_failure(results) or [])
+    # a failure before verify is an error; a failing verify is the verdict
+    pipe.infer().unwrap()
+    last = pipe.verify()
     report = last.value
     payload = {
         "ok": report.ok,
@@ -196,13 +178,9 @@ def cmd_check(args: argparse.Namespace, session: Session) -> int:
 
 def cmd_run(args: argparse.Namespace, session: Session) -> int:
     pipe = _pipeline(args, session)
-    result = pipe.execute(
+    execution = pipe.execute(
         args.entry, args.args, recursion_limit=args.recursion_limit
-    )
-    if not result.ok:
-        diags = result.diagnostics or pipe.diagnostics()
-        return _fail(args, "run", diags)
-    execution = result.value
+    ).unwrap()
     stats = execution.stats
     payload = {
         "ok": True,
@@ -223,12 +201,7 @@ def cmd_run(args: argparse.Namespace, session: Session) -> int:
 
 
 def cmd_report(args: argparse.Namespace, session: Session) -> int:
-    pipe = _pipeline(args, session)
-    results = pipe.run("infer")
-    failed = _stage_failure(results)
-    if failed is not None:
-        return _fail(args, "report", failed)
-    report = summarize(results[-1].value)
+    report = summarize(_pipeline(args, session).infer().unwrap())
     payload = {
         "ok": True,
         "command": "report",
@@ -257,8 +230,7 @@ def cmd_profile(args: argparse.Namespace, session: Session) -> int:
             outcome = getattr(pipe, name)()
             profiler.disable()
             elapsed = time.perf_counter() - start
-        if not outcome.ok:
-            return _fail(args, "profile", _stage_failure([outcome]) or [])
+        outcome.unwrap()
         rows = []
         stats = pstats.Stats(profiler).stats
         by_cumulative = sorted(
@@ -373,7 +345,7 @@ def cmd_batch(args: argparse.Namespace, session: Session) -> int:
                 f"{outcome.total_localized} localized regions)"
             )
     lines.append(
-        f"{len(outcomes) - failures}/{len(outcomes)} programs inferred"
+        f"{len(entries) - failures}/{len(entries)} programs inferred"
         + (f", {failures} failed" if failures else "")
     )
     payload = {
@@ -425,10 +397,7 @@ def cmd_watch(args: argparse.Namespace, session: Session) -> int:
                 flush=True,
             )
 
-    try:
-        result, seconds = infer_once()
-    except StageFailure as err:
-        return _fail(args, "watch", err.diagnostics)
+    result, seconds = infer_once()
     report(result, seconds, edit=False)
     seen = path.stat().st_mtime_ns
     remaining = args.iterations
@@ -483,36 +452,6 @@ def cmd_serve(args: argparse.Namespace, session: Session) -> int:
         )
     )
     return EXIT_OK
-
-
-def cmd_loadgen(args: argparse.Namespace, session: Session) -> int:
-    from .serve import LoadgenConfig, run_loadgen
-
-    config = LoadgenConfig(
-        host=args.host or "127.0.0.1",
-        port=args.port,
-        levels=tuple(args.levels),
-        requests_per_level=args.requests,
-        tenants=args.tenants,
-        programs=tuple(args.programs),
-        corpus_dir=args.corpus_dir,
-    )
-    self_host = args.host is None
-    result = run_loadgen(config, self_host=self_host, output=args.output)
-    summary = result["summary"]
-    lines = [
-        f"concurrency {r['metadata']['concurrency']}: "
-        f"{r['value']:.1f} {r['unit']}"
-        for r in result["samples"]
-        if r["metric"] == "throughput"
-    ]
-    lines.append(
-        f"{summary['total_ok']} ok, {summary['total_rejected']} rejected, "
-        f"{summary['total_failed']} failed"
-        + (f"; wrote {args.output}" if args.output else "")
-    )
-    _emit(args, {"ok": True, "command": "loadgen", **result}, "\n".join(lines))
-    return EXIT_OK if summary["total_failed"] == 0 else EXIT_ERROR
 
 
 def _gen_spec(args: argparse.Namespace):
@@ -628,12 +567,7 @@ def cmd_bench(args: argparse.Namespace, session: Session) -> int:
     from .bench import pkb
 
     if args.bench_command == "list":
-        from .bench import families as bench_families
-
-        specs = [
-            bench_families.get_spec(name)
-            for name in bench_families.family_names()
-        ]
+        specs = _bench_specs(args)
         payload = {
             "ok": True,
             "command": "bench list",
@@ -958,66 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.set_defaults(func=cmd_serve)
 
-    p_loadgen = sub.add_parser(
-        "loadgen",
-        help="closed-loop load generator for the serve daemon",
-        description="Sweep concurrency levels against a repro daemon "
-        "(self-hosted on an ephemeral port unless --host is given), "
-        "reporting PKB-style latency/throughput samples.",
-    )
-    p_loadgen.add_argument(
-        "--host",
-        default=None,
-        help="target an already-running daemon (default: self-host)",
-    )
-    p_loadgen.add_argument("--port", type=int, default=8178)
-    p_loadgen.add_argument(
-        "--levels",
-        nargs="+",
-        type=int,
-        default=[1, 2, 4, 8],
-        metavar="N",
-        help="concurrency levels to sweep",
-    )
-    p_loadgen.add_argument(
-        "--requests",
-        type=int,
-        default=24,
-        metavar="N",
-        help="requests per level",
-    )
-    p_loadgen.add_argument(
-        "--tenants",
-        type=int,
-        default=2,
-        metavar="N",
-        help="distinct tenants to cycle through",
-    )
-    p_loadgen.add_argument(
-        "--programs",
-        nargs="*",
-        default=[],
-        metavar="NAME",
-        help="programs to request (default: the whole corpus); Olden "
-        "names, or file stems with --corpus-dir",
-    )
-    p_loadgen.add_argument(
-        "--corpus-dir",
-        default=None,
-        metavar="DIR",
-        help="drive a directory of *.cj programs (e.g. written by "
-        "`repro gen --count`) instead of the Olden corpus",
-    )
-    p_loadgen.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="publish the samples here as a one-family bench report "
-        "(the `repro bench publish` layout)",
-    )
-    output(p_loadgen)
-    p_loadgen.set_defaults(func=cmd_loadgen)
-
     p_gen = sub.add_parser(
         "gen",
         help="generate seeded synthetic Core-Java programs",
@@ -1190,6 +1064,20 @@ def main(argv=None) -> int:
         # swap stdout for devnull so the interpreter's exit flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
+    except StageFailure as err:
+        return _fail(
+            args,
+            args.command,
+            err.diagnostics
+            or [
+                Diagnostic(
+                    severity=Severity.ERROR,
+                    stage=err.stage,
+                    code=DiagnosticCode.INTERNAL,
+                    message=f"stage {err.stage!r} failed without diagnostics",
+                )
+            ],
+        )
     except Exception as err:  # noqa: BLE001 -- the CLI boundary
         # Anything a command did not already adapt (unreadable files, an
         # exception escaping the harness, ...) becomes one diagnostic.

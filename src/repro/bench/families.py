@@ -2,9 +2,9 @@
 
 One catalog for everything the repo measures about itself: the solver
 scaling families, the backend/pool/session amortisation claims, the
-paper's fig8/fig9 tables, the serving loadgen sweep and the incremental
-re-inference benchmark all publish through the same staged runner (see
-:mod:`repro.bench.pkb` and ``docs/benchmarks.md``).
+paper's fig8/fig9 tables and the incremental re-inference benchmark all
+publish through the same staged runner (see :mod:`repro.bench.pkb` and
+``docs/benchmarks.md``).
 
 Each family declares
 
@@ -879,51 +879,5 @@ register(
         # the paper reports 0.07-4.63 s per Olden program; the denser
         # ports here must stay within 2 s each
         thresholds=(Threshold("inference", ceiling=2000.0),),
-    )
-)
-
-
-# =====================================================================
-# serve_loadgen: the closed-loop concurrency sweep against the daemon
-# =====================================================================
-def _loadgen_prepare(ctx: RunContext) -> None:
-    from ..serve import LoadgenConfig
-
-    if ctx.smoke:
-        ctx.state["config"] = LoadgenConfig(
-            levels=(1, 2),
-            requests_per_level=6,
-            tenants=2,
-            programs=("treeadd", "bisort"),
-        )
-    else:
-        ctx.state["config"] = LoadgenConfig()
-
-
-def _loadgen_run(ctx: RunContext) -> List[Sample]:
-    from ..serve import run_loadgen
-
-    result = run_loadgen(ctx.state["config"], self_host=True)
-    return [Sample.from_dict(s) for s in result["samples"]]
-
-
-register(
-    BenchmarkSpec(
-        name="serve_loadgen",
-        description="Closed-loop loadgen sweep against a self-hosted "
-        "daemon: latency percentiles, throughput and admission counts "
-        "per concurrency level",
-        prepare=_loadgen_prepare,
-        run=_loadgen_run,
-        key_fields=("corpus", "tenants", "concurrency"),
-        thresholds=(Threshold("requests_failed", ceiling=0.0),),
-        rules={
-            "requests_failed": MetricRule(
-                direction="lower",
-                tolerance=0.0,
-                warn_tolerance=0.0,
-                portable=True,
-            )
-        },
     )
 )

@@ -21,7 +21,7 @@ Three ideas keep the numbers honest:
   load degrades both alike instead of sinking one side;
 * **host-aware comparison** — absolute wall-clock metrics gate only when
   the two files were published on the same host; machine-portable
-  metrics (speedup ratios, failure counts) gate everywhere.
+  metrics (speedup ratios, scaling exponents) gate everywhere.
 
 ``schema_version`` 1 file layout::
 
@@ -34,9 +34,9 @@ Three ideas keep the numbers honest:
                   "metadata": {...}}, ...],
      "families": {"solver_scaling": {"samples": 12, "elapsed_s": 1.9}}}
 
-This is the only layout :func:`load_report` reads: :func:`publish` and
-``repro loadgen --output`` write it, and a file without a
-``schema_version`` 1 is rejected with a :class:`ValueError`.
+This is the only layout :func:`load_report` reads: :func:`publish`
+writes it, and a file without a ``schema_version`` 1 is rejected with a
+:class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -278,7 +278,7 @@ class MetricRule:
     warns.  ``min_delta`` is a noise floor in the metric's own unit: an
     absolute change smaller than it always passes, so relative
     tolerances cannot flag scheduler jitter on millisecond-scale
-    samples.  ``portable`` metrics — ratios, failure counts — gate even
+    samples.  ``portable`` metrics — ratios, scaling exponents — gate even
     when the two files come from different hosts; absolute wall-clock
     metrics only gate same-host, and downgrade to warnings otherwise.
     """
@@ -298,13 +298,12 @@ class MetricRule:
 
 #: default comparison rule per sample unit, for metrics a spec does not
 #: name explicitly; counts and ratios are informational unless a spec
-#: says otherwise (e.g. serve_loadgen gates requests_failed at zero)
+#: says otherwise (e.g. gen_scaling gates its scaling exponents)
 DEFAULT_UNIT_RULES: Dict[str, MetricRule] = {
     "ms": MetricRule(direction="lower", tolerance=0.5, min_delta=1.0),
     "s": MetricRule(direction="lower", tolerance=0.5, min_delta=0.05),
     "seconds": MetricRule(direction="lower", tolerance=0.5, min_delta=0.05),
     "x": MetricRule(direction="higher", tolerance=0.5, portable=True),
-    "requests/s": MetricRule(direction="higher", tolerance=0.5),
     "count": MetricRule(direction="info"),
     "ratio": MetricRule(direction="info"),
     "lines": MetricRule(direction="info"),

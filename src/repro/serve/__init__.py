@@ -15,13 +15,10 @@ Layering, bottom up:
 * :mod:`~repro.serve.tenancy` — per-tenant sessions;
 * :mod:`~repro.serve.router` — endpoints, error mapping, the per-request
   deadline→admission→execute flow (tests drive this directly);
-* :mod:`~repro.serve.server` — the ``ThreadingHTTPServer`` skin;
-* :mod:`~repro.serve.loadgen` — closed-loop concurrency sweeps emitting
-  PKB-style samples (the ``serve_loadgen`` benchmark family).
+* :mod:`~repro.serve.server` — the ``ThreadingHTTPServer`` skin.
 """
 
 from .admission import AdmissionController, AdmissionRejected, AdmissionTimeout
-from .loadgen import LoadgenConfig, run_loadgen
 from .router import Router, ServerConfig
 from .server import ReproServer, make_server, serve
 from .tenancy import Tenant, TenantRegistry
@@ -38,7 +35,6 @@ __all__ = [
     "AdmissionTimeout",
     "DEFAULT_TENANT",
     "InferRequest",
-    "LoadgenConfig",
     "ReproServer",
     "Router",
     "RunRequest",
@@ -47,6 +43,5 @@ __all__ = [
     "TenantRegistry",
     "WireError",
     "make_server",
-    "run_loadgen",
     "serve",
 ]

@@ -158,9 +158,8 @@ def serve(
     """Run the daemon until SIGTERM/SIGINT; returns the bound address.
 
     Prints a single machine-readable ready line (``repro-serve listening
-    on HOST:PORT``) so scripts — the CI smoke step, the load generator's
-    subprocess mode — can wait for it.  ``ready`` is the in-process
-    equivalent for tests.
+    on HOST:PORT``) so scripts, such as the CI smoke step, can wait for
+    it.  ``ready`` is the in-process equivalent for tests.
     """
     server = make_server(config)
     host, port = server.server_address[0], server.port

@@ -50,7 +50,7 @@ class TestBenchList:
         assert main(["bench", "list"]) == 0
         out = capsys.readouterr().out
         for name in ("solver_scaling", "incremental_reinfer",
-                     "serve_loadgen", "fig8", "fig9"):
+                     "gen_scaling", "fig8", "fig9"):
             assert name in out
         assert "threshold" in out
 

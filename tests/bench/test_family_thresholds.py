@@ -5,9 +5,9 @@ benchmark code.  Each family runs here in smoke mode, exactly as
 ``repro bench publish --smoke`` runs it in CI, and must emit samples
 and violate none of its applicable thresholds: the solver, re-inference
 and session-reuse speedup floors, the fig8/fig9 per-program time
-ceilings, the loadgen's zero-failure ceiling.  A threshold whose metric
-was never emitted counts as a violation.  Thresholds that need more
-CPUs than this process may use (``min_cores``) skip.
+ceilings.  A threshold whose metric was never emitted counts as a
+violation.  Thresholds that need more CPUs than this process may use
+(``min_cores``) skip.
 """
 
 import pytest

@@ -334,7 +334,7 @@ def test_publish_load_round_trip(tmp_path):
 def test_load_report_rejects_pre_schema_files(tmp_path):
     legacy = tmp_path / "BENCH_6.json"
     legacy.write_text(json.dumps({
-        "benchmark": "serve_loadgen",
+        "benchmark": "serve_sweep",
         "samples": [
             {"metric": "throughput", "value": 9.0, "unit": "requests/s",
              "timestamp": 1.0, "metadata": {"concurrency": 2}},

@@ -1,13 +1,10 @@
-"""Tests for the ``repro gen`` subcommand and the loadgen corpus-dir wiring."""
+"""Tests for the ``repro gen`` subcommand."""
 
 import json
-
-import pytest
 
 from repro.__main__ import main
 from repro.frontend import parse_program
 from repro.gen import GenSpec, generate_source, spec_of_source
-from repro.serve import LoadgenConfig
 from repro.typing import check_program
 
 
@@ -135,31 +132,3 @@ class TestGenCorpus(object):
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
         assert payload["diagnostics"]
-
-
-class TestLoadgenCorpusDir(object):
-    def test_corpus_from_directory(self, tmp_path):
-        out_dir = tmp_path / "corpus"
-        assert main(["gen", "--count", "2", "--out-dir", str(out_dir)]) == 0
-        config = LoadgenConfig(corpus_dir=str(out_dir))
-        corpus = config.corpus()
-        assert [name for name, _ in corpus] == ["gen_000", "gen_001"]
-        assert all(spec_of_source(src) is not None for _, src in corpus)
-        assert config.corpus_label() == "generated"
-
-    def test_programs_filter_by_stem(self, tmp_path):
-        out_dir = tmp_path / "corpus"
-        assert main(["gen", "--count", "2", "--out-dir", str(out_dir)]) == 0
-        config = LoadgenConfig(corpus_dir=str(out_dir), programs=("gen_001",))
-        assert [name for name, _ in config.corpus()] == ["gen_001"]
-        with pytest.raises(ValueError, match="unknown corpus program"):
-            LoadgenConfig(corpus_dir=str(out_dir), programs=("nope",)).corpus()
-
-    def test_empty_directory_is_an_error(self, tmp_path):
-        with pytest.raises(ValueError, match="no \\*\\.cj programs"):
-            LoadgenConfig(corpus_dir=str(tmp_path)).corpus()
-
-    def test_default_corpus_still_olden(self):
-        config = LoadgenConfig()
-        assert config.corpus_label() == "olden"
-        assert config.corpus()

@@ -1,17 +1,23 @@
-"""The serve-facing CLI surface: ``batch --stats`` and ``loadgen``.
+"""The serve-facing CLI surface: ``batch --stats`` and ``serve``.
 
 The ``serve`` subcommand itself (a blocking daemon) is covered by its
-parser wiring here and end to end by the HTTP tests; running it inline
-would park the test on ``serve_forever``.
+parser wiring and its bind failure here, and end to end by the HTTP
+tests; running it inline would park the test on ``serve_forever``.
 """
 
 import json
+import os
+import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import build_parser, main
-from repro.bench.pkb import load_report
 from tests.conftest import PAIR_SOURCE
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 @pytest.fixture()
@@ -43,37 +49,6 @@ class TestBatchStats(object):
         assert main(["batch", *batch_files, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "stats" not in payload
-
-
-class TestLoadgenCommand(object):
-    def test_self_hosted_sweep_writes_the_artifact(self, tmp_path, capsys):
-        out = tmp_path / "loadgen.json"
-        code = main(
-            [
-                "loadgen",
-                "--levels", "1", "2",
-                "--requests", "4",
-                "--tenants", "2",
-                "--programs", "treeadd",
-                "--output", str(out),
-            ]
-        )
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "0 failed" in text
-        report = load_report(str(out))
-        assert set(report["families"]) == {"serve_loadgen"}
-        assert {s["metric"] for s in report["samples"]} >= {
-            "latency_p50",
-            "latency_p99",
-            "throughput",
-        }
-        failed = [
-            s["value"]
-            for s in report["samples"]
-            if s["metric"] == "requests_failed"
-        ]
-        assert failed == [0, 0]
 
 
 class TestServeParser(object):
@@ -112,8 +87,6 @@ class TestServeParser(object):
             ["serve", "--backend", "process"],
             ["serve", "--jobs", "2"],
             ["serve", "--idle-timeout", "1"],
-            ["loadgen", "--backend", "thread"],
-            ["loadgen", "--jobs", "2"],
         ],
         ids=lambda argv: " ".join(argv[:2]),
     )
@@ -123,3 +96,25 @@ class TestServeParser(object):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
+
+
+class TestServeBindFailure(object):
+    def test_a_busy_port_is_one_io_error_diagnostic(self):
+        # a subprocess under a timeout: if the bind unexpectedly succeeds,
+        # the daemon is killed instead of parking the test
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen(1)
+            port = busy.getsockname()[1]
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "serve", "--quiet",
+                 "--port", str(port)],
+                env={**os.environ, "PYTHONPATH": SRC},
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        lines = done.stderr.strip().splitlines()
+        assert len(lines) == 1 and "error[io-error]" in lines[0]

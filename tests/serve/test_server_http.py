@@ -130,6 +130,73 @@ class TestRoundTrips(object):
         assert status == 429
         assert int(response.headers["Retry-After"]) >= 1
 
+    def test_overload_is_a_429_never_a_failure(self):
+        # one slot and no waiting room: 4 keep-alive clients send 2
+        # requests each over 2 tenants; every surplus request must come
+        # back 429 with Retry-After, never a connection error or a 5xx.
+        # The slot is held through the first round, so all 4 first
+        # requests are turned away; the second round races for it.  Each
+        # source is a cache miss, with a non-Latin-1 comment.
+        server = make_server(
+            ServerConfig(port=0, quiet=True, max_concurrency=1, max_pending=0)
+        )
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}
+        )
+        thread.start()
+        first_round = threading.Barrier(5)
+        released = threading.Event()
+        answers, errors = [], []
+
+        def client(k):
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", server.port, timeout=30
+            )
+            try:
+                for i in range(2):
+                    _, _, response = _post(
+                        conn,
+                        "/v1/infer",
+                        {"source": f"{TREEADD.source}\n// {k} \u2192 {i}\n"},
+                        headers={"X-Repro-Tenant": f"tenant{k % 2}"},
+                    )
+                    answers.append(
+                        (response.status, response.headers["Retry-After"])
+                    )
+                    if i == 0:
+                        first_round.wait(30.0)
+                        released.wait(30.0)
+            except (
+                OSError, http.client.HTTPException, threading.BrokenBarrierError
+            ) as err:
+                errors.append(err)
+            finally:
+                conn.close()
+
+        clients = [
+            threading.Thread(target=client, args=(k,)) for k in range(4)
+        ]
+        server.router.admission.acquire()
+        try:
+            for c in clients:
+                c.start()
+            first_round.wait(30.0)
+            server.router.admission.release()
+            released.set()
+            for c in clients:
+                c.join(60.0)
+        finally:
+            released.set()
+            server.shutdown()
+            thread.join(10.0)
+            server.close()
+        assert not any(c.is_alive() for c in clients)
+        assert errors == []
+        assert len(answers) == 8
+        assert {status for status, _ in answers} <= {200, 429}
+        assert all(retry for status, retry in answers if status == 429)
+        assert any(status == 200 for status, _ in answers)
+
 
 class TestBodyLimits(object):
     def test_oversized_body_is_413_before_reading(self):

@@ -42,6 +42,19 @@ class TestInfer(object):
     def test_mode_flag(self, source_file, capsys):
         assert main(["infer", source_file, "--mode", "none"]) == 0
 
+    def test_a_failure_without_diagnostics_renders_one(
+        self, source_file, monkeypatch, capsys
+    ):
+        from repro.api import Pipeline, StageResult
+
+        monkeypatch.setattr(
+            Pipeline, "infer", lambda self: StageResult(stage="infer", ok=False)
+        )
+        assert main(["infer", source_file]) == 2
+        err = capsys.readouterr().err
+        assert "error[internal-error]" in err
+        assert "stage 'infer' failed without diagnostics" in err
+
 
 class TestCheck(object):
     def test_ok(self, source_file, capsys):
@@ -208,6 +221,16 @@ class TestBatch(object):
         assert [p["ok"] for p in payload["programs"]] == [True, False]
         assert payload["programs"][1]["stage"] == "read"
         assert payload["programs"][1]["diagnostics"][0]["code"] == "io-error"
+
+    def test_summary_counts_an_unreadable_file(self, batch_files, tmp_path, capsys):
+        good1, _, _ = batch_files
+        assert main(["batch", good1, str(tmp_path / "nope.cj")]) == 2
+        assert "1/2 programs inferred, 1 failed" in capsys.readouterr().out
+
+    def test_summary_counts_a_repeated_path_per_entry(self, batch_files, capsys):
+        good1, _, bad = batch_files
+        assert main(["batch", bad, bad, good1]) == 2
+        assert "1/3 programs inferred, 2 failed" in capsys.readouterr().out
 
 
 class TestPoolFlags(object):
