@@ -373,7 +373,9 @@ def cmd_watch(args: argparse.Namespace, session: Session) -> int:
     def infer_once():
         source = path.read_text()
         start = time.perf_counter()
-        result = session.reinfer(source, config, document=document)
+        result = session.reinfer(
+            source, config, document=document, filename=args.file
+        )
         return result, time.perf_counter() - start
 
     events: List[Dict[str, Any]] = []

@@ -27,7 +27,7 @@ Stage results are memoised per pipeline.  Pipelines created through a
 :class:`~repro.api.Session` also share that session's cache, which holds
 ``infer`` results only: a cached result answers :meth:`Pipeline.infer`
 (and the stages after it) without running parse, typecheck or annotate
-at all.
+at all, and :meth:`Pipeline.verify` with the verdict kept on it.
 """
 
 from __future__ import annotations
@@ -386,6 +386,13 @@ class Pipeline:
         (the report), with one error diagnostic per failed obligation — the
         ``collect`` behaviour is inherent here, the checker already gathers
         every issue instead of stopping at the first.
+
+        The report is kept on the inference result
+        (:attr:`InferenceResult.report <repro.core.InferenceResult.report>`),
+        checked under the result's own config, so verifying a cached result
+        again does no checker work (the stage comes back ``cached``).  It is
+        stored only once the checker has returned: a deadline that fires
+        inside the check leaves nothing behind.
         """
         if "verify" in self._results:
             return self._results["verify"]
@@ -394,11 +401,18 @@ class Pipeline:
             return self._skipped("verify", "verify", prev)
         check_deadline()
         start = time.perf_counter()
-        report = check_target(
-            prev.value.target,
-            mode=self.config.mode.value,
-            downcast=self.config.downcast.value,
-        )
+        inferred = prev.value
+        report = inferred.report
+        cached = report is not None
+        if not cached:
+            # two threads verifying one result at once both run the
+            # checker; their reports are equal, so either may be kept
+            report = check_target(
+                inferred.target,
+                mode=inferred.config.mode.value,
+                downcast=inferred.config.downcast.value,
+            )
+            inferred.report = report
         result = StageResult(
             stage="verify",
             ok=report.ok,
@@ -414,6 +428,7 @@ class Pipeline:
                 for issue in report.issues
             ],
             elapsed=time.perf_counter() - start,
+            cached=cached,
         )
         self._results["verify"] = result
         return result

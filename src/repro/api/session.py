@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import pickle
 import sys
 import threading
 from collections import OrderedDict
@@ -155,30 +154,34 @@ class SessionStats:
         return "; ".join(parts) if parts else "no cache traffic"
 
 
-#: byte cost charged to a cached value that cannot be pickled for sizing:
-#: deliberately pessimistic, so unsizeable entries cannot hide an
-#: unbounded cache behind a tiny byte estimate
-FALLBACK_ARTIFACT_BYTES = 64 * 1024
+#: retained bytes per lexer token of its program that every cached result
+#: holds, however much of it was spliced from a prior result: above all its
+#: own parse tree (about 100 B/token).  Calibrated with ``tracemalloc``
+#: (``tests/api/test_cache_charge.py`` holds each entry's charge to within
+#: 25% of what it retains)
+BYTES_PER_TOKEN = 122
+#: retained bytes per token that inference adds on top, scaled by the share
+#: of method SCCs the run re-inferred rather than spliced from a prior
+#: result: a distinct program retains about 250 B/token, one version of a
+#: one-literal edit chain about 125
+BYTES_PER_INFERRED_TOKEN = 126
 
 
 def _approx_artifact_bytes(value: Any) -> int:
-    """Approximate in-memory weight of a cached artifact, in bytes.
+    """The bytes a cached value retains, estimated in O(1).
 
-    Pickled size is the proxy: it grows with the program (a ``sized(10)``
-    :class:`InferenceResult` pickles to 70–86 KB, ~3x its parse tree) and
-    is already supported for everything the process backend ships.
-    Values that refuse to pickle are charged
-    :data:`FALLBACK_ARTIFACT_BYTES` (or their shallow ``getsizeof`` if
-    larger).
+    An :class:`InferenceResult` is charged by its program's lexer token
+    count (:attr:`repro.lang.ast.Program.tokens`, which the parser stamps),
+    at :data:`BYTES_PER_TOKEN` plus :data:`BYTES_PER_INFERRED_TOKEN` times
+    its share of re-inferred SCCs.  Anything else (a document lineage is a
+    source key) is charged its ``sys.getsizeof``.
     """
-    try:
-        return len(pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        try:
-            shallow = sys.getsizeof(value)
-        except Exception:
-            shallow = 0
-        return max(shallow, FALLBACK_ARTIFACT_BYTES)
+    if isinstance(value, InferenceResult):
+        sccs = value.reused_sccs + value.reinferred_sccs
+        share = value.reinferred_sccs / sccs if sccs else 1.0
+        per_token = BYTES_PER_TOKEN + BYTES_PER_INFERRED_TOKEN * share
+        return int(value.table.program.tokens * per_token)
+    return sys.getsizeof(value)
 
 
 class _ArtifactStore:
@@ -189,10 +192,11 @@ class _ArtifactStore:
     the entry's recency, and an insert that pushes the store past the bound
     evicts the least-recently-used entry (counted per kind in
     :attr:`SessionStats.evictions`).  With ``max_bytes`` set the LRU is
-    **cost-aware**: each entry is weighted by its approximate pickled
-    size (:func:`_approx_artifact_bytes`), so a large program's result
-    counts for what it is — the bound a multi-tenant service actually
-    needs.  The most recent entry is never evicted by the byte bound (the
+    **cost-aware**: each entry is weighted by the bytes it retains,
+    estimated from its program's token count when it is stored
+    (:func:`_approx_artifact_bytes`), so a large program's result counts
+    for what it is — the bound a multi-tenant service actually needs.
+    The most recent entry is never evicted by the byte bound (the
     caller is holding it), so a single oversized result degrades to
     cache-of-one rather than thrashing.
     Both bounds may be set; either alone works.  Unbounded by default.
@@ -316,7 +320,7 @@ class _ArtifactStore:
 
     @property
     def bytes_used(self) -> int:
-        """Approximate bytes held (0 unless a byte bound is configured)."""
+        """Estimated bytes held (0 unless a byte bound is configured)."""
         with self._lock:
             return self._bytes
 
@@ -330,12 +334,15 @@ class Session:
 
     The cache holds one ``infer`` entry per (program, config) and one
     lineage per :meth:`reinfer` document.  ``max_cache_entries`` bounds
-    it by entry count and ``max_cache_bytes`` by approximate pickled
-    size: a long-lived session serving many distinct programs evicts its
-    least-recently-used entries instead of growing without bound
-    (evictions are visible in :attr:`Session.stats`).  The byte bound is
-    the one services want — results grow with the program, which the
-    entry bound cannot see.  ``None`` (the default) keeps every entry.
+    it by entry count and ``max_cache_bytes`` by the bytes its entries
+    retain, estimated per entry from the program's token count
+    (:func:`_approx_artifact_bytes`): a long-lived session serving many
+    distinct programs evicts its least-recently-used entries instead of
+    growing without bound (evictions are visible in
+    :attr:`Session.stats`).  The byte bound is the one services want —
+    results grow with the program, which the entry bound cannot see.
+    ``None`` (the default) keeps every entry.  A cached result also keeps
+    its checker verdict, so a repeat :meth:`check` does no checker work.
 
     Batch entry points pick their backend per call (``backend="thread"``,
     the default, runs in the calling thread; see :mod:`repro.api.pool`).
@@ -474,6 +481,7 @@ class Session:
         config: Optional[InferenceConfig] = None,
         *,
         document: str = "default",
+        filename: Optional[str] = None,
     ) -> InferenceResult:
         """Infer ``source`` incrementally against this document's last result.
 
@@ -491,7 +499,8 @@ class Session:
         evicted prior) simply means the next submission runs in full.
         Observable via ``scc.*`` stats kinds: ``scc.document`` (hit =
         incremental path taken) and ``scc.reuse`` (per-SCC spliced vs
-        re-inferred).
+        re-inferred).  ``filename`` names the source in the diagnostics of
+        a :class:`StageFailure`.
         """
         cfg = config or self.config
         ck = config_key(cfg)
@@ -505,7 +514,8 @@ class Session:
         if prior is None:
             # first submission for this document, or its lineage or prior
             # was evicted: full (file-level cached) inference
-            result = self.infer(source, cfg)
+            pipe = self.pipeline(source, cfg, filename=filename)
+            result = pipe.infer().unwrap()
             engaged = False
         elif prior_skey == skey:
             # unchanged resubmission: the prior answers outright
@@ -514,7 +524,8 @@ class Session:
                 prior.reused_sccs + prior.reinferred_sccs, 0
             )
         else:
-            stage = self.pipeline(source, cfg).reinfer(prior)
+            pipe = self.pipeline(source, cfg, filename=filename)
+            stage = pipe.reinfer(prior)
             result = stage.unwrap()
             engaged = result.annotations is prior.annotations
             if stage.cached:
@@ -619,7 +630,7 @@ class Session:
         ``backend="thread"`` (the default) runs the batch as a plain loop
         in the calling thread.  ``backend="process"`` fans it out over the
         session's persistent :meth:`process_pool`: each worker runs its own
-        session and pickles results back; successful results land in this
+        session and ships results back; successful results land in this
         session's cache, the workers' cache traffic is merged into
         :attr:`Session.stats`, and worker-minted regions live in per-worker
         uid namespaces so results from different workers never collide.
@@ -776,5 +787,5 @@ class Session:
 
     @property
     def cache_bytes(self) -> int:
-        """Approximate bytes cached (0 unless ``max_cache_bytes`` is set)."""
+        """Estimated bytes cached (0 unless ``max_cache_bytes`` is set)."""
         return self._store.bytes_used

@@ -399,7 +399,8 @@ def measure_warm_heap(
     is filled (untimed) just before its run and dropped just after it, so
     the empty run has none of its results alive.  ``ratio`` is the median
     of the per-pair warm/empty ratios; ``gc_pause_ms`` is the collector's
-    mean pause per warm inference (:class:`repro.obs.GcPauses`).
+    mean pause per warm inference (:class:`repro.obs.GcPauses`), and
+    ``gc_pause_share`` those pauses over the warm inferences' summed time.
     """
     from ..api import Session
     from ..gen import GenSpec, generate_source
@@ -432,6 +433,7 @@ def measure_warm_heap(
         "pairs": len(timings),
         "ratio": median_ratio(timings),
         "gc_pause_ms": pauses.pause_ms / len(timings),
+        "gc_pause_share": pauses.pause_s / sum(warm for warm, _ in timings),
     }
 
 
@@ -545,6 +547,9 @@ def _gen_run(ctx: RunContext) -> List[Sample]:
     }
     samples.append(sample("warm_heap_ratio", measured["ratio"], "x", meta))
     samples.append(sample("gc_pause_ms", measured["gc_pause_ms"], "ms", meta))
+    samples.append(
+        sample("gc_pause_share", measured["gc_pause_share"], "ratio", meta)
+    )
     return samples
 
 
@@ -570,6 +575,11 @@ register(
             # the next inference.  Full runs only: three sized(6) pairs
             # are too few and too small to gate on
             Threshold("warm_heap_ratio", ceiling=1.1, full_only=True),
+            # the median ratio skips the pairs a full collection lands on;
+            # the collector's share of warm inference time sees every
+            # pause, and re-walking 30 unfrozen results costs several
+            # times this ceiling
+            Threshold("gc_pause_share", ceiling=0.1, full_only=True),
         ),
         rules={
             "gen_reinfer_speedup": MetricRule(

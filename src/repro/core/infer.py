@@ -38,7 +38,7 @@ import bisect
 import hashlib
 import time
 from dataclasses import dataclass, field as dc_field, replace as dc_replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..deadline import check as check_deadline
 from ..frontend.parser import parse_program
@@ -82,6 +82,9 @@ from .schemes import (
     MethodScheme,
 )
 from .subtyping import SubtypingMode, subtype
+
+if TYPE_CHECKING:
+    from ..checking import CheckReport
 
 __all__ = [
     "AnnotatedProgram",
@@ -238,6 +241,13 @@ class InferenceResult:
     reinferred_sccs: int = 0
     #: qualified names whose results were spliced rather than re-inferred
     reused_methods: Tuple[str, ...] = ()
+    #: the checker's verdict on ``target`` under ``config``: filled once,
+    #: by the first :meth:`Pipeline.verify <repro.api.Pipeline.verify>`
+    #: that runs to completion, and reused by every later one (the
+    #: checker is a pure function of the target and the config)
+    report: Optional["CheckReport"] = dc_field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def total_localized(self) -> int:

@@ -123,7 +123,9 @@ class Parser:
                     raise
                 errors.append(err)
                 self._sync_top_level()
-        return S.Program(classes=classes, statics=statics)
+        return S.Program(
+            classes=classes, statics=statics, tokens=len(self._tokens)
+        )
 
     def _sync_top_level(self) -> None:
         """Skip past the offending declaration (balanced-brace heuristic).

@@ -474,6 +474,9 @@ class Program:
 
     classes: List[ClassDecl] = field(default_factory=list)
     statics: List[MethodDecl] = field(default_factory=list)
+    #: lexer tokens the parser read this program from (0 when it was
+    #: built in code): the size a session cache charges its result by
+    tokens: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for c in self.classes:

@@ -50,8 +50,10 @@ from .wire import (
 
 __all__ = ["Router", "ServerConfig", "DEFAULT_TENANT_CACHE_BYTES"]
 
-#: per-tenant cache byte bound unless configured otherwise: a tenant's
-#: cache holds one inference result per program (70–86 KB at ``sized(10)``)
+#: per-tenant cache byte bound unless configured otherwise, counted in the
+#: bytes cached results retain: a tenant's cache holds one inference result
+#: (and its verdict) per program, about 370 KB at ``sized(10)``, so the
+#: default holds about 90 of them
 DEFAULT_TENANT_CACHE_BYTES = 32 * 1024 * 1024
 
 

@@ -1,33 +1,63 @@
 """Cost-aware artifact caching: the ``max_cache_bytes`` bound.
 
 A serving session's cached results grow with the program, so the byte
-bound — measured as approximate pickled size — is what actually caps
-memory, with the entry bound as a secondary guard.  The newest entry is
-never evicted: a single oversized result must still be cacheable (and
-returned), otherwise a big program would evict itself forever.
+bound — counted in the bytes each entry retains, estimated from its
+program's token count when it is stored — is what actually caps memory,
+with the entry bound as a secondary guard.  (How close the estimate is
+to what ``tracemalloc`` sees retained is ``test_cache_charge.py``.)  The
+newest entry is never evicted: a single oversized result must still be
+cacheable (and returned), otherwise a big program would evict itself
+forever.
 """
+
+import sys
 
 import pytest
 
 from repro.api import Session
 from repro.api.session import (
-    FALLBACK_ARTIFACT_BYTES,
+    BYTES_PER_INFERRED_TOKEN,
+    BYTES_PER_TOKEN,
     SessionStats,
     _approx_artifact_bytes,
     _ArtifactStore,
 )
+from repro.gen import GenSpec, edit_script
 from tests.conftest import LIST_SOURCE, PAIR_SOURCE
 
 
 class TestApproxBytes(object):
-    def test_picklable_values_measure_their_pickle(self):
-        small = _approx_artifact_bytes(1)
-        big = _approx_artifact_bytes(list(range(10000)))
-        assert 0 < small < big
+    def test_a_distinct_result_is_charged_per_token(self):
+        with Session() as session:
+            small = session.infer(PAIR_SOURCE)
+            big = session.infer(LIST_SOURCE)
+        for result in (small, big):
+            tokens = result.table.program.tokens
+            assert tokens > 0 and result.reused_sccs == 0
+            assert _approx_artifact_bytes(result) == tokens * (
+                BYTES_PER_TOKEN + BYTES_PER_INFERRED_TOKEN
+            )
 
-    def test_unpicklable_values_fall_back_pessimistically(self):
-        cost = _approx_artifact_bytes(lambda: None)
-        assert cost >= FALLBACK_ARTIFACT_BYTES
+    def test_an_edit_version_is_charged_for_what_it_re_infers(self):
+        first, edited = edit_script(GenSpec.sized(4, seed=0), 1)
+        with Session() as session:
+            prior = session.reinfer(first, document="d")
+            version = session.reinfer(edited, document="d")
+        tokens = version.table.program.tokens
+        sccs = version.reused_sccs + version.reinferred_sccs
+        assert 0 < version.reinferred_sccs < sccs
+        assert _approx_artifact_bytes(version) == int(
+            tokens
+            * (
+                BYTES_PER_TOKEN
+                + BYTES_PER_INFERRED_TOKEN * version.reinferred_sccs / sccs
+            )
+        )
+        assert _approx_artifact_bytes(version) < _approx_artifact_bytes(prior)
+
+    def test_other_values_are_charged_their_shallow_size(self):
+        for value in ("k" * 64, 1, lambda: None):
+            assert _approx_artifact_bytes(value) == sys.getsizeof(value)
 
 
 class TestByteBound(object):
@@ -59,7 +89,7 @@ class TestByteBound(object):
         assert store.contains("k", "c")
 
     def test_the_newest_entry_survives_even_oversized(self):
-        store = self._store(8)  # smaller than any pickled artifact
+        store = self._store(8)  # smaller than any artifact
         store.put("k", "a", "w" * 1000)
         assert store.peek("k", "a") == "w" * 1000
         # the next insert evicts it, but is itself kept
@@ -92,7 +122,7 @@ class TestSessionSurface(object):
             session.infer(PAIR_SOURCE)
             assert session.cache_bytes > 0
 
-    def test_unbounded_sessions_do_not_pay_for_pickling(self):
+    def test_unbounded_sessions_keep_no_cost_bookkeeping(self):
         # no byte bound -> no cost bookkeeping at all
         with Session() as session:
             session.infer(PAIR_SOURCE)

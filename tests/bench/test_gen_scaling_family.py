@@ -21,6 +21,8 @@ def test_family_registered_with_expected_contract():
     assert "gen_reinfer_speedup" in spec.rules
     (warm,) = [t for t in spec.thresholds if t.metric == "warm_heap_ratio"]
     assert warm.ceiling == 1.1 and warm.full_only
+    (pauses,) = [t for t in spec.thresholds if t.metric == "gc_pause_share"]
+    assert pauses.ceiling == 0.1 and pauses.full_only
 
 
 def test_smoke_run_emits_curve_and_reinfer_samples():
@@ -39,7 +41,11 @@ def test_smoke_run_emits_curve_and_reinfer_samples():
     assert speedup.meta()["sccs_reused"] >= 1
     assert speedup.value > 0
     classes, pairs = GEN_WARM_HEAP["smoke"]
-    for metric, unit in (("warm_heap_ratio", "x"), ("gc_pause_ms", "ms")):
+    for metric, unit in (
+        ("warm_heap_ratio", "x"),
+        ("gc_pause_ms", "ms"),
+        ("gc_pause_share", "ratio"),
+    ):
         (warm,) = by_metric[metric]
         assert warm.unit == unit and warm.value >= 0
         assert warm.meta()["classes"] == classes
@@ -61,6 +67,7 @@ def test_measure_warm_heap_pairs_a_warm_and_an_empty_session(monkeypatch):
     measured = measure_warm_heap(4, cached=3, pairs=2)
     assert measured["pairs"] == 2 and measured["cached"] == 3
     assert measured["ratio"] > 0 and measured["gc_pause_ms"] >= 0
+    assert 0 <= measured["gc_pause_share"] < 1
     # warm-up, then per pair: the empty run, three fills, the warm run
     assert sizes == [0] + [0, 0, 1, 2, 3] * 2
 

@@ -3,7 +3,6 @@ response's ``cached`` flag is its own request's answer: a concurrent hit
 on the same tenant must not turn a miss into ``cached: true``."""
 
 import json
-import pickle
 import threading
 
 import pytest
@@ -90,8 +89,12 @@ def test_each_program_is_one_entry_weighed_once(router, monkeypatch):
     tenant = _tenant(router)
     assert tenant["cache_size"] == len(sources)
     assert [id(v) for v in weighed] == [id(r) for r in results]
+    # distinct programs re-infer every SCC: the full per-token charge
+    per_token = (
+        session_module.BYTES_PER_TOKEN + session_module.BYTES_PER_INFERRED_TOKEN
+    )
     assert tenant["cache_bytes"] == sum(
-        len(pickle.dumps(r, pickle.HIGHEST_PROTOCOL)) for r in results
+        r.table.program.tokens * per_token for r in results
     )
 
 

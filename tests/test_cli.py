@@ -357,3 +357,13 @@ class TestWatch(object):
         bad = tmp_path / "bad.cj"
         bad.write_text("class {")
         assert main(["watch", str(bad), "--iterations", "0"]) != 0
+
+    def test_failures_name_the_watched_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cj"
+        bad.write_text("class AB x")
+        assert main(["check", str(bad)]) == 2
+        checked = capsys.readouterr().err
+        assert main(["watch", str(bad), "--iterations", "0"]) == 2
+        watched = capsys.readouterr().err
+        assert checked.startswith(f"{bad}:1:10: error[")
+        assert watched == checked
