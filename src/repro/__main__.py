@@ -37,14 +37,9 @@ unwraps each :class:`~repro.api.StageResult` and lets the
 
 Options: ``--mode {none,object,field}``, ``--downcast {padding,first-region,
 reject}``, ``--entry NAME``, ``--args N [N ...]``, ``--recursion-limit N``,
-``--quick``.  The batch entry points (``batch``, ``fig8``, ``fig9``) accept
-``--backend {thread,process}`` and ``--jobs N``: ``thread`` (the default)
-runs the batch in the calling thread, ``process`` on a multi-core process
-pool ``N`` workers wide.  Each subcommand passes both flags to every batch
-call it makes.  One CLI invocation owns one :class:`~repro.api.Session`
-and therefore one persistent worker pool: all the work a subcommand
-schedules shares the same workers (and their warm caches), and the pool
-is released when the command exits.
+``--quick``.  One CLI invocation owns one :class:`~repro.api.Session`,
+so all the work a subcommand schedules (every ``batch`` file, every
+``fig8`` measurement) shares one cache, in the calling thread.
 """
 
 from __future__ import annotations
@@ -57,7 +52,7 @@ from pathlib import Path
 from typing import Any, Dict, List
 
 from .analysis import render_report, summarize
-from .api import BACKENDS, Pipeline, Session, StageFailure
+from .api import Pipeline, Session, StageFailure
 from .api.diagnostics import (
     Diagnostic,
     DiagnosticCode,
@@ -304,8 +299,6 @@ def cmd_batch(args: argparse.Namespace, session: Session) -> int:
     inferred = session.infer_many(
         [sources[path] for path in readable],
         _config(args),
-        max_workers=args.jobs,
-        backend=args.backend,
         return_exceptions=True,
     )
     outcomes = dict(zip(readable, inferred))
@@ -355,8 +348,8 @@ def cmd_batch(args: argparse.Namespace, session: Session) -> int:
         "diagnostics": [],
     }
     if args.stats:
-        # cache and pool observability for the whole invocation: hits,
-        # misses, evictions and pool.* lifecycle events
+        # cache observability for the whole invocation: hits, misses and
+        # evictions per kind
         payload["stats"] = session.stats.as_dict()
         lines.append(json.dumps(payload["stats"], indent=2, sort_keys=True))
     _emit(args, payload, "\n".join(lines))
@@ -583,7 +576,6 @@ def cmd_bench(args: argparse.Namespace, session: Session) -> int:
                             "metric": t.metric,
                             "floor": t.floor,
                             "ceiling": t.ceiling,
-                            "min_cores": t.min_cores,
                         }
                         for t in spec.thresholds
                     ],
@@ -664,12 +656,7 @@ def cmd_bench(args: argparse.Namespace, session: Session) -> int:
 
 
 def cmd_fig8(args: argparse.Namespace, session: Session) -> int:
-    rows = fig8_rows(
-        quick=args.quick,
-        session=session,
-        max_workers=args.jobs,
-        backend=args.backend,
-    )
+    rows = fig8_rows(quick=args.quick, session=session)
     payload = {
         "ok": True,
         "command": "fig8",
@@ -681,9 +668,7 @@ def cmd_fig8(args: argparse.Namespace, session: Session) -> int:
 
 
 def cmd_fig9(args: argparse.Namespace, session: Session) -> int:
-    rows = fig9_rows(
-        session=session, max_workers=args.jobs, backend=args.backend
-    )
+    rows = fig9_rows(session=session)
     payload = {
         "ok": True,
         "command": "fig9",
@@ -708,22 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=["text", "json"],
             default="text",
             help="output format (json carries structured diagnostics)",
-        )
-
-    def pool(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=None,
-            metavar="N",
-            help="process pool size (default: the CPUs this process may use)",
-        )
-        p.add_argument(
-            "--backend",
-            choices=list(BACKENDS),
-            default=None,
-            help="batch backend: thread (default; the calling thread) or "
-            "process (multi-core)",
         )
 
     def common(p: argparse.ArgumentParser, collect: bool = True) -> None:
@@ -813,17 +782,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_batch = sub.add_parser(
         "batch",
-        help="batch inference over many files on a worker pool",
-        description="Infer every file, reporting per-file outcomes; "
-        "--backend process fans the batch out across cores.",
+        help="batch inference over many files",
+        description="Infer every file in turn through one session, "
+        "reporting per-file outcomes.",
     )
     p_batch.add_argument("files", nargs="+", metavar="FILE")
     p_batch.add_argument(
         "--stats",
         action="store_true",
-        help="also print the session's cache/pool statistics as JSON",
+        help="also print the session's cache statistics as JSON",
     )
-    pool(p_batch)
     common(p_batch, collect=False)
     p_batch.set_defaults(func=cmd_batch)
 
@@ -1040,12 +1008,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p8 = sub.add_parser("fig8", help="regenerate the Fig 8 table")
     p8.add_argument("--quick", action="store_true")
-    pool(p8)
     output(p8)
     p8.set_defaults(func=cmd_fig8)
 
     p9 = sub.add_parser("fig9", help="regenerate the Fig 9 table")
-    pool(p9)
     output(p9)
     p9.set_defaults(func=cmd_fig9)
 
@@ -1054,10 +1020,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # one session — and therefore one persistent worker pool — for the
-    # whole invocation: every batch the subcommand schedules (all of
-    # fig8's measurements, fig9's programs, every `batch` file) shares
-    # the same workers and their warm caches
+    # one session for the whole invocation: every batch the subcommand
+    # schedules (all of fig8's measurements, fig9's programs, every
+    # `batch` file) shares its cache
     session = Session()
     try:
         return args.func(args, session)
@@ -1086,8 +1051,6 @@ def main(argv=None) -> int:
         stage = getattr(args, "command", None) or "cli"
         diag = from_exception(err, stage=stage, file=getattr(args, "file", None))
         return _fail(args, stage, [diag])
-    finally:
-        session.close()
 
 
 if __name__ == "__main__":

@@ -14,19 +14,11 @@ remain as thin shims over it):
 * :class:`Diagnostic` — structured errors (severity, stage, machine code,
   source span) replacing bare exception strings, with a ``collect`` mode
   that gathers multiple diagnostics instead of dying on the first.
-* :meth:`Session.infer_many` — batch inference over many programs, with
-  the backend chosen per call: ``backend="thread"`` (the default) is a
-  plain loop in the calling thread, ``backend="process"`` escapes the GIL
-  for multi-core batches and is what the Fig 8 / Fig 9 benchmark harness
-  and the ``batch`` CLI subcommand fan out on.
-* :class:`WorkerPool` — the session-owned *persistent* process pool
-  behind every process-backend batch: spawned lazily once at a fixed
-  width, reused across calls (warm worker caches), respawn-and-retry on
-  killed workers, and released by ``Session.close()`` / the session
-  context manager.
+* :meth:`Session.infer_many` — batch inference over many programs, one
+  ordered loop in the calling thread; the Fig 9 benchmark harness and the
+  ``batch`` CLI subcommand run on it.
 
-See ``docs/api.md`` for the migration guide from the one-shot calls and
-the backend-selection / pickling contract.
+See ``docs/api.md`` for the migration guide from the one-shot calls.
 """
 
 from .diagnostics import (
@@ -45,14 +37,6 @@ from .pipeline import (
     StageResult,
     config_key,
 )
-from .pool import (
-    BACKENDS,
-    DEFAULT_WORKER_CACHE_ENTRIES,
-    WorkerPool,
-    available_cpus,
-    check_backend,
-    default_workers,
-)
 from .session import Session, SessionStats
 
 __all__ = [
@@ -62,18 +46,12 @@ __all__ = [
     "diagnostics_to_json",
     "from_exception",
     "render_diagnostics",
-    "BACKENDS",
     "ExecutionResult",
-    "available_cpus",
-    "check_backend",
-    "default_workers",
     "STAGES",
     "Pipeline",
     "StageFailure",
     "StageResult",
     "config_key",
-    "DEFAULT_WORKER_CACHE_ENTRIES",
-    "WorkerPool",
     "Session",
     "SessionStats",
 ]

@@ -83,13 +83,6 @@ class StageFailure(Exception):
         detail = "; ".join(str(d) for d in self.diagnostics[:3]) or "stage failed"
         super().__init__(f"stage {stage!r} failed: {detail}")
 
-    def __reduce__(self):
-        # Exception's default reduce replays ``args`` (the formatted
-        # message) into ``__init__``, which takes (stage, diagnostics) —
-        # unpicklable without this.  The process backend ships these
-        # across worker boundaries, so rebuild from the real fields.
-        return (StageFailure, (self.stage, self.diagnostics))
-
 
 @dataclass
 class StageResult:

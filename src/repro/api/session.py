@@ -8,8 +8,8 @@ plus the lineages of :meth:`Session.reinfer` documents — so that
 * an ablation sweep (same program, several :class:`InferenceConfig`\\ s)
   parses, normal-types and annotates classes at most once per call, and
 * multi-program workloads go through :meth:`Session.infer_many`, which
-  runs the batch in the calling thread or fans it out over the session's
-  persistent process pool, and returns results in input order either way.
+  runs the batch as one ordered loop in the calling thread and returns
+  results in input order.
 
 Cache effectiveness is observable through :attr:`Session.stats`
 (per-kind hit/miss counters), which the microbenchmarks and tests assert
@@ -38,16 +38,8 @@ from typing import (
 
 from ..checking import CheckReport
 from ..core import InferenceConfig, InferenceResult
-from ..deadline import check as check_deadline
-from ..deadline import deadline, remaining
+from ..deadline import deadline
 from .pipeline import ExecutionResult, Pipeline, StageFailure, config_key
-from .pool import (
-    DEFAULT_WORKER_CACHE_ENTRIES,
-    WorkerPool,
-    _infer_task,
-    check_backend,
-    default_workers,
-)
 
 __all__ = ["Session", "SessionStats"]
 
@@ -62,18 +54,11 @@ class SessionStats:
 
     Cache kinds: ``infer`` (one hit or miss per lookup, failed builds
     included) and ``document`` (lineages: evictions only).
-
-    ``events`` counts things that are not cache traffic — the session's
-    worker-pool lifecycle (``pool.spawns``, ``pool.respawns``,
-    ``pool.retried_items``; see :mod:`repro.api.pool`) — so pool reuse
-    and crash recovery are observable through the same object as cache
-    effectiveness.
     """
 
     hits: Dict[str, int] = field(default_factory=dict)
     misses: Dict[str, int] = field(default_factory=dict)
     evictions: Dict[str, int] = field(default_factory=dict)
-    events: Dict[str, int] = field(default_factory=dict)
 
     def record(self, kind: str, hit: bool) -> None:
         bucket = self.hits if hit else self.misses
@@ -82,22 +67,15 @@ class SessionStats:
     def record_eviction(self, kind: str) -> None:
         self.evictions[kind] = self.evictions.get(kind, 0) + 1
 
-    def record_event(self, kind: str, n: int = 1) -> None:
-        self.events[kind] = self.events.get(kind, 0) + n
-
     def merge(self, delta: Dict[str, Dict[str, int]]) -> None:
         """Fold another stats snapshot (or delta) into these counters.
 
-        Used by the process backend: each worker task reports the cache
-        traffic its worker-side session generated, and the parent session
-        accounts for it here, so ``Session.stats`` stays the one observable
-        total regardless of backend.
+        :meth:`Session.reinfer` counts per-SCC reuse through this.
         """
         buckets = {
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "events": self.events,
         }
         for bucket_name, counts in delta.items():
             bucket = buckets.get(bucket_name)
@@ -121,23 +99,17 @@ class SessionStats:
             return self.evictions.get(kind, 0)
         return sum(self.evictions.values())
 
-    def event_count(self, kind: Optional[str] = None) -> int:
-        if kind is not None:
-            return self.events.get(kind, 0)
-        return sum(self.events.values())
-
     def as_dict(self) -> Dict[str, Dict[str, int]]:
         return {
             "hits": dict(self.hits),
             "misses": dict(self.misses),
             "evictions": dict(self.evictions),
-            "events": dict(self.events),
         }
 
     def __str__(self) -> str:
-        # eviction kinds count: a kind that only ever evicted (hit and
-        # missed elsewhere, e.g. in a worker) must still show up, and the
-        # per-kind eviction counts are part of the story
+        # eviction kinds count: a kind that only ever evicted (document
+        # lineages) must still show up, and the per-kind eviction counts
+        # are part of the story
         kinds = sorted(set(self.hits) | set(self.misses) | set(self.evictions))
         parts = []
         for k in kinds:
@@ -148,9 +120,6 @@ class SessionStats:
             if self.evictions.get(k):
                 part += f" / {self.evictions[k]} eviction(s)"
             parts.append(part)
-        parts.extend(
-            f"{k}: {self.events[k]}" for k in sorted(self.events) if self.events[k]
-        )
         return "; ".join(parts) if parts else "no cache traffic"
 
 
@@ -299,12 +268,7 @@ class _ArtifactStore:
         gc.freeze()
 
     def contains(self, kind: str, key: Hashable) -> bool:
-        """Membership test with no side effects (no stats, no LRU refresh).
-
-        The process backend uses this to split a batch into parent-cache
-        hits and work to ship; the counted lookup (:meth:`peek` with
-        ``record_hit``, or :meth:`record_miss`) still happens at assembly.
-        """
+        """Membership test with no side effects (no stats, no LRU refresh)."""
         with self._lock:
             return (kind, key) in self._data
 
@@ -343,18 +307,6 @@ class Session:
     results grow with the program, which the entry bound cannot see.
     ``None`` (the default) keeps every entry.  A cached result also keeps
     its checker verdict, so a repeat :meth:`check` does no checker work.
-
-    Batch entry points pick their backend per call (``backend="thread"``,
-    the default, runs in the calling thread; see :mod:`repro.api.pool`).
-    Process-backend batches run on one **persistent**
-    :class:`~repro.api.pool.WorkerPool` owned by the session: the pool
-    spawns lazily on the first batch that needs it and is then reused by
-    every later ``infer_many`` / harness call, so repeat batches hit
-    warm worker caches and pay pool spawn once.  Killed workers are
-    respawned and their items retried once (observable as ``pool.*``
-    event counters on :attr:`Session.stats`).  Release the workers with
-    :meth:`close` or ``with Session(...) as s:`` — the session itself
-    stays usable; a later batch simply spawns a fresh pool.
     """
 
     def __init__(
@@ -373,68 +325,7 @@ class Session:
             max_entries=max_cache_entries,
             max_bytes=max_cache_bytes,
         )
-        self._pool: Optional[WorkerPool] = None
-        self._pool_lock = threading.Lock()
         self._calls = threading.local()
-
-    # -- the worker pool ---------------------------------------------------
-    def process_pool(self) -> WorkerPool:
-        """This session's process pool, created on first call.
-
-        Worker sessions inherit the session's cache bound when it has
-        one, and an unbounded session still bounds its workers at
-        :data:`~repro.api.pool.DEFAULT_WORKER_CACHE_ENTRIES` entries,
-        because pool workers persist across batches and would otherwise
-        grow without limit.
-        """
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = WorkerPool(
-                    max_cache_entries=(
-                        self.max_cache_entries
-                        if self.max_cache_entries is not None
-                        else DEFAULT_WORKER_CACHE_ENTRIES
-                    ),
-                    stats=self.stats,
-                )
-            return self._pool
-
-    def close(self) -> None:
-        """Shut this session's pool down.
-
-        Idempotent.  The session remains fully usable afterwards — caches
-        and stats are untouched, and the next process-backend batch
-        spawns a fresh pool.
-        """
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
-
-    def __enter__(self) -> "Session":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-    def _pool_alive(self) -> bool:
-        """Whether a pool with live workers exists right now (no spawn)."""
-        with self._pool_lock:
-            return self._pool is not None and self._pool.alive
-
-    def merge_worker_delta(self, delta: Dict[str, Dict[str, int]]) -> None:
-        """Fold one worker task's stats delta into :attr:`stats`.
-
-        Worker-side traffic is real cache activity, but it is not *this*
-        store's: it is accounted under a ``worker.`` prefix so parent
-        counters keep meaning "the parent cache".
-        """
-        self.stats.merge(
-            {
-                bucket: {f"worker.{kind}": n for kind, n in counts.items()}
-                for bucket, counts in delta.items()
-            }
-        )
 
     # -- pipelines ---------------------------------------------------------
     def pipeline(
@@ -612,8 +503,6 @@ class Session:
         sources: Sequence[str],
         config: Optional[InferenceConfig] = None,
         *,
-        max_workers: Optional[int] = None,
-        backend: Optional[str] = None,
         return_exceptions: bool = False,
     ) -> List[InferenceResult]:
         """Batch inference over many programs.
@@ -622,39 +511,12 @@ class Session:
         the same cached result.  The failing program earliest in input
         order raises its ``StageFailure``; with ``return_exceptions=True``
         failures come back *as list entries* instead (every program runs),
-        which is what the ``batch`` CLI subcommand reports from.  An
-        enclosing :func:`~repro.deadline.deadline` scope holds on both
-        backends: past it the batch raises
-        :class:`~repro.deadline.DeadlineExceeded`.
-
-        ``backend="thread"`` (the default) runs the batch as a plain loop
-        in the calling thread.  ``backend="process"`` fans it out over the
-        session's persistent :meth:`process_pool`: each worker runs its own
-        session and ships results back; successful results land in this
-        session's cache, the workers' cache traffic is merged into
-        :attr:`Session.stats`, and worker-minted regions live in per-worker
-        uid namespaces so results from different workers never collide.
-        ``max_workers`` sizes the process pool, and only when this batch
-        spawns it (see :meth:`WorkerPool.map
-        <repro.api.pool.WorkerPool.map>`); the thread backend ignores it.
+        which is what the ``batch`` CLI subcommand reports from.  The batch
+        is one ordered loop in the calling thread (inference is pure Python,
+        so more threads would only contend for the GIL), and an enclosing
+        :func:`~repro.deadline.deadline` scope holds for it: past it the
+        batch raises :class:`~repro.deadline.DeadlineExceeded`.
         """
-        sources = list(sources)
-        if check_backend(backend) == "process":
-            return self._infer_many_process(
-                sources,
-                config or self.config,
-                max_workers=max_workers,
-                return_exceptions=return_exceptions,
-            )
-        return self._infer_in_thread(sources, config, return_exceptions)
-
-    def _infer_in_thread(
-        self,
-        sources: List[str],
-        config: Optional[InferenceConfig],
-        return_exceptions: bool,
-    ) -> List[InferenceResult]:
-        """The in-thread half of :meth:`infer_many`: one ordered loop."""
         out: List[InferenceResult] = []
         for src in sources:
             try:
@@ -663,95 +525,6 @@ class Session:
                 if not return_exceptions:
                     raise
                 out.append(err)  # type: ignore[arg-type]
-        return out
-
-    def _infer_many_process(
-        self,
-        sources: List[str],
-        cfg: InferenceConfig,
-        *,
-        max_workers: Optional[int],
-        return_exceptions: bool,
-    ) -> List[InferenceResult]:
-        """The process-backend half of :meth:`infer_many`.
-
-        Only parent-cache misses are shipped (each unique source once),
-        each with the caller's remaining deadline; worker results are
-        installed into the parent cache with the same probe, miss and
-        ``put`` as :meth:`Pipeline.infer <repro.api.pipeline.Pipeline.infer>`,
-        so hit/miss accounting and LRU bounds behave exactly as on the
-        thread backend.  Work runs on the session's
-        persistent :meth:`process_pool`, so consecutive batches reuse one
-        executor and its warm worker caches.
-        """
-        ck = config_key(cfg)
-        unique = list(dict.fromkeys(sources))
-        pending = [
-            src
-            for src in unique
-            if not self._store.contains("infer", (_source_key(src), ck))
-        ]
-        workers = (
-            max_workers
-            if max_workers is not None
-            else default_workers(len(pending))
-        )
-        if (
-            pending
-            and (len(pending) <= 1 or workers <= 1)
-            and not self._pool_alive()
-        ):
-            # degenerate pool: the work would run inline in this process
-            # anyway, so run it on *this* session — same results, and the
-            # parent keeps the only artifact cache (no hidden, unbounded
-            # worker session accumulating duplicates in a long-lived
-            # service).  With warm workers already up, even single items
-            # go to the pool instead, keeping its caches hot
-            return self._infer_in_thread(sources, cfg, return_exceptions)
-        # every task carries the caller's remaining deadline; a worker
-        # opens it from the task's own start, so the parent checks the
-        # scope again once the batch is back, before installing anything
-        seconds = remaining()
-        # pass the caller's explicit width through (None lets the pool
-        # size itself to the machine): a batch-derived width here would
-        # pin the fixed-width pool at the first batch's size
-        outcomes = self.process_pool().map(
-            _infer_task,
-            [(src, cfg, seconds) for src in pending],
-            max_workers=max_workers,
-        )
-        check_deadline()
-        shipped: Dict[str, InferenceResult] = {}
-        failures: Dict[str, StageFailure] = {}
-        for src, (result, failure, delta) in zip(pending, outcomes):
-            self.merge_worker_delta(delta)
-            if failure is not None:
-                failures[src] = failure
-            else:
-                shipped[src] = result
-        if failures and not return_exceptions:
-            # deterministic: blame the earliest failing source in input order
-            raise next(failures[src] for src in sources if src in failures)
-        out: List[InferenceResult] = []
-        for src in sources:
-            if src in failures:
-                out.append(failures[src])  # type: ignore[arg-type]
-                continue
-            if src not in shipped:
-                # a parent hit at split time: the ordinary probe answers it
-                # (and rebuilds only in the rare race where the LRU evicted
-                # the entry mid-batch)
-                out.append(self.pipeline(src, cfg).infer().unwrap())
-                continue
-            # a parent miss built remotely: one miss, then installed; a
-            # repeat of the source later in the batch is a hit
-            key = (_source_key(src), ck)
-            value = self._store.peek("infer", key, record_hit=True)
-            if value is None:
-                self._store.record_miss("infer")
-                value = shipped[src]
-                self._store.put("infer", key, value)
-            out.append(value)
         return out
 
     def infer_one(

@@ -1,7 +1,7 @@
 """Every benchmark family, registered as a :class:`BenchmarkSpec`.
 
 One catalog for everything the repo measures about itself: the solver
-scaling families, the backend/pool/session amortisation claims, the
+scaling families, the session amortisation claim, the
 paper's fig8/fig9 tables and the incremental re-inference benchmark all
 publish through the same staged runner (see :mod:`repro.bench.pkb` and
 ``docs/benchmarks.md``).
@@ -46,8 +46,6 @@ __all__ = [
     "registered_specs",
     "family_names",
     "measure_close_project",
-    "measure_backends",
-    "measure_pool_reuse",
     "measure_session_sweep",
     "measure_reinfer",
     "measure_gen_pipeline",
@@ -591,155 +589,6 @@ register(
             "verify_scaling_exponent": MetricRule(
                 direction="lower", tolerance=0.12, min_delta=0.05, portable=True
             ),
-        },
-    )
-)
-
-
-# =====================================================================
-# backend_comparison: process pool vs the in-thread loop on the Olden batch
-# =====================================================================
-def _replicated_olden(replicas: int) -> List[str]:
-    """Distinct sources (a trailing comment changes the hash) so neither
-    backend can collapse the batch into cache hits."""
-    from .olden import OLDEN_PROGRAMS
-
-    return [
-        program.source + f"\n// replica {i}\n"
-        for i in range(replicas)
-        for program in OLDEN_PROGRAMS.values()
-    ]
-
-
-def _batch_workers() -> int:
-    from ..api.pool import available_cpus
-
-    return min(max(available_cpus(), 2), 8)
-
-
-def measure_backends(
-    replicas: int = 3, workers: Optional[int] = None
-) -> Dict[str, Any]:
-    """Same batch, in-thread loop then process backend, fresh sessions."""
-    from ..api import Session
-
-    sources = _replicated_olden(replicas)
-    workers = workers or _batch_workers()
-    timings = {}
-    for backend in ("thread", "process"):
-        with Session() as session:
-            start = time.perf_counter()
-            results = session.infer_many(
-                sources, backend=backend, max_workers=workers
-            )
-            timings[backend] = time.perf_counter() - start
-            assert len(results) == len(sources)
-    return {
-        "programs": len(sources),
-        "workers": workers,
-        "thread_s": timings["thread"],
-        "process_s": timings["process"],
-        "speedup": timings["thread"] / timings["process"],
-    }
-
-
-def _backend_run(ctx: RunContext) -> List[Sample]:
-    measured = measure_backends(replicas=2 if ctx.smoke else 3)
-    from ..api.pool import available_cpus
-
-    meta = {
-        "corpus": "olden-replicated",
-        "programs": measured["programs"],
-        "workers": measured["workers"],
-        "cores": available_cpus(),
-    }
-    return [
-        sample("thread_batch", measured["thread_s"], "s", meta),
-        sample("process_batch", measured["process_s"], "s", meta),
-        sample("backend_speedup", measured["speedup"], "x", meta),
-    ]
-
-
-register(
-    BenchmarkSpec(
-        name="backend_comparison",
-        description="infer_many on the replicated Olden batch: the "
-        "in-thread loop vs the multi-core process pool",
-        run=_backend_run,
-        key_fields=("corpus", "programs", "workers"),
-        thresholds=(Threshold("backend_speedup", floor=1.5, min_cores=4),),
-        rules={"backend_speedup": MetricRule(direction="higher", tolerance=0.5)},
-    )
-)
-
-
-# =====================================================================
-# pool_reuse: persistent worker pools vs per-call spawn
-# =====================================================================
-def measure_pool_reuse(
-    replicas: int = 2, workers: Optional[int] = None
-) -> Dict[str, Any]:
-    """Repeat process-backend batch: one persistent pool vs fresh pools."""
-    from ..api import Session
-
-    sources = _replicated_olden(replicas)
-    workers = workers or _batch_workers()
-
-    # persistent: one session keeps its executor across both batches
-    with Session() as session:
-        session.infer_many(sources, backend="process", max_workers=workers)
-        session.clear_cache()  # the repeat must reach the (warm) workers
-        start = time.perf_counter()
-        results = session.infer_many(
-            sources, backend="process", max_workers=workers
-        )
-        persistent_s = time.perf_counter() - start
-        assert len(results) == len(sources)
-
-    # fresh: the repeat pays pool spawn, re-import and re-inference
-    with Session() as session:
-        session.infer_many(sources, backend="process", max_workers=workers)
-    start = time.perf_counter()
-    with Session() as session:
-        results = session.infer_many(
-            sources, backend="process", max_workers=workers
-        )
-        fresh_s = time.perf_counter() - start
-        assert len(results) == len(sources)
-
-    return {
-        "programs": len(sources),
-        "workers": workers,
-        "persistent_s": persistent_s,
-        "fresh_s": fresh_s,
-        "speedup": fresh_s / persistent_s,
-    }
-
-
-def _pool_run(ctx: RunContext) -> List[Sample]:
-    measured = measure_pool_reuse(replicas=1 if ctx.smoke else 2)
-    meta = {
-        "corpus": "olden-replicated",
-        "programs": measured["programs"],
-        "workers": measured["workers"],
-    }
-    return [
-        sample("fresh_pool_batch", measured["fresh_s"], "s", meta),
-        sample("persistent_pool_batch", measured["persistent_s"], "s", meta),
-        sample("pool_reuse_speedup", measured["speedup"], "x", meta),
-    ]
-
-
-register(
-    BenchmarkSpec(
-        name="pool_reuse",
-        description="Repeat process-backend batches: session-persistent "
-        "worker pool vs spawning a fresh pool per call",
-        run=_pool_run,
-        key_fields=("corpus", "programs", "workers"),
-        thresholds=(Threshold("pool_reuse_speedup", floor=1.3, min_cores=4),),
-        rules={
-            "pool_reuse_speedup": MetricRule(direction="higher", tolerance=0.5)
         },
     )
 )

@@ -13,18 +13,6 @@ Fig 9 suite goes through :meth:`Session.infer_many` as one batch.  Reported
 "inference seconds" are therefore pure engine time
 (:attr:`InferenceResult.elapsed`), not parse time.
 
-Both table builders accept ``backend=`` / ``max_workers=``.  The default
-``backend="thread"`` measures in the calling thread.  With
-``backend="process"`` every (program, mode) measurement of Fig 8 — the
-inference *and* the interpreter run — and the inference batch of Fig 9
-fan out over the session's *persistent*
-:class:`~repro.api.pool.WorkerPool` (one long-lived
-:class:`~repro.api.Session` per worker); Fig 9 then verifies each program
-in the parent, where the pool's results are already cached.  Running fig8
-then fig9 through one session reuses one pool and its warm worker caches.
-Reported engine times stay per-program (each worker times its own run),
-but wall-clock for the whole table drops with the core count.
-
 Absolute times and sizes differ from the paper (Python tree-walker vs GHC
 prototype, scaled inputs); the reproduction target is the *shape*: which
 programs reuse space, under which subtyping mode, and that inference stays
@@ -38,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..api import Session
-from ..api.pool import check_backend, worker_session
 from ..core import InferenceConfig, SubtypingMode
 from ..lang.pretty import pretty_target
 from .olden import OLDEN_PROGRAMS, OldenProgram
@@ -196,39 +183,15 @@ def measure_program(
     return t_inf, t_chk, ratio, result.total_localized, ann
 
 
-def _fig8_task(payload: Tuple[str, str, bool, Tuple[int, ...]]):
-    """Process-pool task: one (program, mode) measurement of the Fig 8 pass.
-
-    Ships only the program *name* (workers import the corpus themselves)
-    and runs on the worker's long-lived session, so a repeated fig8 pass
-    finds its inference results cached on whichever worker ran them.
-    """
-    name, mode_value, run, args = payload
-    return measure_program(
-        REGJAVA_PROGRAMS[name],
-        SubtypingMode(mode_value),
-        run=run,
-        args=list(args),
-        session=worker_session(),
-    )
-
-
 def fig8_rows(
     *,
     run: bool = True,
     quick: bool = False,
     names: Optional[Sequence[str]] = None,
     session: Optional[Session] = None,
-    max_workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> List[Fig8Row]:
-    """Measure every RegJava program (or the named subset).
-
-    With ``backend="process"`` the (program, mode) measurements — the
-    inference *and* the interpreter execution pass, which dominates — fan
-    out over the session's process pool.  The thread backend measures one
-    after another in the calling thread.
-    """
+    """Measure every RegJava program (or the named subset), one (program,
+    mode) pair after another in the calling thread."""
     selected = [
         (name, program)
         for name, program in REGJAVA_PROGRAMS.items()
@@ -239,28 +202,11 @@ def fig8_rows(
         args = program.test_args if quick else program.run_args
         for mode in MODES:
             tasks.append((name, program, mode, args))
-    owned = session is None
     session = session or Session()
-    try:
-        if check_backend(backend) == "process":
-            measured = session.process_pool().map(
-                _fig8_task,
-                [
-                    (name, mode.value, run, tuple(args))
-                    for name, _, mode, args in tasks
-                ],
-                max_workers=max_workers,
-            )
-        else:
-            measured = [
-                measure_program(
-                    program, mode, run=run, args=args, session=session
-                )
-                for _, program, mode, args in tasks
-            ]
-    finally:
-        if owned:
-            session.close()
+    measured = [
+        measure_program(program, mode, run=run, args=args, session=session)
+        for _, program, mode, args in tasks
+    ]
     rows_by_name: Dict[str, Fig8Row] = {}
     for (name, program, mode, args), outcome in zip(tasks, measured):
         t_inf, t_chk, ratio, localized, ann = outcome
@@ -288,36 +234,22 @@ def fig9_rows(
     names: Optional[Sequence[str]] = None,
     *,
     session: Optional[Session] = None,
-    max_workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> List[Fig9Row]:
     """Measure inference time for every Olden program.
 
-    The whole suite is inferred as one :meth:`Session.infer_many` batch on
-    the requested backend (``backend="process"``: the paper's
-    embarrassingly parallel Fig 9 evaluation on every core), then each
-    program is verified with :meth:`Session.check`, which finds the
-    batch's result in the session cache and only runs the checker.  Each
-    program's reported time is its engine time
-    (:attr:`InferenceResult.elapsed`), so the backend does not distort
-    per-program numbers.
+    The whole suite is inferred as one :meth:`Session.infer_many` batch,
+    then each program is verified with :meth:`Session.check`, which finds
+    the batch's result in the session cache and only runs the checker.
+    Each program's reported time is its engine time
+    (:attr:`InferenceResult.elapsed`), not the batch's wall-clock.
     """
-    owned = session is None
     session = session or Session()
     selected = [
         (name, program)
         for name, program in OLDEN_PROGRAMS.items()
         if names is None or name in names
     ]
-    try:
-        results = session.infer_many(
-            [program.source for _, program in selected],
-            backend=backend,
-            max_workers=max_workers,
-        )
-    finally:
-        if owned:
-            session.close()
+    results = session.infer_many([program.source for _, program in selected])
     rows: List[Fig9Row] = []
     for (name, program), result in zip(selected, results):
         report = session.check(program.source)

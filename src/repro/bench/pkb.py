@@ -60,7 +60,7 @@ from typing import (
     Tuple,
 )
 
-from ..api.pool import available_cpus
+from ..obs import available_cpus
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -110,7 +110,7 @@ class Sample:
     """One measurement: metric, value, unit, when, and under what.
 
     ``metadata`` carries everything needed to interpret and match the
-    value across published files — corpus, backend, workers, cache
+    value across published files — corpus, program, mode, cache
     state, sizes.  Values are plain JSON scalars so samples round-trip
     through ``json`` losslessly (see :meth:`to_dict`/:meth:`from_dict`).
     """
@@ -233,21 +233,17 @@ class Threshold:
     Enforced whenever the family runs: by ``repro bench run|publish``
     and by the tier-1 registry test, which both read
     :attr:`FamilyRun.violations`, so the CLI and the test suite can
-    never disagree about the bar.  ``min_cores`` skips the check when
-    this process may use fewer CPUs than that (pool speedups drown in
-    spawn noise below four cores); ``full_only`` skips it in smoke runs,
-    for a metric only a full-size run emits.
+    never disagree about the bar.  ``full_only`` skips the check in
+    smoke runs, for a metric only a full-size run emits.
     """
 
     metric: str
     floor: Optional[float] = None
     ceiling: Optional[float] = None
-    min_cores: int = 1
     full_only: bool = False
 
-    def applicable(self, cores: Optional[int] = None, smoke: bool = False) -> bool:
-        cores = cores if cores is not None else available_cpus()
-        return cores >= self.min_cores and not (smoke and self.full_only)
+    def applicable(self, smoke: bool = False) -> bool:
+        return not (smoke and self.full_only)
 
     def violations(self, samples: Sequence[Sample]) -> List[str]:
         """Human-readable violations of this threshold over ``samples``."""
@@ -355,7 +351,6 @@ class BenchmarkSpec:
     def check_thresholds(
         self,
         samples: Sequence[Sample],
-        cores: Optional[int] = None,
         smoke: bool = False,
     ) -> List[str]:
         """Violations of every applicable threshold over ``samples``.
@@ -366,7 +361,7 @@ class BenchmarkSpec:
         """
         out: List[str] = []
         for t in self.thresholds:
-            if not t.applicable(cores, smoke):
+            if not t.applicable(smoke):
                 continue
             if not any(s.metric == t.metric for s in samples):
                 out.append(f"{t.metric}: no sample to check the threshold on")
@@ -401,8 +396,8 @@ class Runner:
     """Drives a spec through provision -> prepare -> run -> teardown.
 
     Teardown is guaranteed once provisioning succeeded — a prepare or
-    run failure still releases whatever provision built (a worker pool,
-    a daemon on a port) before the :class:`BenchmarkError` propagates.
+    run failure still releases whatever provision built (a daemon on a
+    port) before the :class:`BenchmarkError` propagates.
     """
 
     def run(self, spec: BenchmarkSpec, *, smoke: bool = False) -> FamilyRun:

@@ -202,17 +202,7 @@ class AnnotatedProgram:
 
 @dataclass
 class InferenceResult:
-    """The annotated program plus inference metadata.
-
-    Results pickle by value — the target AST, class table, schemes and
-    config are all plain data — which is what lets the process pool
-    (:mod:`repro.api.pool`) ship them between workers and the parent.  The one global ingredient is the region-uid counter: a result
-    unpickled from another process carries that process's uids, so
-    processes exchanging results must mint uids in disjoint namespaces
-    (:meth:`repro.regions.constraints.Region.namespace_uids`); the
-    distinguished heap/null regions always unpickle to the local
-    singletons.
-    """
+    """The annotated program plus inference metadata."""
 
     target: T.TProgram
     table: ClassTable
@@ -259,8 +249,7 @@ class InferenceResult:
         Region uids come from a per-process counter, so raw uids are never
         comparable between two inference runs; the *structure* — each
         method's region arity and its count of localised regions — is.
-        Used by the differential tests to assert that the thread and
-        process executor backends produce the same inference.
+        The daemon returns it with every ``/v1/infer`` answer.
         """
         return {
             qualified: (

@@ -9,9 +9,8 @@ running.  Nothing catches it on the way: a timed-out build leaves no
 cache entry behind.
 
 The scope lives in a :class:`~contextvars.ContextVar`, so it belongs to
-the thread (or task) that opened it.  Work handed to another process
-carries the scope along as :func:`remaining` seconds, which the worker
-opens as its own scope.  A nested scope never extends the deadline of the
+the thread (or task) that opened it, and :func:`remaining` reports the
+seconds it has left.  A nested scope never extends the deadline of the
 scope around it.  With no scope open, :func:`check` is one
 context-variable read.
 """

@@ -18,9 +18,8 @@ CLI subcommand are built on:
 * :func:`edit_script` -- successive single-method edits of one generated
   program, the workload for ``watch``/``Session.reinfer`` benchmarks.
 * :mod:`repro.gen.oracle` -- the differential fuzzing oracle: pipeline
-  invariants, source-vs-target interpreter bisimulation and
-  thread-vs-process backend byte-identity on generated corpora
-  (``tests/fuzz/`` asserts it; see ``docs/generator.md``).
+  invariants and source-vs-target interpreter bisimulation on generated
+  corpora (``tests/fuzz/`` asserts it; see ``docs/generator.md``).
 """
 
 from .spec import GenSpec, SPEC_HEADER_PREFIX, spec_of_source

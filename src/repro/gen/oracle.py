@@ -8,10 +8,7 @@ One generated program, many independent implementations that must agree:
   source;
 * **bisimulation** -- executing the region-annotated target on the
   region runtime (dangling oracle armed) produces the same value as the
-  region-free source interpreter, for a range of entry arguments;
-* **backend byte-identity** -- ``infer_many`` over the thread and
-  process backends pretty-prints byte-identical targets
-  (:func:`check_backend_identity`).
+  region-free source interpreter, for a range of entry arguments.
 
 ``tests/fuzz/`` asserts these over seeded corpora and the feature
 matrix; any failing program is frozen into
@@ -28,7 +25,6 @@ __all__ = [
     "OracleFailure",
     "OracleReport",
     "check_program_invariants",
-    "check_backend_identity",
 ]
 
 #: entry arguments the bisimulation sweep runs by default
@@ -148,46 +144,3 @@ def check_program_invariants(
                 )
     return report
 
-
-def check_backend_identity(
-    sources: Sequence[str], *, workers: int = 2
-) -> List[str]:
-    """Thread-vs-process ``infer_many`` byte-identity over ``sources``.
-
-    Returns a list of failure descriptions (empty when the two backends
-    produced byte-identical pretty-printed targets for every program).
-    """
-    from ..api import Session, StageFailure
-    from ..lang.pretty import pretty_target
-
-    failures: List[str] = []
-    with Session() as session:
-        thread = session.infer_many(
-            list(sources),
-            backend="thread",
-            max_workers=workers,
-            return_exceptions=True,
-        )
-    with Session() as session:
-        process = session.infer_many(
-            list(sources),
-            backend="process",
-            max_workers=workers,
-            return_exceptions=True,
-        )
-    for k, (t, p) in enumerate(zip(thread, process)):
-        t_failed = isinstance(t, StageFailure)
-        p_failed = isinstance(p, StageFailure)
-        if t_failed != p_failed:
-            failures.append(
-                f"program {k}: thread "
-                f"{'failed' if t_failed else 'ok'} but process "
-                f"{'failed' if p_failed else 'ok'}"
-            )
-        elif not t_failed and pretty_target(t.target) != pretty_target(
-            p.target
-        ):
-            failures.append(
-                f"program {k}: thread and process targets differ"
-            )
-    return failures

@@ -68,8 +68,6 @@ class Pos:
     The lexer builds one per token, so the class is slotted (no instance
     dict) and ``__init__`` fills the slots through their descriptors
     instead of the frozen dataclass's two ``object.__setattr__`` calls.
-    ``__reduce__`` rebuilds by value, since unpickling slot state would
-    go through the frozen ``__setattr__``.
     """
 
     __slots__ = ("line", "col")
@@ -80,9 +78,6 @@ class Pos:
     def __init__(self, line: int, col: int) -> None:
         _set_pos_line(self, line)
         _set_pos_col(self, col)
-
-    def __reduce__(self):
-        return (Pos, (self.line, self.col))
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"

@@ -1,19 +1,41 @@
-"""What the interpreter's cyclic collector costs, read through ``gc.callbacks``.
+"""Host facts: what the cyclic collector costs, and the CPUs we may use.
 
 :class:`GcPauses` counts collections per generation and sums their
-pauses while it is active.  ``repro profile`` reports one per pipeline
-stage and the ``gen_scaling`` bench family publishes one per inference,
-so a collector regression is blamed on the stage or the heap that
-caused it.
+pauses while it is active (read through ``gc.callbacks``).  ``repro
+profile`` reports one per pipeline stage and the ``gen_scaling`` bench
+family publishes one per inference, so a collector regression is blamed
+on the stage or the heap that caused it.  :func:`available_cpus` sets
+the daemon's default request concurrency and is recorded in every
+published benchmark.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import time
 from typing import Any, Dict, List, Optional
 
-__all__ = ["GcPauses"]
+__all__ = ["GcPauses", "available_cpus"]
+
+
+def available_cpus() -> int:
+    """The number of CPUs *this process* may actually run on.
+
+    ``os.cpu_count()`` reports the machine; in a cgroup/cpuset-limited
+    container (CI runners, serving deployments) the process is often
+    pinned to far fewer cores, and sizing pools by the machine
+    over-provisions — more workers than cores means pure contention.
+    ``os.sched_getaffinity(0)`` reports the real allowance where the
+    platform has it (Linux); elsewhere fall back to ``os.cpu_count()``.
+    """
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    if getaffinity is not None:
+        try:
+            return len(getaffinity(0)) or 1
+        except OSError:
+            pass
+    return os.cpu_count() or 1
 
 
 class GcPauses:

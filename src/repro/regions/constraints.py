@@ -25,7 +25,6 @@ values; all combinators return new objects.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -59,15 +58,6 @@ class Region(int):
     heap with unlimited lifetime; :data:`NULL_REGION` is the fictitious
     region of ``null`` values discussed in the paper's conclusion (it
     outlives and is outlived by every region).
-
-    **Pickling contract.**  Regions pickle by value (name, kind, uid); the
-    distinguished :data:`HEAP` and :data:`NULL_REGION` singletons unpickle
-    to the module-level objects themselves, so identity tests survive a
-    round trip.  Because the uid counter is *per-process* global state, two
-    processes independently running inference mint colliding uids; any code
-    shipping regions across a process boundary (the ``backend="process"``
-    executor) must first call :meth:`namespace_uids` in the worker so every
-    process mints uids from a private, disjoint namespace.
     """
 
     _counter = itertools.count(1)
@@ -89,15 +79,6 @@ class Region(int):
 
     def __str__(self) -> str:
         return self.name
-
-    def __reduce__(self):
-        # the distinguished regions unpickle to the singletons themselves
-        # (preserving identity); ordinary variables rebuild by value.
-        if self.kind == "heap":
-            return (_restore_heap, ())
-        if self.kind == "null":
-            return (_restore_null, ())
-        return (Region, (self.name, self.kind, self.uid))
 
     # -- predicates ---------------------------------------------------------
     @property
@@ -136,31 +117,6 @@ class Region(int):
         """Return ``n`` distinct fresh region variables."""
         return tuple(Region.fresh(hint) for _ in range(n))
 
-    @staticmethod
-    def namespace_uids(band: Optional[int] = None) -> int:
-        """Move this process's fresh-region uids into a private namespace.
-
-        Restarts the uid counter at ``(band << 48) + 1``; ``band`` defaults
-        to a random non-zero 48-bit value.  A process-pool worker calls
-        this once at startup so the uids it mints can never collide with
-        the parent's (which start at 1) or another worker's: results
-        pickled back to the parent then stay safe to cache and compare
-        side by side.  Returns the namespace base.
-
-        Uid *order* within a namespace is unchanged (the counter is still
-        monotonic), so every uid-ordered tie-break in the solver and the
-        inference engine behaves exactly as in an un-namespaced process.
-        """
-        if band is None:
-            band = 1 + int.from_bytes(os.urandom(6), "big")
-        if band < 1:
-            # band 0 would restart the counter at 1 — the parent namespace,
-            # and exactly the collision this method exists to prevent
-            raise ValueError(f"namespace band must be positive, got {band}")
-        base = band << 48
-        Region._counter = itertools.count(base + 1)
-        return base
-
 
 #: The global heap region; ``heap >= r`` holds for every region ``r``.
 HEAP = Region("heap", "heap", _uid=0)
@@ -168,16 +124,6 @@ HEAP = Region("heap", "heap", _uid=0)
 #: The fictitious region for null values (paper Sec 8): outlives and is
 #: outlived by everything, so it never constrains placement.
 NULL_REGION = Region("rnull", "null", _uid=-1)
-
-
-def _restore_heap() -> Region:
-    """Unpickle hook: the heap region is a process-wide singleton."""
-    return HEAP
-
-
-def _restore_null() -> Region:
-    """Unpickle hook: the null region is a process-wide singleton."""
-    return NULL_REGION
 
 
 class RegionNames:

@@ -95,18 +95,6 @@ class RegionSolver:
         self._bit = None
         self._reach = None
 
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickle the graph without the bitsets.
-
-        The dense numbering behind ``_bit``/``_reach`` is an artifact of
-        this process's query history; the closure flag survives (closing
-        is a graph property), and the first query on the unpickled solver
-        rebuilds the bitsets.
-        """
-        state = dict(self.__dict__)
-        state["_bit"] = state["_reach"] = None
-        return state
-
     # -- union-find -----------------------------------------------------------
     def _ensure(self, r: Region) -> Region:
         if r not in self._parent:

@@ -34,10 +34,11 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from ..api import StageFailure, available_cpus
+from ..api import StageFailure
 from ..core import InferenceResult
 from ..deadline import DeadlineExceeded, deadline
 from ..lang.pretty import pretty_target
+from ..obs import available_cpus
 from .admission import AdmissionController, AdmissionRejected, AdmissionTimeout
 from .tenancy import Tenant, TenantRegistry
 from .wire import (
@@ -108,7 +109,7 @@ class Router:
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
-        """Drain-free teardown: close tenant sessions."""
+        """Drain-free teardown: the tenant registry admits no new tenant."""
         if self._closed:
             return
         self._closed = True

@@ -107,14 +107,9 @@ class TenantRegistry:
             return len(self._tenants)
 
     def close(self) -> None:
-        """Close every tenant session.  Idempotent."""
+        """Refuse new tenants from now on.  Idempotent."""
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
-            tenants = list(self._tenants.values())
-        for tenant in tenants:
-            tenant.session.close()
 
     def __enter__(self) -> "TenantRegistry":
         return self

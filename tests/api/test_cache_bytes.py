@@ -28,9 +28,9 @@ from tests.conftest import LIST_SOURCE, PAIR_SOURCE
 
 class TestApproxBytes(object):
     def test_a_distinct_result_is_charged_per_token(self):
-        with Session() as session:
-            small = session.infer(PAIR_SOURCE)
-            big = session.infer(LIST_SOURCE)
+        session = Session()
+        small = session.infer(PAIR_SOURCE)
+        big = session.infer(LIST_SOURCE)
         for result in (small, big):
             tokens = result.table.program.tokens
             assert tokens > 0 and result.reused_sccs == 0
@@ -40,9 +40,9 @@ class TestApproxBytes(object):
 
     def test_an_edit_version_is_charged_for_what_it_re_infers(self):
         first, edited = edit_script(GenSpec.sized(4, seed=0), 1)
-        with Session() as session:
-            prior = session.reinfer(first, document="d")
-            version = session.reinfer(edited, document="d")
+        session = Session()
+        prior = session.reinfer(first, document="d")
+        version = session.reinfer(edited, document="d")
         tokens = version.table.program.tokens
         sccs = version.reused_sccs + version.reinferred_sccs
         assert 0 < version.reinferred_sccs < sccs
@@ -117,23 +117,23 @@ class TestByteBound(object):
 
 class TestSessionSurface(object):
     def test_session_exposes_cache_bytes(self):
-        with Session(max_cache_bytes=1 << 30) as session:
-            assert session.cache_bytes == 0
-            session.infer(PAIR_SOURCE)
-            assert session.cache_bytes > 0
+        session = Session(max_cache_bytes=1 << 30)
+        assert session.cache_bytes == 0
+        session.infer(PAIR_SOURCE)
+        assert session.cache_bytes > 0
 
     def test_unbounded_sessions_keep_no_cost_bookkeeping(self):
         # no byte bound -> no cost bookkeeping at all
-        with Session() as session:
-            session.infer(PAIR_SOURCE)
-            assert session.cache_bytes == 0
+        session = Session()
+        session.infer(PAIR_SOURCE)
+        assert session.cache_bytes == 0
 
     def test_byte_bound_evicts_across_kinds(self):
-        with Session(max_cache_bytes=1) as session:
-            session.reinfer(PAIR_SOURCE, document="d")
-            # the document's lineage evicted its infer entry, and the next
-            # program's infer entry evicts the lineage: only the newest
-            # entry stays
-            session.infer(LIST_SOURCE)
-            assert session.cache_size == 1
-            assert session.stats.evictions == {"infer": 1, "document": 1}
+        session = Session(max_cache_bytes=1)
+        session.reinfer(PAIR_SOURCE, document="d")
+        # the document's lineage evicted its infer entry, and the next
+        # program's infer entry evicts the lineage: only the newest
+        # entry stays
+        session.infer(LIST_SOURCE)
+        assert session.cache_size == 1
+        assert session.stats.evictions == {"infer": 1, "document": 1}

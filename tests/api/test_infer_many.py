@@ -47,7 +47,7 @@ class TestOrdering(object):
 
     def test_duplicates_resolve_to_the_cached_result(self):
         session = Session()
-        results = session.infer_many([PROGRAMS[0]] * 4, max_workers=1)
+        results = session.infer_many([PROGRAMS[0]] * 4)
         assert all(r is results[0] for r in results)
         assert session.stats.miss_count("infer") == 1
         assert session.stats.hit_count("infer") == 3
@@ -57,15 +57,15 @@ class TestOrdering(object):
 
 
 class TestDeterminism(object):
-    def test_parallel_matches_sequential(self):
-        parallel = Session().infer_many(PROGRAMS, max_workers=4)
-        sequential = Session().infer_many(PROGRAMS, max_workers=1)
-        for p, s in zip(parallel, sequential):
-            assert _fingerprint(p) == _fingerprint(s)
+    def test_batch_matches_one_program_at_a_time(self):
+        batch = Session().infer_many(PROGRAMS)
+        single = [Session().infer(src) for src in PROGRAMS]
+        for b, s in zip(batch, single):
+            assert _fingerprint(b) == _fingerprint(s)
 
     def test_two_parallel_runs_agree(self):
-        a = Session().infer_many(PROGRAMS, max_workers=4)
-        b = Session().infer_many(PROGRAMS, max_workers=4)
+        a = Session().infer_many(PROGRAMS)
+        b = Session().infer_many(PROGRAMS)
         for x, y in zip(a, b):
             assert _fingerprint(x) == _fingerprint(y)
 

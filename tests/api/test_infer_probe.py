@@ -66,25 +66,6 @@ class TestCachedInferShortCircuits(object):
         assert _traffic(session) == traffic
         assert front_half_builds == built
 
-    def test_check_after_a_pool_installed_result_touches_only_infer(
-        self, front_half_builds
-    ):
-        with Session() as session:
-            result, _ = session.infer_many(
-                [PAIR_SOURCE, LIST_SOURCE], backend="process", max_workers=2
-            )
-            assert session.stats.miss_count("infer") == 2
-            # the workers built the front half; the parent never did
-            assert front_half_builds == {"parse": 0, "annotate": 0}
-            pipe = session.pipeline(PAIR_SOURCE)
-            _assert_one_infer_hit(session, pipe.verify, front_half_builds)
-            assert pipe.infer().value is result
-            assert pipe.verify().ok
-            _assert_one_infer_hit(
-                session, lambda: session.check(PAIR_SOURCE), front_half_builds
-            )
-            assert front_half_builds == {"parse": 0, "annotate": 0}
-
     def test_infer_one_answers_a_cached_result_without_the_pool(
         self, front_half_builds
     ):
@@ -96,7 +77,6 @@ class TestCachedInferShortCircuits(object):
             front_half_builds,
         )
         assert session.infer_one(PAIR_SOURCE) is result
-        assert not session._pool_alive()
 
     def test_run_still_returns_every_stage(self):
         session = Session()

@@ -1,4 +1,4 @@
-"""Stats-accounting regressions: failed builds, eviction rendering, events.
+"""Stats-accounting regressions: failed builds and eviction rendering.
 
 Two bugs pinned here:
 
@@ -74,27 +74,3 @@ class TestStatsRendering(object):
     def test_empty_stats_still_render(self):
         assert str(SessionStats()) == "no cache traffic"
 
-
-class TestEvents(object):
-    def test_record_and_count(self):
-        stats = SessionStats()
-        stats.record_event("pool.spawns")
-        stats.record_event("pool.retried_items", 3)
-        assert stats.event_count("pool.spawns") == 1
-        assert stats.event_count("pool.retried_items") == 3
-        assert stats.event_count() == 4
-        assert stats.event_count("pool.respawns") == 0
-
-    def test_events_round_trip_as_dict_and_merge(self):
-        stats = SessionStats()
-        stats.record_event("pool.spawns")
-        snapshot = stats.as_dict()
-        assert snapshot["events"] == {"pool.spawns": 1}
-        other = SessionStats()
-        other.merge(snapshot)
-        assert other.event_count("pool.spawns") == 1
-
-    def test_events_render(self):
-        stats = SessionStats()
-        stats.record_event("pool.spawns", 2)
-        assert "pool.spawns: 2" in str(stats)

@@ -6,8 +6,7 @@ benchmark code.  Each family runs here in smoke mode, exactly as
 and violate none of its applicable thresholds: the solver, re-inference
 and session-reuse speedup floors, the fig8/fig9 per-program time
 ceilings.  A threshold whose metric was never emitted counts as a
-violation.  Thresholds that need more CPUs than this process may use
-(``min_cores``) skip.
+violation.  Thresholds marked ``full_only`` skip.
 """
 
 import pytest

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from repro.bench import pkb
-from repro.bench.families import get_spec
 from repro.bench.pkb import (
     BenchmarkError,
     BenchmarkSpec,
@@ -72,19 +71,11 @@ def test_host_metadata_shape():
 
 
 def test_cores_mean_this_process_allowance_not_the_machine(monkeypatch):
-    # a taskset/cpuset-limited process on a bigger machine: the
-    # four-core pool bars must skip, as the pool itself is sized to 2
+    # a taskset/cpuset-limited process on a bigger machine
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert host_metadata()["affinity"] == 2
     assert host_metadata()["cpu_count"] == 8
-    for family, metric in (
-        ("backend_comparison", "backend_speedup"),
-        ("pool_reuse", "pool_reuse_speedup"),
-    ):
-        spec = get_spec(family)
-        assert not spec.threshold(metric).applicable()
-        assert spec.check_thresholds([sample(metric, 0.5, "x")]) == []
 
 
 def test_interleaved_best_returns_both_sides():
@@ -123,22 +114,6 @@ class TestThreshold:
         assert t.violations([sample("requests_failed", 2, "count")])
         assert t.violations([sample("requests_failed", 0, "count")]) == []
 
-    def test_min_cores_gate(self):
-        t = Threshold("speedup", floor=1.5, min_cores=4)
-        assert not t.applicable(cores=1)
-        assert t.applicable(cores=4)
-
-    def test_spec_skips_inapplicable_thresholds(self):
-        spec = BenchmarkSpec(
-            name="toy",
-            description="",
-            run=lambda ctx: [],
-            thresholds=(Threshold("speedup", floor=100.0, min_cores=64),),
-        )
-        samples = [sample("speedup", 1.0, "x")]
-        assert spec.check_thresholds(samples, cores=2) == []
-        assert spec.check_thresholds(samples, cores=64)
-
     def test_unemitted_metric_is_a_violation(self):
         spec = BenchmarkSpec(
             name="toy",
@@ -148,14 +123,6 @@ class TestThreshold:
         )
         (violation,) = spec.check_thresholds([sample("other", 0.5, "ms")])
         assert "renamed_away" in violation and "no sample" in violation
-        # an inapplicable threshold needs no sample
-        gated = BenchmarkSpec(
-            name="toy",
-            description="",
-            run=lambda ctx: [],
-            thresholds=(Threshold("speedup", floor=1.5, min_cores=64),),
-        )
-        assert gated.check_thresholds([], cores=2) == []
 
     def test_full_only_threshold_skips_smoke_runs(self):
         spec = BenchmarkSpec(

@@ -5,8 +5,6 @@ Equality and hashing are ``int``'s own, run in C: the class defines no
 fresh region generation relies on hold unchanged.
 """
 
-import pickle
-
 from repro.regions import HEAP, NULL_REGION, Region
 
 
@@ -47,9 +45,3 @@ def test_set_iteration_order_is_the_uid_order():
     regions = [Region.fresh() for _ in range(50)] + [HEAP, NULL_REGION]
     assert [int(r) for r in set(regions)] == list(set(int(r) for r in regions))
 
-
-def test_pickling_keeps_singletons_and_values():
-    r = Region.fresh("p")
-    back = pickle.loads(pickle.dumps((HEAP, NULL_REGION, r)))
-    assert back[0] is HEAP and back[1] is NULL_REGION
-    assert back[2] == r and back[2].name == r.name and type(back[2]) is Region

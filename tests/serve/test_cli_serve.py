@@ -34,7 +34,7 @@ class TestBatchStats(object):
         # the JSON block is the printed SessionStats.as_dict()
         start = out.index("{")
         stats = json.loads(out[start:])
-        assert set(stats) == {"hits", "misses", "evictions", "events"}
+        assert set(stats) == {"hits", "misses", "evictions"}
         assert stats["misses"]["infer"] == 1
 
     def test_stats_rides_along_in_json_format(self, batch_files, capsys):
@@ -76,7 +76,7 @@ class TestServeParser(object):
         assert args.quiet is True
 
     def test_warm_floor_flag_is_refused(self):
-        # the pool has a fixed width; there is no warm floor to set
+        # there is no worker pool, so no warm floor to set
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["serve", "--min-workers", "1"])
         assert exc.value.code == 2
@@ -87,12 +87,17 @@ class TestServeParser(object):
             ["serve", "--backend", "process"],
             ["serve", "--jobs", "2"],
             ["serve", "--idle-timeout", "1"],
+            ["batch", "a.cj", "--backend", "process"],
+            ["batch", "a.cj", "--jobs", "2"],
+            ["fig9", "--jobs", "2"],
         ],
-        ids=lambda argv: " ".join(argv[:2]),
+        ids=lambda argv: " ".join(
+            [argv[0]] + [a for a in argv if a.startswith("--")][:1]
+        ),
     )
     def test_pool_flags_are_gone_from_the_daemon(self, argv):
-        # the daemon runs every request inline: there is no pool to size,
-        # pick or reap
+        # every command runs in the calling thread (the daemon: inline in
+        # each request's handler): there is no pool to size, pick or reap
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2

@@ -196,20 +196,6 @@ class TestBatch(object):
         assert payload["programs"][1]["stage"] == "parse"
         assert payload["programs"][1]["diagnostics"][0]["code"] == "parse-error"
 
-    def test_process_backend_and_jobs_flags(self, batch_files, capsys):
-        good1, good2, _ = batch_files
-        assert main(
-            ["batch", good1, good2, "--backend", "process", "--jobs", "2"]
-        ) == 0
-        assert "2/2 programs inferred" in capsys.readouterr().out
-
-    def test_auto_backend(self, batch_files, capsys):
-        # "auto" is not a backend choice: argparse refuses it
-        good1, good2, _ = batch_files
-        with pytest.raises(SystemExit) as exc:
-            main(["batch", good1, good2, "--backend", "auto"])
-        assert exc.value.code == 2
-
     def test_missing_file_is_a_per_file_failure(self, batch_files, tmp_path, capsys):
         # an unreadable file must not abort the rest of the batch
         import json
@@ -231,12 +217,6 @@ class TestBatch(object):
         good1, _, bad = batch_files
         assert main(["batch", bad, bad, good1]) == 2
         assert "1/3 programs inferred, 2 failed" in capsys.readouterr().out
-
-
-class TestPoolFlags(object):
-    def test_fig9_accepts_backend_and_jobs(self, capsys):
-        assert main(["fig9", "--backend", "thread", "--jobs", "2"]) == 0
-        assert "Fig 9" in capsys.readouterr().out
 
 
 class TestWatch(object):

@@ -168,17 +168,3 @@ class TestBatchBackends(object):
         assert cached == [True] * (started - 1) + [False] * (
             len(BATCH) - started + 1
         )
-
-    def test_process_batch_stops_at_the_deadline(self):
-        with Session() as session:
-            # warm the pool so the timed batch pays no spawn
-            session.infer_many(
-                [PAIR_SOURCE, LIST_SOURCE], backend="process", max_workers=2
-            )
-            session.clear_cache()
-            start = time.monotonic()
-            with deadline(BATCH_DEADLINE):
-                with pytest.raises(DeadlineExceeded):
-                    session.infer_many(BATCH, backend="process", max_workers=2)
-            assert time.monotonic() - start < 0.5
-            assert session.cache_size == 0
