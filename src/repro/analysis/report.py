@@ -11,11 +11,11 @@ tests that pin the engine's precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List
 
 from ..core.infer import InferenceResult
 from ..lang import target as T
-from ..regions.constraints import HEAP, Outlives, PredAtom, Region, RegionEq
+from ..regions.constraints import HEAP, Outlives, RegionEq
 
 __all__ = [
     "MethodReport",

@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..api import Session
 from ..core import InferenceConfig, SubtypingMode
 from ..lang.pretty import pretty_target
-from .olden import OLDEN_PROGRAMS, OldenProgram
+from .olden import OLDEN_PROGRAMS
 from .regjava import REGJAVA_PROGRAMS, BenchmarkProgram
 
 __all__ = [

@@ -25,7 +25,7 @@ the reproduction target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 __all__ = ["PaperRow", "BenchmarkProgram", "REGJAVA_PROGRAMS", "regjava_program"]
 

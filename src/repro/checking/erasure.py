@@ -11,7 +11,7 @@ The erasure is structural; the test suite compares it against the
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..lang import ast as S
 from ..lang import target as T

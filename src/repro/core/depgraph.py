@@ -33,7 +33,9 @@ are guaranteed to present identical inference inputs for that SCC, so
 :func:`diff` returns exactly the methods of the SCCs whose fingerprint
 changed (or ``None`` when the class shapes changed), and the one
 inference driver (:meth:`repro.core.infer.RegionInference.infer`)
-splices the rest from a prior result.
+splices the rest from a prior result.  A graph's side of that diff is
+a :class:`GraphFingerprints` value; every inference result keeps its
+own, so an edit hashes only the new program (:func:`dirty_methods`).
 
 :class:`SccFootprints` gives each method SCC the abstraction names its
 inference may read; every inference run gates its per-SCC reads to
@@ -65,7 +67,9 @@ __all__ = [
     "DependencyGraph",
     "FootprintSet",
     "SccFootprints",
+    "GraphFingerprints",
     "diff",
+    "dirty_methods",
     "method_fingerprint",
     "class_fingerprint",
     "class_fingerprints",
@@ -85,36 +89,61 @@ _SKIP_FIELDS = frozenset(
 )
 
 
-def _feed(h, obj) -> None:
-    """Feed a canonical byte encoding of an AST value into hash ``h``."""
-    if obj is None:
-        h.update(b"\x00N")
+#: per AST dataclass type: its opening tag and the ``(tag, field name)``
+#: pairs it hashes, worked out once per type instead of once per node
+_LAYOUTS: Dict[type, Tuple[bytes, Tuple[Tuple[bytes, str], ...]]] = {}
+
+
+def _layout(tp: type) -> Tuple[bytes, Tuple[Tuple[bytes, str], ...]]:
+    layout = (
+        b"\x00<" + tp.__name__.encode("ascii"),
+        tuple(
+            (b"\x00." + f.name.encode("ascii"), f.name)
+            for f in dc_fields(tp)
+            if f.name not in _SKIP_FIELDS
+        ),
+    )
+    _LAYOUTS[tp] = layout  # idempotent: every thread computes the same value
+    return layout
+
+
+def _feed(out: List[bytes], obj) -> None:
+    """Append a canonical byte encoding of an AST value to ``out``."""
+    t = type(obj)
+    layout = _LAYOUTS.get(t)
+    if layout is None and t is not str and t is not list and obj is not None:
+        if is_dataclass(obj):
+            layout = _layout(t)
+    if layout is not None:
+        head, fields = layout
+        out.append(head)
+        for tag, name in fields:
+            out.append(tag)
+            value = getattr(obj, name)
+            if type(value) is str:  # most fields: names and operators
+                out.append(b"\x00s")
+                out.append(value.encode("utf-8"))
+            else:
+                _feed(out, value)
+        out.append(b"\x00>")
+    elif obj is None:
+        out.append(b"\x00N")
     elif isinstance(obj, bool):
-        h.update(b"\x00T" if obj else b"\x00F")
+        out.append(b"\x00T" if obj else b"\x00F")
     elif isinstance(obj, str):
-        h.update(b"\x00s")
-        h.update(obj.encode("utf-8"))
+        out.append(b"\x00s")
+        out.append(obj.encode("utf-8"))
     elif isinstance(obj, int):
-        h.update(b"\x00i")
-        h.update(str(obj).encode("ascii"))
+        out.append(b"\x00i")
+        out.append(str(obj).encode("ascii"))
     elif isinstance(obj, (list, tuple)):
-        h.update(b"\x00[")
+        out.append(b"\x00[")
         for x in obj:
-            _feed(h, x)
-        h.update(b"\x00]")
-    elif is_dataclass(obj):
-        h.update(b"\x00<")
-        h.update(type(obj).__name__.encode("ascii"))
-        for f in dc_fields(obj):
-            if f.name in _SKIP_FIELDS:
-                continue
-            h.update(b"\x00.")
-            h.update(f.name.encode("ascii"))
-            _feed(h, getattr(obj, f.name))
-        h.update(b"\x00>")
+            _feed(out, x)
+        out.append(b"\x00]")
     else:  # pragma: no cover - defensive (no other value kinds in the AST)
-        h.update(b"\x00?")
-        h.update(repr(obj).encode("utf-8"))
+        out.append(b"\x00?")
+        out.append(repr(obj).encode("utf-8"))
 
 
 def method_fingerprint(decl: S.MethodDecl) -> str:
@@ -123,9 +152,9 @@ def method_fingerprint(decl: S.MethodDecl) -> str:
     Independent of source formatting, positions and ``New`` labels; two
     textually different but structurally identical declarations agree.
     """
-    h = hashlib.sha256()
-    _feed(h, decl)
-    return h.hexdigest()
+    out: List[bytes] = []
+    _feed(out, decl)
+    return hashlib.sha256(b"".join(out)).hexdigest()
 
 
 def class_fingerprint(decl: S.ClassDecl) -> str:
@@ -136,14 +165,10 @@ def class_fingerprint(decl: S.ClassDecl) -> str:
     types, recursive region), so any change here invalidates the whole
     annotation universe (:func:`diff` then returns ``None``).
     """
-    h = hashlib.sha256()
-    h.update(b"\x00C")
-    h.update(decl.name.encode("utf-8"))
-    h.update(b"\x00<")
-    h.update(decl.super_name.encode("utf-8"))
+    out = [b"\x00C", decl.name.encode("utf-8"), b"\x00<", decl.super_name.encode("utf-8")]
     for f in decl.fields:
-        _feed(h, f)
-    return h.hexdigest()
+        _feed(out, f)
+    return hashlib.sha256(b"".join(out)).hexdigest()
 
 
 def class_fingerprints(table: ClassTable) -> List[Tuple[str, str]]:
@@ -312,9 +337,16 @@ class DependencyGraph:
 
     # -- fingerprints ------------------------------------------------------------
     def _local_fingerprint(
-        self, node: Node, salts: Optional[Mapping[str, str]]
+        self,
+        node: Node,
+        salts: Optional[Mapping[str, str]],
+        shapes: Dict[str, str],
     ) -> str:
-        """Structural hash of one node in isolation (no dependencies)."""
+        """Structural hash of one node in isolation (no dependencies).
+
+        A ``classinv`` node's hash is its class's shape fingerprint, which
+        is also recorded in ``shapes``.
+        """
         if node.kind == "method":
             fp = method_fingerprint(self._methods[node.name])
             salt = salts.get(node.name) if salts else None
@@ -325,7 +357,8 @@ class DependencyGraph:
                 h.update(salt.encode("utf-8"))
                 fp = h.hexdigest()
             return fp
-        return class_fingerprint(self.table.decl(node.name))
+        fp = shapes[node.name] = class_fingerprint(self.table.decl(node.name))
+        return fp
 
     def node_fingerprints(
         self, salts: Optional[Mapping[str, str]] = None
@@ -343,6 +376,11 @@ class DependencyGraph:
         the node sees identical inference inputs, which is the soundness
         condition for splicing its prior result.
         """
+        return self._node_fingerprints(salts, {})
+
+    def _node_fingerprints(
+        self, salts: Optional[Mapping[str, str]], shapes: Dict[str, str]
+    ) -> Dict[Node, str]:
         sccs = self.sccs()
         scc_of: Dict[Node, int] = {}
         for i, scc in enumerate(sccs):
@@ -359,7 +397,7 @@ class DependencyGraph:
                         deps.add(j)
             h = hashlib.sha256()
             h.update(b"\x00S")
-            for fp in sorted(self._local_fingerprint(n, salts) for n in scc):
+            for fp in sorted(self._local_fingerprint(n, salts, shapes) for n in scc):
                 h.update(fp.encode("ascii"))
                 h.update(b"\x00,")
             h.update(b"\x00D")
@@ -371,6 +409,33 @@ class DependencyGraph:
             for n in scc:
                 out[n] = digest
         return out
+
+    def fingerprints(
+        self, salts: Optional[Mapping[str, str]] = None
+    ) -> "GraphFingerprints":
+        """What :func:`dirty_methods` needs of this graph, hashed once."""
+        shapes: Dict[str, str] = {}
+        fps = self._node_fingerprints(salts, shapes)
+        return GraphFingerprints(
+            classes=tuple((cn, shapes[cn]) for cn in self.table.class_names()),
+            methods={n.name: fp for n, fp in fps.items() if n.kind == "method"},
+            invs={n.name: fp for n, fp in fps.items() if n.kind == "classinv"},
+        )
+
+
+@dataclass(frozen=True)
+class GraphFingerprints:
+    """One program's side of an edit diff: everything :func:`dirty_methods`
+    reads of a graph, so a result can keep it instead of its graph.
+
+    ``classes`` is :func:`class_fingerprints` as a tuple; ``methods`` and
+    ``invs`` map each method (qualified name) and each class (its
+    ``classinv`` node) to its transitive fingerprint.
+    """
+
+    classes: Tuple[Tuple[str, str], ...]
+    methods: Mapping[str, str]
+    invs: Mapping[str, str]
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +576,22 @@ def diff(
 ) -> Optional[FrozenSet[str]]:
     """The methods of ``new`` whose SCC must be re-inferred after an edit.
 
-    ``None`` when the class shapes changed: every region annotation may
-    then differ, so nothing of ``old``'s inference can be reused.
+    :func:`dirty_methods` over both graphs' fingerprints; see there.
+    """
+    return dirty_methods(
+        old.fingerprints(old_salts), new, new.fingerprints(new_salts)
+    )
+
+
+def dirty_methods(
+    old: GraphFingerprints, new: DependencyGraph, new_fps: GraphFingerprints
+) -> Optional[FrozenSet[str]]:
+    """The methods of ``new`` whose SCC must be re-inferred after an edit.
+
+    ``old`` is the fingerprints of the program before the edit and
+    ``new_fps`` those of ``new``.  ``None`` when the class shapes changed:
+    every region annotation may then differ, so nothing of the old
+    program's inference can be reused.
 
     Because the per-SCC fingerprints are transitive, a change anywhere
     below an SCC (edited callee body, changed override partner, a callee
@@ -524,24 +603,18 @@ def diff(
     takes a ``classinv`` edge on its own class, which would make every
     class cyclic with its methods) yet real for re-inference: a method's
     hypotheses expand its *owner's* invariant, which override resolution
-    may strengthen.  ``diff`` closes that gap here by dirtying every
-    method whose owner's ``classinv`` transitive fingerprint changed.
+    may strengthen.  This closes that gap by dirtying every method whose
+    owner's ``classinv`` transitive fingerprint changed.
     """
-    if class_fingerprints(old.table) != class_fingerprints(new.table):
+    if old.classes != new_fps.classes:
         return None
 
-    old_fps = old.node_fingerprints(old_salts)
-    new_fps = new.node_fingerprints(new_salts)
-    old_method_fps = {fp for n, fp in old_fps.items() if n.kind == "method"}
-
-    dirty: Set[str] = set()
-    for n, fp in new_fps.items():
-        if n.kind == "method" and fp not in old_method_fps:
-            dirty.add(n.name)
+    old_method_fps = set(old.methods.values())
+    dirty: Set[str] = {
+        qn for qn, fp in new_fps.methods.items() if fp not in old_method_fps
+    }
     changed_invs = {
-        n.name
-        for n, fp in new_fps.items()
-        if n.kind == "classinv" and fp != old_fps.get(n)
+        cn for cn, fp in new_fps.invs.items() if fp != old.invs.get(cn)
     }
     if changed_invs:
         for qn, decl in new._methods.items():

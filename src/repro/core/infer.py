@@ -44,19 +44,17 @@ from ..deadline import check as check_deadline
 from ..frontend.parser import parse_program
 from ..lang import ast as S
 from ..lang import target as T
-from ..lang.class_table import OBJECT_NAME, ClassTable
+from ..lang.class_table import ClassTable
 from ..regions.abstraction import (
     AbstractionEnv,
     ConstraintAbstraction,
     ScopedAbstractionEnv,
-    inv_name,
 )
 from ..regions.constraints import (
     Atom,
     Constraint,
     HEAP,
     NULL_REGION,
-    Outlives,
     PredAtom,
     Region,
     RegionEq,
@@ -68,10 +66,11 @@ from ..regions.substitution import RegionSubst
 from ..typing.normal import NormalTypeChecker
 from .depgraph import (
     DependencyGraph,
+    GraphFingerprints,
     SccFootprints,
     class_fingerprints,
     classinv_node,
-    diff as depgraph_diff,
+    dirty_methods,
 )
 from .downcast import DowncastAnalysis, DowncastStrategy, PaddingPlan
 from .override import OverrideResolver
@@ -225,6 +224,9 @@ class InferenceResult:
     #: per-method signature of the downcast padding plan (plan facts are
     #: whole-program flow results the method AST alone cannot witness)
     plan_salts: Dict[str, str] = dc_field(default_factory=dict)
+    #: this run's dependency-graph fingerprints under ``plan_salts``: the
+    #: prior side of the next edit's diff, so that edit hashes only itself
+    graph_fingerprints: Optional[GraphFingerprints] = dc_field(default=None, repr=False)
     #: incremental accounting: SCCs spliced from the prior result vs
     #: re-run (a from-scratch run reports 0 / total)
     reused_sccs: int = 0
@@ -343,31 +345,6 @@ def scc_splice_keys(
     return out
 
 
-def _region_summary(body: T.TExpr) -> Tuple[Set[Region], Set[Region]]:
-    """The regions ``body`` mentions and the regions its letregs bind.
-
-    "Mentions" means the regions of every node's type plus the region
-    arguments of every ``new`` and call.  One walk computes both sets.
-    """
-    mentioned: Set[Region] = set()
-    bound: Set[Region] = set()
-    stack = [body]
-    while stack:
-        node = stack.pop()
-        t = node.type
-        if isinstance(t, T.RClass):
-            mentioned.update(t.regions)
-            mentioned.update(t.padding)
-        if isinstance(node, T.TNew):
-            mentioned.update(node.regions)
-        elif isinstance(node, T.TCall):
-            mentioned.update(node.region_args)
-        elif isinstance(node, T.TLetreg):
-            bound.update(node.regions)
-        stack.extend(node.children())
-    return mentioned, bound
-
-
 def _target_methods(target: T.TProgram) -> Dict[str, T.TMethodDecl]:
     """A target program's methods by qualified name."""
     out = {f"{c.name}.{m.name}": m for c in target.classes for m in c.methods}
@@ -375,21 +352,166 @@ def _target_methods(target: T.TProgram) -> Dict[str, T.TMethodDecl]:
     return out
 
 
-class _Ctx:
-    """Per-method inference state."""
+class _Block:
+    """One elaborated block, as the [letreg] rule needs it.
 
-    def __init__(self, scheme: MethodScheme, scc: Set[str]):
+    Elaboration records, per block: the region watermark at its start, the
+    constraints gathered directly in it (not in a nested block), its
+    nested blocks, the regions its escape set starts from (the heap, the
+    enclosing variables' types, its result type) and the regions its own
+    nodes mention (a nested block's nodes are its own).  Localisation reads
+    these records and never changes them, so one elaboration can be
+    localised more than once.  The method itself is the root record: its
+    constraints are the result flow and its one child is the body.
+    """
+
+    __slots__ = ("mark", "constraints", "children", "node", "parent", "escape_types", "mentioned")
+
+    def __init__(self, mark: int):
+        self.mark = mark
+        self.constraints: List[Constraint] = []
+        self.children: List["_Block"] = []
+        #: the elaborated block (None for the method record) and the node
+        #: that holds it (None for the body block)
+        self.node: Optional[T.TBlock] = None
+        self.parent: Optional[T.TExpr] = None
+        #: the enclosing variables' types and the block's result type
+        self.escape_types: Tuple[T.RType, ...] = ()
+        self.mentioned: Set[Region] = set()
+
+    def seal(self, node: T.TBlock, env: Dict[str, T.RType]) -> None:
+        """Record the finished block: walk its own nodes once."""
+        self.node = node
+        self.escape_types = (*env.values(), node.type)
+        inner = {id(child.node): child for child in self.children}
+        mentioned = self.mentioned
+        stack: List[T.TExpr] = [node]
+        while stack:
+            expr = stack.pop()
+            t = expr.type
+            if isinstance(t, T.RClass):
+                mentioned.update(t.regions)
+                mentioned.update(t.padding)
+            if isinstance(expr, T.TNew):
+                mentioned.update(expr.regions)
+            elif isinstance(expr, T.TCall):
+                mentioned.update(expr.region_args)
+            for sub in expr.children():
+                child = inner.get(id(sub))
+                if child is None:
+                    stack.append(sub)
+                else:
+                    child.parent = expr
+
+
+@dataclass
+class _Elaboration:
+    """A method's typed body and constraints, ready to localise."""
+
+    scheme: MethodScheme
+    #: the method record: the result flow, and the body block as its child
+    root: _Block
+    body: T.TBlock
+    hyp: Constraint
+    #: whether the body calls back into its own SCC (then its constraints
+    #: hold pred atoms of the nest)
+    recursive: bool
+
+
+class _Ctx:
+    """Per-method elaboration state."""
+
+    def __init__(self, scheme: MethodScheme, scc: Set[str], monomorphic: bool):
         self.scheme = scheme
         self.scc = scc
-        self.constraints: List[Constraint] = []
-        self.localized = 0
+        #: elaborate calls into the SCC region-monomorphically (ablation)
+        self.monomorphic = monomorphic
+        self.block = _Block(Region.watermark())
+        self.recursive = False
 
     def add(self, c: Constraint) -> None:
         if not c.is_true:
-            self.constraints.append(c)
+            self.block.constraints.append(c)
 
-    def slice_from(self, mark: int) -> List[Constraint]:
-        return self.constraints[mark:]
+
+def _atom_regions(atoms: Set[Atom]) -> Set[Region]:
+    """The regions of a set of base (outlives/equality) atoms."""
+    out: Set[Region] = set()
+    for a in atoms:
+        out.add(a.left)
+        out.add(a.right)
+    return out
+
+
+def _without(atoms, rs: Set[Region]) -> Constraint:
+    """The base atoms that mention no region of ``rs``, normalised.
+
+    This is what renaming ``rs`` onto a fresh letreg local and dropping
+    every atom that mentions the local leaves, without minting the local.
+    """
+    return Constraint.of(
+        *(a for a in atoms if a.left not in rs and a.right not in rs)
+    )
+
+
+def _finish_body(
+    body: T.TBlock,
+    localised: List[Tuple[_Block, Set[Region]]],
+    method_rs: Set[Region],
+    rest: RegionSubst,
+) -> T.TExpr:
+    """Wrap the localised blocks in letregs and rename the body once.
+
+    Each localised block gets a fresh local (innermost first, then the
+    method-level one), and the renaming composes every block's, the
+    method's and ``rest``.  A block's localised regions occur only inside
+    it, so renaming them throughout the body renames nothing else.
+    """
+    mapping: Dict[Region, Region] = {}
+    top: T.TExpr = body
+    for block, rs in localised:
+        local = Region.fresh("rl")
+        mapping.update((r, local) for r in rs)
+        letreg = T.TLetreg(regions=(local,), body=block.node, type=block.node.type)
+        if block.node is body:
+            top = letreg
+        elif block.parent is not None:
+            _replace_child(block.parent, block.node, letreg)
+    subst = RegionSubst(mapping)
+    if method_rs:
+        local = Region.fresh("rl")
+        subst = subst.compose(RegionSubst({r: local for r in method_rs}))
+        top = T.TLetreg(regions=(local,), body=top, type=top.type)
+    subst = subst.compose(rest)
+    if subst:
+        T.rename_expr_regions(top, subst)
+    return top
+
+
+def _replace_child(parent: T.TExpr, old: T.TExpr, new: T.TExpr) -> None:
+    """Put ``new`` where ``parent`` holds ``old``."""
+    if isinstance(parent, T.TBlock):
+        if parent.result is old:
+            parent.result = new
+            return
+        for stmt in parent.stmts:
+            if isinstance(stmt, T.TLocalDecl):
+                if stmt.init is old:
+                    stmt.init = new
+                    return
+            elif stmt.expr is old:
+                stmt.expr = new
+                return
+    for name, value in vars(parent).items():
+        if value is old:
+            setattr(parent, name, new)
+            return
+        if isinstance(value, list):
+            for i, x in enumerate(value):
+                if x is old:
+                    value[i] = new
+                    return
+    raise AssertionError(f"{type(parent).__name__} does not hold the block")
 
 
 class RegionInference:
@@ -516,7 +638,8 @@ class RegionInference:
         start = time.perf_counter()
         graph = DependencyGraph(self.program, self.table)
         salts = plan_salts(self.program, self.plan)
-        spliced = self._spliceable(graph, salts)
+        fingerprints = graph.fingerprints(salts)
+        spliced = self._spliceable(graph, fingerprints)
         prior = self.prior
         self.schemes: Dict[str, MethodScheme] = {}
         for m in self.program.all_methods():
@@ -546,6 +669,7 @@ class RegionInference:
         # mapping *is* the snapshot (aliased, not copied)
         result.pristine_q = self.q.snapshot_base()
         result.plan_salts = salts
+        result.graph_fingerprints = fingerprints
         for scc in graph.method_sccs():
             check_deadline()
             if spliced.issuperset(scc):
@@ -569,20 +693,21 @@ class RegionInference:
         self.result = result
         return result
 
-    def _spliceable(self, graph: DependencyGraph, salts: Dict[str, str]) -> Set[str]:
+    def _spliceable(
+        self, graph: DependencyGraph, fingerprints: GraphFingerprints
+    ) -> Set[str]:
         """The methods whose results this run takes from the prior.
 
-        Empty without a prior.  :func:`~repro.core.depgraph.diff` dirties
-        whole SCCs, so this is a union of SCCs: a nest is one fixed point,
-        spliced whole or not at all.
+        Empty without a prior.  The prior's side of the diff is the
+        fingerprints it kept, so only this program is hashed.
+        :func:`~repro.core.depgraph.dirty_methods` dirties whole SCCs, so
+        this is a union of SCCs: a nest is one fixed point, spliced whole
+        or not at all.
         """
         prior = self.prior
         if prior is None:
             return set()
-        old = DependencyGraph(prior.table.program, prior.table)
-        dirty = depgraph_diff(
-            old, graph, old_salts=prior.plan_salts, new_salts=salts
-        )
+        dirty = dirty_methods(prior.graph_fingerprints, graph, fingerprints)
         if dirty is None:
             raise ValueError("the prior result has other class shapes")
         return {m.qualified_name for m in self.program.all_methods()} - dirty
@@ -599,6 +724,18 @@ class RegionInference:
         self._mark_done(scc)
 
     def _process_scc(self, scc: List[str], result: InferenceResult) -> None:
+        """Infer one method SCC: elaborate, localise, close the nest.
+
+        A recursive SCC localises twice.  The first localisation protects
+        the arguments of every call back into the SCC (a pred atom of the
+        still-open nest) and yields only the preconditions, which the
+        fixed point closes.  The second swaps each such pred atom for its
+        closed precondition, so the [letreg] rule can localise regions
+        the first had to protect (e.g. the temporary list of Reynolds3),
+        and keeps the bodies.  Both read the same elaboration: expanding a
+        closed precondition mints no region, so the kept body is the one a
+        re-elaboration would build.
+        """
         scc_set = set(scc)
         # per-SCC work reads the env through its footprint gate: the writes
         # (pre definitions) land in the real env, but a read outside the
@@ -609,24 +746,31 @@ class RegionInference:
         whole_q = self.q
         self.q = ScopedAbstractionEnv(whole_q, self._footprints.for_scc(scc))
         try:
-            nest: List[ConstraintAbstraction] = []
-            for qn in scc:
-                abstraction = self._infer_method(qn, scc_set, result)
-                nest.append(abstraction)
-            recursive = any(a.body.pred_atoms() for a in nest)
+            monomorphic = not self.config.polymorphic_recursion
+            elaborated = [self._elaborate(qn, scc_set, monomorphic) for qn in scc]
+            recursive = any(el.recursive for el in elaborated)
+            nest = [
+                self._localise(el, result, expand=False, keep=not recursive)
+                for el in elaborated
+            ]
             fp = solve_recursive_abstractions(nest, self.q)
             for solved in fp.solutions.values():
                 self.q.define(solved)
             result.fixpoint_iterations[tuple(sorted(scc))] = fp.iterations
             if recursive:
-                # Second elaboration pass: with the preconditions now closed,
-                # recursive calls expand to plain base constraints, so the
-                # [letreg] rule can localise regions that the first pass had to
-                # protect as unknown precondition arguments (e.g. the temporary
-                # list of Reynolds3).
-                nest2 = [self._infer_method(qn, set(), result) for qn in scc]
-                fp2 = solve_recursive_abstractions(nest2, self.q)
-                for solved in fp2.solutions.values():
+                if monomorphic:
+                    # only the fixed point is monomorphic: the kept bodies
+                    # instantiate calls back into the SCC like any other
+                    # call, which is a different elaboration
+                    elaborated = [self._elaborate(qn, scc_set, False) for qn in scc]
+                nest = []
+                for el in elaborated:
+                    pre = self._localise(el, result, expand=True, keep=True)
+                    # a later member's calls to this one expand this pre
+                    self.q.define(pre)
+                    nest.append(pre)
+                fp = solve_recursive_abstractions(nest, self.q)
+                for solved in fp.solutions.values():
                     self.q.define(solved)
         finally:
             self.q = whole_q
@@ -709,115 +853,173 @@ class RegionInference:
             Constraint.of(PredAtom(anno.inv, tuple(t.regions)))
         )
 
-    def _infer_method(
-        self, qualified: str, scc: Set[str], result: InferenceResult
-    ) -> ConstraintAbstraction:
+    def _elaborate(
+        self, qualified: str, scc: Set[str], monomorphic: bool
+    ) -> _Elaboration:
+        """Build the typed body and gather its constraints (Fig 3).
+
+        A call back into ``scc`` contributes the callee's pred atom, to be
+        closed by the fixed point.  Nothing is localised here.
+        """
         scheme = self.schemes[qualified]
-        decl = scheme.decl
-        ctx = _Ctx(scheme, scc)
+        ctx = _Ctx(scheme, scc, monomorphic)
         env: Dict[str, T.RType] = {}
         if scheme.owner is not None:
             env[S.THIS] = self.annotations[scheme.owner].as_type()
         for name, t in zip(scheme.param_names, scheme.param_types):
             env[name] = t
-
-        mark = Region.watermark()
-        tbody = self._infer_block(decl.body, env, ctx, outer_env=env)
+        root = ctx.block
+        tbody = self._infer_block(scheme.decl.body, env, ctx)
         ctx.add(
             self._subtype(tbody.type, scheme.ret_type, ctx, by_ref=scheme.by_ref)
         )
+        return _Elaboration(
+            scheme, root, tbody, self._hypotheses(scheme), ctx.recursive
+        )
 
+    def _settle(
+        self,
+        block: _Block,
+        expand: bool,
+        params: Sequence[Region],
+        localised: List[Tuple[_Block, Set[Region]]],
+    ) -> Tuple[Set[Atom], Set[PredAtom], Set[Region]]:
+        """``block``'s base atoms, pred atoms and mentioned regions, after
+        the [letreg] rule ran on it and (first) on every nested block.
+
+        Built from the nested blocks' results, so no subtree is walked
+        again.  ``expand`` swaps each pred atom for its (closed)
+        definition.  A block that localises is appended to ``localised``
+        with its localised regions, innermost first; its region set leaves
+        the block's atoms (every atom mentioning one is dropped) and its
+        mentioned regions (the letreg local takes their place in the body,
+        and the rule never localises a bound region again).
+        """
+        base: Set[Atom] = set()
+        preds: Set[PredAtom] = set()
+        for c in block.constraints:
+            for a in c.atoms:
+                if not isinstance(a, PredAtom):
+                    base.add(a)
+                elif expand:
+                    base.update(self.q.expand(Constraint.of(a)).atoms)
+                else:
+                    preds.add(a)
+        mentioned = set(block.mentioned)
+        for child in block.children:
+            b, p, m = self._settle(child, expand, params, localised)
+            base |= b
+            preds |= p
+            mentioned |= m
+        if block.node is None or not self.config.localize_blocks:
+            return base, preds, mentioned
+        # ---- the [letreg] rule -------------------------------------------
+        candidates = {
+            r
+            for r in _atom_regions(base) | mentioned
+            if r > block.mark and not (r.is_heap or r.is_null)
+        }
+        if not candidates:
+            return base, preds, mentioned
+        solver = RegionSolver(Constraint(frozenset(base)))
+        protected: Set[Region] = {HEAP}
+        for t in block.escape_types:
+            protected.update(T.type_regions(t))
+        for p in preds:
+            protected.update(p.args)
+        protected.update(params)
+        rs = candidates - (solver.upward_closure(protected) | protected)
+        if not rs:
+            return base, preds, mentioned
+        localised.append((block, rs))
+        return set(_without(base, rs).atoms), preds, mentioned - rs
+
+    def _localise(
+        self,
+        el: _Elaboration,
+        result: InferenceResult,
+        *,
+        expand: bool,
+        keep: bool,
+    ) -> ConstraintAbstraction:
+        """Localise, coalesce and map residual regions; return the pre.
+
+        Reads ``el`` without changing it.  With ``keep`` the method's
+        target body is built: the block letregs are wrapped in, and every
+        step's substitution is composed and applied to the tree in one
+        rename.
+        """
+        scheme = el.scheme
         interface = list(scheme.abstraction_params)
-        gathered = Constraint.all(ctx.constraints)
-        base = gathered.base_atoms()
-        preds = gathered.pred_atoms()
-        hyp = self._hypotheses(scheme)
-
-        # the one summary walk: what the body mentions and what it binds.
-        # Every later step works on these sets and on one substitution,
-        # composed step by step and applied to the body in a single pass.
-        body_regions, bound = _region_summary(tbody)
+        localised: List[Tuple[_Block, Set[Region]]] = []
+        atoms, pred_set, body_regions = self._settle(
+            el.root, expand, interface, localised
+        )
+        base = Constraint(frozenset(atoms))
+        preds = tuple(pred_set)
+        hyp = el.hyp
 
         # method-level localisation of anything the block rule left behind
         solver = RegionSolver(base.conj(hyp))
-        protected: Set[Region] = set(interface) | {HEAP}
-        for p in preds:
-            protected |= set(p.args)
-        protected |= set(T.type_regions(tbody.type))
-        # a region is its uid: ``r > mark`` means "minted after the mark"
-        candidates = {
-            r
-            for r in (set(base.regions()) | body_regions)
-            if r > mark and not (r.is_heap or r.is_null)
-        }
-        candidates -= bound
-        escapes = solver.upward_closure(protected) | protected
-        rs = candidates - escapes
-        subst = RegionSubst()
-        if rs and self.config.localize_blocks:
-            local = Region.fresh("rl")
-            subst = RegionSubst({r: local for r in rs})
-            base = subst.apply_constraint(base)
-            base = Constraint(
-                frozenset(a for a in base.atoms if local not in a.regions())
-            )
-            ctx.localized += 1
-            tbody = T.TLetreg(regions=(local,), body=tbody, type=tbody.type)
-            body_regions = set(subst.apply_all(body_regions))
-            bound.add(local)
+        rs: Set[Region] = set()
+        if self.config.localize_blocks:
+            protected: Set[Region] = set(interface) | {HEAP}
+            for p in preds:
+                protected |= set(p.args)
+            protected |= set(T.type_regions(el.body.type))
+            # a region is its uid: ``r > mark`` means "minted after the mark"
+            candidates = {
+                r
+                for r in (set(base.regions()) | body_regions)
+                if r > el.root.mark and not (r.is_heap or r.is_null)
+            }
+            rs = candidates - (solver.upward_closure(protected) | protected)
+        if rs:
+            base = _without(base.atoms, rs)
+            body_regions -= rs
             # localisation rewrote ``base``; the closed solver is stale
             solver = RegionSolver(base.conj(hyp))
 
         # coalesce provably-equal regions (prefer formal names)
         coalesce = solver.coalescing_substitution(preferred=interface)
-        keep = set(interface)
-        coalesce = RegionSubst(
-            {k: v for k, v in coalesce if k not in keep and k not in bound}
-        )
+        formals = set(interface)
+        coalesce = RegionSubst({k: v for k, v in coalesce if k not in formals})
         base = coalesce.apply_constraint(base)
         preds = tuple(p.rename(coalesce.mapping()) for p in preds)
         body_regions = set(coalesce.apply_all(body_regions))
-        subst = subst.compose(coalesce)
 
         # map residual escaping regions onto the interface (or the heap)
-        residual_subst = self._residual_substitution(
-            base, preds, body_regions, bound, interface, hyp
+        residual = self._residual_substitution(
+            base, preds, body_regions, interface, hyp
         )
-        base = residual_subst.apply_constraint(base)
-        preds = tuple(p.rename(residual_subst.mapping()) for p in preds)
-        subst = subst.compose(residual_subst)
-        if subst:
-            T.rename_expr_regions(tbody, subst)
-
-        ret_type = scheme.ret_type
-        tmethod = T.TMethodDecl(
-            name=decl.name,
-            owner=decl.owner,
-            is_static=decl.is_static,
-            region_params=scheme.region_params,
-            ret_type=ret_type,
-            params=[
-                T.TParam(t, n) for t, n in zip(scheme.param_types, scheme.param_names)
-            ],
-            body=tbody,
-            pre_name=scheme.pre,
+        base = residual.apply_constraint(base)
+        preds = tuple(p.rename(residual.mapping()) for p in preds)
+        if keep:
+            qualified = scheme.qualified
+            decl = scheme.decl
+            self._tmethods[qualified] = T.TMethodDecl(
+                name=decl.name,
+                owner=decl.owner,
+                is_static=decl.is_static,
+                region_params=scheme.region_params,
+                ret_type=scheme.ret_type,
+                params=[
+                    T.TParam(t, n)
+                    for t, n in zip(scheme.param_types, scheme.param_names)
+                ],
+                body=_finish_body(el.body, localised, rs, coalesce.compose(residual)),
+                pre_name=scheme.pre,
+            )
+            result.localized_regions[qualified] = len(localised) + bool(rs)
+        return ConstraintAbstraction(
+            scheme.pre, scheme.abstraction_params, base.conj(Constraint.of(*preds))
         )
-        self._tmethods[qualified] = tmethod
-        result.localized_regions[qualified] = ctx.localized
-
-        pre_body = base.conj(Constraint.of(*preds))
-        abstraction = ConstraintAbstraction(
-            scheme.pre, scheme.abstraction_params, pre_body
-        )
-        self.q.define(abstraction)
-        return abstraction
 
     def _residual_substitution(
         self,
         base: Constraint,
         preds: Tuple[PredAtom, ...],
         body_regions: Set[Region],
-        bound: Set[Region],
         interface: List[Region],
         hyp: Constraint,
     ) -> RegionSubst:
@@ -826,11 +1028,11 @@ class RegionInference:
         Every region of a finished method body must be a region parameter,
         a letreg-bound local, or the heap (Sec 3.3).  A residual escaping
         region ``r`` is unified with the longest-lived interface region it
-        provably outlives.  ``body_regions`` and ``bound`` are the regions
-        the body mentions and those its letregs bind.
+        provably outlives.  ``body_regions`` are the regions the body
+        mentions outside its letregs.
         """
         solver = RegionSolver(base.conj(hyp))
-        keep = set(interface) | bound | {HEAP}
+        keep = set(interface) | {HEAP}
         mentioned: Set[Region] = set(base.regions()) | body_regions
         for p in preds:
             mentioned.update(p.args)
@@ -1040,7 +1242,7 @@ class RegionInference:
 
         if isinstance(e, S.While):
             cond = self._infer_expr(e.cond, env, ctx)
-            body = self._infer_block(e.body, env, ctx, outer_env=env)
+            body = self._infer_block(e.body, env, ctx)
             return T.TWhile(cond, body, T.R_VOID)
 
         if isinstance(e, S.Binop):
@@ -1055,7 +1257,7 @@ class RegionInference:
             return T.TUnop(e.op, operand, out)
 
         if isinstance(e, S.Block):
-            return self._infer_block(e, env, ctx, outer_env=env)
+            return self._infer_block(e, env, ctx)
 
         raise InferenceError(f"unknown expression {e!r}")
 
@@ -1106,7 +1308,7 @@ class RegionInference:
 
         in_scc = scheme.qualified in ctx.scc
         targs: List[T.TExpr] = [self._infer_expr(a, env, ctx) for a in e.args]
-        if in_scc and not self.config.polymorphic_recursion:
+        if in_scc and ctx.monomorphic:
             # Region-monomorphic recursion (ablation): the recursive call
             # reuses the definition's own region instantiation, so the
             # actual argument regions are *equated into the formals* (this
@@ -1159,6 +1361,7 @@ class RegionInference:
         pre_args = class_args + tuple(method_args)
         if in_scc:
             ctx.add(Constraint.of(PredAtom(scheme.pre, pre_args)))
+            ctx.recursive = True
         else:
             ctx.add(self.q.expand(Constraint.of(PredAtom(scheme.pre, pre_args))))
         return T.TCall(
@@ -1232,15 +1435,12 @@ class RegionInference:
         return T.TIf(cond, then, els, merged)
 
     def _infer_block(
-        self,
-        block: S.Block,
-        env: Dict[str, T.RType],
-        ctx: _Ctx,
-        *,
-        outer_env: Dict[str, T.RType],
-    ) -> T.TExpr:
-        mark = Region.watermark()
-        cmark = len(ctx.constraints)
+        self, block: S.Block, env: Dict[str, T.RType], ctx: _Ctx
+    ) -> T.TBlock:
+        record = _Block(Region.watermark())
+        enclosing = ctx.block
+        enclosing.children.append(record)
+        ctx.block = record
         inner = dict(env)
         stmts: List[T.TStmt] = []
         for s in block.stmts:
@@ -1266,53 +1466,10 @@ class RegionInference:
         if block.result is not None:
             result = self._infer_expr(block.result, inner, ctx)
             rtype = result.type
-        tblock: T.TExpr = T.TBlock(stmts=stmts, result=result, type=rtype)
-
-        if not self.config.localize_blocks:
-            return tblock
-
-        # ---- the [letreg] rule -------------------------------------------
-        block_constraints = Constraint.all(ctx.slice_from(cmark))
-        base = block_constraints.base_atoms()
-        body_regions, bound = _region_summary(tblock)
-        candidates = {
-            r
-            for r in (set(base.regions()) | body_regions)
-            if r > mark and not (r.is_heap or r.is_null)
-        }
-        candidates -= bound
-        if not candidates:
-            return tblock
-        solver = RegionSolver(base)
-        protected: Set[Region] = {HEAP}
-        for t in outer_env.values():
-            protected |= set(T.type_regions(t))
-        protected |= set(T.type_regions(rtype))
-        for p in block_constraints.pred_atoms():
-            protected |= set(p.args)
-        protected |= set(ctx.scheme.abstraction_params)
-        escapes = solver.upward_closure(protected) | protected
-        rs = candidates - escapes
-        if not rs:
-            return tblock
-
-        local = Region.fresh("rl")
-        subst = RegionSubst({r: local for r in rs})
-        new_slice = [
-            Constraint(
-                frozenset(
-                    a
-                    for a in subst.apply_constraint(c).atoms
-                    if local not in a.regions()
-                )
-            )
-            for c in ctx.slice_from(cmark)
-        ]
-        del ctx.constraints[cmark:]
-        ctx.constraints.extend(c for c in new_slice if not c.is_true)
-        T.rename_expr_regions(tblock, subst)
-        ctx.localized += 1
-        return T.TLetreg(regions=(local,), body=tblock, type=rtype)
+        ctx.block = enclosing
+        tblock = T.TBlock(stmts=stmts, result=result, type=rtype)
+        record.seal(tblock, env)
+        return tblock
 
     # ------------------------------------------------------------ assembly
     def _assemble(self, target: T.TProgram) -> None:
@@ -1365,8 +1522,9 @@ def reinfer_program(
     config = config or prior.config
     if table is None:
         table = NormalTypeChecker(program).check()
-    if config == prior.config and class_fingerprints(table) == class_fingerprints(
-        prior.table
+    if (
+        config == prior.config
+        and tuple(class_fingerprints(table)) == prior.graph_fingerprints.classes
     ):
         prepared = AnnotatedProgram.adopt(program, table, prior)
     else:

@@ -31,7 +31,7 @@ always see final preconditions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..lang.class_table import ClassTable
 from ..regions.abstraction import AbstractionEnv

@@ -25,12 +25,12 @@ provided every member of a multi-class SCC directly extends ``Object``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..lang import ast as S
 from ..lang.class_table import OBJECT_NAME, ClassTable
-from ..lang.target import RClass, RPrim, RType, R_BOOL, R_INT, R_VOID
+from ..lang.target import RClass, RPrim, RType
 from ..regions.abstraction import (
     AbstractionEnv,
     ConstraintAbstraction,

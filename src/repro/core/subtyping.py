@@ -22,7 +22,7 @@ parameters, which is where the downcast techniques of Sec 5 hook in (see
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..lang.class_table import ClassTable
 from ..lang.target import RClass, RPrim, RType

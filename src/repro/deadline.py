@@ -9,9 +9,8 @@ running.  Nothing catches it on the way: a timed-out build leaves no
 cache entry behind.
 
 The scope lives in a :class:`~contextvars.ContextVar`, so it belongs to
-the thread (or task) that opened it, and :func:`remaining` reports the
-seconds it has left.  A nested scope never extends the deadline of the
-scope around it.  With no scope open, :func:`check` is one
+the thread (or task) that opened it.  A nested scope never extends the
+deadline of the scope around it.  With no scope open, :func:`check` is one
 context-variable read.
 """
 
@@ -22,7 +21,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator, Optional
 
-__all__ = ["DeadlineExceeded", "check", "deadline", "remaining"]
+__all__ = ["DeadlineExceeded", "check", "deadline"]
 
 #: the monotonic instant the current scope's work must stop by
 _DEADLINE: ContextVar[Optional[float]] = ContextVar("repro_deadline", default=None)
@@ -59,11 +58,3 @@ def check() -> None:
         if late > 0:
             raise DeadlineExceeded(f"deadline passed {late:.3f}s ago")
 
-
-def remaining() -> Optional[float]:
-    """Seconds left in the current scope (negative once it has passed).
-
-    ``None`` when no scope is open.
-    """
-    at = _DEADLINE.get()
-    return None if at is None else at - time.monotonic()

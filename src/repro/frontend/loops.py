@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..lang import ast as S
 from ..lang.class_table import ClassTable

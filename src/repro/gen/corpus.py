@@ -25,7 +25,7 @@ import json
 import random
 import re
 from pathlib import Path
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .generator import generate_source
 from .spec import GenSpec

@@ -35,7 +35,7 @@ Safety invariants the templates maintain:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .spec import GenSpec
 

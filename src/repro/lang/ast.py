@@ -20,8 +20,8 @@ analysis of Sec 5.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Iterator, List, Optional, Tuple
 
 __all__ = [
     "Pos",

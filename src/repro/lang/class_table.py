@@ -21,7 +21,7 @@ override signature mismatches are all rejected).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .ast import (
     Assign,
@@ -31,7 +31,6 @@ from .ast import (
     FieldRead,
     MethodDecl,
     Program,
-    Type,
     walk,
 )
 

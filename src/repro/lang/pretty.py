@@ -7,7 +7,7 @@ first-use order (like the paper's figures) via
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from ..regions.abstraction import AbstractionEnv
 from ..regions.constraints import (

@@ -19,12 +19,11 @@ The program-wide set of constraint abstractions ``Q`` lives on
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..regions.abstraction import AbstractionEnv
 from ..regions.constraints import Constraint, Region, TRUE
 from ..regions.substitution import RegionSubst
-from .ast import Pos
 
 __all__ = [
     "RType",

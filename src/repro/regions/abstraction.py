@@ -21,19 +21,19 @@ The collection ``Q`` of all abstractions of a program is an
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     AbstractSet,
     Dict,
     Iterable,
     Iterator,
+    List,
     Optional,
     Sequence,
     Tuple,
 )
 
-from .constraints import Constraint, PredAtom, Region, TRUE
-from .substitution import RegionSubst
+from .constraints import Atom, Constraint, Outlives, PredAtom, Region, RegionEq
 
 __all__ = [
     "ConstraintAbstraction",
@@ -61,6 +61,43 @@ def pre_name(class_name: Optional[str], method_name: str) -> str:
     return f"pre.{class_name}.{method_name}"
 
 
+class _Recipe:
+    """An abstraction body compiled for instantiation.
+
+    Each region of the body is a *slot*: slot ``i < arity`` is parameter
+    ``i`` (the last position of a repeated parameter, so the last binding
+    wins), then one slot per existential local, in the order
+    :meth:`ConstraintAbstraction.instantiate` has always freshened them,
+    then one per constant region (the heap, the null region).  Each body
+    atom becomes a step ``(kind, a, b)``: for ``Outlives`` and ``RegionEq``
+    ``a`` and ``b`` are slots; for ``PredAtom`` ``a`` is the name and ``b``
+    the argument slots.
+    """
+
+    __slots__ = ("locals", "consts", "steps")
+
+    def __init__(self, params: Tuple[Region, ...], body: Constraint):
+        slot: Dict[Region, int] = {p: i for i, p in enumerate(params)}
+        self.locals = 0
+        for r in body.regions():
+            if r not in slot and not (r.is_heap or r.is_null):
+                slot[r] = len(params) + self.locals
+                self.locals += 1
+        consts: List[Region] = []
+        for r in body.regions():
+            if r not in slot:
+                slot[r] = len(params) + self.locals + len(consts)
+                consts.append(r)
+        self.consts = tuple(consts)
+        steps: List[tuple] = []
+        for a in body.atoms:
+            if isinstance(a, PredAtom):
+                steps.append((PredAtom, a.name, tuple(slot[r] for r in a.args)))
+            else:
+                steps.append((type(a), slot[a.left], slot[a.right]))
+        self.steps = tuple(steps)
+
+
 @dataclass
 class ConstraintAbstraction:
     """A named, parameterised constraint ``name<params> = body``.
@@ -68,11 +105,18 @@ class ConstraintAbstraction:
     ``body`` may contain :class:`PredAtom` references to this or other
     abstractions.  ``closed`` marks bodies with no remaining pred atoms
     (i.e. after fixed-point analysis).
+
+    An abstraction is an immutable value (``AbstractionEnv.strengthen``
+    replaces it), so its body is compiled for instantiation once, on
+    first use, and the recipe is kept.
     """
 
     name: str
     params: Tuple[Region, ...]
     body: Constraint
+    _recipe: Optional[_Recipe] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.params = tuple(self.params)
@@ -97,24 +141,39 @@ class ConstraintAbstraction:
 
         Free regions of the body that are not parameters (existentially
         quantified locals) are freshened so distinct instantiations never
-        share them.
+        share them.  The result is normalised like :meth:`Constraint.of`
+        (trivial and null atoms dropped, equalities ordered).
         """
         if len(args) != len(self.params):
             raise ValueError(
                 f"{self.name} expects {len(self.params)} regions, got {len(args)}"
             )
-        subst = RegionSubst.zip(self.params, list(args))
-        locals_ = [
-            r
-            for r in self.body.regions()
-            if r not in set(self.params) and not (r.is_heap or r.is_null)
-        ]
-        if locals_:
-            fresh = Region.fresh_many(len(locals_), hint="x")
-            subst = subst.compose(RegionSubst.identity())
-            for loc, f in zip(locals_, fresh):
-                subst = subst.extended(loc, f)
-        return subst.apply_constraint(self.body)
+        recipe = self._recipe
+        if recipe is None:
+            # idempotent: two threads racing here store equal recipes
+            recipe = self._recipe = _Recipe(self.params, self.body)
+        if not self.params and not recipe.locals:
+            return self.body  # nothing to substitute
+        values = tuple(args)
+        if recipe.locals:
+            values += Region.fresh_many(recipe.locals, hint="x")
+        values += recipe.consts
+        atoms: List[Atom] = []
+        for kind, a, b in recipe.steps:
+            if kind is PredAtom:
+                atoms.append(PredAtom(a, tuple(values[i] for i in b)))
+                continue
+            left, right = values[a], values[b]
+            if left == right or left.is_null or right.is_null:
+                continue
+            if kind is Outlives:
+                if not left.is_heap:
+                    atoms.append(Outlives(left, right))
+            elif left.uid <= right.uid:
+                atoms.append(RegionEq(left, right))
+            else:
+                atoms.append(RegionEq(right, left))
+        return Constraint(frozenset(atoms))
 
     def applied(self, args: Sequence[Region]) -> PredAtom:
         """A pred atom referencing this abstraction with ``args``."""

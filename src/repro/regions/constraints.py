@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 __all__ = [
     "Region",

@@ -84,16 +84,19 @@ def _step(
     projection of an empty store), and many members never get one.
     """
     nxt: Dict[str, Constraint] = {}
+    # the current approximation of each in-nest callee, compiled once
+    approx: Dict[str, ConstraintAbstraction] = {}
     for name, abstraction in nest.items():
         body = abstraction.body
         expanded = body.base_atoms()
         for atom in body.pred_atoms():
             if atom.name in nest:
-                # substitute the current approximation of an in-nest callee
-                approx = ConstraintAbstraction(
-                    atom.name, nest[atom.name].params, current[atom.name]
-                )
-                expanded = expanded.conj(approx.instantiate(atom.args))
+                callee = approx.get(atom.name)
+                if callee is None:
+                    callee = approx[atom.name] = ConstraintAbstraction(
+                        atom.name, nest[atom.name].params, current[atom.name]
+                    )
+                expanded = expanded.conj(callee.instantiate(atom.args))
             else:
                 # out-of-nest abstraction: must already be closed
                 expanded = expanded.conj(env.expand(Constraint.of(atom)))

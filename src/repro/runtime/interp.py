@@ -26,7 +26,7 @@ from ..checking.region_check import _TargetTable
 from ..deadline import check as check_deadline
 from ..lang import target as T
 from ..regions.constraints import Region
-from .regions_rt import DanglingAccessError, RegionManager, RuntimeRegion
+from .regions_rt import RegionManager, RuntimeRegion
 from .values import (
     NULL_VALUE,
     Obj,

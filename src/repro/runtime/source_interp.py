@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..lang import ast as S
-from ..lang.class_table import ClassTable
 from .interp import (
     CastFailedError,
     NullAccessError,

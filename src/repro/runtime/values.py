@@ -9,7 +9,7 @@ dispatch and downcasts region-correct, cf. Boyapati et al. [7]).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover

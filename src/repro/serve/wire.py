@@ -27,7 +27,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..core import DowncastStrategy, InferenceConfig, SubtypingMode
 from ..runtime.interp import DEFAULT_RECURSION_LIMIT

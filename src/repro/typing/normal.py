@@ -27,7 +27,7 @@ all :class:`NormalTypeError`\\ s.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from ..lang import ast as S
 from ..lang.class_table import ClassTable, ClassTableError

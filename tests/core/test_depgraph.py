@@ -196,7 +196,7 @@ class TestTarjanRunsOncePerGraph(object):
         infer_source(generate_source(GenSpec.sized(6, seed=0)))
         assert runs[0] == 1
 
-    def test_an_edit_builds_the_old_and_the_new_graph(self, runs):
+    def test_an_edit_builds_only_the_new_graph(self, runs):
         from repro.core import infer_source
         from repro.core.infer import reinfer_program
         from repro.gen import GenSpec, edit_script
@@ -206,7 +206,8 @@ class TestTarjanRunsOncePerGraph(object):
         runs[0] = 0
         result = reinfer_program(parse_program(new), prior)
         assert result.reused_sccs > 0
-        assert runs[0] == 2
+        # the prior's side of the diff is the fingerprints it kept
+        assert runs[0] == 1
 
     def test_repeat_readers_share_one_run(self, runs):
         g = graph("int f() { g() } int g() { f() }")
@@ -214,3 +215,63 @@ class TestTarjanRunsOncePerGraph(object):
         g.method_sccs()
         g.node_fingerprints()
         assert runs[0] == 1
+
+
+class TestAnEditHashesOneProgram(object):
+    """A document edit builds the new program's graph and fingerprints
+    it; the prior's fingerprints come from the prior result."""
+
+    def test_each_session_edit_builds_one_graph_and_hashes_one_program(
+        self, monkeypatch
+    ):
+        from repro.api import Session
+        from repro.gen import GenSpec, edit_script
+
+        counts = {"graphs": 0, "fingerprints": 0}
+        build = DependencyGraph._build
+        fingerprint = DependencyGraph._node_fingerprints
+
+        def counted_build(self):
+            counts["graphs"] += 1
+            return build(self)
+
+        def counted_fingerprints(self, *args):
+            counts["fingerprints"] += 1
+            return fingerprint(self, *args)
+
+        monkeypatch.setattr(DependencyGraph, "_build", counted_build)
+        monkeypatch.setattr(DependencyGraph, "_node_fingerprints", counted_fingerprints)
+        session = Session()
+        versions = edit_script(GenSpec.sized(6, seed=1), 3)
+        session.reinfer(versions[0], document="d")
+        for source in versions[1:]:
+            counts.update(graphs=0, fingerprints=0)
+            result = session.reinfer(source, document="d")
+            assert result.reused_sccs > 0
+            assert counts == {"graphs": 1, "fingerprints": 1}
+
+    def test_a_result_keeps_the_fingerprints_a_fresh_graph_computes(self):
+        from repro.core import infer_source
+        from repro.gen import GenSpec, generate_source
+
+        result = infer_source(generate_source(GenSpec.sized(5, seed=2)))
+        again = DependencyGraph(result.table.program, result.table)
+        assert result.graph_fingerprints == again.fingerprints(result.plan_salts)
+
+
+def test_structural_hashes_are_pinned():
+    """The per-type field layouts hash the same bytes as a per-node
+    ``dataclasses.fields`` walk did; these digests were computed by it."""
+    from repro.core.depgraph import class_fingerprint, method_fingerprint
+
+    program = parse_program(
+        "class Box extends Object { int v; Box next; } "
+        "int f(Box b, int n) { Box t = new Box(n, null); "
+        "if (n > 0) { f(t, n - 1) } else { b.v + t.v } }"
+    )
+    assert method_fingerprint(program.statics[0]) == (
+        "97f3f0a4033babf264e293b361bf9f30769b80c3fd129160ffcdf33e91274149"
+    )
+    assert class_fingerprint(program.classes[0]) == (
+        "af4503b9f9f42d6ee5b1891ec62e87c0526b0565fd01ea81b050b124cceab4bc"
+    )

@@ -1,10 +1,11 @@
-"""Inference finishes each method with one walk and at most one rename.
+"""Inference walks each method body once and renames it at most once.
 
-After expression inference, a method's body is summarised once (the
-regions it mentions and those its letregs bind); localisation,
-coalescing and the residual mapping then compose into one substitution
-that one rename pass applies.  Block-level [letreg] runs do their own
-summaries; they are told apart here by running inside ``_infer_block``.
+Elaboration records every block as it finishes: the regions its own
+nodes mention, in one walk that stops at nested blocks.  Localisation
+then builds each block's summary from its nested blocks' summaries and
+never walks the tree; the body that is kept is renamed once, with every
+step's substitution composed.  The first localisation of a recursive
+SCC keeps only its precondition, so it renames nothing.
 """
 
 import pytest
@@ -19,40 +20,29 @@ from tests.conftest import LIST_SOURCE, PAIR_SOURCE
 
 @pytest.fixture
 def method_level_calls(monkeypatch):
-    """Per inferred method: (summary walks, rename passes) outside blocks."""
+    """Per localisation ``[rename passes, kept]``, and the blocks sealed."""
     calls = []
-    depth = [0]
-    real_block = infer_module.RegionInference._infer_block
-    real_method = infer_module.RegionInference._infer_method
-    real_summary = infer_module._region_summary
+    sealed = [0]
+    real_seal = infer_module._Block.seal
+    real_localise = infer_module.RegionInference._localise
     real_rename = T.rename_expr_regions
 
-    def infer_block(self, *args, **kwargs):
-        depth[0] += 1
-        try:
-            return real_block(self, *args, **kwargs)
-        finally:
-            depth[0] -= 1
+    def seal(self, node, env):
+        sealed[0] += 1
+        return real_seal(self, node, env)
 
-    def infer_method(self, *args, **kwargs):
-        calls.append([0, 0])
-        return real_method(self, *args, **kwargs)
-
-    def summary(body):
-        if depth[0] == 0:
-            calls[-1][0] += 1
-        return real_summary(body)
+    def localise(self, el, result, *, expand, keep):
+        calls.append([0, keep])
+        return real_localise(self, el, result, expand=expand, keep=keep)
 
     def rename(expr, subst):
-        if depth[0] == 0:
-            calls[-1][1] += 1
+        calls[-1][0] += 1
         return real_rename(expr, subst)
 
-    monkeypatch.setattr(infer_module.RegionInference, "_infer_block", infer_block)
-    monkeypatch.setattr(infer_module.RegionInference, "_infer_method", infer_method)
-    monkeypatch.setattr(infer_module, "_region_summary", summary)
+    monkeypatch.setattr(infer_module._Block, "seal", seal)
+    monkeypatch.setattr(infer_module.RegionInference, "_localise", localise)
     monkeypatch.setattr(T, "rename_expr_regions", rename)
-    return calls
+    return calls, sealed
 
 
 SOURCES = {
@@ -64,8 +54,25 @@ SOURCES = {
 @pytest.mark.parametrize("name", sorted(SOURCES))
 @pytest.mark.parametrize("localize", [True, False], ids=["letreg", "no-letreg"])
 def test_one_summary_and_at_most_one_rename_per_method(method_level_calls, name, localize):
+    calls, sealed = method_level_calls
     infer_source(SOURCES[name], InferenceConfig(localize_blocks=localize))
-    assert method_level_calls
-    assert all(walks == 1 for walks, _ in method_level_calls)
-    assert all(renames <= 1 for _, renames in method_level_calls)
-    assert any(renames == 1 for _, renames in method_level_calls)
+    assert calls
+    # one summary walk per block, none per localisation
+    assert sealed[0] == len(list(_all_source_blocks(SOURCES[name])))
+    assert all(renames <= 1 for renames, _ in calls)
+    assert all(renames == 0 for renames, kept in calls if not kept)
+    assert any(renames == 1 for renames, _ in calls)
+
+
+def _all_source_blocks(source):
+    """Every block of every method body of ``source``."""
+    from repro.frontend import parse_program
+    from repro.lang import ast as S
+    from repro.typing.normal import NormalTypeChecker
+
+    program = parse_program(source)
+    NormalTypeChecker(program).check()
+    for method in program.all_methods():
+        for e in S.walk(method.body):
+            if isinstance(e, S.Block):
+                yield e

@@ -9,7 +9,7 @@ from repro.api import Pipeline, Session, config_key
 from repro.api.session import _source_key
 from repro.checking import check_target
 from repro.core import InferenceConfig, RegionInference
-from repro.deadline import DeadlineExceeded, check, deadline, remaining
+from repro.deadline import DeadlineExceeded, check, deadline
 from repro.frontend import parse_program
 from repro.gen import GenSpec, generate_source
 from repro.lang.pretty import pretty_target
@@ -58,14 +58,6 @@ class TestScope(object):
             with deadline(None):
                 with pytest.raises(DeadlineExceeded):
                     check()
-
-    def test_remaining_counts_down_and_is_none_outside_a_scope(self):
-        assert remaining() is None
-        with deadline(3600):
-            assert 3590 < remaining() <= 3600
-        with deadline(EXPIRED):
-            assert remaining() < 0
-        assert remaining() is None
 
     def test_scope_belongs_to_its_thread(self):
         seen = []
