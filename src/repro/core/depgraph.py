@@ -111,39 +111,45 @@ def _feed(out: List[bytes], obj) -> None:
     """Append a canonical byte encoding of an AST value to ``out``."""
     t = type(obj)
     layout = _LAYOUTS.get(t)
-    if layout is None and t is not str and t is not list and obj is not None:
-        if is_dataclass(obj):
-            layout = _layout(t)
-    if layout is not None:
-        head, fields = layout
-        out.append(head)
-        for tag, name in fields:
-            out.append(tag)
-            value = getattr(obj, name)
-            if type(value) is str:  # most fields: names and operators
-                out.append(b"\x00s")
-                out.append(value.encode("utf-8"))
-            else:
-                _feed(out, value)
-        out.append(b"\x00>")
-    elif obj is None:
-        out.append(b"\x00N")
-    elif isinstance(obj, bool):
-        out.append(b"\x00T" if obj else b"\x00F")
-    elif isinstance(obj, str):
-        out.append(b"\x00s")
-        out.append(obj.encode("utf-8"))
-    elif isinstance(obj, int):
-        out.append(b"\x00i")
-        out.append(str(obj).encode("ascii"))
-    elif isinstance(obj, (list, tuple)):
-        out.append(b"\x00[")
-        for x in obj:
-            _feed(out, x)
-        out.append(b"\x00]")
-    else:  # pragma: no cover - defensive (no other value kinds in the AST)
-        out.append(b"\x00?")
-        out.append(repr(obj).encode("utf-8"))
+    if layout is None:
+        if obj is None:
+            out.append(b"\x00N")
+        elif isinstance(obj, bool):
+            out.append(b"\x00T" if obj else b"\x00F")
+        elif isinstance(obj, str):
+            out.append(b"\x00s")
+            out.append(obj.encode("utf-8"))
+        elif isinstance(obj, int):
+            out.append(b"\x00i")
+            out.append(str(obj).encode("ascii"))
+        elif isinstance(obj, (list, tuple)):
+            out.append(b"\x00[")
+            for x in obj:
+                _feed(out, x)
+            out.append(b"\x00]")
+        elif is_dataclass(obj):
+            _feed_fields(out, obj, _layout(t))
+        else:  # pragma: no cover - defensive (no other value kinds in the AST)
+            out.append(b"\x00?")
+            out.append(repr(obj).encode("utf-8"))
+    else:
+        _feed_fields(out, obj, layout)
+
+
+def _feed_fields(
+    out: List[bytes], obj, layout: Tuple[bytes, Tuple[Tuple[bytes, str], ...]]
+) -> None:
+    head, fields = layout
+    out.append(head)
+    for tag, name in fields:
+        out.append(tag)
+        value = getattr(obj, name)
+        if type(value) is str:  # most fields: names and operators
+            out.append(b"\x00s")
+            out.append(value.encode("utf-8"))
+        else:
+            _feed(out, value)
+    out.append(b"\x00>")
 
 
 def method_fingerprint(decl: S.MethodDecl) -> str:
@@ -416,10 +422,20 @@ class DependencyGraph:
         """What :func:`dirty_methods` needs of this graph, hashed once."""
         shapes: Dict[str, str] = {}
         fps = self._node_fingerprints(salts, shapes)
+        digests: Dict[str, bytes] = {}  # one object per SCC, shared by its nodes
+
+        def digest(node: Node) -> bytes:
+            fp = fps[node]
+            raw = digests.get(fp)
+            if raw is None:
+                raw = digests[fp] = bytes.fromhex(fp)
+            return raw
+
+        classes = self.table.class_names()
         return GraphFingerprints(
-            classes=tuple((cn, shapes[cn]) for cn in self.table.class_names()),
-            methods={n.name: fp for n, fp in fps.items() if n.kind == "method"},
-            invs={n.name: fp for n, fp in fps.items() if n.kind == "classinv"},
+            classes=tuple((cn, shapes[cn]) for cn in classes),
+            methods=tuple(digest(method_node(qn)) for qn in self._methods),
+            invs=tuple(digest(classinv_node(cn)) for cn in classes),
         )
 
 
@@ -428,14 +444,15 @@ class GraphFingerprints:
     """One program's side of an edit diff: everything :func:`dirty_methods`
     reads of a graph, so a result can keep it instead of its graph.
 
-    ``classes`` is :func:`class_fingerprints` as a tuple; ``methods`` and
-    ``invs`` map each method (qualified name) and each class (its
-    ``classinv`` node) to its transitive fingerprint.
+    ``classes`` is :func:`class_fingerprints` as a tuple.  ``invs`` is
+    the transitive fingerprint of each class's ``classinv`` node, in the
+    same order, and ``methods`` that of each method, in program order;
+    both are raw digests (an SCC's members share one).
     """
 
     classes: Tuple[Tuple[str, str], ...]
-    methods: Mapping[str, str]
-    invs: Mapping[str, str]
+    invs: Tuple[bytes, ...]
+    methods: Tuple[bytes, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -609,12 +626,14 @@ def dirty_methods(
     if old.classes != new_fps.classes:
         return None
 
-    old_method_fps = set(old.methods.values())
+    old_method_fps = set(old.methods)
     dirty: Set[str] = {
-        qn for qn, fp in new_fps.methods.items() if fp not in old_method_fps
+        qn for qn, fp in zip(new._methods, new_fps.methods) if fp not in old_method_fps
     }
     changed_invs = {
-        cn for cn, fp in new_fps.invs.items() if fp != old.invs.get(cn)
+        cn
+        for (cn, _), fp, old_fp in zip(new_fps.classes, new_fps.invs, old.invs)
+        if fp != old_fp
     }
     if changed_invs:
         for qn, decl in new._methods.items():
