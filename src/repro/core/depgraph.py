@@ -89,13 +89,9 @@ _SKIP_FIELDS = frozenset(
 )
 
 
-#: per AST dataclass type: its opening tag and the ``(tag, field name)``
-#: pairs it hashes, worked out once per type instead of once per node
-_LAYOUTS: Dict[type, Tuple[bytes, Tuple[Tuple[bytes, str], ...]]] = {}
-
-
 def _layout(tp: type) -> Tuple[bytes, Tuple[Tuple[bytes, str], ...]]:
-    layout = (
+    """A dataclass type's opening tag and its ``(tag, field name)`` pairs."""
+    return (
         b"\x00<" + tp.__name__.encode("ascii"),
         tuple(
             (b"\x00." + f.name.encode("ascii"), f.name)
@@ -103,8 +99,15 @@ def _layout(tp: type) -> Tuple[bytes, Tuple[Tuple[bytes, str], ...]]:
             if f.name not in _SKIP_FIELDS
         ),
     )
-    _LAYOUTS[tp] = layout  # idempotent: every thread computes the same value
-    return layout
+
+
+#: the layout of every AST dataclass, worked out once at import instead of
+#: once per hashed node
+_LAYOUTS = {
+    tp: _layout(tp)
+    for tp in vars(S).values()
+    if isinstance(tp, type) and is_dataclass(tp)
+}
 
 
 def _feed(out: List[bytes], obj) -> None:

@@ -10,6 +10,8 @@ the names of the fresh locals.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -61,13 +63,15 @@ def minted(instantiate, abstraction, args):
     return atoms, Region.watermark() - mark
 
 
-def random_abstraction(rng):
+def random_abstraction(rng, locals_=True):
     arity = rng.randrange(0, 5)
     params = list(Region.fresh_many(arity))
     if params and rng.random() < 0.4:
         # a repeated parameter: the last binding wins
         params.insert(rng.randrange(len(params) + 1), rng.choice(params))
-    existentials = list(Region.fresh_many(rng.randrange(0, 3), hint="l"))
+    existentials = list(
+        Region.fresh_many(rng.randrange(0, 3) if locals_ else 0, hint="l")
+    )
     pool = params + existentials + [HEAP, NULL_REGION]
     atoms = []
     for _ in range(rng.randrange(0, 7)):
@@ -121,3 +125,39 @@ def test_the_recipe_is_compiled_once():
     assert recipe is not None
     assert abstraction.instantiate((y, x)) == Constraint.of(Outlives(x, y))
     assert abstraction._recipe is recipe
+
+
+def test_threads_racing_to_compile_one_abstraction_agree():
+    """Cached results share their abstractions across request threads, so
+    several threads may compile one recipe at once; each must still get
+    the substitution's answer."""
+    rng = random.Random(7)
+    cases = []
+    for _ in range(60):
+        # no existential locals: the answers are exact, whoever mints first
+        abstraction = random_abstraction(rng, locals_=False)
+        args = random_args(rng, abstraction)
+        cases.append((abstraction, args, reference_instantiate(abstraction, args)))
+    wrong, done = [], []
+
+    def work(seed):
+        order = list(cases)
+        random.Random(seed).shuffle(order)
+        for abstraction, args, expected in order:
+            if abstraction.instantiate(args) != expected:
+                wrong.append(str(abstraction))
+        done.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(done) == 8
+    assert not wrong
