@@ -125,14 +125,15 @@ class SessionStats:
 
 #: retained bytes per lexer token of its program that every cached result
 #: holds, however much of it was spliced from a prior result: above all its
-#: own parse tree (about 100 B/token), and the dependency-graph fingerprints
-#: its next edit diffs against (about 4 B/token).  Calibrated with ``tracemalloc``
+#: own parse tree (about 100 B/token); an edit also keeps the dependency-graph
+#: fingerprints its next edit diffs against (about 4 B/token).  Calibrated
+#: with ``tracemalloc``
 #: (``tests/api/test_cache_charge.py`` holds each entry's charge to within
 #: 25% of what it retains)
 BYTES_PER_TOKEN = 127
 #: retained bytes per token that inference adds on top, scaled by the share
 #: of method SCCs the run re-inferred rather than spliced from a prior
-#: result: a distinct program retains about 255 B/token, one version of a
+#: result: a distinct program retains about 250 B/token, one version of a
 #: one-literal edit chain about 130
 BYTES_PER_INFERRED_TOKEN = 128
 

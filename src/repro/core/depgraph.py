@@ -34,8 +34,8 @@ are guaranteed to present identical inference inputs for that SCC, so
 changed (or ``None`` when the class shapes changed), and the one
 inference driver (:meth:`repro.core.infer.RegionInference.infer`)
 splices the rest from a prior result.  A graph's side of that diff is
-a :class:`GraphFingerprints` value; every inference result keeps its
-own, so an edit hashes only the new program (:func:`dirty_methods`).
+a :class:`GraphFingerprints` value that the inference result keeps, so
+an edit hashes only the new program (:func:`dirty_methods`).
 
 :class:`SccFootprints` gives each method SCC the abstraction names its
 inference may read; every inference run gates its per-SCC reads to

@@ -224,9 +224,13 @@ class InferenceResult:
     #: per-method signature of the downcast padding plan (plan facts are
     #: whole-program flow results the method AST alone cannot witness)
     plan_salts: Dict[str, str] = dc_field(default_factory=dict)
-    #: this run's dependency-graph fingerprints under ``plan_salts``: the
-    #: prior side of the next edit's diff, so that edit hashes only itself
-    graph_fingerprints: Optional[GraphFingerprints] = dc_field(default=None, repr=False)
+    #: this program's dependency-graph fingerprints under ``plan_salts``,
+    #: the prior side of the next edit's diff: an edit keeps the ones its
+    #: own diff computed, and a from-scratch result, which nothing may ever
+    #: edit, gets them from its first edit (:meth:`kept_fingerprints`)
+    graph_fingerprints: Optional[GraphFingerprints] = dc_field(
+        default=None, compare=False, repr=False
+    )
     #: incremental accounting: SCCs spliced from the prior result vs
     #: re-run (a from-scratch run reports 0 / total)
     reused_sccs: int = 0
@@ -240,6 +244,18 @@ class InferenceResult:
     report: Optional["CheckReport"] = dc_field(
         default=None, compare=False, repr=False
     )
+
+    def kept_fingerprints(self) -> GraphFingerprints:
+        """:attr:`graph_fingerprints`, hashing this program the first time.
+
+        A cached result is shared between threads; two that race here
+        compute and store equal values.
+        """
+        fingerprints = self.graph_fingerprints
+        if fingerprints is None:
+            graph = DependencyGraph(self.table.program, self.table)
+            fingerprints = self.graph_fingerprints = graph.fingerprints(self.plan_salts)
+        return fingerprints
 
     @property
     def total_localized(self) -> int:
@@ -638,7 +654,8 @@ class RegionInference:
         start = time.perf_counter()
         graph = DependencyGraph(self.program, self.table)
         salts = plan_salts(self.program, self.plan)
-        fingerprints = graph.fingerprints(salts)
+        # only a diff reads fingerprints, so a from-scratch run hashes nothing
+        fingerprints = graph.fingerprints(salts) if self.prior is not None else None
         spliced = self._spliceable(graph, fingerprints)
         prior = self.prior
         self.schemes: Dict[str, MethodScheme] = {}
@@ -694,12 +711,12 @@ class RegionInference:
         return result
 
     def _spliceable(
-        self, graph: DependencyGraph, fingerprints: GraphFingerprints
+        self, graph: DependencyGraph, fingerprints: Optional[GraphFingerprints]
     ) -> Set[str]:
         """The methods whose results this run takes from the prior.
 
         Empty without a prior.  The prior's side of the diff is the
-        fingerprints it kept, so only this program is hashed.
+        fingerprints it keeps, so only this program is hashed.
         :func:`~repro.core.depgraph.dirty_methods` dirties whole SCCs, so
         this is a union of SCCs: a nest is one fixed point, spliced whole
         or not at all.
@@ -707,7 +724,7 @@ class RegionInference:
         prior = self.prior
         if prior is None:
             return set()
-        dirty = dirty_methods(prior.graph_fingerprints, graph, fingerprints)
+        dirty = dirty_methods(prior.kept_fingerprints(), graph, fingerprints)
         if dirty is None:
             raise ValueError("the prior result has other class shapes")
         return {m.qualified_name for m in self.program.all_methods()} - dirty
@@ -1524,7 +1541,7 @@ def reinfer_program(
         table = NormalTypeChecker(program).check()
     if (
         config == prior.config
-        and tuple(class_fingerprints(table)) == prior.graph_fingerprints.classes
+        and tuple(class_fingerprints(table)) == prior.kept_fingerprints().classes
     ):
         prepared = AnnotatedProgram.adopt(program, table, prior)
     else:

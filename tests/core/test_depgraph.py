@@ -201,13 +201,19 @@ class TestTarjanRunsOncePerGraph(object):
         from repro.core.infer import reinfer_program
         from repro.gen import GenSpec, edit_script
 
-        old, new = edit_script(GenSpec.sized(6, seed=0), 1)
-        prior = infer_source(old)
+        v0, v1, v2 = edit_script(GenSpec.sized(6, seed=0), 2)
+        prior = infer_source(v0)
         runs[0] = 0
-        result = reinfer_program(parse_program(new), prior)
-        assert result.reused_sccs > 0
-        # the prior's side of the diff is the fingerprints it kept
-        assert runs[0] == 1
+        first = reinfer_program(parse_program(v1), prior)
+        assert first.reused_sccs > 0
+        # a from-scratch result is hashed by its first edit, once
+        assert runs[0] == 2
+        for source, base in ((v2, first), (v2, prior)):
+            runs[0] = 0
+            result = reinfer_program(parse_program(source), base)
+            assert result.reused_sccs > 0
+            # the prior's side of the diff is the fingerprints it keeps
+            assert runs[0] == 1
 
     def test_repeat_readers_share_one_run(self, runs):
         g = graph("int f() { g() } int g() { f() }")
@@ -219,7 +225,9 @@ class TestTarjanRunsOncePerGraph(object):
 
 class TestAnEditHashesOneProgram(object):
     """A document edit builds the new program's graph and fingerprints
-    it; the prior's fingerprints come from the prior result."""
+    it; the prior's fingerprints come from the prior result.  Only a
+    from-scratch version (which nothing may ever edit, so its run hashes
+    nothing) is hashed by its first edit, once."""
 
     def test_each_session_edit_builds_one_graph_and_hashes_one_program(
         self, monkeypatch
@@ -242,21 +250,65 @@ class TestAnEditHashesOneProgram(object):
         monkeypatch.setattr(DependencyGraph, "_build", counted_build)
         monkeypatch.setattr(DependencyGraph, "_node_fingerprints", counted_fingerprints)
         session = Session()
-        versions = edit_script(GenSpec.sized(6, seed=1), 3)
+        versions = edit_script(GenSpec.sized(6, seed=1), 4)
         session.reinfer(versions[0], document="d")
+        assert counts == {"graphs": 1, "fingerprints": 0}
+        seen = []
         for source in versions[1:]:
             counts.update(graphs=0, fingerprints=0)
             result = session.reinfer(source, document="d")
             assert result.reused_sccs > 0
-            assert counts == {"graphs": 1, "fingerprints": 1}
+            seen.append(dict(counts))
+        once = {"graphs": 1, "fingerprints": 1}
+        assert seen == [{"graphs": 2, "fingerprints": 2}] + [once] * 3
 
     def test_a_result_keeps_the_fingerprints_a_fresh_graph_computes(self):
         from repro.core import infer_source
-        from repro.gen import GenSpec, generate_source
+        from repro.core.infer import reinfer_program
+        from repro.gen import GenSpec, edit_script
 
-        result = infer_source(generate_source(GenSpec.sized(5, seed=2)))
-        again = DependencyGraph(result.table.program, result.table)
-        assert result.graph_fingerprints == again.fingerprints(result.plan_salts)
+        old, new = edit_script(GenSpec.sized(5, seed=2), 1)
+        prior = infer_source(old)
+        assert prior.graph_fingerprints is None
+        result = reinfer_program(parse_program(new), prior)
+        for kept in (prior, result):
+            again = DependencyGraph(kept.table.program, kept.table)
+            assert kept.graph_fingerprints == again.fingerprints(kept.plan_salts)
+
+
+    def test_threads_editing_one_prior_at_once_agree(self):
+        """A cached prior is shared: several edits may hash it at once."""
+        import sys
+        import threading
+
+        from repro.core import infer_source
+        from repro.core.infer import reinfer_program
+        from repro.gen import GenSpec, edit_script
+        from repro.lang.pretty import pretty_target
+
+        old, new = edit_script(GenSpec.sized(5, seed=4), 1)
+        expected = pretty_target(infer_source(new).target, renumber=True)
+        prior = infer_source(old)
+        rendered = []
+
+        def edit():
+            result = reinfer_program(parse_program(new), prior)
+            rendered.append(pretty_target(result.target, renumber=True))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=edit) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert rendered == [expected] * 6
+        again = DependencyGraph(prior.table.program, prior.table)
+        assert prior.graph_fingerprints == again.fingerprints(prior.plan_salts)
 
 
 def test_structural_hashes_are_pinned():
