@@ -1001,13 +1001,15 @@ class RegionInference:
         coalesce = solver.coalescing_substitution(preferred=interface)
         formals = set(interface)
         coalesce = RegionSubst({k: v for k, v in coalesce if k not in formals})
-        base = coalesce.apply_constraint(base)
-        preds = tuple(p.rename(coalesce.mapping()) for p in preds)
-        body_regions = set(coalesce.apply_all(body_regions))
+        if coalesce:  # else ``solver`` still holds ``base`` and ``hyp``
+            base = coalesce.apply_constraint(base)
+            preds = tuple(p.rename(coalesce.mapping()) for p in preds)
+            body_regions = set(coalesce.apply_all(body_regions))
+            solver = RegionSolver(base.conj(hyp))
 
         # map residual escaping regions onto the interface (or the heap)
         residual = self._residual_substitution(
-            base, preds, body_regions, interface, hyp
+            solver, base, preds, body_regions, interface
         )
         base = residual.apply_constraint(base)
         preds = tuple(p.rename(residual.mapping()) for p in preds)
@@ -1034,11 +1036,11 @@ class RegionInference:
 
     def _residual_substitution(
         self,
+        solver: RegionSolver,
         base: Constraint,
         preds: Tuple[PredAtom, ...],
         body_regions: Set[Region],
         interface: List[Region],
-        hyp: Constraint,
     ) -> RegionSubst:
         """Map every non-interface, non-letreg region onto a formal or heap.
 
@@ -1046,9 +1048,9 @@ class RegionInference:
         a letreg-bound local, or the heap (Sec 3.3).  A residual escaping
         region ``r`` is unified with the longest-lived interface region it
         provably outlives.  ``body_regions`` are the regions the body
-        mentions outside its letregs.
+        mentions outside its letregs, and ``solver`` holds ``base`` and the
+        method's hypotheses.
         """
-        solver = RegionSolver(base.conj(hyp))
         keep = set(interface) | {HEAP}
         mentioned: Set[Region] = set(base.regions()) | body_regions
         for p in preds:
