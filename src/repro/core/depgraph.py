@@ -174,7 +174,12 @@ def class_fingerprint(decl: S.ClassDecl) -> str:
     types, recursive region), so any change here invalidates the whole
     annotation universe (:func:`diff` then returns ``None``).
     """
-    out = [b"\x00C", decl.name.encode("utf-8"), b"\x00<", decl.super_name.encode("utf-8")]
+    out = [
+        b"\x00C",
+        decl.name.encode("utf-8"),
+        b"\x00<",
+        decl.super_name.encode("utf-8"),
+    ]
     for f in decl.fields:
         _feed(out, f)
     return hashlib.sha256(b"".join(out)).hexdigest()

@@ -381,7 +381,15 @@ class _Block:
     constraints are the result flow and its one child is the body.
     """
 
-    __slots__ = ("mark", "constraints", "children", "node", "parent", "escape_types", "mentioned")
+    __slots__ = (
+        "mark",
+        "constraints",
+        "children",
+        "node",
+        "parent",
+        "escape_types",
+        "mentioned",
+    )
 
     def __init__(self, mark: int):
         self.mark = mark
@@ -442,6 +450,8 @@ class _Ctx:
         self.scc = scc
         #: elaborate calls into the SCC region-monomorphically (ablation)
         self.monomorphic = monomorphic
+        #: the record that gathers constraints now: the method's, then
+        #: each block's while it is elaborated
         self.block = _Block(Region.watermark())
         self.recursive = False
 

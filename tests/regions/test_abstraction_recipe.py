@@ -81,10 +81,8 @@ def random_abstraction(rng, locals_=True):
         elif kind < 0.8:
             atoms.append(RegionEq(rng.choice(pool), rng.choice(pool)))
         else:
-            n = rng.randrange(0, 4)
-            atoms.append(
-                PredAtom(rng.choice(("pre.f", "inv.C")), tuple(rng.choice(pool) for _ in range(n)))
-            )
+            args = tuple(rng.choice(pool) for _ in range(rng.randrange(0, 4)))
+            atoms.append(PredAtom(rng.choice(("pre.f", "inv.C")), args))
     # bodies built raw keep trivial and unordered atoms, which only the
     # normalisation of a non-empty renaming removes
     body = Constraint(frozenset(atoms)) if rng.random() < 0.5 else Constraint.of(*atoms)
