@@ -65,7 +65,10 @@ def demo(title: str, source: str) -> None:
     print(f"=== {title} ===\n")
     result = infer_source(source, InferenceConfig(mode=SubtypingMode.OBJECT))
     print(pretty_target(result.target))
-    print("localised regions per method:", result.localized_regions)
+    print(
+        "localised regions per method:",
+        {qn: record.localized for qn, record in result.methods.items()},
+    )
 
     interp = Interpreter(result.target)
     interp.run_static("main", [50])

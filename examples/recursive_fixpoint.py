@@ -75,7 +75,7 @@ def show_monomorphic_loss() -> None:
         InferenceConfig(mode=SubtypingMode.OBJECT, polymorphic_recursion=False),
     )
     for label, result in (("polymorphic", poly), ("monomorphic", mono)):
-        scheme = result.schemes["join"]
+        scheme = result.methods["join"].scheme
         solver = RegionSolver(result.target.q["pre.join"].body)
         params = scheme.region_params
         merged = sum(

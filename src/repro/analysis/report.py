@@ -142,9 +142,9 @@ def _classify_allocation(
 
 
 def _method_report(result: InferenceResult, decl: T.TMethodDecl) -> MethodReport:
-    scheme = result.schemes[decl.qualified_name]
-    pre = result.target.q[decl.pre_name].body if decl.pre_name in result.target.q else None
-    atoms = pre.atoms if pre is not None else frozenset()
+    record = result.methods[decl.qualified_name]
+    scheme = record.scheme
+    atoms = record.pre.body.atoms
     outl = sum(1 for a in atoms if isinstance(a, Outlives))
     eqs = sum(1 for a in atoms if isinstance(a, RegionEq))
 

@@ -130,12 +130,12 @@ class SessionStats:
 #: with ``tracemalloc``
 #: (``tests/api/test_cache_charge.py`` holds each entry's charge to within
 #: 25% of what it retains)
-BYTES_PER_TOKEN = 127
+BYTES_PER_TOKEN = 119
 #: retained bytes per token that inference adds on top, scaled by the share
 #: of method SCCs the run re-inferred rather than spliced from a prior
 #: result: a distinct program retains about 250 B/token, one version of a
-#: one-literal edit chain about 130
-BYTES_PER_INFERRED_TOKEN = 128
+#: one-literal edit chain (which shares its spliced records) about 120
+BYTES_PER_INFERRED_TOKEN = 130
 
 
 def _approx_artifact_bytes(value: Any) -> int:

@@ -15,6 +15,7 @@ from .infer import (
     AnnotatedProgram,
     InferenceConfig,
     InferenceResult,
+    MethodRecord,
     RegionInference,
     infer_program,
     infer_source,
@@ -36,6 +37,7 @@ __all__ = [
     "AnnotatedProgram",
     "InferenceConfig",
     "InferenceResult",
+    "MethodRecord",
     "RegionInference",
     "infer_program",
     "infer_source",

@@ -37,7 +37,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import time
-from dataclasses import dataclass, field as dc_field, replace as dc_replace
+from dataclasses import dataclass, field as dc_field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..deadline import check as check_deadline
@@ -89,6 +89,7 @@ __all__ = [
     "AnnotatedProgram",
     "InferenceConfig",
     "InferenceResult",
+    "MethodRecord",
     "RegionInference",
     "infer_program",
     "infer_source",
@@ -199,6 +200,31 @@ class AnnotatedProgram:
         return self._plan
 
 
+@dataclass(frozen=True, eq=False)
+class MethodRecord:
+    """What inference found for one method: its signature, pres and body.
+
+    An edit that finds the method's SCC clean takes the prior's record
+    object itself, so records are shared along a document's lineage, never
+    copied, and compare by identity.  A record holds no source AST, so a
+    shared one keeps no older version's parse tree alive.
+    """
+
+    __slots__ = ("scheme", "raw_pre", "pre", "body", "localized")
+
+    #: the region signature (rule [t-meth]), padded per the downcast plan
+    scheme: MethodScheme
+    #: the pre before minimisation, which a spliced SCC defines: later
+    #: (dirty) callers expand what a from-scratch run would have seen
+    raw_pre: ConstraintAbstraction
+    #: the pre the target program carries (minimised if the config asks)
+    pre: ConstraintAbstraction
+    #: the letreg-localised target method
+    body: T.TMethodDecl
+    #: its count of localised (letreg-introduced) regions
+    localized: int
+
+
 @dataclass
 class InferenceResult:
     """The annotated program plus inference metadata."""
@@ -206,18 +232,14 @@ class InferenceResult:
     target: T.TProgram
     table: ClassTable
     annotations: Dict[str, ClassAnnotation]
-    schemes: Dict[str, MethodScheme]
     config: InferenceConfig
+    #: one record per method in program order, keyed by its scheme's
+    #: ``qualified`` string (so a spliced record brings its own key)
+    methods: Dict[str, MethodRecord] = dc_field(default_factory=dict)
     #: wall-clock seconds spent inside :meth:`RegionInference.infer`
     elapsed: float = 0.0
-    #: per-method count of localised (letreg-introduced) regions
-    localized_regions: Dict[str, int] = dc_field(default_factory=dict)
     #: fixed-point iteration counts per method-SCC (keyed by sorted names)
     fixpoint_iterations: Dict[Tuple[str, ...], int] = dc_field(default_factory=dict)
-    #: pre abstractions as at end of SCC processing, *before* minimisation.
-    #: Incremental re-inference splices these back in so later (dirty)
-    #: callers expand exactly what a from-scratch run would have seen.
-    raw_pres: Dict[str, ConstraintAbstraction] = dc_field(default_factory=dict)
     #: the abstraction environment at run start (class invariants only,
     #: before any override-resolution strengthening) -- the seed for replay
     pristine_q: Dict[str, ConstraintAbstraction] = dc_field(default_factory=dict)
@@ -235,8 +257,6 @@ class InferenceResult:
     #: re-run (a from-scratch run reports 0 / total)
     reused_sccs: int = 0
     reinferred_sccs: int = 0
-    #: qualified names whose results were spliced rather than re-inferred
-    reused_methods: Tuple[str, ...] = ()
     #: the checker's verdict on ``target`` under ``config``: filled once,
     #: by the first :meth:`Pipeline.verify <repro.api.Pipeline.verify>`
     #: that runs to completion, and reused by every later one (the
@@ -259,7 +279,7 @@ class InferenceResult:
 
     @property
     def total_localized(self) -> int:
-        return sum(self.localized_regions.values())
+        return sum(record.localized for record in self.methods.values())
 
     def fingerprint(self) -> Dict[str, Tuple[int, int]]:
         """A structural identity, stable across runs and processes.
@@ -270,12 +290,8 @@ class InferenceResult:
         The daemon returns it with every ``/v1/infer`` answer.
         """
         return {
-            qualified: (
-                len(scheme.region_params),
-                self.localized_regions[qualified],
-            )
-            for qualified, scheme in self.schemes.items()
-            if qualified in self.localized_regions
+            qualified: (len(record.scheme.region_params), record.localized)
+            for qualified, record in self.methods.items()
         }
 
 
@@ -358,13 +374,6 @@ def scc_splice_keys(
             h.update(b"\x00O")
             h.update(fp.encode("ascii"))
         out[methods] = h.hexdigest()
-    return out
-
-
-def _target_methods(target: T.TProgram) -> Dict[str, T.TMethodDecl]:
-    """A target program's methods by qualified name."""
-    out = {f"{c.name}.{m.name}": m for c in target.classes for m in c.methods}
-    out.update((m.name, m) for m in target.statics)
     return out
 
 
@@ -656,12 +665,13 @@ class RegionInference:
 
         The SCCs are walked in dependency order.  Without a prior every
         SCC runs its fixed point.  With one, an SCC that
-        :func:`~repro.core.depgraph.diff` finds clean takes its raw pre,
-        target bodies, localised counts and iteration count from the
-        prior instead; ``docs/incremental.md`` sets out why the output
-        stays byte-identical to a from-scratch run.
+        :func:`~repro.core.depgraph.diff` finds clean takes its members'
+        :class:`MethodRecord`\\ s and its iteration count from the prior
+        instead; ``docs/incremental.md`` sets out why the output stays
+        byte-identical to a from-scratch run.
         """
         start = time.perf_counter()
+        self._decls = {m.qualified_name: m for m in self.program.all_methods()}
         graph = DependencyGraph(self.program, self.table)
         salts = plan_salts(self.program, self.plan)
         # only a diff reads fingerprints, so a from-scratch run hashes nothing
@@ -669,18 +679,16 @@ class RegionInference:
         spliced = self._spliceable(graph, fingerprints)
         prior = self.prior
         self.schemes: Dict[str, MethodScheme] = {}
-        for m in self.program.all_methods():
-            qn = m.qualified_name
+        for qn, m in self._decls.items():
             if qn in spliced:
-                # prior regions and padding (the spliced bodies mention
-                # their uids), fresh decl
-                self.schemes[qn] = dc_replace(prior.schemes[qn], decl=m)
+                # the prior's regions and padding: its bodies mention their uids
+                self.schemes[qn] = prior.methods[qn].scheme
             else:
                 scheme = self.annotator.method_scheme(m)
                 self._pad_scheme(scheme)
                 self.schemes[qn] = scheme
-        self._tmethods: Dict[str, T.TMethodDecl] = {}
-        self._prior_tmethods = _target_methods(prior.target) if spliced else {}
+        #: each re-inferred method's target body and localised count
+        self._kept: Dict[str, Tuple[T.TMethodDecl, int]] = {}
         self._done: Set[str] = set()
         self._init_resolution()
         self._footprints = SccFootprints(graph)
@@ -688,7 +696,6 @@ class RegionInference:
             target=T.TProgram(q=self.q),
             table=self.table,
             annotations=self.annotations,
-            schemes=self.schemes,
             config=self.config,
         )
         # the replay seed for re-inference: the environment holds exactly
@@ -706,16 +713,18 @@ class RegionInference:
                 self._process_scc(scc, result)
                 result.reinferred_sccs += 1
             self._resolve_ready()
-        result.raw_pres = {qn: self.q[s.pre] for qn, s in self.schemes.items()}
-        if self.config.minimize_pre:
-            for qn, scheme in self.schemes.items():
-                if qn in spliced:
-                    # same raw pre, same final hypotheses: same minimisation
-                    self.q.define(prior.target.q[scheme.pre])
-                else:
+        for qn, scheme in self.schemes.items():
+            if qn in spliced:
+                # same raw pre, same final hypotheses: same final pre
+                record = prior.methods[qn]
+                self.q.define(record.pre)
+            else:
+                raw_pre = self.q[scheme.pre]
+                if self.config.minimize_pre:
                     self._minimize_pre(qn)
-        self._assemble(result.target)
-        result.reused_methods = tuple(sorted(spliced))
+                record = MethodRecord(scheme, raw_pre, self.q[scheme.pre], *self._kept[qn])
+            result.methods[scheme.qualified] = record
+        self._assemble(result.target, result.methods)
         result.elapsed = time.perf_counter() - start
         self.result = result
         return result
@@ -737,17 +746,14 @@ class RegionInference:
         dirty = dirty_methods(prior.kept_fingerprints(), graph, fingerprints)
         if dirty is None:
             raise ValueError("the prior result has other class shapes")
-        return {m.qualified_name for m in self.program.all_methods()} - dirty
+        return set(self._decls) - dirty
 
     def _splice_scc(self, scc: List[str], result: InferenceResult) -> None:
-        """Take a clean SCC's results from the prior run."""
-        prior = self.prior
+        """Define a clean SCC's raw pres from the prior's records."""
         for qn in scc:
-            self.q.define(prior.raw_pres[qn])
-            self._tmethods[qn] = self._prior_tmethods[qn]
-            result.localized_regions[qn] = prior.localized_regions[qn]
+            self.q.define(self.prior.methods[qn].raw_pre)
         key = tuple(sorted(scc))
-        result.fixpoint_iterations[key] = prior.fixpoint_iterations[key]
+        result.fixpoint_iterations[key] = self.prior.fixpoint_iterations[key]
         self._mark_done(scc)
 
     def _process_scc(self, scc: List[str], result: InferenceResult) -> None:
@@ -777,7 +783,7 @@ class RegionInference:
             elaborated = [self._elaborate(qn, scc_set, monomorphic) for qn in scc]
             recursive = any(el.recursive for el in elaborated)
             nest = [
-                self._localise(el, result, expand=False, keep=not recursive)
+                self._localise(el, expand=False, keep=not recursive)
                 for el in elaborated
             ]
             fp = solve_recursive_abstractions(nest, self.q)
@@ -792,7 +798,7 @@ class RegionInference:
                     elaborated = [self._elaborate(qn, scc_set, False) for qn in scc]
                 nest = []
                 for el in elaborated:
-                    pre = self._localise(el, result, expand=True, keep=True)
+                    pre = self._localise(el, expand=True, keep=True)
                     # a later member's calls to this one expand this pre
                     self.q.define(pre)
                     nest.append(pre)
@@ -896,7 +902,7 @@ class RegionInference:
         for name, t in zip(scheme.param_names, scheme.param_types):
             env[name] = t
         root = ctx.block
-        tbody = self._infer_block(scheme.decl.body, env, ctx)
+        tbody = self._infer_block(self._decls[qualified].body, env, ctx)
         ctx.add(
             self._subtype(tbody.type, scheme.ret_type, ctx, by_ref=scheme.by_ref)
         )
@@ -964,7 +970,6 @@ class RegionInference:
     def _localise(
         self,
         el: _Elaboration,
-        result: InferenceResult,
         *,
         expand: bool,
         keep: bool,
@@ -1024,9 +1029,8 @@ class RegionInference:
         base = residual.apply_constraint(base)
         preds = tuple(p.rename(residual.mapping()) for p in preds)
         if keep:
-            qualified = scheme.qualified
-            decl = scheme.decl
-            self._tmethods[qualified] = T.TMethodDecl(
+            decl = self._decls[scheme.qualified]
+            body = T.TMethodDecl(
                 name=decl.name,
                 owner=decl.owner,
                 is_static=decl.is_static,
@@ -1039,7 +1043,7 @@ class RegionInference:
                 body=_finish_body(el.body, localised, rs, coalesce.compose(residual)),
                 pre_name=scheme.pre,
             )
-            result.localized_regions[qualified] = len(localised) + bool(rs)
+            self._kept[scheme.qualified] = (body, len(localised) + bool(rs))
         return ConstraintAbstraction(
             scheme.pre, scheme.abstraction_params, base.conj(Constraint.of(*preds))
         )
@@ -1501,7 +1505,7 @@ class RegionInference:
         return tblock
 
     # ------------------------------------------------------------ assembly
-    def _assemble(self, target: T.TProgram) -> None:
+    def _assemble(self, target: T.TProgram, methods: Dict[str, MethodRecord]) -> None:
         for cn in self.table.class_names():
             anno = self.annotations[cn]
             decl = self.table.decl(cn)
@@ -1509,11 +1513,7 @@ class RegionInference:
                 T.TFieldDecl(anno.own_field_types[f.name], f.name)
                 for f in decl.fields
             ]
-            methods = [
-                self._tmethods[f"{cn}.{m.name}"]
-                for m in decl.methods
-                if f"{cn}.{m.name}" in self._tmethods
-            ]
+            bodies = [methods[m.qualified_name].body for m in decl.methods]
             target.classes.append(
                 T.TClassDecl(
                     name=cn,
@@ -1521,14 +1521,13 @@ class RegionInference:
                     super_name=decl.super_name,
                     super_regions=anno.super_regions,
                     fields=fields,
-                    methods=methods,
+                    methods=bodies,
                     inv_name=anno.inv,
                     rec_region=anno.rec_region,
                 )
             )
         for m in self.program.statics:
-            if m.qualified_name in self._tmethods:
-                target.statics.append(self._tmethods[m.qualified_name])
+            target.statics.append(methods[m.qualified_name].body)
 
 
 def reinfer_program(

@@ -106,7 +106,6 @@ class MethodScheme:
     ret_type: RType
     pre: str  # abstraction name in Q
     by_ref: bool
-    decl: S.MethodDecl
 
     @property
     def abstraction_params(self) -> Tuple[Region, ...]:
@@ -393,7 +392,6 @@ class ClassAnnotator:
             ret_type=ret,
             pre=pre_name(decl.owner, decl.name),
             by_ref=decl.by_ref,
-            decl=decl,
         )
 
 

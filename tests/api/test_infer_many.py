@@ -28,9 +28,8 @@ def _fingerprint(result):
     arities, letreg counts) is.
     """
     return {
-        qualified: (len(scheme.region_params), result.localized_regions[qualified])
-        for qualified, scheme in result.schemes.items()
-        if qualified in result.localized_regions
+        qualified: (len(record.scheme.region_params), record.localized)
+        for qualified, record in result.methods.items()
     }
 
 

@@ -162,10 +162,10 @@ class TestByteIdentityThroughSession(object):
         )
         assert edited != IF_RECEIVER_SOURCE
         session = Session()
-        session.reinfer(IF_RECEIVER_SOURCE, document="buf")
+        prior = session.reinfer(IF_RECEIVER_SOURCE, document="buf")
         result = session.reinfer(edited, document="buf")
         assert session.stats.hit_count("scc.document") == 1
-        assert "D.use" not in result.reused_methods
+        assert result.methods["D.use"] is not prior.methods["D.use"]
         assert rendered(result) == rendered(Session().infer(edited))
 
 

@@ -38,7 +38,7 @@ class TestPositive(object):
 
         result = infer_and_check(SIMPLE)
         # corrupt: swap a method's precondition for an unsatisfiable demand
-        scheme = result.schemes["wrap"]
+        scheme = result.methods["wrap"].scheme
         abstraction = result.target.q[scheme.pre]
         r_new = Region.fresh_many(2)
         # demand something about regions the caller cannot know
@@ -142,7 +142,7 @@ class TestNegative(object):
 
     def test_unsatisfied_callee_pre_rejected(self):
         result = self._fresh_result()
-        scheme = result.schemes["unwrap"]
+        scheme = result.methods["unwrap"].scheme
         abstraction = result.target.q[scheme.pre]
         params = abstraction.params
         from repro.regions import req

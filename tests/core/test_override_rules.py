@@ -16,8 +16,9 @@ from tests.conftest import infer_and_check
 
 def _setup(src, mode=SubtypingMode.OBJECT):
     result = infer_and_check(src, mode=mode)
+    schemes = {qn: record.scheme for qn, record in result.methods.items()}
     resolver = OverrideResolver(
-        result.table, result.target.q, result.annotations, result.schemes
+        result.table, result.target.q, result.annotations, schemes
     )
     return result, resolver
 
@@ -41,12 +42,12 @@ class TestRule2_AddToSuperPre(object):
         missing = check_override(
             result.target.q,
             result.annotations,
-            result.schemes["B.put"],
-            result.schemes["A.put"],
+            result.methods["B.put"].scheme,
+            result.methods["A.put"].scheme,
         )
         assert missing.is_true
         # and the strengthened pre.A.put carries B's store requirement
-        a_scheme = result.schemes["A.put"]
+        a_scheme = result.methods["A.put"].scheme
         pre = result.target.q[a_scheme.pre].body
         assert not pre.is_true
 

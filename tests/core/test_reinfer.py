@@ -34,6 +34,11 @@ def reinfer(prior, new_source, **kwargs):
     return reinfer_program(parse_program(new_source), prior, **kwargs)
 
 
+def spliced(result, prior, qualified):
+    """Whether ``result`` took ``qualified``'s record from ``prior``."""
+    return result.methods[qualified] is prior.methods.get(qualified)
+
+
 def unique_literals(source, minimum=1000):
     """Integer literals appearing exactly once — safe single-site edits.
 
@@ -94,7 +99,7 @@ class TestSingleEdit(object):
         prior = infer_source(src)
         edited = src + "\nint extraHelper(int n) { n + 1 }\n"
         result = reinfer(prior, edited)
-        assert "extraHelper" not in result.reused_methods
+        assert not spliced(result, prior, "extraHelper")
         assert rendered(result) == rendered(infer_source(edited))
 
     def test_removed_method_disappears(self):
@@ -210,7 +215,7 @@ class TestInterfaceRipple(object):
         edited = self.CALLEE_CHAIN % "b.payload = new Object();"
         result = reinfer(prior, edited)
         for qn in ("callee", "caller", "outer"):
-            assert qn not in result.reused_methods
+            assert not spliced(result, prior, qn)
         assert rendered(result) == rendered(infer_source(edited))
 
     def test_leaf_edit_spares_callers(self):
@@ -223,9 +228,9 @@ class TestInterfaceRipple(object):
         prior = infer_source(src)
         edited = src.replace("n + 1", "n + 2")
         result = reinfer(prior, edited)
-        assert "leaf" not in result.reused_methods
-        assert "caller" in result.reused_methods
-        assert "other" in result.reused_methods
+        assert not spliced(result, prior, "leaf")
+        assert spliced(result, prior, "caller")
+        assert spliced(result, prior, "other")
         assert rendered(result) == rendered(infer_source(edited))
 
     def test_override_edit_ripples_through_dynamic_dispatch(self):
@@ -240,8 +245,8 @@ class TestInterfaceRipple(object):
         # override-resolved invariant; the dispatch site must re-infer
         edited = template % "x"
         result = reinfer(prior, edited)
-        assert "B.get" not in result.reused_methods
-        assert "use" not in result.reused_methods
+        assert not spliced(result, prior, "B.get")
+        assert not spliced(result, prior, "use")
         assert rendered(result) == rendered(infer_source(edited))
 
 

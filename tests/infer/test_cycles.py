@@ -46,10 +46,10 @@ class TestFig5(object):
 
     def test_no_localisation(self, result):
         """All declared regions escape (Fig 5: no letreg introduced)."""
-        assert result.localized_regions["cyc"] == 0
+        assert result.methods["cyc"].localized == 0
 
     def test_pre_still_well_formed(self, result):
-        scheme = result.schemes["cyc"]
+        scheme = result.methods["cyc"].scheme
         pre = result.target.q[scheme.pre].body
         RegionSolver(pre)  # no pred atoms, no crash
 
@@ -97,4 +97,4 @@ class TestLargerCycles(object):
         }
         """
         result = infer_and_check(src, mode=SubtypingMode.OBJECT)
-        assert result.localized_regions["f"] == 1
+        assert result.methods["f"].localized == 1

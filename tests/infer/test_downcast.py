@@ -127,7 +127,7 @@ class TestFirstRegionTechnique(object):
         casts = [n for n in T.twalk(body) if isinstance(n, T.TCast)]
         down = [c for c in casts if c.type.name in ("B", "C", "D")]
         assert down
-        scheme = result.schemes["frag"]
+        scheme = result.methods["frag"].scheme
         pre = result.target.q[scheme.pre].body
         # gather the whole constraint context of the method to decide
         # equalities (everything was localised into the body here)

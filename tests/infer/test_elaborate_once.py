@@ -27,9 +27,9 @@ def counts(monkeypatch):
         elaborated[qualified] += 1
         return real_elaborate(self, qualified, scc, monomorphic)
 
-    def localise(self, el, result, *, expand, keep):
+    def localise(self, el, *, expand, keep):
         localised[el.scheme.qualified] += 1
-        return real_localise(self, el, result, expand=expand, keep=keep)
+        return real_localise(self, el, expand=expand, keep=keep)
 
     monkeypatch.setattr(infer_module.RegionInference, "_elaborate", elaborate)
     monkeypatch.setattr(infer_module.RegionInference, "_localise", localise)
@@ -40,7 +40,7 @@ def counts(monkeypatch):
 def test_each_method_is_elaborated_once(counts, name):
     elaborated, localised = counts
     result = infer_source(regjava_program(name).source)
-    assert set(elaborated) == set(result.schemes)
+    assert set(elaborated) == set(result.methods)
     assert set(elaborated.values()) == {1}
     recursive = {qn for qn, n in localised.items() if n == 2}
     assert recursive, "the program has a recursive SCC"

@@ -24,7 +24,7 @@ class TestResultMetadata(object):
 
     def test_localized_regions_per_method(self):
         result = infer_source(PAIR_SOURCE, InferenceConfig())
-        assert "Pair.cloneRev" in result.localized_regions
+        assert "Pair.cloneRev" in result.methods
 
     def test_fixpoint_iterations_keyed_by_scc(self):
         result = infer_source(PAIR_SOURCE, InferenceConfig())
@@ -32,7 +32,9 @@ class TestResultMetadata(object):
 
     def test_total_localized(self):
         result = infer_source(PAIR_SOURCE, InferenceConfig())
-        assert result.total_localized == sum(result.localized_regions.values())
+        assert result.total_localized == sum(
+            record.localized for record in result.methods.values()
+        )
 
     def test_config_retained(self):
         config = InferenceConfig(mode=SubtypingMode.NONE)
@@ -97,7 +99,7 @@ class TestInheritanceLayouts(object):
         result = infer_and_check(src)
         method = result.target.class_named("A").method("self")
         # the body returns this: result regions tie back to class formals
-        scheme = result.schemes["A.self"]
+        scheme = result.methods["A.self"].scheme
         anno = result.annotations["A"]
         pre = result.target.q[scheme.pre].body
         solver = RegionSolver(pre)

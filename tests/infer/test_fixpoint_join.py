@@ -20,7 +20,7 @@ def result():
 
 
 def _param_regions(result):
-    scheme = result.schemes["join"]
+    scheme = result.methods["join"].scheme
     xs = scheme.region_params[0:3]
     ys = scheme.region_params[3:6]
     ret = scheme.region_params[6:9]
@@ -78,7 +78,7 @@ class TestRecursiveCallSites(object):
             if isinstance(n, T.TCall) and n.method_name == "join"
         ]
         for call in calls:
-            assert tuple(call.region_args) != tuple(result.schemes["join"].region_params)
+            assert tuple(call.region_args) != tuple(result.methods["join"].scheme.region_params)
 
 
 class TestMonomorphicAblation(object):
@@ -87,7 +87,7 @@ class TestMonomorphicAblation(object):
             mode=SubtypingMode.OBJECT, polymorphic_recursion=False
         )
         result = infer_source(JOIN_SOURCE, config)
-        scheme = result.schemes["join"]
+        scheme = result.methods["join"].scheme
         xs = scheme.region_params[0:3]
         ys = scheme.region_params[3:6]
         pre = result.target.q["pre.join"].body
@@ -107,7 +107,7 @@ class TestMonomorphicAblation(object):
         # monomorphically (they share no Region objects, so compare by
         # counting forced identifications instead)
         def merged_pairs(res):
-            scheme = res.schemes["join"]
+            scheme = res.methods["join"].scheme
             solver = RegionSolver(res.target.q["pre.join"].body)
             params = scheme.region_params
             return sum(

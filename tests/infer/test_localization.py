@@ -51,7 +51,7 @@ class TestFig4(object):
         return infer_and_check(FIG4, mode=SubtypingMode.OBJECT)
 
     def test_one_localised_region(self, result):
-        assert result.localized_regions["build"] == 1
+        assert result.methods["build"].localized == 1
 
     def test_p1_and_p3_share_the_local_region(self, result):
         body = result.target.static_named("build").body
@@ -68,7 +68,7 @@ class TestFig4(object):
         local = _letregs(body)[0].regions[0]
         decls = _decl_types(body)
         assert local not in decls["p2"].regions
-        scheme = result.schemes["build"]
+        scheme = result.methods["build"].scheme
         assert set(decls["p2"].regions) <= set(scheme.region_params)
 
     def test_p4_escapes_through_p2(self, result):
@@ -88,7 +88,7 @@ class TestLocalisationBasics(object):
         }
         """
         result = infer_and_check(src)
-        assert result.localized_regions["f"] == 1
+        assert result.methods["f"].localized == 1
 
     def test_returned_object_is_not_localised(self):
         src = PAIR + """
@@ -151,4 +151,4 @@ class TestLocalisationBasics(object):
         }
         """
         result = infer_and_check(src)
-        assert result.localized_regions["f"] >= 1
+        assert result.methods["f"].localized >= 1

@@ -87,7 +87,7 @@ def test_interface_constraints_agree(name):
     )
 
     def pre_shape(result):
-        scheme = result.schemes["f"]
+        scheme = result.methods["f"].scheme
         params = scheme.abstraction_params
         solver = RegionSolver(result.target.q[scheme.pre].body)
         return frozenset(
@@ -113,4 +113,4 @@ def test_by_ref_parameters_equate_regions():
         for m in converted_program.statics
         if m.by_ref
     )
-    assert loop_name in result.schemes
+    assert loop_name in result.methods

@@ -31,9 +31,9 @@ def method_level_calls(monkeypatch):
         sealed[0] += 1
         return real_seal(self, node, env)
 
-    def localise(self, el, result, *, expand, keep):
+    def localise(self, el, *, expand, keep):
         calls.append([0, keep])
-        return real_localise(self, el, result, expand=expand, keep=keep)
+        return real_localise(self, el, expand=expand, keep=keep)
 
     def rename(expr, subst):
         calls[-1][0] += 1

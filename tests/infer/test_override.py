@@ -60,8 +60,8 @@ class TestOverrideSoundness(object):
         missing = check_override(
             result.target.q,
             result.annotations,
-            result.schemes["Triple.cloneRev"],
-            result.schemes["Pair.cloneRev"],
+            result.methods["Triple.cloneRev"].scheme,
+            result.methods["Pair.cloneRev"].scheme,
         )
         assert missing.is_true
 
@@ -85,7 +85,7 @@ class TestOverrideSoundness(object):
     def test_superclass_pre_strengthened(self, result):
         """pre.Pair.cloneRev now carries the atom needed by Triple's body."""
         pair = result.annotations["Pair"]
-        scheme = result.schemes["Pair.cloneRev"]
+        scheme = result.methods["Pair.cloneRev"].scheme
         r4, r5, r6 = scheme.region_params
         pre = result.target.q[scheme.pre].body
         solver = RegionSolver(pre)
@@ -109,8 +109,8 @@ class TestNoConflictCases(object):
         missing = check_override(
             result.target.q,
             result.annotations,
-            result.schemes["B.get"],
-            result.schemes["A.get"],
+            result.methods["B.get"].scheme,
+            result.methods["A.get"].scheme,
         )
         assert missing.is_true
 
@@ -162,7 +162,7 @@ class TestOverrideChains(object):
             missing = check_override(
                 result.target.q,
                 result.annotations,
-                result.schemes[f"{sub}.get"],
-                result.schemes[f"{sup}.get"],
+                result.methods[f"{sub}.get"].scheme,
+                result.methods[f"{sup}.get"].scheme,
             )
             assert missing.is_true, f"{sub} over {sup}: {missing}"

@@ -45,7 +45,7 @@ class TestPairClass(object):
     def test_getfst_pre(self, pair):
         """pre.Pair.getFst<r1,r2,r3,r4> = r2 >= r4."""
         anno = pair.annotations["Pair"]
-        scheme = pair.schemes["Pair.getFst"]
+        scheme = pair.methods["Pair.getFst"].scheme
         (r4,) = scheme.region_params
         r2 = anno.regions[1]
         pre = pair.target.q[scheme.pre].body
@@ -56,7 +56,7 @@ class TestPairClass(object):
     def test_setsnd_pre(self, pair):
         """pre.Pair.setSnd<r1,r2,r3,r4> = r4 >= r3."""
         anno = pair.annotations["Pair"]
-        scheme = pair.schemes["Pair.setSnd"]
+        scheme = pair.methods["Pair.setSnd"].scheme
         (r4,) = scheme.region_params
         r3 = anno.regions[2]
         solver = RegionSolver(pair.target.q[scheme.pre].body)
@@ -65,7 +65,7 @@ class TestPairClass(object):
     def test_clonerev_pre(self, pair):
         """pre.Pair.cloneRev<r1..r3,r4..r6> = r2 >= r6 /\\ r3 >= r5."""
         anno = pair.annotations["Pair"]
-        scheme = pair.schemes["Pair.cloneRev"]
+        scheme = pair.methods["Pair.cloneRev"].scheme
         r4, r5, r6 = scheme.region_params
         r2, r3 = anno.regions[1], anno.regions[2]
         solver = RegionSolver(pair.target.q[scheme.pre].body)
@@ -76,7 +76,7 @@ class TestPairClass(object):
     def test_swap_pre_is_field_equality(self, pair):
         """pre.Pair.swap<r1,r2,r3> = (r2 = r3)."""
         anno = pair.annotations["Pair"]
-        scheme = pair.schemes["Pair.swap"]
+        scheme = pair.methods["Pair.swap"].scheme
         assert scheme.region_params == ()
         r2, r3 = anno.regions[1], anno.regions[2]
         solver = RegionSolver(pair.target.q[scheme.pre].body)
@@ -117,7 +117,7 @@ class TestListClass(object):
     def test_getvalue_pre(self, lst):
         """pre.List.getValue<r1,r2,r3,r4> = r2 >= r4."""
         anno = lst.annotations["List"]
-        scheme = lst.schemes["List.getValue"]
+        scheme = lst.methods["List.getValue"].scheme
         (r4,) = scheme.region_params
         solver = RegionSolver(lst.target.q[scheme.pre].body)
         assert solver.entails_outlives(anno.regions[1], r4)
@@ -130,7 +130,7 @@ class TestListClass(object):
         from the displayed precondition but still entailed with it.
         """
         anno = lst.annotations["List"]
-        scheme = lst.schemes["List.getNext"]
+        scheme = lst.methods["List.getNext"].scheme
         r4, r5, r6 = scheme.region_params
         r2, r3 = anno.regions[1], anno.regions[2]
         pre = lst.target.q[scheme.pre].body
@@ -149,7 +149,7 @@ class TestListClass(object):
         precise), which is what our engine infers and the checker accepts.
         """
         anno = lst.annotations["List"]
-        scheme = lst.schemes["List.setNext"]
+        scheme = lst.methods["List.setNext"].scheme
         r4, r5, r6 = scheme.region_params
         r2, r3 = anno.regions[1], anno.regions[2]
         solver = RegionSolver(lst.target.q[scheme.pre].body)
@@ -163,7 +163,7 @@ class TestModes(object):
         """Without subtyping, getFst's result region is *equal* to r2."""
         result = infer_and_check(PAIR_SOURCE, mode=SubtypingMode.NONE)
         anno = result.annotations["Pair"]
-        scheme = result.schemes["Pair.getFst"]
+        scheme = result.methods["Pair.getFst"].scheme
         (r4,) = scheme.region_params
         solver = RegionSolver(result.target.q[scheme.pre].body)
         assert solver.same_region(anno.regions[1], r4)
@@ -173,6 +173,6 @@ class TestModes(object):
         obj = infer_and_check(PAIR_SOURCE, mode=SubtypingMode.OBJECT)
         fld = infer_and_check(PAIR_SOURCE, mode=SubtypingMode.FIELD)
         for name in ("Pair.getFst", "Pair.setSnd", "Pair.swap"):
-            b1 = obj.target.q[obj.schemes[name].pre].body
-            b2 = fld.target.q[fld.schemes[name].pre].body
+            b1 = obj.target.q[obj.methods[name].scheme.pre].body
+            b2 = fld.target.q[fld.methods[name].scheme.pre].body
             assert len(b1) == len(b2)

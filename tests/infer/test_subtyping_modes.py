@@ -32,21 +32,21 @@ class TestFooExample(object):
 
     def test_no_subtyping_coalesces_a_and_b(self):
         result = infer_and_check(FOO, mode=SubtypingMode.NONE)
-        scheme = result.schemes["foo"]
+        scheme = result.methods["foo"].scheme
         ra, rb = scheme.region_params[0], scheme.region_params[1]
         solver = RegionSolver(result.target.q[scheme.pre].body)
         assert solver.same_region(ra, rb)
 
     def test_object_subtyping_keeps_a_and_b_distinct(self):
         result = infer_and_check(FOO, mode=SubtypingMode.OBJECT)
-        scheme = result.schemes["foo"]
+        scheme = result.methods["foo"].scheme
         ra, rb = scheme.region_params[0], scheme.region_params[1]
         solver = RegionSolver(result.target.q[scheme.pre].body)
         assert not solver.same_region(ra, rb)
 
     def test_field_subtyping_also_keeps_them_distinct(self):
         result = infer_and_check(FOO, mode=SubtypingMode.FIELD)
-        scheme = result.schemes["foo"]
+        scheme = result.methods["foo"].scheme
         ra, rb = scheme.region_params[0], scheme.region_params[1]
         solver = RegionSolver(result.target.q[scheme.pre].body)
         assert not solver.same_region(ra, rb)
@@ -181,7 +181,7 @@ class TestModePrecisionOrdering(object):
     """FIELD refines OBJECT refines NONE: fewer forced identifications."""
 
     def _merged_pairs(self, result, qualified):
-        scheme = result.schemes[qualified]
+        scheme = result.methods[qualified].scheme
         solver = RegionSolver(result.target.q[scheme.pre].body)
         params = scheme.abstraction_params
         return sum(

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+
 import pytest
 
 from repro.__main__ import main
@@ -18,6 +20,17 @@ int main(int n) {
   acc
 }
 """
+
+
+def replace_text(path, text):
+    """Write ``path`` the way an editor saves: a whole new file, renamed in.
+
+    ``Path.write_text`` truncates and then writes, so a watcher polling in
+    between reads an empty or partial program.
+    """
+    scratch = path.with_name(path.name + ".tmp")
+    scratch.write_text(text)
+    os.replace(scratch, path)
 
 
 @pytest.fixture()
@@ -248,7 +261,7 @@ class TestWatch(object):
 
         def edit_soon():
             time.sleep(0.3)
-            path.write_text(path.read_text().replace("t.v", "t.v + 0"))
+            replace_text(path, path.read_text().replace("t.v", "t.v + 0"))
 
         editor = threading.Thread(target=edit_soon)
         editor.start()
@@ -306,7 +319,7 @@ class TestWatch(object):
             for version in (v1, v2):
                 assert inferred.acquire(timeout=60)
                 time.sleep(0.2)
-                path.write_text(version)
+                replace_text(path, version)
 
         thread = threading.Thread(target=editor)
         thread.start()
