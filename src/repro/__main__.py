@@ -1,55 +1,19 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands (all built on the staged :mod:`repro.api` pipeline):
-
-* ``infer FILE``   -- infer region annotations and print the target program
-* ``check FILE``   -- infer, then verify with the region type checker
-* ``run FILE``     -- infer and execute a static entry point on the
-  region-based interpreter, reporting space statistics
-* ``report FILE``  -- per-class/per-method inference statistics
-* ``profile FILE`` -- run the pipeline's stages (parse, typecheck,
-  annotate, infer, verify) one by one under cProfile, reporting per-stage
-  wall-clock, cyclic-GC collections per generation and pause time, and
-  the top-N functions by cumulative time, and stopping at
-  the first stage that fails (text or JSON; see ``docs/scaling.md``)
-* ``batch FILE...`` -- batch inference over many files
-* ``watch FILE``   -- re-infer incrementally on every change to the file,
-  printing per-edit latency and SCC splice/re-infer counts
-* ``gen``          -- emit seeded synthetic Core-Java programs, corpora
-  and edit scripts from a :class:`~repro.gen.GenSpec` (:mod:`repro.gen`;
-  see ``docs/generator.md``)
-* ``bench list|run|publish|compare`` -- the staged benchmark subsystem:
-  run the registered families, publish the next schema-versioned
-  ``BENCH_<n>.json`` sample file, and gate on per-metric regressions
-  between two published files (:mod:`repro.bench.pkb`)
-* ``fig8`` / ``fig9`` -- regenerate the paper's evaluation tables
-* ``serve``        -- the multi-tenant HTTP inference daemon
-  (:mod:`repro.serve`; see ``docs/serving.md``)
-
-Every command but ``serve`` accepts ``--format {text,json}``; JSON
-output carries the machine-readable diagnostics of
-:mod:`repro.api.diagnostics` (severity, stage, code, source span).
-Errors render as ``file:line:col`` diagnostics
-on stderr and exit with code 2 (``check`` keeps exit code 1 for programs
-that infer but fail verification).  A command that runs pipeline stages
-unwraps each :class:`~repro.api.StageResult` and lets the
-:class:`~repro.api.StageFailure` reach :func:`main`, which renders it.
-
-Options: ``--mode {none,object,field}``, ``--downcast {padding,first-region,
-reject}``, ``--entry NAME``, ``--args N [N ...]``, ``--recursion-limit N``,
-``--quick``.  One CLI invocation owns one :class:`~repro.api.Session`,
-so all the work a subcommand schedules (every ``batch`` file, every
-``fig8`` measurement) shares one cache, in the calling thread.
+``docs/cli.md`` documents the commands, their flags, the JSON envelope
+and the exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional, Sequence
 
 from .analysis import render_report, summarize
 from .api import Pipeline, Session, StageFailure
@@ -62,12 +26,15 @@ from .api.diagnostics import (
 )
 from .bench import fig8_rows, fig8_table, fig9_rows, fig9_table
 from .core import DowncastStrategy, InferenceConfig, SubtypingMode
+from .gen import GenSpec, edit_script, generate_corpus, generate_source, write_corpus
 from .lang.pretty import pretty_target
+from .runtime import DEFAULT_RECURSION_LIMIT
 
 #: exit codes: 0 ok, 1 verification failure, 2 error diagnostics
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_ERROR = 2
+
 
 def _config(args: argparse.Namespace) -> InferenceConfig:
     return InferenceConfig(
@@ -78,33 +45,36 @@ def _config(args: argparse.Namespace) -> InferenceConfig:
     )
 
 
-def _emit(args: argparse.Namespace, payload: Dict[str, Any], text: str) -> None:
-    """Print ``text`` or the JSON payload, per ``--format``."""
+def _done(args, text, /, *, ok=True, code=EXIT_OK, **fields) -> int:
+    """Print ``text``, or under ``--format json`` the envelope ``{ok,
+    command, [file], **fields, diagnostics}``; return ``code``."""
     if args.format == "json":
+        payload = {"ok": ok, "command": args.name}
+        if "file" in args:
+            payload["file"] = args.file
+        payload.update(fields)
+        payload.setdefault("diagnostics", [])
         print(json.dumps(payload, indent=2))
     elif text:
         print(text)
+    return code
 
 
-def _fail(
-    args: argparse.Namespace, command: str, diagnostics: List[Diagnostic]
-) -> int:
-    """Render error diagnostics and return the error exit code."""
+def _fail(args, diagnostics, /, *, code=EXIT_ERROR, **fields) -> int:
+    """Render error diagnostics (the JSON envelope, or text on stderr) and
+    return ``code``."""
     # ``serve`` has no --format flag
     if getattr(args, "format", "text") == "json":
-        print(
-            json.dumps(
-                {
-                    "ok": False,
-                    "command": command,
-                    "diagnostics": [d.to_dict() for d in diagnostics],
-                },
-                indent=2,
-            )
-        )
+        payload = {
+            "ok": False,
+            "command": args.name,
+            **fields,
+            "diagnostics": [d.to_dict() for d in diagnostics],
+        }
+        print(json.dumps(payload, indent=2))
     else:
         print(render_diagnostics(diagnostics), file=sys.stderr)
-    return EXIT_ERROR
+    return code
 
 
 def _pipeline(args: argparse.Namespace, session: Session) -> Pipeline:
@@ -122,30 +92,20 @@ def cmd_infer(args: argparse.Namespace, session: Session) -> int:
     pipe = _pipeline(args, session)
     results = pipe.run("infer")
     result = results[-1].unwrap()
-    target_text = pretty_target(result.target)
-    q_lines = [str(a) for a in sorted(result.target.q, key=lambda a: a.name)]
-    payload = {
-        "ok": True,
-        "command": "infer",
-        "file": args.file,
-        "target": target_text,
-        "stats": {
-            "inference_seconds": result.elapsed,
-            "localized_regions": result.total_localized,
-            "stage_seconds": {r.stage: r.elapsed for r in results},
-            "cached_stages": [r.stage for r in results if r.cached],
-        },
-        "diagnostics": [],
+    text = pretty_target(result.target)
+    stats = {
+        "inference_seconds": result.elapsed,
+        "localized_regions": result.total_localized,
+        "stage_seconds": {r.stage: r.elapsed for r in results},
+        "cached_stages": [r.stage for r in results if r.cached],
     }
-    if args.show_q:
-        payload["q"] = q_lines
-    text = target_text
-    if args.show_q:
-        text += "\n// constraint abstractions:\n" + "\n".join(
-            f"//   {line}" for line in q_lines
-        )
-    _emit(args, payload, text)
-    return EXIT_OK
+    if not args.show_q:
+        return _done(args, text, target=text, stats=stats)
+    q_lines = [str(a) for a in sorted(result.target.q, key=lambda a: a.name)]
+    shown = text + "\n// constraint abstractions:\n" + "\n".join(
+        f"//   {line}" for line in q_lines
+    )
+    return _done(args, shown, target=text, stats=stats, q=q_lines)
 
 
 def cmd_check(args: argparse.Namespace, session: Session) -> int:
@@ -154,21 +114,16 @@ def cmd_check(args: argparse.Namespace, session: Session) -> int:
     pipe.infer().unwrap()
     last = pipe.verify()
     report = last.value
-    payload = {
-        "ok": report.ok,
-        "command": "check",
-        "file": args.file,
-        "obligations": report.obligations,
-        "diagnostics": [d.to_dict() for d in last.diagnostics],
-    }
-    if report.ok:
-        _emit(args, payload, f"OK: {report.obligations} obligations discharged")
-        return EXIT_OK
-    if args.format == "json":
-        _emit(args, payload, "")
-    else:
-        print(render_diagnostics(last.diagnostics), file=sys.stderr)
-    return EXIT_CHECK_FAILED
+    if not report.ok:
+        return _fail(
+            args,
+            last.diagnostics,
+            code=EXIT_CHECK_FAILED,
+            file=args.file,
+            obligations=report.obligations,
+        )
+    text = f"OK: {report.obligations} obligations discharged"
+    return _done(args, text, obligations=report.obligations)
 
 
 def cmd_run(args: argparse.Namespace, session: Session) -> int:
@@ -177,13 +132,6 @@ def cmd_run(args: argparse.Namespace, session: Session) -> int:
         args.entry, args.args, recursion_limit=args.recursion_limit
     ).unwrap()
     stats = execution.stats
-    payload = {
-        "ok": True,
-        "command": "run",
-        "file": args.file,
-        **execution.to_dict(),
-        "diagnostics": [],
-    }
     text = (
         f"result: {execution.value}\n"
         f"allocation: {stats.objects_allocated} objects / "
@@ -191,21 +139,12 @@ def cmd_run(args: argparse.Namespace, session: Session) -> int:
         f"{stats.regions_created} regions "
         f"(space-usage ratio {stats.space_usage_ratio:.3f})"
     )
-    _emit(args, payload, text)
-    return EXIT_OK
+    return _done(args, text, **execution.to_dict())
 
 
 def cmd_report(args: argparse.Namespace, session: Session) -> int:
     report = summarize(_pipeline(args, session).infer().unwrap())
-    payload = {
-        "ok": True,
-        "command": "report",
-        "file": args.file,
-        "report": report.to_dict(),
-        "diagnostics": [],
-    }
-    _emit(args, payload, render_report(report))
-    return EXIT_OK
+    return _done(args, render_report(report), report=report.to_dict())
 
 
 def cmd_profile(args: argparse.Namespace, session: Session) -> int:
@@ -271,16 +210,9 @@ def cmd_profile(args: argparse.Namespace, session: Session) -> int:
                 f"{row['function']} ({row['location']})"
             )
     lines.append(f"total: {total * 1000:.1f}ms")
-    payload = {
-        "ok": True,
-        "command": "profile",
-        "file": args.file,
-        "total_seconds": round(total, 6),
-        "stages": stages,
-        "diagnostics": [],
-    }
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    return _done(
+        args, "\n".join(lines), total_seconds=round(total, 6), stages=stages
+    )
 
 
 def cmd_batch(args: argparse.Namespace, session: Session) -> int:
@@ -341,19 +273,20 @@ def cmd_batch(args: argparse.Namespace, session: Session) -> int:
         f"{len(entries) - failures}/{len(entries)} programs inferred"
         + (f", {failures} failed" if failures else "")
     )
-    payload = {
-        "ok": failures == 0,
-        "command": "batch",
-        "programs": entries,
-        "diagnostics": [],
-    }
+    extra: Dict[str, Any] = {}
     if args.stats:
         # cache observability for the whole invocation: hits, misses and
         # evictions per kind
-        payload["stats"] = session.stats.as_dict()
-        lines.append(json.dumps(payload["stats"], indent=2, sort_keys=True))
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_ERROR if failures else EXIT_OK
+        extra["stats"] = session.stats.as_dict()
+        lines.append(json.dumps(extra["stats"], indent=2, sort_keys=True))
+    return _done(
+        args,
+        "\n".join(lines),
+        ok=failures == 0,
+        code=EXIT_ERROR if failures else EXIT_OK,
+        programs=entries,
+        **extra,
+    )
 
 
 def cmd_watch(args: argparse.Namespace, session: Session) -> int:
@@ -418,16 +351,7 @@ def cmd_watch(args: argparse.Namespace, session: Session) -> int:
             report(result, seconds, edit=True)
     except KeyboardInterrupt:
         pass
-    payload = {
-        "ok": True,
-        "command": "watch",
-        "file": args.file,
-        "events": events,
-        "stats": session.stats.as_dict(),
-        "diagnostics": [],
-    }
-    _emit(args, payload, "")
-    return EXIT_OK
+    return _done(args, "", events=events, stats=session.stats.as_dict())
 
 
 def cmd_serve(args: argparse.Namespace, session: Session) -> int:
@@ -449,10 +373,22 @@ def cmd_serve(args: argparse.Namespace, session: Session) -> int:
     return EXIT_OK
 
 
-def _gen_spec(args: argparse.Namespace):
-    """Build the GenSpec a ``repro gen`` invocation describes."""
-    from .gen import GenSpec
+#: the GenSpec knobs and toggles, each a ``repro gen`` flag (the seed is
+#: ``--seed``, whose default is "--spec's seed, else 0")
+_GEN_FIELDS = [f for f in dataclasses.fields(GenSpec) if f.name != "seed"]
 
+
+def _gen_dest(f: dataclasses.Field) -> str:
+    """The ``repro gen`` Namespace attribute of a GenSpec field: a knob's
+    own name, or a toggle's ``--no-`` flag (``--no-letreg`` is stored as
+    ``no_letreg_gen``, apart from the inference flag's ``no_letreg``)."""
+    if not isinstance(f.default, bool):
+        return f.name
+    return "no_letreg_gen" if f.name == "letreg" else f"no_{f.name}"
+
+
+def _gen_spec(args: argparse.Namespace) -> GenSpec:
+    """Build the GenSpec a ``repro gen`` invocation describes."""
     if args.spec is not None:
         spec = GenSpec.from_json(args.spec)
         if args.seed is not None:
@@ -461,63 +397,36 @@ def _gen_spec(args: argparse.Namespace):
     seed = args.seed if args.seed is not None else 0
     if args.sized:
         return GenSpec.sized(args.classes, seed=seed)
-    return GenSpec(
-        seed=seed,
-        classes=args.classes,
-        methods_per_class=args.methods_per_class,
-        fields_per_class=args.fields_per_class,
-        statics=args.statics,
-        hierarchy_depth=args.hierarchy_depth,
-        recursion=not args.no_recursion,
-        loops=not args.no_loops,
-        downcasts=not args.no_downcasts,
-        overrides=not args.no_overrides,
-        letreg=not args.no_letreg_gen,
-    )
+    knobs = {}
+    for f in _GEN_FIELDS:
+        value = getattr(args, _gen_dest(f))
+        knobs[f.name] = not value if isinstance(f.default, bool) else value
+    return GenSpec(seed=seed, **knobs)
 
 
 def cmd_gen(args: argparse.Namespace, session: Session) -> int:
-    from .gen import edit_script, generate_corpus, generate_source, write_corpus
-
-    def usage_error(message: str) -> int:
-        diag = Diagnostic(
-            severity=Severity.ERROR,
-            stage="gen",
-            code=DiagnosticCode.INTERNAL,
-            message=message,
-        )
-        return _fail(args, "gen", [diag])
-
+    # usage errors are ValueErrors: main renders them as gen diagnostics
     if args.count is not None and args.edits is not None:
-        return usage_error("--count and --edits are mutually exclusive")
+        raise ValueError("--count and --edits are mutually exclusive")
     if (args.count is not None or args.edits is not None) and not args.out_dir:
-        return usage_error("--count/--edits need --out-dir to write into")
+        raise ValueError("--count/--edits need --out-dir to write into")
     try:
         spec = _gen_spec(args)
     except (ValueError, KeyError) as err:
-        return usage_error(f"bad spec: {err}")
+        raise ValueError(f"bad spec: {err}") from err
 
-    payload: Dict[str, Any] = {
-        "ok": True,
-        "command": "gen",
-        "spec": spec.to_dict(),
-        "diagnostics": [],
-    }
+    done = functools.partial(_done, args, spec=spec.to_dict())
     if args.spec_only:
-        _emit(args, payload, spec.to_json())
-        return EXIT_OK
+        return done(spec.to_json())
 
     if args.count is not None:
         corpus = generate_corpus(spec, args.count)
         paths = write_corpus(args.out_dir, corpus)
-        payload["files"] = [str(p) for p in paths]
-        payload["manifest"] = str(Path(args.out_dir) / "corpus.json")
-        _emit(
-            args,
-            payload,
+        return done(
             f"wrote {len(paths)} programs + corpus.json to {args.out_dir}",
+            files=[str(p) for p in paths],
+            manifest=str(Path(args.out_dir) / "corpus.json"),
         )
-        return EXIT_OK
 
     if args.edits is not None:
         versions = edit_script(spec, args.edits)
@@ -528,158 +437,143 @@ def cmd_gen(args: argparse.Namespace, session: Session) -> int:
             path = out_dir / f"edit_{k:03d}.cj"
             path.write_text(version)
             paths.append(str(path))
-        payload["files"] = paths
-        _emit(
-            args,
-            payload,
+        return done(
             f"wrote {len(paths)} edit-script versions to {args.out_dir}",
+            files=paths,
         )
-        return EXIT_OK
 
     source = generate_source(spec)
-    payload["lines"] = len(source.splitlines())
+    lines = len(source.splitlines())
     if args.output:
         Path(args.output).write_text(source)
-        payload["file"] = args.output
-        _emit(args, payload, f"wrote {payload['lines']} lines to {args.output}")
-    else:
-        payload["source"] = source
-        # print() adds the trailing newline back, so stdout stays
-        # byte-identical to what -o FILE writes.
-        _emit(args, payload, source.rstrip("\n"))
-    return EXIT_OK
+        return done(
+            f"wrote {lines} lines to {args.output}", lines=lines, file=args.output
+        )
+    # print() adds the trailing newline back, so stdout stays
+    # byte-identical to what -o FILE writes.
+    return done(source.rstrip("\n"), lines=lines, source=source)
 
 
-def _bench_specs(args: argparse.Namespace) -> List[Any]:
-    """The specs a bench subcommand operates on (all, or --families)."""
-    from .bench import families as bench_families
+def _bench_specs(names: Optional[Sequence[str]]) -> List[Any]:
+    """The specs of the named benchmark families (default: all)."""
+    from .bench import families
 
-    names = getattr(args, "families", None) or bench_families.family_names()
-    return [bench_families.get_spec(name) for name in names]
+    return [families.get_spec(n) for n in names or families.family_names()]
 
 
-def cmd_bench(args: argparse.Namespace, session: Session) -> int:
+def cmd_bench_list(args: argparse.Namespace, session: Session) -> int:
+    lines, families = [], []
+    for spec in _bench_specs(None):
+        bars = ", ".join(
+            f"{t.metric}>={t.floor:g}" if t.floor is not None
+            else f"{t.metric}<={t.ceiling:g}"
+            for t in spec.thresholds
+        )
+        lines.append(f"{spec.name:22s} {spec.description}")
+        if bars:
+            lines.append(f"{'':22s} threshold: {bars}")
+        families.append(
+            {
+                "name": spec.name,
+                "description": spec.description,
+                "key_fields": list(spec.key_fields),
+                "thresholds": [
+                    {"metric": t.metric, "floor": t.floor, "ceiling": t.ceiling}
+                    for t in spec.thresholds
+                ],
+            }
+        )
+    return _done(args, "\n".join(lines), families=families)
+
+
+def cmd_bench_run(args: argparse.Namespace, session: Session) -> int:
+    """``bench run`` and ``bench publish``: run the families, and for
+    ``publish`` write the sample file."""
     from .bench import pkb
 
-    if args.bench_command == "list":
-        specs = _bench_specs(args)
-        payload = {
-            "ok": True,
-            "command": "bench list",
-            "families": [
-                {
-                    "name": spec.name,
-                    "description": spec.description,
-                    "key_fields": list(spec.key_fields),
-                    "thresholds": [
-                        {
-                            "metric": t.metric,
-                            "floor": t.floor,
-                            "ceiling": t.ceiling,
-                        }
-                        for t in spec.thresholds
-                    ],
-                }
-                for spec in specs
-            ],
-            "diagnostics": [],
-        }
-        lines = []
-        for spec in specs:
-            bars = ", ".join(
-                f"{t.metric}>={t.floor:g}" if t.floor is not None
-                else f"{t.metric}<={t.ceiling:g}"
-                for t in spec.thresholds
-            )
-            lines.append(f"{spec.name:22s} {spec.description}")
-            if bars:
-                lines.append(f"{'':22s} threshold: {bars}")
-        _emit(args, payload, "\n".join(lines))
-        return EXIT_OK
-
-    if args.bench_command in ("run", "publish"):
-        specs = _bench_specs(args)
-        runner = pkb.Runner()
-        runs, violations, lines = [], [], []
-        for spec in specs:
-            run = runner.run(spec, smoke=args.smoke)
-            runs.append(run)
-            broken = run.violations
-            violations.extend(f"{spec.name}: {v}" for v in broken)
-            lines.append(
-                f"{spec.name:22s} {len(run.samples):3d} samples in "
-                f"{run.elapsed:6.2f}s"
-                + (f"  THRESHOLD FAILED ({len(broken)})" if broken else "")
-            )
-            if args.bench_command == "run":
-                for s in run.samples:
-                    meta = ", ".join(f"{k}={v}" for k, v in s.metadata)
-                    lines.append(
-                        f"  {s.metric:24s} {s.value:12.3f} {s.unit:10s} {meta}"
-                    )
-        output = None
-        if args.bench_command == "publish":
-            output = args.output or str(pkb.next_bench_path())
-        report = pkb.publish(runs, output, smoke=args.smoke)
-        if output:
-            lines.append(
-                f"wrote {output} ({len(report['samples'])} samples, "
-                f"{len(runs)} families)"
-            )
-        lines.extend(f"THRESHOLD: {v}" for v in violations)
-        payload = {
-            "ok": not violations,
-            "command": f"bench {args.bench_command}",
-            "report": report,
-            "violations": violations,
-            "output": output,
-            "diagnostics": [],
-        }
-        _emit(args, payload, "\n".join(lines))
-        return EXIT_CHECK_FAILED if violations else EXIT_OK
-
-    if args.bench_command == "compare":
-        comparison = pkb.compare(args.baseline, args.candidate)
-        payload = {
-            "command": "bench compare",
-            **comparison.to_dict(),
-            "diagnostics": [],
-        }
-        _emit(
-            args,
-            payload,
-            pkb.format_comparison(comparison, verbose=args.verbose),
+    publish = args.name == "bench publish"
+    runner = pkb.Runner()
+    runs, violations, lines = [], [], []
+    for spec in _bench_specs(args.families):
+        run = runner.run(spec, smoke=args.smoke)
+        runs.append(run)
+        broken = run.violations
+        violations.extend(f"{spec.name}: {v}" for v in broken)
+        lines.append(
+            f"{spec.name:22s} {len(run.samples):3d} samples in "
+            f"{run.elapsed:6.2f}s"
+            + (f"  THRESHOLD FAILED ({len(broken)})" if broken else "")
         )
-        return EXIT_OK if comparison.ok else EXIT_CHECK_FAILED
+        if not publish:
+            for s in run.samples:
+                meta = ", ".join(f"{k}={v}" for k, v in s.metadata)
+                lines.append(
+                    f"  {s.metric:24s} {s.value:12.3f} {s.unit:10s} {meta}"
+                )
+    output = (args.output or str(pkb.next_bench_path())) if publish else None
+    report = pkb.publish(runs, output, smoke=args.smoke)
+    if output:
+        lines.append(
+            f"wrote {output} ({len(report['samples'])} samples, "
+            f"{len(runs)} families)"
+        )
+    lines.extend(f"THRESHOLD: {v}" for v in violations)
+    return _done(
+        args,
+        "\n".join(lines),
+        ok=not violations,
+        code=EXIT_CHECK_FAILED if violations else EXIT_OK,
+        report=report,
+        violations=violations,
+        output=output,
+    )
 
-    raise AssertionError(f"unknown bench subcommand {args.bench_command!r}")
+
+def cmd_bench_compare(args: argparse.Namespace, session: Session) -> int:
+    from .bench import pkb
+
+    comparison = pkb.compare(args.baseline, args.candidate)
+    return _done(
+        args,
+        pkb.format_comparison(comparison, verbose=args.verbose),
+        code=EXIT_OK if comparison.ok else EXIT_CHECK_FAILED,
+        **comparison.to_dict(),  # carries "ok"
+    )
 
 
 def cmd_fig8(args: argparse.Namespace, session: Session) -> int:
     rows = fig8_rows(quick=args.quick, session=session)
-    payload = {
-        "ok": True,
-        "command": "fig8",
-        "rows": [r.as_dict() for r in rows],
-        "diagnostics": [],
-    }
-    _emit(args, payload, fig8_table(rows))
-    return EXIT_OK
+    return _done(args, fig8_table(rows), rows=[r.as_dict() for r in rows])
 
 
 def cmd_fig9(args: argparse.Namespace, session: Session) -> int:
     rows = fig9_rows(session=session)
-    payload = {
-        "ok": True,
-        "command": "fig9",
-        "rows": [r.as_dict() for r in rows],
-        "diagnostics": [],
-    }
-    _emit(args, payload, fig9_table(rows))
-    return EXIT_OK
+    return _done(args, fig9_table(rows), rows=[r.as_dict() for r in rows])
 
 
 # ---------------------------------------------------------------- parser
+def _recursion_limit(text: str) -> int:
+    """``--recursion-limit``: an integer in the daemon's accepted range."""
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = 0
+    if not 1 <= limit <= DEFAULT_RECURSION_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in [1, {DEFAULT_RECURSION_LIMIT}], "
+            f"got {text!r}"
+        )
+    return limit
+
+
+#: help for the ``repro gen`` flags that need more than the flag's name
+_GEN_HELP = {
+    "classes": "number of generated classes",
+    "recursion": "disable recursive shape classes (lists/trees/dags)",
+    "letreg": "disable letreg-heavy methods",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -687,15 +581,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def output(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format",
-            choices=["text", "json"],
-            default="text",
-            help="output format (json carries structured diagnostics)",
-        )
+    def command(subparsers, name, func, *, output=True, **kwargs):
+        """A subcommand: ``--format`` (unless ``output`` is off), ``func``
+        and its full name (``"bench run"``) as ``args.name``."""
+        p = subparsers.add_parser(name, **kwargs)
+        if output:
+            p.add_argument(
+                "--format",
+                choices=["text", "json"],
+                default="text",
+                help="output format (json carries structured diagnostics)",
+            )
+        # p.prog is "repro bench run"
+        p.set_defaults(func=func, name=p.prog.split(" ", 1)[1])
+        return p
 
-    def common(p: argparse.ArgumentParser, collect: bool = True) -> None:
+    def on_file(name, func, *, collect=False, **kwargs):
+        """A command over a source file (``batch``: files) with the
+        inference flags."""
+        p = command(sub, name, func, **kwargs)
+        if name == "batch":
+            p.add_argument("files", nargs="+", metavar="FILE")
+        else:
+            p.add_argument("file")
         p.add_argument(
             "--mode",
             choices=[m.value for m in SubtypingMode],
@@ -725,42 +633,40 @@ def build_parser() -> argparse.ArgumentParser:
                 help="collect every top-level syntax error instead of stopping "
                 "at the first",
             )
-        output(p)
+        return p
 
-    p_infer = sub.add_parser("infer", help="print the region-annotated program")
-    p_infer.add_argument("file")
-    p_infer.add_argument("--show-q", action="store_true", help="print Q too")
-    common(p_infer)
-    p_infer.set_defaults(func=cmd_infer)
+    on_file(
+        "infer", cmd_infer, collect=True, help="print the region-annotated program"
+    ).add_argument("--show-q", action="store_true", help="print Q too")
+    on_file("check", cmd_check, collect=True, help="infer and verify")
 
-    p_check = sub.add_parser("check", help="infer and verify")
-    p_check.add_argument("file")
-    common(p_check)
-    p_check.set_defaults(func=cmd_check)
-
-    p_run = sub.add_parser("run", help="infer and execute on the region runtime")
-    p_run.add_argument("file")
+    p_run = on_file(
+        "run",
+        cmd_run,
+        collect=True,
+        help="infer and execute on the region runtime",
+    )
     p_run.add_argument("--entry", default="main", help="static method to run")
     p_run.add_argument("--args", nargs="*", type=int, default=[], help="int arguments")
     p_run.add_argument(
         "--recursion-limit",
-        type=int,
+        type=_recursion_limit,
         default=None,
-        help="Python stack depth ensured while the interpreter runs "
+        help="Python stack depth ensured while the interpreter runs, "
+        f"1..{DEFAULT_RECURSION_LIMIT} "
         "(default: the interpreter's own generous limit)",
     )
-    common(p_run)
-    p_run.set_defaults(func=cmd_run)
 
-    p_report = sub.add_parser(
-        "report", help="per-class/per-method inference statistics"
+    on_file(
+        "report",
+        cmd_report,
+        collect=True,
+        help="per-class/per-method inference statistics",
     )
-    p_report.add_argument("file")
-    common(p_report)
-    p_report.set_defaults(func=cmd_report)
 
-    p_profile = sub.add_parser(
+    on_file(
         "profile",
+        cmd_profile,
         help="profile each pipeline stage under cProfile",
         description="Run the pipeline stages parse -> typecheck -> annotate "
         "-> infer -> verify on one file, each under cProfile, reporting "
@@ -768,42 +674,35 @@ def build_parser() -> argparse.ArgumentParser:
         "the top-N functions by cumulative time, "
         "and stop at the first stage that fails -- the first tool to reach "
         "for when the gen_scaling curve regresses (see docs/scaling.md).",
-    )
-    p_profile.add_argument("file")
-    p_profile.add_argument(
+    ).add_argument(
         "--top",
         type=int,
         default=12,
         metavar="N",
         help="functions shown per stage (default 12)",
     )
-    common(p_profile, collect=False)
-    p_profile.set_defaults(func=cmd_profile)
 
-    p_batch = sub.add_parser(
+    on_file(
         "batch",
+        cmd_batch,
         help="batch inference over many files",
         description="Infer every file in turn through one session, "
         "reporting per-file outcomes.",
-    )
-    p_batch.add_argument("files", nargs="+", metavar="FILE")
-    p_batch.add_argument(
+    ).add_argument(
         "--stats",
         action="store_true",
         help="also print the session's cache statistics as JSON",
     )
-    common(p_batch, collect=False)
-    p_batch.set_defaults(func=cmd_batch)
 
-    p_watch = sub.add_parser(
+    p_watch = on_file(
         "watch",
+        cmd_watch,
         help="re-infer a file incrementally every time it changes",
         description="Watch FILE's mtime and re-run inference on each "
         "change through the session's SCC-granular incremental path, "
         "printing per-edit latency and how many method SCCs were spliced "
         "vs re-inferred (see docs/incremental.md).",
     )
-    p_watch.add_argument("file")
     p_watch.add_argument(
         "--iterations",
         type=int,
@@ -819,11 +718,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="mtime poll interval",
     )
-    common(p_watch, collect=False)
-    p_watch.set_defaults(func=cmd_watch)
 
-    p_serve = sub.add_parser(
+    p_serve = command(
+        sub,
         "serve",
+        cmd_serve,
+        output=False,
         help="run the multi-tenant HTTP inference daemon",
         description="Serve /v1/infer, /v1/check, /v1/run, /v1/stats and "
         "/healthz over HTTP+JSON, one session per tenant, every request "
@@ -860,10 +760,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--quiet", action="store_true", help="suppress per-request logging"
     )
-    p_serve.set_defaults(func=cmd_serve)
 
-    p_gen = sub.add_parser(
+    p_gen = command(
+        sub,
         "gen",
+        cmd_gen,
         help="generate seeded synthetic Core-Java programs",
         description="Emit well-typed, region-inferable programs "
         "deterministically from a GenSpec (seed + size knobs + feature "
@@ -875,32 +776,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None, metavar="N",
         help="generator seed (default 0; overrides --spec's seed)",
     )
-    p_gen.add_argument(
-        "--classes", type=int, default=4, metavar="N",
-        help="number of generated classes",
-    )
+    for f in _GEN_FIELDS:
+        flag = f.name.replace("_", "-")
+        if isinstance(f.default, bool):
+            p_gen.add_argument(
+                f"--no-{flag}", dest=_gen_dest(f), action="store_true",
+                help=_GEN_HELP.get(f.name),
+            )
+        else:
+            p_gen.add_argument(
+                f"--{flag}", type=int, default=f.default, metavar="N",
+                help=_GEN_HELP.get(f.name),
+            )
     p_gen.add_argument(
         "--sized",
         action="store_true",
         help="scale every knob with --classes (the GenSpec.sized preset: "
         "4 is a ~100-line smoke program, 1000 a ~50k-line corpus)",
-    )
-    p_gen.add_argument(
-        "--methods-per-class", type=int, default=2, metavar="N"
-    )
-    p_gen.add_argument("--fields-per-class", type=int, default=2, metavar="N")
-    p_gen.add_argument("--statics", type=int, default=2, metavar="N")
-    p_gen.add_argument("--hierarchy-depth", type=int, default=3, metavar="N")
-    p_gen.add_argument(
-        "--no-recursion", action="store_true",
-        help="disable recursive shape classes (lists/trees/dags)",
-    )
-    p_gen.add_argument("--no-loops", action="store_true")
-    p_gen.add_argument("--no-downcasts", action="store_true")
-    p_gen.add_argument("--no-overrides", action="store_true")
-    p_gen.add_argument(
-        "--no-letreg", dest="no_letreg_gen", action="store_true",
-        help="disable letreg-heavy methods",
     )
     p_gen.add_argument(
         "--spec", default=None, metavar="JSON",
@@ -928,8 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out-dir", default=None, metavar="DIR",
         help="destination directory for --count/--edits",
     )
-    output(p_gen)
-    p_gen.set_defaults(func=cmd_gen)
 
     p_bench = sub.add_parser(
         "bench",
@@ -940,14 +830,15 @@ def build_parser() -> argparse.ArgumentParser:
         "gates on per-metric regressions (see docs/benchmarks.md).",
     )
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-
-    b_list = bench_sub.add_parser(
-        "list", help="list the registered benchmark families"
+    command(
+        bench_sub,
+        "list",
+        cmd_bench_list,
+        help="list the registered benchmark families",
     )
-    output(b_list)
-    b_list.set_defaults(func=cmd_bench)
 
-    def bench_run_args(p: argparse.ArgumentParser) -> None:
+    def bench_run(name: str, **kwargs) -> argparse.ArgumentParser:
+        p = command(bench_sub, name, cmd_bench_run, **kwargs)
         p.add_argument(
             "--smoke",
             action="store_true",
@@ -961,36 +852,32 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="NAME",
             help="only these families (default: all registered)",
         )
-        output(p)
+        return p
 
-    b_run = bench_sub.add_parser(
+    bench_run(
         "run",
         help="run families and print their samples",
         description="Runs each family through its provision/prepare/run/"
         "teardown stages and checks its declared thresholds (exit 1 on "
         "a violation).",
     )
-    bench_run_args(b_run)
-    b_run.set_defaults(func=cmd_bench)
-
-    b_publish = bench_sub.add_parser(
+    bench_run(
         "publish",
         help="run families and write the next BENCH_<n>.json",
         description="Writes a schema-versioned multi-family sample file "
         "with host metadata; exit 1 if any family's threshold fails "
         "(the file is still written).",
-    )
-    b_publish.add_argument(
+    ).add_argument(
         "--output",
         default=None,
         metavar="PATH",
         help="destination (default: the next unclaimed BENCH_<n>.json)",
     )
-    bench_run_args(b_publish)
-    b_publish.set_defaults(func=cmd_bench)
 
-    b_compare = bench_sub.add_parser(
+    b_compare = command(
+        bench_sub,
         "compare",
+        cmd_bench_compare,
         help="diff two published sample files, gating on regressions",
         description="Per-metric diff with per-family tolerance: exit 1 "
         "when any gated metric regresses beyond its tolerance.  Files in "
@@ -1003,18 +890,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="show every compared metric, not just warnings/regressions",
     )
-    output(b_compare)
-    b_compare.set_defaults(func=cmd_bench)
 
-    p8 = sub.add_parser("fig8", help="regenerate the Fig 8 table")
-    p8.add_argument("--quick", action="store_true")
-    output(p8)
-    p8.set_defaults(func=cmd_fig8)
-
-    p9 = sub.add_parser("fig9", help="regenerate the Fig 9 table")
-    output(p9)
-    p9.set_defaults(func=cmd_fig9)
-
+    command(
+        sub, "fig8", cmd_fig8, help="regenerate the Fig 8 table"
+    ).add_argument("--quick", action="store_true")
+    command(sub, "fig9", cmd_fig9, help="regenerate the Fig 9 table")
     return parser
 
 
@@ -1032,25 +912,20 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
     except StageFailure as err:
+        message = f"stage {err.stage!r} failed without diagnostics"
         return _fail(
             args,
-            args.command,
             err.diagnostics
-            or [
-                Diagnostic(
-                    severity=Severity.ERROR,
-                    stage=err.stage,
-                    code=DiagnosticCode.INTERNAL,
-                    message=f"stage {err.stage!r} failed without diagnostics",
-                )
-            ],
+            or [Diagnostic(Severity.ERROR, err.stage, DiagnosticCode.INTERNAL, message)],
         )
     except Exception as err:  # noqa: BLE001 -- the CLI boundary
         # Anything a command did not already adapt (unreadable files, an
-        # exception escaping the harness, ...) becomes one diagnostic.
-        stage = getattr(args, "command", None) or "cli"
-        diag = from_exception(err, stage=stage, file=getattr(args, "file", None))
-        return _fail(args, stage, [diag])
+        # exception escaping the harness, a gen usage error, ...) becomes
+        # one diagnostic.
+        diag = from_exception(
+            err, stage=args.command, file=getattr(args, "file", None)
+        )
+        return _fail(args, [diag])
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ provided every member of a multi-class SCC directly extends ``Object``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..lang import ast as S
 from ..lang.class_table import OBJECT_NAME, ClassTable
@@ -77,13 +77,6 @@ class ClassAnnotation:
     def as_type(self) -> RClass:
         """The class type at its own formals (the type of ``this``)."""
         return RClass(self.name, self.regions)
-
-    def instantiate_type(self, actuals: Sequence[Region]) -> RClass:
-        if len(actuals) != self.arity:
-            raise InferenceError(
-                f"class {self.name} expects {self.arity} regions, got {len(actuals)}"
-            )
-        return RClass(self.name, tuple(actuals))
 
 
 @dataclass

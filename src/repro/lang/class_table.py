@@ -279,9 +279,6 @@ class ClassTable:
             (rec if self.is_recursive_field(name, f) else nonrec).append(f)
         return tuple(nonrec), tuple(rec)
 
-    def has_recursive_fields(self, name: str) -> bool:
-        return bool(self.split(name)[1])
-
     def is_rec_read_only(self, name: str) -> bool:
         """``isRecReadOnly(cn)``: no assignment anywhere mutates a recursive
         field of ``cn`` (initialisation through ``new`` does not count).

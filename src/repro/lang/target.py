@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..regions.abstraction import AbstractionEnv
-from ..regions.constraints import Constraint, Region, TRUE
+from ..regions.constraints import Region
 from ..regions.substitution import RegionSubst
 
 __all__ = [
@@ -103,9 +103,6 @@ class RClass(RType):
         if not self.regions:
             raise ValueError(f"class type {self.name} has no region arguments")
         return self.regions[0]
-
-    def with_regions(self, regions: Sequence[Region]) -> "RClass":
-        return RClass(self.name, tuple(regions), self.padding)
 
     def with_padding(self, padding: Sequence[Region]) -> "RClass":
         return RClass(self.name, self.regions, tuple(padding))
@@ -432,18 +429,6 @@ class TProgram:
         for c in self.classes:
             yield from c.methods
         yield from self.statics
-
-    def invariant_of(self, class_name: str) -> Constraint:
-        """The (instantiated-at-formals) invariant of ``class_name``."""
-        decl = self.class_named(class_name)
-        if decl is None or not decl.inv_name or decl.inv_name not in self.q:
-            return TRUE
-        return self.q[decl.inv_name].body
-
-    def precondition_of(self, method: TMethodDecl) -> Constraint:
-        if not method.pre_name or method.pre_name not in self.q:
-            return TRUE
-        return self.q[method.pre_name].body
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
 """Golden tests for ``python -m repro ... --format json`` output."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+import repro.__main__ as cli
 from repro.__main__ import main
+from repro.bench import families as bench_families
+from repro.bench import fig8_rows
+
+ROOT = Path(__file__).resolve().parents[2]
 
 PROGRAM = """
 class Box extends Object { int v; }
@@ -160,3 +166,77 @@ class TestTextErrorPaths(object):
         )
         assert code == 2
         assert len(payload["diagnostics"]) == 2
+
+
+# ---------------------------------------------------------------- envelope
+
+
+def _boom(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+#: command -> (argv that succeeds, argv that fails); GOOD is PROGRAM, BAD
+#: the parse error above, MISSING a file that does not exist
+ENVELOPE_CASES = {
+    "infer": (["infer", "GOOD"], ["infer", "BAD"]),
+    "check": (["check", "GOOD"], ["check", "BAD"]),
+    "run": (["run", "GOOD", "--args", "3"], ["run", "BAD"]),
+    "report": (["report", "GOOD"], ["report", "BAD"]),
+    "profile": (["profile", "GOOD", "--top", "1"], ["profile", "BAD"]),
+    "batch": (["batch", "GOOD"], ["batch", "GOOD", "BAD"]),
+    "watch": (
+        ["watch", "GOOD", "--iterations", "0"],
+        ["watch", "BAD", "--iterations", "0"],
+    ),
+    "gen": (["gen", "--spec-only"], ["gen", "--count", "1", "--edits", "1"]),
+    "bench list": (["bench", "list"], ["bench", "list"]),
+    "bench run": (
+        ["bench", "run", "--smoke"],
+        ["bench", "run", "--families", "nonexistent"],
+    ),
+    "bench compare": (
+        ["bench", "compare", "BENCH", "BENCH"],
+        ["bench", "compare", "MISSING", "BENCH"],
+    ),
+    "fig8": (["fig8", "--quick"], ["fig8", "--quick"]),
+    "fig9": (["fig9"], ["fig9"]),
+}
+
+#: what breaks a command that has no failing input of its own
+BREAKERS = {
+    "bench list": (bench_families, "family_names", lambda: ["nonexistent"]),
+    "fig8": (cli, "fig8_rows", _boom),
+    "fig9": (cli, "fig9_rows", _boom),
+}
+
+
+@pytest.mark.parametrize("outcome", ["ok", "fail"])
+@pytest.mark.parametrize("command", sorted(ENVELOPE_CASES))
+def test_every_payload_carries_the_envelope(
+    command, outcome, source_file, bad_file, tmp_path, toy_registry,
+    monkeypatch, capsys,
+):
+    """docs/cli.md: every --format json payload carries ``ok``,
+    ``command`` (the full subcommand) and a ``diagnostics`` array, on
+    success and on failure alike."""
+    # fig8 --quick takes seconds: one program, no execution
+    monkeypatch.setattr(
+        cli,
+        "fig8_rows",
+        lambda quick, session: fig8_rows(run=False, names=["sieve"], session=session),
+    )
+    ok = outcome == "ok"
+    if not ok and command in BREAKERS:
+        monkeypatch.setattr(*BREAKERS[command])
+    paths = {
+        "GOOD": source_file,
+        "BAD": bad_file,
+        "MISSING": str(tmp_path / "missing.json"),
+        "BENCH": str(ROOT / "BENCH_11.json"),
+    }
+    argv = [paths.get(a, a) for a in ENVELOPE_CASES[command][not ok]]
+    code, payload = run_json(capsys, argv + ["--format", "json"])
+    assert (code == 0) is ok
+    assert payload["ok"] is ok
+    assert payload["command"] == command
+    assert isinstance(payload["diagnostics"], list)

@@ -11,38 +11,8 @@ import pytest
 
 from repro.__main__ import main
 from repro.bench import families as bench_families
-from repro.bench.pkb import (
-    BenchmarkSpec,
-    MetricRule,
-    Threshold,
-    sample,
-)
-
-
-def _toy_registry(value=1.0):
-    def run(ctx):
-        return [
-            sample("wall", value, "ms", {"case": "a"}),
-            sample("speedup", 8.0, "x", {"case": "a"}),
-        ]
-
-    return {
-        "toy": BenchmarkSpec(
-            name="toy",
-            description="a toy family for CLI tests",
-            run=run,
-            key_fields=("case",),
-            thresholds=(Threshold("speedup", floor=5.0),),
-            rules={"speedup": MetricRule(
-                direction="higher", tolerance=0.5, portable=True
-            )},
-        ),
-    }
-
-
-@pytest.fixture()
-def toy_registry(monkeypatch):
-    monkeypatch.setattr(bench_families, "_REGISTRY", _toy_registry())
+from repro.bench.pkb import BenchmarkSpec, Threshold, sample
+from tests.conftest import toy_bench_registry
 
 
 class TestBenchList:
@@ -76,8 +46,19 @@ class TestBenchRun:
         assert main(["bench", "run", "--families", "nonexistent"]) == 2
         assert "unknown benchmark family" in capsys.readouterr().err
 
+    def test_a_failure_names_the_full_subcommand(self, toy_registry, capsys):
+        # the error envelope names "bench run", as a successful run does
+        assert main(
+            ["bench", "run", "--families", "nonexistent", "--format", "json"]
+        ) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False
+        assert payload["command"] == "bench run"
+        assert main(["bench", "run", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == "bench run"
+
     def test_threshold_violation_exits_nonzero(self, monkeypatch, capsys):
-        registry = _toy_registry()
+        registry = toy_bench_registry()
         failing = BenchmarkSpec(
             name="toy",
             description="",
@@ -147,7 +128,7 @@ class TestBenchPublish:
 class TestBenchCompare:
     def _publish(self, tmp_path, name, value=1.0, monkeypatch=None):
         monkeypatch.setattr(
-            bench_families, "_REGISTRY", _toy_registry(value)
+            bench_families, "_REGISTRY", toy_bench_registry(value)
         )
         path = tmp_path / name
         assert main(

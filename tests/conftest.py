@@ -5,6 +5,8 @@ import time
 
 import pytest
 
+from repro.bench import families as bench_families
+from repro.bench.pkb import BenchmarkSpec, MetricRule, Threshold, sample
 from repro.checking import check_target
 from repro.core import InferenceConfig, SubtypingMode, infer_source
 
@@ -138,3 +140,33 @@ def infer_within(source, config, seconds=1.0):
     elapsed = time.perf_counter() - start
     assert elapsed < seconds, f"inference took {elapsed:.2f}s (bound {seconds}s)"
     return result
+
+
+def toy_bench_registry(value=1.0):
+    """A one-family benchmark registry that runs in microseconds: ``toy``
+    emits ``wall`` (``value`` ms) and ``speedup`` (8x, floor 5x)."""
+
+    def run(ctx):
+        return [
+            sample("wall", value, "ms", {"case": "a"}),
+            sample("speedup", 8.0, "x", {"case": "a"}),
+        ]
+
+    return {
+        "toy": BenchmarkSpec(
+            name="toy",
+            description="a toy family for CLI tests",
+            run=run,
+            key_fields=("case",),
+            thresholds=(Threshold("speedup", floor=5.0),),
+            rules={"speedup": MetricRule(
+                direction="higher", tolerance=0.5, portable=True
+            )},
+        ),
+    }
+
+
+@pytest.fixture()
+def toy_registry(monkeypatch):
+    """Swap the benchmark registry for :func:`toy_bench_registry`."""
+    monkeypatch.setattr(bench_families, "_REGISTRY", toy_bench_registry())

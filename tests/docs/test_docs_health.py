@@ -142,3 +142,35 @@ def test_quickstart_block_runs(block):
         f"--- stdout ---\n{proc.stdout[-2000:]}\n"
         f"--- stderr ---\n{proc.stderr[-2000:]}"
     )
+
+
+# ---------------------------------------------------------------- python floor
+
+
+def _version(text):
+    return tuple(int(part) for part in text.split("."))
+
+
+def test_python_floor_agrees_across_readme_pyproject_and_ci():
+    """README's floor, ``requires-python`` and the oldest CI matrix entry
+    name one version: a floor CI never runs is a promise nobody checks."""
+    readme = re.search(
+        r"Python ≥ (\d+\.\d+)", (ROOT / "README.md").read_text()
+    ).group(1)
+    requires = re.search(
+        r'^requires-python = ">=(\d+\.\d+)"$',
+        (ROOT / "pyproject.toml").read_text(),
+        re.MULTILINE,
+    ).group(1)
+    matrix = re.search(
+        r"^\s*python-version: \[([^\]]*)\]$",
+        (ROOT / ".github" / "workflows" / "ci.yml").read_text(),
+        re.MULTILINE,
+    ).group(1)
+    oldest_ci = min(
+        (v.strip().strip("\"'") for v in matrix.split(",")), key=_version
+    )
+    assert readme == requires == oldest_ci, (
+        f"README says {readme}, requires-python {requires}, "
+        f"CI's oldest matrix entry {oldest_ci}"
+    )

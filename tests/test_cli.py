@@ -107,6 +107,25 @@ class TestRun(object):
         assert main(["run", str(path), "--entry", "double", "--args", "21"]) == 0
         assert "result: 42" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("limit", ["0", "-5", str(2**40), "many"])
+    def test_recursion_limit_outside_the_wire_range_is_a_usage_error(
+        self, source_file, capsys, limit
+    ):
+        # the daemon's range, [1, DEFAULT_RECURSION_LIMIT]: no silent
+        # fallback to the default, no C-int overflow at run time
+        with pytest.raises(SystemExit) as exc:
+            main(["run", source_file, "--args", "10", "--recursion-limit", limit])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --recursion-limit" in err
+        assert "[1, 400000]" in err
+
+    @pytest.mark.parametrize("limit", ["1", "400000"])
+    def test_recursion_limit_in_range_runs(self, source_file, capsys, limit):
+        argv = ["run", source_file, "--args", "10", "--recursion-limit", limit]
+        assert main(argv) == 0
+        assert "result: 45" in capsys.readouterr().out
+
 
 class TestProfile(object):
     def test_reports_every_pipeline_stage(self, source_file, capsys):
