@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -552,18 +553,27 @@ def cmd_fig9(args: argparse.Namespace, session: Session) -> int:
 
 
 # ---------------------------------------------------------------- parser
-def _recursion_limit(text: str) -> int:
-    """``--recursion-limit``: an integer in the daemon's accepted range."""
-    try:
-        limit = int(text)
-    except ValueError:
-        limit = 0
-    if not 1 <= limit <= DEFAULT_RECURSION_LIMIT:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer in [1, {DEFAULT_RECURSION_LIMIT}], "
-            f"got {text!r}"
-        )
-    return limit
+def _bounded(kind: type, low: float, high: float = math.inf, *, above: bool = False):
+    """An argparse ``type=``: a finite ``kind`` (``int`` or ``float``) at
+    least ``low`` (more than it, with ``above``) and at most ``high``;
+    anything else is a usage error."""
+    if high < math.inf:
+        span = f"in [{low}, {high}]"
+    else:
+        span = f"{'>' if above else '>='} {low}"
+    noun = "an integer" if kind is int else "a number"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        in_range = low < value if above else low <= value
+        if not (in_range and value <= high and value < math.inf):
+            raise argparse.ArgumentTypeError(f"must be {noun} {span}, got {text!r}")
+        return value
+
+    return parse
 
 
 #: help for the ``repro gen`` flags that need more than the flag's name
@@ -650,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--args", nargs="*", type=int, default=[], help="int arguments")
     p_run.add_argument(
         "--recursion-limit",
-        type=_recursion_limit,
+        type=_bounded(int, 1, DEFAULT_RECURSION_LIMIT),
         default=None,
         help="Python stack depth ensured while the interpreter runs, "
         f"1..{DEFAULT_RECURSION_LIMIT} "
@@ -676,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
         "for when the gen_scaling curve regresses (see docs/scaling.md).",
     ).add_argument(
         "--top",
-        type=int,
+        type=_bounded(int, 1),
         default=12,
         metavar="N",
         help="functions shown per stage (default 12)",
@@ -705,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_watch.add_argument(
         "--iterations",
-        type=int,
+        type=_bounded(int, 0),
         default=None,
         metavar="N",
         help="exit after N observed edits (0: exit right after the "
@@ -713,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_watch.add_argument(
         "--interval",
-        type=float,
+        type=_bounded(float, 0),
         default=0.2,
         metavar="SECONDS",
         help="mtime poll interval",
@@ -735,27 +745,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--max-concurrency",
-        type=int,
+        type=_bounded(int, 1),
         default=None,
         metavar="N",
         help="requests served at once (default: the CPU allowance)",
     )
     p_serve.add_argument(
         "--max-pending",
-        type=int,
+        type=_bounded(int, 0),
         default=16,
         metavar="N",
         help="requests allowed to queue before 429s (0 disables queueing)",
     )
     p_serve.add_argument(
         "--request-timeout",
-        type=float,
+        type=_bounded(float, 0, above=True),
         default=60.0,
         metavar="SECONDS",
         help="server-side cap on any request's deadline",
     )
     p_serve.add_argument(
-        "--max-tenants", type=int, default=64, metavar="N",
+        "--max-tenants", type=_bounded(int, 1), default=64, metavar="N",
     )
     p_serve.add_argument(
         "--quiet", action="store_true", help="suppress per-request logging"
@@ -808,12 +818,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the single program here instead of stdout",
     )
     p_gen.add_argument(
-        "--count", type=int, default=None, metavar="K",
+        "--count", type=_bounded(int, 1), default=None, metavar="K",
         help="write a K-program corpus (derived seeds) plus corpus.json "
         "into --out-dir",
     )
     p_gen.add_argument(
-        "--edits", type=int, default=None, metavar="K",
+        "--edits", type=_bounded(int, 1), default=None, metavar="K",
         help="write K+1 successive edit-script versions into --out-dir",
     )
     p_gen.add_argument(

@@ -2,7 +2,7 @@
 
 Every failure surfaced by :mod:`repro.api` is a :class:`Diagnostic`: a
 severity, the pipeline stage that produced it, a stable machine-readable
-``code``, a human message, and (when the underlying error carries a lexer
+``code``, a human message, and (when the underlying error carries a source
 position) a source span.  This replaces the seed's string-only exception
 surfacing: callers can route on ``code``, report ``file:line:col`` like a
 compiler, or serialise the whole list with :func:`diagnostics_to_json`.
@@ -122,14 +122,13 @@ def from_exception(
 ) -> Diagnostic:
     """Adapt any reproduction exception onto a :class:`Diagnostic`.
 
-    Exceptions that carry a lexer position (``.pos`` with ``line``/``col``)
-    contribute a source span; their ``.msg`` (the message without the
-    position prefix) is preferred over ``str(exc)`` so the span is not
-    duplicated in the text.
+    A front-end error (:class:`~repro.lang.ast.SourceError`) contributes
+    the ``line``/``col`` it worked out from its source offset as the span;
+    its ``.msg`` (the message without the position prefix) is preferred
+    over ``str(exc)`` so the span is not duplicated in the text.
     """
-    pos = getattr(exc, "pos", None)
-    line = getattr(pos, "line", None)
-    col = getattr(pos, "col", None)
+    line = getattr(exc, "line", None)
+    col = getattr(exc, "col", None)
     message = getattr(exc, "msg", None) or str(exc) or type(exc).__name__
     return Diagnostic(
         severity=severity,

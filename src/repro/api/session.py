@@ -125,17 +125,17 @@ class SessionStats:
 
 #: retained bytes per lexer token of its program that every cached result
 #: holds, however much of it was spliced from a prior result: above all its
-#: own parse tree (about 100 B/token); an edit also keeps the dependency-graph
-#: fingerprints its next edit diffs against (about 4 B/token).  Calibrated
-#: with ``tracemalloc``
-#: (``tests/api/test_cache_charge.py`` holds each entry's charge to within
-#: 25% of what it retains)
-BYTES_PER_TOKEN = 119
+#: own parse tree, whose positions are small offsets and whose names are
+#: shared strings; an edit also keeps the dependency-graph fingerprints its
+#: next edit diffs against (about 4 B/token).  Calibrated with
+#: ``tracemalloc`` (``tests/api/test_cache_charge.py`` holds each entry's
+#: charge to within 25% of what it retains)
+BYTES_PER_TOKEN = 86
 #: retained bytes per token that inference adds on top, scaled by the share
 #: of method SCCs the run re-inferred rather than spliced from a prior
-#: result: a distinct program retains about 250 B/token, one version of a
-#: one-literal edit chain (which shares its spliced records) about 120
-BYTES_PER_INFERRED_TOKEN = 130
+#: result: a distinct program retains about 220 B/token, one version of a
+#: one-literal edit chain (which shares its spliced records) about 90
+BYTES_PER_INFERRED_TOKEN = 133
 
 
 def _approx_artifact_bytes(value: Any) -> int:

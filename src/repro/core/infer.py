@@ -752,9 +752,14 @@ class RegionInference:
         """Define a clean SCC's raw pres from the prior's records."""
         for qn in scc:
             self.q.define(self.prior.methods[qn].raw_pre)
-        key = tuple(sorted(scc))
+        key = self._scc_key(scc)
         result.fixpoint_iterations[key] = self.prior.fixpoint_iterations[key]
         self._mark_done(scc)
+
+    def _scc_key(self, scc: List[str]) -> Tuple[str, ...]:
+        """The SCC's ``fixpoint_iterations`` key: its sorted names, as the
+        schemes' own strings, so a result keeps each name once."""
+        return tuple(sorted(self.schemes[qn].qualified for qn in scc))
 
     def _process_scc(self, scc: List[str], result: InferenceResult) -> None:
         """Infer one method SCC: elaborate, localise, close the nest.
@@ -789,7 +794,7 @@ class RegionInference:
             fp = solve_recursive_abstractions(nest, self.q)
             for solved in fp.solutions.values():
                 self.q.define(solved)
-            result.fixpoint_iterations[tuple(sorted(scc))] = fp.iterations
+            result.fixpoint_iterations[self._scc_key(scc)] = fp.iterations
             if recursive:
                 if monomorphic:
                     # only the fixed point is monomorphic: the kept bodies

@@ -1,13 +1,15 @@
 """Lexer for Core-Java source text.
 
-Produces a stream of :class:`Token` objects with positions.  Supports
-``//`` line comments and ``/* ... */`` block comments.
+Produces a stream of :class:`Token` objects, each with its start offset
+in the source text.  Supports ``//`` line comments and ``/* ... */``
+block comments.
 
 One compiled regular expression does the scanning: each match consumes
 the whitespace and comments before a token plus the token itself, so the
 Python-level loop runs once per token, not once per character.  Lines
-and columns come from the newline offsets passed on the way (a column
-counts characters, tabs and ``\\r`` included, from 1).
+and columns are not tracked: :func:`repro.lang.ast.line_col` works them
+out from an offset when an error needs them.  Within one source text,
+repeated identifier and operator text is one string.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import List
 
-from ..lang.ast import Pos
+from ..lang.ast import SourceError
 
 __all__ = ["Token", "LexError", "tokenize", "KEYWORDS"]
 
@@ -73,13 +75,8 @@ _TOKEN = re.compile(
 _INT, _WORD, _OPEN, _OP, _UWORD, _BAD, _EOF = range(1, 8)
 
 
-class LexError(Exception):
+class LexError(SourceError):
     """Raised on malformed input text."""
-
-    def __init__(self, message: str, pos: Pos):
-        super().__init__(f"{pos}: {message}")
-        self.msg = message
-        self.pos = pos
 
 
 @dataclass(unsafe_hash=True)
@@ -87,15 +84,16 @@ class Token:
     """A lexical token.
 
     ``kind`` is one of ``"id"``, ``"int"``, ``"kw"``, ``"op"``, ``"eof"``;
-    ``text`` is the matched text (empty for eof).  Tokens compare and hash
-    by value; slotted and not frozen, so building one per token is cheap.
+    ``text`` is the matched text (empty for eof) and ``pos`` its start
+    offset in the source.  Tokens compare and hash by value; slotted and
+    not frozen, so building one per token is cheap.
     """
 
     __slots__ = ("kind", "text", "pos")
 
     kind: str
     text: str
-    pos: Pos
+    pos: int
 
     def is_kw(self, word: str) -> bool:
         return self.kind == "kw" and self.text == word
@@ -112,26 +110,17 @@ def tokenize(source: str) -> List[Token]:
     tokens: List[Token] = []
     append = tokens.append
     keywords = KEYWORDS
-    find = source.find
-    no_newline = len(source) + 1
-    line, line_start = 1, 0
-    newline = find("\n")
-    if newline < 0:
-        newline = no_newline
+    # one string per distinct name or operator in this text; not
+    # ``sys.intern``, whose table outlives the parse
+    share = {}.setdefault
     for m in _TOKEN.finditer(source):
         group = m.lastindex
-        start = m.start(group)
-        while newline < start:
-            line += 1
-            line_start = newline + 1
-            newline = find("\n", line_start)
-            if newline < 0:
-                newline = no_newline
-        pos = Pos(line, start - line_start + 1)
+        pos = m.start(group)
         text = m.group(group)
         if group == _OP:
-            append(Token("op", text, pos))
+            append(Token("op", share(text, text), pos))
         elif group == _WORD:
+            text = share(text, text)
             append(Token("kw" if text in keywords else "id", text, pos))
         elif group == _INT:
             append(Token("int", text, pos))
@@ -139,9 +128,10 @@ def tokenize(source: str) -> List[Token]:
             append(Token("eof", "", pos))
             break
         elif group == _UWORD and text[0].isalpha():
+            text = share(text, text)
             append(Token("kw" if text in keywords else "id", text, pos))
         elif group == _OPEN:
-            raise LexError("unterminated block comment", pos)
+            raise LexError("unterminated block comment", pos, source)
         else:
-            raise LexError(f"unexpected character {text[0]!r}", pos)
+            raise LexError(f"unexpected character {text[0]!r}", pos, source)
     return tokens

@@ -142,12 +142,16 @@ class _Converter:
         self.program = program
         self.table = ClassTable(program)
         self.generated: List[S.MethodDecl] = []
+        #: the method being converted: a loop method's body keeps offsets
+        #: from its ``pos``
+        self.method_pos: Optional[int] = None
 
     # -- scope tracking -------------------------------------------------------
     def convert_method(self, method: S.MethodDecl) -> S.MethodDecl:
         env: Dict[str, S.Type] = {p.name: p.param_type for p in method.params}
         if method.owner is not None:
             env[S.THIS] = S.ClassType(method.owner)
+        self.method_pos = method.pos
         body = self._convert(method.body, env)
         assert isinstance(body, S.Block)
         return replace(method, body=body)
@@ -231,6 +235,7 @@ class _Converter:
             params=params,
             body=method_body,
             is_static=True,
+            pos=self.method_pos,
             by_ref=True,
         )
         self.generated.append(decl)
@@ -249,5 +254,5 @@ def convert_loops(program: S.Program) -> S.Program:
         replace(c, methods=[converter.convert_method(m) for m in c.methods])
         for c in program.classes
     ]
-    statics = [converter.convert_method(m) for m in program.statics]
-    return S.Program(classes=classes, statics=statics + converter.generated)
+    statics = [converter.convert_method(m) for m in program.statics] + converter.generated
+    return S.Program(classes, statics, source=program.source)

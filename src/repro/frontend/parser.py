@@ -7,6 +7,10 @@ benchmark programs need (arithmetic, ``while``, statement-``if``, casts,
 ``return e;`` as the last item is accepted as sugar for a result
 expression.
 
+Declarations carry their offset in the source text; every node of a
+method body carries its offset from its method's ``pos`` (see
+:mod:`repro.lang.ast`).
+
 Entry points: :func:`parse_program`, :func:`parse_expr`.
 """
 
@@ -17,7 +21,7 @@ from typing import List, Optional, Tuple
 from typing import Union
 
 from ..lang import ast as S
-from ..lang.ast import Pos
+from ..lang.ast import SourceError
 from .lexer import LexError, Token, tokenize
 
 __all__ = [
@@ -34,21 +38,23 @@ _PRIM_TYPES = {"int": S.INT, "bool": S.BOOL, "boolean": S.BOOL, "void": S.VOID}
 _EXPR_START_KWS = {"new", "null", "this", "true", "false", "if"}
 
 
-class ParseError(Exception):
+class ParseError(SourceError):
     """Raised on syntactically invalid input."""
-
-    def __init__(self, message: str, pos: Pos):
-        super().__init__(f"{pos}: {message}")
-        self.msg = message
-        self.pos = pos
 
 
 class Parser:
     """A single-pass recursive-descent parser over a token list."""
 
     def __init__(self, source: str):
+        self._source = source
         self._tokens = tokenize(source)
         self._i = 0
+        #: the offset node positions are taken from: the enclosing
+        #: method's ``pos`` inside a method, 0 outside
+        self._base = 0
+
+    def _error(self, message: str, t: Token) -> ParseError:
+        return ParseError(message, t.pos, self._source)
 
     # -- token helpers -----------------------------------------------------
     def _peek(self, ahead: int = 0) -> Token:
@@ -66,19 +72,19 @@ class Parser:
     def _expect_op(self, op: str) -> Token:
         t = self._next()
         if not t.is_op(op):
-            raise ParseError(f"expected {op!r}, found {t}", t.pos)
+            raise self._error(f"expected {op!r}, found {t}", t)
         return t
 
     def _expect_kw(self, word: str) -> Token:
         t = self._next()
         if not t.is_kw(word):
-            raise ParseError(f"expected keyword {word!r}, found {t}", t.pos)
+            raise self._error(f"expected keyword {word!r}, found {t}", t)
         return t
 
     def _expect_id(self) -> Token:
         t = self._next()
         if t.kind != "id":
-            raise ParseError(f"expected identifier, found {t}", t.pos)
+            raise self._error(f"expected identifier, found {t}", t)
         return t
 
     def _accept_op(self, op: str) -> bool:
@@ -98,7 +104,7 @@ class Parser:
             return _PRIM_TYPES[t.text]
         if t.kind == "id":
             return S.ClassType(t.text)
-        raise ParseError(f"expected a type, found {t}", t.pos)
+        raise self._error(f"expected a type, found {t}", t)
 
     # -- program -----------------------------------------------------------------
     def parse_program(self, errors: Optional[List[ParseError]] = None) -> S.Program:
@@ -124,7 +130,7 @@ class Parser:
                 errors.append(err)
                 self._sync_top_level()
         return S.Program(
-            classes=classes, statics=statics, tokens=len(self._tokens)
+            classes, statics, tokens=len(self._tokens), source=self._source
         )
 
     def _sync_top_level(self) -> None:
@@ -168,8 +174,8 @@ class Parser:
             elif self._peek().is_op("("):
                 methods.append(self._finish_method(mtype, mname, member_pos, static=False))
             else:
-                raise ParseError(
-                    f"expected ';' or '(' after member {mname!r}", self._peek().pos
+                raise self._error(
+                    f"expected ';' or '(' after member {mname!r}", self._peek()
                 )
         self._expect_op("}")
         return S.ClassDecl(name=name, super_name=super_name, fields=fields, methods=methods, pos=pos)
@@ -183,8 +189,9 @@ class Parser:
         return self._finish_method(ret, name, pos, static=static)
 
     def _finish_method(
-        self, ret: S.Type, name: str, pos: Pos, static: bool
+        self, ret: S.Type, name: str, pos: int, static: bool
     ) -> S.MethodDecl:
+        self._base = pos
         self._expect_op("(")
         params: List[S.Param] = []
         if not self._peek().is_op(")"):
@@ -202,12 +209,12 @@ class Parser:
 
     # -- blocks and statements --------------------------------------------------
     def _parse_block(self) -> S.Block:
-        pos = self._expect_op("{").pos
+        pos = self._expect_op("{").pos - self._base
         stmts: List[S.Stmt] = []
         result: Optional[S.Expr] = None
         while not self._peek().is_op("}"):
             if result is not None:
-                raise ParseError("result expression must end the block", self._peek().pos)
+                raise self._error("result expression must end the block", self._peek())
             item = self._parse_block_item()
             if isinstance(item, S.Stmt):
                 stmts.append(item)
@@ -231,7 +238,8 @@ class Parser:
         if t.is_kw("return"):
             self._next()
             if self._accept_op(";"):
-                return S.Block(stmts=[], result=None, pos=t.pos)  # `return;` == void result
+                # `return;` == void result
+                return S.Block(stmts=[], result=None, pos=t.pos - self._base)
             e = self.parse_expr()
             self._expect_op(";")
             return e  # becomes the block result
@@ -241,14 +249,14 @@ class Parser:
             cond = self.parse_expr()
             self._expect_op(")")
             body = self._parse_block()
-            return S.ExprStmt(S.While(cond, body, pos=t.pos))
+            return S.ExprStmt(S.While(cond, body, pos=t.pos - self._base))
         if t.is_kw("if") :
             # statement-if unless it turns out to be the block result; we
             # parse as expression-if when an `else` is present and the next
             # token closes the block.
             return self._parse_if_item()
         if self._at_local_decl():
-            pos = self._peek().pos
+            pos = self._peek().pos - self._base
             dtype = self._parse_type()
             name = self._expect_id().text
             init: Optional[S.Expr] = None
@@ -261,10 +269,10 @@ class Parser:
             return S.ExprStmt(e)
         if self._peek().is_op("}"):
             return e  # trailing result expression
-        raise ParseError(f"expected ';' or '}}', found {self._peek()}", self._peek().pos)
+        raise self._error(f"expected ';' or '}}', found {self._peek()}", self._peek())
 
     def _parse_if_item(self):
-        pos = self._expect_kw("if").pos
+        pos = self._expect_kw("if").pos - self._base
         self._expect_op("(")
         cond = self.parse_expr()
         self._expect_op(")")
@@ -296,11 +304,11 @@ class Parser:
     def _parse_assign(self) -> S.Expr:
         lhs = self._parse_or()
         if self._peek().is_op("="):
-            pos = self._next().pos
+            t = self._next()
             if not isinstance(lhs, (S.Var, S.FieldRead)):
-                raise ParseError("assignment target must be a variable or field", pos)
+                raise self._error("assignment target must be a variable or field", t)
             rhs = self._parse_assign()
-            return S.Assign(lhs, rhs, pos=pos)
+            return S.Assign(lhs, rhs, pos=t.pos - self._base)
         return lhs
 
     def _parse_binop_chain(self, ops: Tuple[str, ...], sub) -> S.Expr:
@@ -310,7 +318,7 @@ class Parser:
         while op.kind == "op" and op.text in ops:
             self._i += 1  # an operator is never the eof token
             right = sub()
-            left = S.Binop(op.text, left, right, pos=op.pos)
+            left = S.Binop(op.text, left, right, pos=op.pos - self._base)
             op = tokens[self._i]
         return left
 
@@ -337,7 +345,7 @@ class Parser:
         if t.is_op("!") or t.is_op("-"):
             self._next()
             operand = self._parse_unary()
-            return S.Unop(t.text, operand, pos=t.pos)
+            return S.Unop(t.text, operand, pos=t.pos - self._base)
         return self._parse_postfix()
 
     def _parse_postfix(self) -> S.Expr:
@@ -347,9 +355,9 @@ class Parser:
             name = self._expect_id()
             if self._peek().is_op("("):
                 args = self._parse_args()
-                e = S.Call(e, name.text, args, pos=name.pos)
+                e = S.Call(e, name.text, args, pos=name.pos - self._base)
             else:
-                e = S.FieldRead(e, name.text, pos=name.pos)
+                e = S.FieldRead(e, name.text, pos=name.pos - self._base)
         return e
 
     def _parse_args(self) -> List[S.Expr]:
@@ -380,23 +388,24 @@ class Parser:
 
     def _parse_primary(self) -> S.Expr:
         t = self._peek()
+        pos = t.pos - self._base
         if t.kind == "int":
             self._next()
-            return S.IntLit(int(t.text), pos=t.pos)
+            return S.IntLit(int(t.text), pos=pos)
         if t.is_kw("true") or t.is_kw("false"):
             self._next()
-            return S.BoolLit(t.text == "true", pos=t.pos)
+            return S.BoolLit(t.text == "true", pos=pos)
         if t.is_kw("null"):
             self._next()
-            return S.Null(None, pos=t.pos)
+            return S.Null(None, pos=pos)
         if t.is_kw("this"):
             self._next()
-            return S.Var(S.THIS, pos=t.pos)
+            return S.Var(S.THIS, pos=pos)
         if t.is_kw("new"):
             self._next()
             cname = self._expect_id().text
             args = self._parse_args()
-            return S.New(cname, args, pos=t.pos)
+            return S.New(cname, args, pos=pos)
         if t.is_kw("if"):
             self._next()
             self._expect_op("(")
@@ -405,7 +414,7 @@ class Parser:
             then = self._parse_expr_arm()
             self._expect_kw("else")
             els = self._parse_expr_arm()
-            return S.If(cond, then, els, pos=t.pos)
+            return S.If(cond, then, els, pos=pos)
         if t.is_op("{"):
             return self._parse_block()
         if t.is_op("("):
@@ -416,9 +425,9 @@ class Parser:
                 target = self._parse_unary()
                 if isinstance(ctype, S.ClassType):
                     if isinstance(target, S.Null):
-                        return S.Null(ctype.name, pos=t.pos)  # `(cn) null`
-                    return S.Cast(ctype.name, target, pos=t.pos)
-                raise ParseError("casts to primitive types are not supported", t.pos)
+                        return S.Null(ctype.name, pos=pos)  # `(cn) null`
+                    return S.Cast(ctype.name, target, pos=pos)
+                raise self._error("casts to primitive types are not supported", t)
             self._next()
             e = self.parse_expr()
             self._expect_op(")")
@@ -427,9 +436,9 @@ class Parser:
             self._next()
             if self._peek().is_op("("):
                 args = self._parse_args()
-                return S.Call(None, t.text, args, pos=t.pos)
-            return S.Var(t.text, pos=t.pos)
-        raise ParseError(f"unexpected token {t}", t.pos)
+                return S.Call(None, t.text, args, pos=pos)
+            return S.Var(t.text, pos=pos)
+        raise self._error(f"unexpected token {t}", t)
 
     def _parse_expr_arm(self) -> S.Expr:
         if self._peek().is_op("{"):
@@ -469,5 +478,5 @@ def parse_expr(source: str) -> S.Expr:
     e = parser.parse_expr()
     tail = parser._peek()
     if tail.kind != "eof":
-        raise ParseError(f"trailing input {tail}", tail.pos)
+        raise parser._error(f"trailing input {tail}", tail)
     return e

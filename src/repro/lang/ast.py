@@ -11,8 +11,12 @@ methods (``P ::= def* meth*``).  Object creation is Featherweight-Java
 style: ``new cn(e1..ek)`` supplies one initial value per field of ``cn``
 (inherited fields first).
 
-Every node carries an optional source ``pos`` (line, column) for error
-reporting; ``New`` nodes additionally carry a unique allocation-site
+Every node carries an optional source ``pos`` for error reporting: an
+``int`` offset into the source text for class, field and method
+declarations, and an offset from its method's ``pos`` for every node of a
+method body, so a method's nodes do not depend on the text above it.
+:func:`line_col` turns an offset into a line and column when a diagnostic
+needs one.  ``New`` nodes additionally carry a unique allocation-site
 ``label`` (the paper's ``lb:new B(..)`` program points) used by the downcast
 analysis of Sec 5.
 """
@@ -24,7 +28,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
 __all__ = [
-    "Pos",
+    "line_col",
+    "SourceError",
     "Type",
     "PrimType",
     "ClassType",
@@ -61,30 +66,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Pos:
-    """A source position (1-based line and column).
+def line_col(source: str, offset: int) -> Tuple[int, int]:
+    """The 1-based line and column of ``offset`` in ``source``.
 
-    The lexer builds one per token, so the class is slotted (no instance
-    dict) and ``__init__`` fills the slots through their descriptors
-    instead of the frozen dataclass's two ``object.__setattr__`` calls.
+    Only ``\\n`` breaks a line; a column counts characters, tabs and
+    ``\\r`` included.
+    """
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+
+
+class SourceError(Exception):
+    """An error at an offset into a program's source text.
+
+    ``msg`` is the message and ``pos`` the offset (``None`` when unknown).
+    Given the source too, ``line`` and ``col`` are worked out from the
+    offset and ``str()`` starts with ``line:col:``.
     """
 
-    __slots__ = ("line", "col")
-
-    line: int
-    col: int
-
-    def __init__(self, line: int, col: int) -> None:
-        _set_pos_line(self, line)
-        _set_pos_col(self, col)
-
-    def __str__(self) -> str:
-        return f"{self.line}:{self.col}"
-
-
-_set_pos_line = Pos.line.__set__  # type: ignore[attr-defined]
-_set_pos_col = Pos.col.__set__  # type: ignore[attr-defined]
+    def __init__(
+        self, message: str, pos: Optional[int] = None, source: Optional[str] = None
+    ):
+        self.msg = message
+        self.pos = pos
+        self.line: Optional[int] = None
+        self.col: Optional[int] = None
+        if pos is not None and source is not None:
+            self.line, self.col = line_col(source, pos)
+            message = f"{self.line}:{self.col}: {message}"
+        super().__init__(message)
 
 
 _label_counter = itertools.count(1)
@@ -157,7 +166,7 @@ class Var(Expr):
     """A variable read, including the reserved variable ``this``."""
 
     name: str
-    pos: Optional[Pos] = None
+    pos: Optional[int] = None
 
 
 @dataclass
@@ -165,7 +174,7 @@ class IntLit(Expr):
     """An integer literal."""
 
     value: int
-    pos: Optional[Pos] = None
+    pos: Optional[int] = None
 
 
 @dataclass
@@ -173,7 +182,7 @@ class BoolLit(Expr):
     """A boolean literal."""
 
     value: bool
-    pos: Optional[Pos] = None
+    pos: Optional[int] = None
 
 
 @dataclass
@@ -186,7 +195,7 @@ class Null(Expr):
     """
 
     class_name: Optional[str] = None
-    pos: Optional[Pos] = None
+    pos: Optional[int] = None
 
 
 @dataclass
@@ -199,7 +208,7 @@ class FieldRead(Expr):
 
     receiver: Expr
     field_name: str
-    pos: Optional[Pos] = None
+    pos: Optional[int] = None
     declaring_class: Optional[str] = field(default=None, repr=False, compare=False)
 
     def children(self) -> Tuple[Expr, ...]:
@@ -215,7 +224,7 @@ class Assign(Expr):
 
     lhs: Expr
     rhs: Expr
-    pos: Optional[Pos] = None
+    pos: Optional[int] = None
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.lhs, self.rhs)
@@ -228,7 +237,7 @@ class New(Expr):
     class_name: str
     args: List[Expr] = field(default_factory=list)
     label: str = field(default_factory=fresh_label)
-    pos: Optional[Pos] = None
+    pos: Optional[int] = None
 
     def children(self) -> Tuple[Expr, ...]:
         return tuple(self.args)
@@ -248,7 +257,7 @@ class Call(Expr):
     receiver: Optional[Expr]
     method_name: str
     args: List[Expr] = field(default_factory=list)
-    pos: Optional[Pos] = None
+    pos: Optional[int] = None
     callee: Optional[str] = field(default=None, repr=False, compare=False)
 
     @property
@@ -270,7 +279,7 @@ class Cast(Expr):
 
     class_name: str
     expr: Expr
-    pos: Optional[Pos] = None
+    pos: Optional[int] = None
     operand_class: Optional[str] = field(default=None, repr=False, compare=False)
 
     def children(self) -> Tuple[Expr, ...]:
@@ -284,7 +293,7 @@ class If(Expr):
     cond: Expr
     then: Expr
     els: Expr
-    pos: Optional[Pos] = None
+    pos: Optional[int] = None
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.cond, self.then, self.els)
@@ -301,7 +310,7 @@ class While(Expr):
 
     cond: Expr
     body: "Block"
-    pos: Optional[Pos] = None
+    pos: Optional[int] = None
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.cond, self.body)
@@ -321,7 +330,7 @@ class Binop(Expr):
     op: str
     left: Expr
     right: Expr
-    pos: Optional[Pos] = None
+    pos: Optional[int] = None
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.left, self.right)
@@ -333,7 +342,7 @@ class Unop(Expr):
 
     op: str
     operand: Expr
-    pos: Optional[Pos] = None
+    pos: Optional[int] = None
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.operand,)
@@ -356,7 +365,7 @@ class LocalDecl(Stmt):
     decl_type: Type
     name: str
     init: Optional[Expr] = None
-    pos: Optional[Pos] = None
+    pos: Optional[int] = None
 
 
 @dataclass
@@ -377,7 +386,7 @@ class Block(Expr):
 
     stmts: List[Stmt] = field(default_factory=list)
     result: Optional[Expr] = None
-    pos: Optional[Pos] = None
+    pos: Optional[int] = None
 
     def children(self) -> Tuple[Expr, ...]:
         out: List[Expr] = []
@@ -410,7 +419,7 @@ class FieldDecl:
 
     field_type: Type
     name: str
-    pos: Optional[Pos] = None
+    pos: Optional[int] = None
 
 
 @dataclass
@@ -427,7 +436,7 @@ class MethodDecl:
     body: Block
     is_static: bool = False
     owner: Optional[str] = None
-    pos: Optional[Pos] = None
+    pos: Optional[int] = None
     #: True for methods generated from ``while`` loops (Sec 2): their
     #: parameters are passed *by reference*, so region inference equates the
     #: regions of actuals and formals instead of allowing subtyping.
@@ -453,7 +462,7 @@ class ClassDecl:
     super_name: str = "Object"
     fields: List[FieldDecl] = field(default_factory=list)
     methods: List[MethodDecl] = field(default_factory=list)
-    pos: Optional[Pos] = None
+    pos: Optional[int] = None
 
     def method(self, name: str) -> Optional[MethodDecl]:
         """The class's *own* (non-inherited) method of this name, if any."""
@@ -472,6 +481,9 @@ class Program:
     #: lexer tokens the parser read this program from (0 when it was
     #: built in code): the size a session cache charges its result by
     tokens: int = field(default=0, repr=False, compare=False)
+    #: the text the parser read this program from (``None`` when it was
+    #: built in code): what diagnostics work ``line:col`` out of
+    source: Optional[str] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for c in self.classes:

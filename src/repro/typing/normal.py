@@ -35,14 +35,8 @@ from ..lang.class_table import ClassTable, ClassTableError
 __all__ = ["NormalTypeError", "NormalTypeChecker", "check_program"]
 
 
-class NormalTypeError(Exception):
+class NormalTypeError(S.SourceError):
     """Raised when a source program is not well-normal-typed."""
-
-    def __init__(self, message: str, pos: Optional[S.Pos] = None):
-        where = f"{pos}: " if pos is not None else ""
-        super().__init__(f"{where}{message}")
-        self.msg = message
-        self.pos = pos
 
 
 class NormalTypeChecker:
@@ -68,14 +62,21 @@ class NormalTypeChecker:
 
     # -- entry points -----------------------------------------------------------
     def check(self) -> ClassTable:
-        for cls in self.program.classes:
-            for method in cls.methods:
-                self._check_method(method, owner=cls.name)
-        for method in self.program.statics:
-            self._check_method(method, owner=None)
+        for method in self.program.all_methods():
+            try:
+                self._check_method(method, method.owner)
+            except NormalTypeError as err:
+                # the offset is from the method's pos: make it one into the source
+                if err.pos is None or method.pos is None:
+                    raise
+                raise NormalTypeError(
+                    err.msg, method.pos + err.pos, self.program.source
+                ) from None
         return self.table
 
     def _check_method(self, method: S.MethodDecl, owner: Optional[str]) -> None:
+        # positions here are offsets from the method's pos; the header's
+        # errors are at the pos itself, offset 0
         env: Dict[str, S.Type] = {}
         if owner is not None:
             env[S.THIS] = S.ClassType(owner)
@@ -83,21 +84,21 @@ class NormalTypeChecker:
         for p in method.params:
             if p.name in env:
                 raise NormalTypeError(
-                    f"duplicate parameter {p.name!r} in {method.qualified_name}", method.pos
+                    f"duplicate parameter {p.name!r} in {method.qualified_name}", 0
                 )
-            self._check_type(p.param_type, method.pos)
+            self._check_type(p.param_type, 0)
             env[p.name] = p.param_type
-        self._check_type(method.ret_type, method.pos)
+        self._check_type(method.ret_type, 0)
         body_t = self._check_expr(method.body, env, expected=_non_void(method.ret_type))
         if method.ret_type != S.VOID and not self._assignable(body_t, method.ret_type):
             raise NormalTypeError(
                 f"{method.qualified_name}: body has type {body_t}, "
                 f"declared return type is {method.ret_type}",
-                method.pos,
+                0,
             )
 
     # -- helpers --------------------------------------------------------------
-    def _check_type(self, t: S.Type, pos: Optional[S.Pos]) -> None:
+    def _check_type(self, t: S.Type, pos: Optional[int]) -> None:
         if isinstance(t, S.ClassType) and not self.table.has_class(t.name):
             raise NormalTypeError(f"unknown class {t.name!r}", pos)
 
@@ -109,7 +110,7 @@ class NormalTypeChecker:
             return self.table.is_subclass(src.name, dst.name)
         return False
 
-    def _expect_class(self, t: S.Type, what: str, pos: Optional[S.Pos]) -> str:
+    def _expect_class(self, t: S.Type, what: str, pos: Optional[int]) -> str:
         if not isinstance(t, S.ClassType):
             raise NormalTypeError(f"{what} must have a class type, found {t}", pos)
         return t.name
@@ -333,7 +334,7 @@ class NormalTypeChecker:
             return S.BOOL
         raise NormalTypeError(f"unknown operator {e.op!r}", e.pos)
 
-    def _merge_branches(self, a: S.Type, b: S.Type, pos: Optional[S.Pos]) -> S.Type:
+    def _merge_branches(self, a: S.Type, b: S.Type, pos: Optional[int]) -> S.Type:
         """Result type of a two-armed if: ``msst`` for classes."""
         if a == S.VOID or b == S.VOID:
             return S.VOID

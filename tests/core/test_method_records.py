@@ -72,6 +72,19 @@ def test_a_from_scratch_result_has_a_record_per_method():
         record.localized = 0
 
 
+def test_iteration_keys_hold_the_schemes_own_name_strings():
+    # a result keeps each method name once: its SCC's fixpoint_iterations
+    # key reuses the scheme's string, also for an SCC spliced from a prior
+    session = Session()
+    for version in edit_script(GenSpec.sized(10, seed=3), 1):
+        result = session.reinfer(version, document="buf")
+        assert result.fixpoint_iterations
+        for key in result.fixpoint_iterations:
+            for qn in key:
+                assert qn is result.methods[qn].scheme.qualified, qn
+    assert result.reused_sccs > 0
+
+
 def test_a_shared_record_pins_no_older_parse_tree():
     src, edited = composite_chain()[:2]
     prior = infer_source(src)

@@ -7,6 +7,13 @@ raises.  The digests were captured from the per-character lexer that the
 compiled-regex lexer replaced, so this test keeps "the front end says
 exactly what it always said" checked.
 
+Tokens and nodes carry offsets, and the digests were taken when they
+carried ``line``/``col`` objects.  So every offset is turned back into a
+line and column through :func:`repro.lang.ast.line_col`, the function
+diagnostics use (a body node's offset is from its method's ``pos``, so
+that is added first), and the tree is printed with each position in the
+old ``Pos(line=.., col=..)`` form.
+
 Corpus: the RegJava and Olden suites, fixed ``repro.gen`` seeds, the
 frozen fuzz-regression programs and hand-written edge cases (tabs, CRLF
 line ends, multi-line block comments, Unicode identifiers, lexical
@@ -31,6 +38,8 @@ from repro.bench.regjava import REGJAVA_PROGRAMS
 from repro.frontend.lexer import LexError, tokenize
 from repro.frontend.parser import ParseError, parse_program
 from repro.gen import GenSpec, generate_source
+from repro.lang import ast as S
+from repro.lang.ast import line_col
 
 FIXTURE = Path(__file__).parent / "fixtures" / "frontend_digests.json"
 FUZZ_FIXTURES = Path(__file__).parent.parent / "fuzz" / "fixtures"
@@ -122,22 +131,57 @@ def _renumber_labels(text: str) -> str:
     return re.sub(r"label='(l\d+)'", sub, text)
 
 
+class _LineCol:
+    """A position as the frozen digests printed it."""
+
+    def __init__(self, source: str, offset: int):
+        self.line, self.col = line_col(source, offset)
+
+    def __repr__(self) -> str:
+        return f"Pos(line={self.line}, col={self.col})"
+
+
+def _with_line_cols(program: S.Program, source: str) -> S.Program:
+    """``program`` with every offset replaced by its :class:`_LineCol`."""
+
+    def locate(node, base: int) -> None:
+        if node.pos is not None:
+            node.pos = _LineCol(source, base + node.pos)
+
+    for decl in program.classes:
+        locate(decl, 0)
+        for f in decl.fields:
+            locate(f, 0)
+    for method in program.all_methods():
+        for e in S.walk(method.body):
+            locate(e, method.pos)
+            if isinstance(e, S.Block):
+                for s in e.stmts:
+                    if isinstance(s, S.LocalDecl):
+                        locate(s, method.pos)
+        locate(method, 0)
+    return program
+
+
 def capture(source: str) -> dict:
     """Token and AST digests of ``source`` (or the error each step raises)."""
     out = {}
     try:
         tokens = tokenize(source)
     except LexError as err:
-        out["tokens"] = f"LexError {err.pos.line}:{err.pos.col} {err.msg}"
+        out["tokens"] = f"LexError {err.line}:{err.col} {err.msg}"
     else:
-        lines = [f"{t.kind}\t{t.text}\t{t.pos.line}\t{t.pos.col}" for t in tokens]
+        lines = [
+            "{}\t{}\t{}\t{}".format(t.kind, t.text, *line_col(source, t.pos))
+            for t in tokens
+        ]
         out["tokens"] = _digest("\n".join(lines))
     try:
         program = parse_program(source)
     except (LexError, ParseError) as err:
-        out["ast"] = f"{type(err).__name__} {err.pos.line}:{err.pos.col} {err.msg}"
+        out["ast"] = f"{type(err).__name__} {err.line}:{err.col} {err.msg}"
     else:
-        out["ast"] = _digest(_renumber_labels(repr(program)))
+        out["ast"] = _digest(_renumber_labels(repr(_with_line_cols(program, source))))
     return out
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.frontend.lexer import LexError, Token, tokenize
+from repro.lang.ast import line_col
 
 
 def kinds(src):
@@ -30,9 +31,23 @@ class TestBasics:
         assert kinds("_x a_b") == [("id", "_x"), ("id", "a_b")]
 
     def test_positions(self):
-        toks = tokenize("a\n  b")
-        assert toks[0].pos.line == 1 and toks[0].pos.col == 1
-        assert toks[1].pos.line == 2 and toks[1].pos.col == 3
+        # a token carries its start offset; line_col works out the rest
+        source = "a\n  b"
+        toks = tokenize(source)
+        assert [t.pos for t in toks] == [0, 4, 5]
+        assert line_col(source, toks[0].pos) == (1, 1)
+        assert line_col(source, toks[1].pos) == (2, 3)
+
+    def test_only_newline_breaks_a_line(self):
+        source = "a\r\nb\rc\td"
+        assert [line_col(source, t.pos) for t in tokenize(source)] == [
+            (1, 1), (2, 1), (2, 3), (2, 5), (2, 6),
+        ]
+
+    def test_repeated_names_share_one_string(self):
+        toks = tokenize("abc + abc <= abc <= x")
+        assert toks[0].text is toks[2].text is toks[4].text
+        assert toks[3].text is toks[5].text
 
 
 class TestOperators:
@@ -80,7 +95,9 @@ class TestErrors:
     def test_error_carries_position(self):
         with pytest.raises(LexError) as exc:
             tokenize("ab\n  #")
-        assert exc.value.pos.line == 2
+        assert exc.value.pos == 5
+        assert (exc.value.line, exc.value.col) == (2, 3)
+        assert str(exc.value) == "2:3: unexpected character '#'"
 
 
 class TestTokenHelpers:

@@ -36,7 +36,8 @@ def test_lexer_raises_unexpected_character(source):
         tokenize(source)
     assert excinfo.value.msg.startswith("unexpected character")
     offset = next(i for i, ch in enumerate(source) if ch in "²①٣")
-    assert (excinfo.value.pos.line, excinfo.value.pos.col) == (1, offset + 1)
+    assert excinfo.value.pos == offset
+    assert (excinfo.value.line, excinfo.value.col) == (1, offset + 1)
 
 
 def test_integer_literals_are_ascii():

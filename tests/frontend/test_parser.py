@@ -182,7 +182,21 @@ class TestPrograms:
     def test_parse_error_position(self):
         with pytest.raises(ParseError) as exc:
             parse_program("class { }")
-        assert exc.value.pos.line == 1
+        assert exc.value.pos == 6
+        assert (exc.value.line, exc.value.col) == (1, 7)
+
+    def test_body_positions_are_offsets_from_the_method(self):
+        source = "class A extends Object {\n  int x;\n  int f() { x }\n}\nint g() { 1 }"
+        p = parse_program(source)
+        cls = p.classes[0]
+        assert (cls.pos, cls.fields[0].pos) == (0, 27)
+        (f,) = cls.methods
+        assert f.pos == source.index("int f")
+        assert (f.body.pos, f.body.result.pos) == (8, 10)
+        g = p.statics[0]
+        assert g.pos == source.index("int g")
+        assert (g.body.pos, g.body.result.pos) == (8, 10)
+        assert p.source is source
 
     def test_trailing_garbage_rejected_in_expr(self):
         with pytest.raises(ParseError):

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, main
 from tests.conftest import IF_RECEIVER_SOURCE, PADDED_OVERRIDE_SOURCE
 
 PROGRAM = """
@@ -379,3 +379,46 @@ class TestWatch(object):
         watched = capsys.readouterr().err
         assert checked.startswith(f"{bad}:1:10: error[")
         assert watched == checked
+
+
+#: (subcommand argv, flag, values outside its range, a value inside it)
+NUMERIC_FLAGS = [
+    (["profile", "f.cj"], "--top", ["0", "-1", "two"], "1"),
+    (["gen", "--out-dir", "d"], "--count", ["0", "-2"], "1"),
+    (["gen", "--out-dir", "d"], "--edits", ["0", "-1"], "1"),
+    (["watch", "f.cj"], "--interval", ["-1", "nan", "inf", "soon"], "0"),
+    (["watch", "f.cj"], "--iterations", ["-1", "1.5"], "0"),
+    (["serve"], "--max-concurrency", ["0", "-3"], "1"),
+    (["serve"], "--max-pending", ["-1"], "0"),
+    (["serve"], "--max-tenants", ["0"], "1"),
+    (["serve"], "--request-timeout", ["0", "-1", "nan", "inf"], "0.5"),
+]
+
+
+class TestNumericFlags(object):
+    """Out-of-range numeric flags are usage errors (exit 2); only the
+    parser runs, so no server starts and no file is read."""
+
+    @pytest.mark.parametrize(
+        "argv,flag,value",
+        [(argv, flag, v) for argv, flag, bad, _ in NUMERIC_FLAGS for v in bad],
+    )
+    def test_outside_the_range_is_a_usage_error(self, capsys, argv, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + [flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be " in err and repr(value) in err
+
+    @pytest.mark.parametrize(
+        "argv,flag,value", [(argv, flag, ok) for argv, flag, _, ok in NUMERIC_FLAGS]
+    )
+    def test_the_range_edge_is_accepted(self, argv, flag, value):
+        args = build_parser().parse_args(argv + [flag, value])
+        assert getattr(args, flag[2:].replace("-", "_")) == float(value)
+
+    def test_profile_rejects_a_negative_top_before_running(self, source_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", source_file, "--top", "-1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
